@@ -14,52 +14,36 @@ import random
 
 import pytest
 
-from repro.analysis import (
-    format_table,
-    run_noise_sweep,
-    run_probe_strategy_ablation,
-    validate_theory,
-)
+from repro.analysis import format_table
 from repro.cache import CacheGeometry, SetAssociativeCache
 from repro.channel import ObservationChannel, SingleLevelTransport
 from repro.core import AttackConfig, GrinchAttack
-from repro.engine import derive_key
+from repro.engine import derive_key, render_record, run_experiment
 from repro.gift import Gift64, TracedGift64
 
 
 def test_probe_strategy_ablation(publish):
     """E6: Flush+Reload needs fewer encryptions than Prime+Probe."""
-    rows = run_probe_strategy_ablation(seed=1, runs=2)
-    text = format_table(
-        "E6 — Probing primitive ablation (first-round attack)",
-        ["Strategy", "Mean encryptions", "Key bits recovered"],
-        [[r.strategy, f"{r.encryptions:,.0f}",
-          "yes" if r.recovered else "no"] for r in rows],
-    )
-    publish("ablation_probe_strategy", text)
+    record = run_experiment("probe_ablation", {"seed": 1, "runs": 2},
+                            use_cache=False)
+    publish("ablation_probe_strategy", render_record(record))
 
-    by_name = {row.strategy: row for row in rows}
-    assert by_name["flush_reload"].encryptions < \
-        by_name["prime_probe"].encryptions
+    by_name = {c["cell"]["strategy"]: c for c in record["cells"]}
+    assert by_name["flush_reload"]["encryptions"] < \
+        by_name["prime_probe"]["encryptions"]
 
 
 def test_theory_validation(publish):
     """E7: the analytic model tracks simulation within tens of percent."""
-    rows = validate_theory(
-        cases=((1, 1), (1, 2), (1, 3), (2, 1)), runs=4
+    record = run_experiment(
+        "theory_validation",
+        {"cases": [[1, 1], [1, 2], [1, 3], [2, 1]], "runs": 4},
+        use_cache=False,
     )
-    text = format_table(
-        "E7 — Analytic effort model vs. Monte-Carlo simulation",
-        ["Line words", "Probing round", "Predicted", "Measured",
-         "Rel. error"],
-        [[str(r.line_words), str(r.probing_round),
-          f"{r.predicted:,.0f}", f"{r.measured:,.0f}",
-          f"{r.relative_error:.0%}"] for r in rows],
-    )
-    publish("ablation_theory_vs_simulation", text)
+    publish("ablation_theory_vs_simulation", render_record(record))
 
-    for row in rows:
-        assert row.relative_error < 0.6
+    for cell in record["cells"]:
+        assert cell["relative_error"] < 0.6
 
 
 def test_replacement_policy_insensitivity(publish):
@@ -96,19 +80,21 @@ def test_replacement_policy_insensitivity(publish):
 
 def test_noise_sensitivity(publish):
     """Section IV-B1: attack efficiency vs. co-runner noise."""
-    rows = run_noise_sweep(runs=2)
+    record = run_experiment("noise_sweep", {"runs": 2}, use_cache=False)
+    cells = record["cells"]
     text = format_table(
         "Ablation — co-runner noise sensitivity (first-round attack)",
         ["P(noisy window)", "Touches/window", "Mean encryptions",
          "Recovered"],
-        [[f"{r.touch_probability:.1f}", str(r.monitored_touches),
-          f"{r.encryptions:,.0f}", "yes" if r.recovered else "no"]
-         for r in rows],
+        [[f"{c['cell']['touch_probability']:.1f}",
+          str(c["cell"]["monitored_touches"]),
+          f"{c['encryptions']:,.0f}", "yes" if c["recovered"] else "no"]
+         for c in cells],
     )
     publish("ablation_noise", text)
 
-    assert all(r.recovered for r in rows)
-    assert rows[-1].encryptions >= rows[0].encryptions
+    assert all(c["recovered"] for c in cells)
+    assert cells[-1]["encryptions"] >= cells[0]["encryptions"]
 
 
 def test_memory_hierarchy_ablation(publish):

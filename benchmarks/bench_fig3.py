@@ -5,28 +5,28 @@ engine and benchmarks the experiment unit (one first-round attack at the
 paper's best case: probing round 1, flush enabled).
 """
 
-from repro.analysis import run_figure3, render_figure3
+from repro.analysis import figure3_series
 from repro.core import AttackConfig, GrinchAttack
-from repro.engine import derive_key
+from repro.engine import derive_key, render_record, run_experiment
 from repro.engine.budget import simulated_effort_budget
 from repro.gift import TracedGift64
 
 
 def test_fig3_regeneration(publish):
     """Regenerate Fig. 3 and check its two qualitative claims."""
-    result = run_figure3(
-        probing_rounds=tuple(range(1, 11)),
-        runs=2,
-        max_simulated_effort=simulated_effort_budget(),
+    record = run_experiment(
+        "figure3",
+        {"runs": 2, "max_simulated_effort": simulated_effort_budget()},
+        use_cache=False,
     )
-    publish("fig3_first_round_effort", render_figure3(result))
+    publish("fig3_first_round_effort", render_record(record))
 
     for use_flush in (True, False):
-        efforts = [p.encryptions for p in result.series(use_flush)]
+        efforts = [c["encryptions"] for c in figure3_series(record, use_flush)]
         assert efforts == sorted(efforts), "effort must grow with probing round"
-    for with_flush, without in zip(result.series(True),
-                                   result.series(False)):
-        assert without.encryptions > with_flush.encryptions
+    for with_flush, without in zip(figure3_series(record, True),
+                                   figure3_series(record, False)):
+        assert without["encryptions"] > with_flush["encryptions"]
 
 
 def test_fig3_round1_attack_benchmark(benchmark):

@@ -7,29 +7,32 @@ line size.
 
 import pytest
 
-from repro.analysis import render_table1, run_table1
 from repro.cache import CacheGeometry
 from repro.core import AttackConfig, GrinchAttack
-from repro.engine import derive_key
+from repro.engine import derive_key, render_record, run_experiment
 from repro.engine.budget import simulated_effort_budget
 from repro.gift import TracedGift64
 
 
 def test_table1_regeneration(publish):
     """Regenerate Table I and check its qualitative structure."""
-    result = run_table1(
-        runs=2, max_simulated_effort=simulated_effort_budget()
+    record = run_experiment(
+        "table1",
+        {"runs": 2, "max_simulated_effort": simulated_effort_budget()},
+        use_cache=False,
     )
-    publish("table1_cache_line_sweep", render_table1(result))
+    publish("table1_cache_line_sweep", render_record(record))
+    cell = {(c["cell"]["line_words"], c["cell"]["probing_round"]): c
+            for c in record["cells"]}
 
     # Effort grows along both axes until the >1M drop-outs; the
     # drop-out triangle matches the paper's.
-    assert result.cell(1, 1).encryptions < result.cell(1, 5).encryptions
-    assert result.cell(1, 1).encryptions < result.cell(4, 1).encryptions
-    assert result.cell(2, 5).dropped_out
-    assert result.cell(4, 3).dropped_out
-    assert result.cell(8, 2).dropped_out
-    assert not result.cell(1, 5).dropped_out
+    assert cell[1, 1]["encryptions"] < cell[1, 5]["encryptions"]
+    assert cell[1, 1]["encryptions"] < cell[4, 1]["encryptions"]
+    assert cell[2, 5]["dropped_out"]
+    assert cell[4, 3]["dropped_out"]
+    assert cell[8, 2]["dropped_out"]
+    assert not cell[1, 5]["dropped_out"]
 
 
 @pytest.mark.parametrize("line_words", [1, 2])

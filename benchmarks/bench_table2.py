@@ -4,16 +4,17 @@ Regenerates both platform rows at 10/25/50 MHz and benchmarks the two
 event-driven platform simulations.
 """
 
-from repro.analysis import render_table2, run_table2
+from repro.analysis import table2_rows
+from repro.engine import render_record, run_experiment
 from repro.soc import ClockDomain, MPSoC, SingleCoreSoC
 
 
 def test_table2_regeneration(publish):
     """Regenerate Table II; the values match the paper exactly."""
-    result = run_table2()
-    publish("table2_platform_probing", render_table2(result))
+    record = run_experiment("table2", use_cache=False)
+    publish("table2_platform_probing", render_record(record))
 
-    assert result.rows() == [
+    assert table2_rows(record) == [
         ["single-core SoC", "2", "4", "8"],
         ["MPSoC", "1", "1", "1"],
     ]

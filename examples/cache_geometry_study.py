@@ -21,17 +21,20 @@ from repro.analysis import (
     expected_first_round_effort,
     monitored_lines,
     practical_probing_round_limit,
-    render_table1,
-    run_table1,
     visible_noise_accesses,
 )
+from repro.engine import render_record, run_experiment
 
 
 def main() -> None:
     full = os.environ.get("REPRO_FULL", "") not in ("", "0")
     budget = 1_500_000.0 if full else 20_000.0
 
-    print(render_table1(run_table1(runs=2, max_simulated_effort=budget)))
+    record = run_experiment(
+        "table1", {"runs": 2, "max_simulated_effort": budget},
+        use_cache=False,
+    )
+    print(render_record(record))
     print("\n('~' cells are analytic-model projections; set REPRO_FULL=1 "
           "to simulate them.)\n")
 

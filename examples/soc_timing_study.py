@@ -10,7 +10,7 @@ the MPSoC).
 Run:  python examples/soc_timing_study.py
 """
 
-from repro.analysis import render_table2, run_table2
+from repro.engine import render_record, run_experiment
 from repro.soc import (
     PAPER_FREQUENCIES_HZ,
     PAPER_QUANTUM_S,
@@ -21,7 +21,7 @@ from repro.soc import (
 
 
 def main() -> None:
-    print(render_table2(run_table2()))
+    print(render_record(run_experiment("table2", use_cache=False)))
     print()
 
     print("Single-core SoC: the attacker's only window is the RTOS")

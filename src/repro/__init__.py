@@ -10,7 +10,9 @@ Lightweight Cipher"* (DATE 2021) as a pure-Python library:
 * :mod:`repro.core` — the GRINCH attack itself
 * :mod:`repro.countermeasures` — the paper's two protections
 * :mod:`repro.variants` — trace-/time-driven attack variants
-* :mod:`repro.analysis` — harnesses for Fig. 3, Table I, Table II
+* :mod:`repro.engine` — the experiment engine: every table, figure and
+  ablation (``python -m repro run <experiment>``)
+* :mod:`repro.analysis` — analytic effort model, statistics, reporting
 
 Quickstart::
 
@@ -21,7 +23,7 @@ Quickstart::
     assert result.master_key == victim.master_key
 """
 
-from .cache import CacheGeometry, MemoryHierarchy, SetAssociativeCache
+from .cache import CacheGeometry, SetAssociativeCache
 from .core import (
     AttackConfig,
     AttackResult,
@@ -39,7 +41,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CacheGeometry",
-    "MemoryHierarchy",
     "SetAssociativeCache",
     "AttackConfig",
     "AttackResult",

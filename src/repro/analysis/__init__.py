@@ -1,31 +1,16 @@
-"""Experiment harnesses, analytic effort model, statistics and reporting."""
+"""Analytic effort model, statistics, and the ASCII reporting of engine
+records (the experiments themselves run through :mod:`repro.engine`)."""
 
-from .experiments import (
-    DROPOUT_THRESHOLD,
-    Figure3Point,
-    Figure3Result,
-    FullKeyResultSummary,
-    NoiseSweepRow,
-    ProbeAblationRow,
-    Table1Cell,
-    Table1Result,
-    Table2Result,
-    TheoryValidationRow,
-    run_figure3,
-    run_full_key,
-    run_noise_sweep,
-    run_probe_strategy_ablation,
-    run_table1,
-    run_table2,
-    validate_theory,
-)
 from .reporting import (
+    figure3_series,
     format_count,
     format_table,
     render_figure3,
     render_series,
     render_table1,
     render_table2,
+    table1_rows,
+    table2_rows,
 )
 from .statistics import (
     Summary,
@@ -48,29 +33,15 @@ from .theory import (
 )
 
 __all__ = [
-    "DROPOUT_THRESHOLD",
-    "Figure3Point",
-    "Figure3Result",
-    "FullKeyResultSummary",
-    "NoiseSweepRow",
-    "ProbeAblationRow",
-    "Table1Cell",
-    "Table1Result",
-    "Table2Result",
-    "TheoryValidationRow",
-    "run_figure3",
-    "run_full_key",
-    "run_noise_sweep",
-    "run_probe_strategy_ablation",
-    "run_table1",
-    "run_table2",
-    "validate_theory",
+    "figure3_series",
     "format_count",
     "format_table",
     "render_figure3",
     "render_series",
     "render_table1",
     "render_table2",
+    "table1_rows",
+    "table2_rows",
     "Summary",
     "geometric_mean",
     "mean",

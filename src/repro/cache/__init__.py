@@ -7,7 +7,6 @@ from .geometry import (
     CacheGeometry,
     geometry_preset,
 )
-from .hierarchy import AccessResult, MemoryHierarchy, MemoryLatencies
 from .multilevel import (
     HierarchyStats,
     InclusionPolicy,
@@ -29,9 +28,6 @@ __all__ = [
     "WORD_BYTES",
     "CacheGeometry",
     "geometry_preset",
-    "AccessResult",
-    "MemoryHierarchy",
-    "MemoryLatencies",
     "HierarchyStats",
     "InclusionPolicy",
     "MemoryLevel",

@@ -172,7 +172,9 @@ class TwoLevelHierarchy:
         if l1_geometry.line_bytes != l2_geometry.line_bytes:
             raise ValueError("L1 and L2 must share one line size")
         self.cores = cores
-        self.inclusion = inclusion
+        # Coerce so "inclusive" works and an unknown mode raises instead
+        # of silently matching neither identity check below.
+        self.inclusion = InclusionPolicy(inclusion)
         self.policy_name = policy
         self.rng = rng
         self.stats = HierarchyStats()

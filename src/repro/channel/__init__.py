@@ -49,6 +49,7 @@ from .degradation import (
 )
 from .monitor import SboxMonitor
 from .observer import (
+    MemoryLatencies,
     ObservationChannel,
     WindowBatch,
     WindowObservation,
@@ -89,6 +90,7 @@ __all__ = [
     "ProbeJitter",
     "jitter_from_platform",
     "SboxMonitor",
+    "MemoryLatencies",
     "ObservationChannel",
     "WindowBatch",
     "WindowObservation",

@@ -9,20 +9,19 @@ Exposes the headline attack and the unified experiment engine:
    $ python -m repro run --list
    $ python -m repro run table1 --workers 4 --seed 7 --json
    $ python -m repro run E9 --set levels=0.0:0,0.5:2 --no-cache
-   $ python -m repro figure3            # legacy alias of `run figure3`
    $ python -m repro theory --line-words 4
    $ python -m repro perf --quick --json
    $ python -m repro staticcheck leakage --check-budget
    $ python -m repro trace record --target gift64 --out run.grtr
    $ python -m repro trace replay run.grtr --check
 
-``run`` executes any registered experiment (E1–E14) through
-:mod:`repro.engine`: Monte-Carlo trials fan out over ``--workers``
-processes (bit-identical results at any worker count), finished records
-are served from the content-addressed result cache, and ``--json``
-emits the schema-validated artifact record.  The historical
-``figure3``/``table1``/``table2``/``countermeasures`` subcommands
-delegate to the same registry.
+``run`` executes any registered experiment (E1–E20) through
+:mod:`repro.engine` — Fig. 3 is ``run figure3``, Table I ``run table1``,
+Table II ``run table2``, Section IV-C ``run countermeasures``.
+Monte-Carlo trials fan out over ``--workers`` processes (bit-identical
+results at any worker count), finished records are served from the
+content-addressed result cache, and ``--json`` emits the
+schema-validated artifact record.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = commands.add_parser(
         "run",
-        help="run a registered experiment through the engine (E1-E14)",
+        help="run a registered experiment through the engine (E1-E20)",
     )
     run.add_argument("experiment", nargs="?", default=None,
                      help="experiment name or DESIGN.md ID (see --list)")
@@ -103,24 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      default=[], metavar="NAME=VALUE",
                      help="override an experiment parameter "
                           "(repeatable; see --list for the specs)")
-
-    for name, help_text in (
-        ("figure3", "regenerate Fig. 3 (effort vs. probing round)"),
-        ("table1", "regenerate Table I (effort vs. cache line size)"),
-    ):
-        sub = commands.add_parser(name, help=help_text)
-        sub.add_argument("--full", action="store_true",
-                         help="simulate every cell (slow)")
-        sub.add_argument("--runs", type=int, default=2,
-                         help="Monte-Carlo repetitions per cell")
-
-    commands.add_parser(
-        "table2", help="regenerate Table II (platform probing rounds)"
-    )
-    cm = commands.add_parser(
-        "countermeasures", help="evaluate the Section IV-C protections"
-    )
-    cm.add_argument("--seed", type=int, default=0)
 
     theory = commands.add_parser(
         "theory", help="analytic effort model for one configuration"
@@ -210,30 +191,6 @@ def _parse_assignments(experiment_name: str,
     return overrides
 
 
-def _engine_run(name: str, overrides: Optional[Dict[str, Any]] = None,
-                *, workers: int = 1, use_cache: bool = True,
-                as_json: bool = False, progress: bool = False) -> int:
-    record = run_experiment(
-        name,
-        overrides,
-        workers=workers,
-        use_cache=use_cache,
-        artifact_dir=results_dir(),
-        progress=ProgressPrinter() if progress else None,
-    )
-    if as_json:
-        print(json.dumps(record, indent=2, sort_keys=True))
-    else:
-        print(render_record(record))
-        telemetry = record["telemetry"]
-        print(f"[{record['experiment_id']} {record['experiment']}: "
-              f"{telemetry['trials_total']} trials, "
-              f"{telemetry['wall_time_s']:.2f} s, "
-              f"{telemetry['trials_per_s']:.1f} trials/s, "
-              f"cache {telemetry['cache']}]")
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.list_experiments or args.experiment is None:
         if args.experiment is None and not args.list_experiments:
@@ -261,45 +218,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides.setdefault("seed", args.seed)
     if args.full and "max_simulated_effort" in param_names:
         overrides.setdefault("max_simulated_effort", FULL_EFFORT)
-    return _engine_run(
+    record = run_experiment(
         experiment.name,
         overrides,
         workers=args.workers,
         use_cache=not args.no_cache,
-        as_json=args.as_json,
-        progress=not args.as_json,
-    )
-
-
-def _cmd_figure3(args: argparse.Namespace) -> int:
-    overrides = {"runs": args.runs}
-    if args.full:
-        overrides["max_simulated_effort"] = FULL_EFFORT
-    return _engine_run("figure3", overrides)
-
-
-def _cmd_table1(args: argparse.Namespace) -> int:
-    overrides = {"runs": args.runs}
-    if args.full:
-        overrides["max_simulated_effort"] = FULL_EFFORT
-    return _engine_run("table1", overrides)
-
-
-def _cmd_table2(_: argparse.Namespace) -> int:
-    return _engine_run("table2")
-
-
-def _cmd_countermeasures(args: argparse.Namespace) -> int:
-    record = run_experiment(
-        "countermeasures", {"seed": args.seed},
         artifact_dir=results_dir(),
+        progress=None if args.as_json else ProgressPrinter(),
     )
-    for cell in record["cells"]:
-        verdict = "defeated" if cell["attack_defeated"] else "NOT defeated"
-        leak = ("channel closed" if not cell["protected_leaks"]
-                else "channel still open")
-        print(f"{cell['name']}: GRINCH {verdict} "
-              f"({cell['failure_mode'] or 'key recovered'}), {leak}")
+    if args.as_json:
+        print(json.dumps(record, indent=2, sort_keys=True))
+        return 0
+    print(render_record(record))
+    telemetry = record["telemetry"]
+    print(f"[{record['experiment_id']} {record['experiment']}: "
+          f"{telemetry['trials_total']} trials, "
+          f"{telemetry['wall_time_s']:.2f} s, "
+          f"{telemetry['trials_per_s']:.1f} trials/s, "
+          f"cache {telemetry['cache']}]")
     return 0
 
 
@@ -341,10 +277,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 _HANDLERS = {
     "attack": _cmd_attack,
     "run": _cmd_run,
-    "figure3": _cmd_figure3,
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "countermeasures": _cmd_countermeasures,
     "theory": _cmd_theory,
     "staticcheck": _cmd_staticcheck,
     "perf": _cmd_perf,

@@ -38,7 +38,12 @@ from .errors import (
     KeyVerificationFailed,
     LowConfidenceError,
 )
-from .profile import PROFILE_64, PROFILE_128, GiftAttackProfile, profile_for_width
+from ..targets.gift import (
+    PROFILE_64,
+    PROFILE_128,
+    GiftAttackProfile,
+    profile_for_width,
+)
 from .recover import (
     KeyBitPair,
     expected_index,

@@ -656,35 +656,14 @@ class GrinchAttack:
         S-box accesses (1 for GIFT, 0 for PRESENT)."""
         return self.target.probe_round_offset
 
-    def _verification_round_key(self, resolved: List[Any],
-                                estimate: RoundKeyEstimate) -> Any:
-        # Best-guess verification key: resolved rounds plus the
-        # estimate's leading candidates for the rest.  (The verification
-        # stage itself recomputes per hypothesis; this helper serves
-        # callers that want the post-resolution value.)
-        keys = list(resolved)
-        while len(keys) < self.target.full_key_rounds:
-            keys.append(estimate.guess_round_key({}))
-        return self.target.verification_round_key(keys)
-
-    def _charge_encryption(self) -> None:
-        budget = self.config.max_total_encryptions
-        if budget is not None and self.total_encryptions >= budget:
-            raise BudgetExceeded(
-                f"total encryption budget of {budget} exhausted",
-                encryptions=self.total_encryptions,
-            )
-        self.total_encryptions += 1
-
     def _charge_batch(self, requested: int) -> int:
         """Charge up to ``requested`` encryptions against the budget.
 
         Returns the count actually charged — clamped to the remaining
         whole-attack budget so a batch never overruns the Table I
-        drop-out rule; raises :class:`BudgetExceeded` exactly where the
-        scalar loop's per-encryption charge would (budget already
-        spent).  ``requested == 1`` is charge-for-charge identical to
-        :meth:`_charge_encryption`.
+        drop-out rule; raises :class:`BudgetExceeded` once the budget
+        is already spent.  ``requested == 1`` charges exactly one
+        encryption per call, like the scalar loop.
         """
         budget = self.config.max_total_encryptions
         count = requested

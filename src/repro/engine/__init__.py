@@ -1,10 +1,10 @@
 """The unified experiment engine.
 
-One declarative registry of every paper artefact and ablation (E1–E14),
+One declarative registry of every paper artefact and ablation (E1–E20),
 one parallel Monte-Carlo executor with worker-count-independent seeding,
 one content-addressed result cache, one JSON artifact schema — shared by
-the CLI (``python -m repro run``), ``repro.analysis.experiments``, the
-benchmark harness, and the examples.  See ``docs/experiment_engine.md``.
+the CLI (``python -m repro run``), the benchmark harness, and the
+examples.  See ``docs/experiment_engine.md``.
 
 This ``__init__`` deliberately avoids importing the built-in experiment
 definitions (they pull in ``repro.core``); the registry loads them

@@ -30,18 +30,11 @@ from ..cache.geometry import CacheGeometry
 from ..channel.primitive import PRIMITIVE_NAMES
 from ..core.attack import GrinchAttack
 from ..core.config import AttackConfig
-from ..core.errors import (
-    BudgetExceeded,
-    InconsistentObservation,
-    KeyVerificationFailed,
-    LowConfidenceError,
-)
-from ..core.profile import PROFILE_64
 from ..targets.gift import TracedGift64
 from ..seeding import derive_key
-from ..staticcheck import declassify
-from .artifact import trial_summary
-from .params import Param, spec
+from .artifact import outcome_tally, run_attack
+from .budget import effort_budget
+from .params import Param, name_list, spec
 from .registry import CellPlan, Experiment, register
 
 _COMPARISON_SPEC = spec(
@@ -69,33 +62,6 @@ _COMPARISON_SPEC = spec(
 )
 
 
-def _primitive_list(params: Mapping[str, Any]) -> List[str]:
-    names = [p.strip() for p in params["primitives"].split(",") if p.strip()]
-    if not names:
-        raise ValueError("primitives must name at least one primitive")
-    for name in names:
-        if name not in PRIMITIVE_NAMES:
-            raise ValueError(
-                f"unknown primitive {name!r}; known: "
-                f"{', '.join(PRIMITIVE_NAMES)}"
-            )
-    return names
-
-
-def _effort_budget(params: Mapping[str, Any]) -> int:
-    """``budget_factor`` x analytic lossless effort of the scope."""
-    from ..analysis.theory import expected_first_round_effort
-
-    per_round = expected_first_round_effort(
-        line_words=params["line_words"],
-        probing_round=params["probing_round"],
-        use_flush=True,
-    )
-    rounds = (1 if params["scope"] == "first_round"
-              else PROFILE_64.full_key_rounds)
-    return int(params["budget_factor"] * rounds * per_round)
-
-
 def _comparison_config(params: Mapping[str, Any], primitive: str,
                        seed: int) -> AttackConfig:
     return AttackConfig(
@@ -108,7 +74,7 @@ def _comparison_config(params: Mapping[str, Any], primitive: str,
             if primitive == "flush_flush" else 0.0
         ),
         voting_min_observations=params["voting_min_observations"],
-        max_total_encryptions=_effort_budget(params),
+        max_total_encryptions=effort_budget(params),
         seed=seed,
     )
 
@@ -116,8 +82,10 @@ def _comparison_config(params: Mapping[str, Any], primitive: str,
 def _comparison_plan(params: Mapping[str, Any]) -> List[CellPlan]:
     if params["runs"] < 1:
         raise ValueError(f"runs must be positive, got {params['runs']}")
+    primitives = name_list(params["primitives"], PRIMITIVE_NAMES,
+                           "primitive")
     return [CellPlan(cell={"primitive": primitive}, trials=params["runs"])
-            for primitive in _primitive_list(params)]
+            for primitive in primitives]
 
 
 def _comparison_trial(params: Mapping[str, Any], cell: Dict[str, Any],
@@ -127,56 +95,22 @@ def _comparison_trial(params: Mapping[str, Any], cell: Dict[str, Any],
     victim = TracedGift64(planted, layout=config.layout)
     attack = GrinchAttack(victim, config)
     reliability = attack.runner.signal_reliability
-    try:
-        if params["scope"] == "first_round":
-            outcome = attack.attack_first_round()
-            return {"outcome": "recovered", "recovered": True,
-                    "encryptions": outcome.encryptions,
-                    "recovered_bits": outcome.recovered_bits,
-                    "signal_reliability": reliability}
-        result = attack.recover_master_key()
-    except LowConfidenceError as exc:
-        return {"outcome": "low_confidence", "recovered": False,
-                "encryptions": exc.encryptions,
-                "signal_reliability": reliability}
-    except BudgetExceeded as exc:
-        return {"outcome": "budget_exceeded", "recovered": False,
-                "encryptions": exc.encryptions,
-                "signal_reliability": reliability}
-    except InconsistentObservation:
-        return {"outcome": "inconsistent", "recovered": False,
-                "encryptions": attack.total_encryptions,
-                "signal_reliability": reliability}
-    except KeyVerificationFailed:
-        return {"outcome": "verify_failed", "recovered": False,
-                "encryptions": attack.total_encryptions,
-                "signal_reliability": reliability}
-    recovered = declassify(result.master_key == planted)
-    return {
-        "outcome": "recovered" if recovered else "wrong_key",
-        "recovered": recovered,
-        "encryptions": result.total_encryptions,
-        "signal_reliability": reliability,
-    }
+    ended = run_attack(attack, params["scope"], planted)
+    if params["scope"] == "first_round" and ended.recovered:
+        return ended.trial(recovered_bits=ended.result.recovered_bits,
+                           signal_reliability=reliability)
+    return ended.trial(signal_reliability=reliability)
 
 
 def _comparison_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
                          trials: List[Any]) -> Dict[str, Any]:
-    successes = [t for t in trials if t["recovered"]]
-    outcomes: Dict[str, int] = {}
-    for trial in trials:
-        outcomes[trial["outcome"]] = outcomes.get(trial["outcome"], 0) + 1
     return {
         "cell": cell,
         "trials": trials,
-        "summary": trial_summary(
-            [float(t["encryptions"]) for t in successes]
-        ),
-        "success_rate": len(successes) / len(trials) if trials else 0.0,
-        "outcomes": outcomes,
+        **outcome_tally(trials),
         "signal_reliability": trials[0]["signal_reliability"]
         if trials else None,
-        "budget": _effort_budget(params),
+        "budget": effort_budget(params),
     }
 
 
@@ -195,7 +129,7 @@ def _comparison_summarize(params: Mapping[str, Any],
     }
     return {
         "scope": params["scope"],
-        "budget": _effort_budget(params),
+        "budget": effort_budget(params),
         "mean_encryptions": means,
         "effort_vs_flush_reload": ratios,
         "all_recovered": all(c["success_rate"] == 1.0 for c in cells),

@@ -1,9 +1,8 @@
 """The experiment engine driver.
 
 :func:`run_experiment` is the one entry point every layer above uses —
-the CLI's ``python -m repro run``, the legacy ``figure3``/``table1``/...
-subcommands, ``repro.analysis.experiments``, the benchmark harness, and
-the examples.  It resolves the experiment from the registry, consults
+the CLI's ``python -m repro run``, the benchmark harness, the examples
+and the tests.  It resolves the experiment from the registry, consults
 the content-addressed result cache, fans the Monte-Carlo trials out
 over worker processes, and emits one schema-validated JSON record.
 """

@@ -35,7 +35,7 @@ from .params import Param, spec
 from .registry import CellPlan, Experiment, register
 from ..seeding import derive_key
 
-#: Paper's drop-out threshold for Table I (re-exported via the engine).
+#: Paper's drop-out threshold for Table I.
 DROPOUT_THRESHOLD: int = 1_000_000
 
 
@@ -121,10 +121,9 @@ def _figure3_summarize(params: Mapping[str, Any],
 
 
 def _figure3_render(record: Dict[str, Any]) -> str:
-    from ..analysis.experiments import figure3_result_from_record
     from ..analysis.reporting import render_figure3
 
-    return render_figure3(figure3_result_from_record(record))
+    return render_figure3(record)
 
 
 register(Experiment(
@@ -231,10 +230,9 @@ def _table1_summarize(params: Mapping[str, Any],
 
 
 def _table1_render(record: Dict[str, Any]) -> str:
-    from ..analysis.experiments import table1_result_from_record
     from ..analysis.reporting import render_table1
 
-    return render_table1(table1_result_from_record(record))
+    return render_table1(record)
 
 
 register(Experiment(
@@ -300,10 +298,9 @@ def _table2_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
 
 
 def _table2_render(record: Dict[str, Any]) -> str:
-    from ..analysis.experiments import table2_result_from_record
     from ..analysis.reporting import render_table2
 
-    return render_table2(table2_result_from_record(record))
+    return render_table2(record)
 
 
 register(Experiment(

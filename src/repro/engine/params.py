@@ -10,7 +10,7 @@ resolved parameters for seed derivation and cache keying.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..seeding import canonical
 
@@ -225,3 +225,17 @@ def listify(value: Any) -> Any:
     if isinstance(value, dict):
         return {key: listify(item) for key, item in value.items()}
     return value
+
+
+def name_list(text: str, known: Sequence[str], noun: str) -> List[str]:
+    """Parse a comma-separated ``str`` param into names from ``known``
+    (``noun`` labels the error messages)."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise ValueError(f"{noun}s must name at least one {noun}")
+    for name in names:
+        if name not in known:
+            raise ValueError(
+                f"unknown {noun} {name!r}; known: {', '.join(known)}"
+            )
+    return names

@@ -28,17 +28,10 @@ from typing import Any, Dict, List, Mapping
 from ..cache.geometry import CacheGeometry
 from ..core.attack import GrinchAttack
 from ..core.config import AttackConfig
-from ..core.errors import (
-    BudgetExceeded,
-    InconsistentObservation,
-    KeyVerificationFailed,
-    LowConfidenceError,
-)
 from ..channel import LossyChannel
-from ..core.profile import PROFILE_64
 from ..targets.gift import TracedGift64
-from ..staticcheck import declassify
-from .artifact import confidence_summary, trial_summary
+from .artifact import confidence_summary, outcome_tally, run_attack
+from .budget import effort_budget
 from .params import Param, spec
 from .registry import CellPlan, Experiment, register
 from ..seeding import derive_key
@@ -58,19 +51,6 @@ _ROBUSTNESS_SPEC = spec(
           "voting acceptance confidence threshold"),
     Param("seed", "int", 14, "base seed of the sweep"),
 )
-
-
-def _full_key_budget(params: Mapping[str, Any]) -> int:
-    """Encryption budget: ``budget_factor`` x lossless full-key effort."""
-    from ..analysis.theory import expected_first_round_effort
-
-    per_round = expected_first_round_effort(
-        line_words=params["line_words"],
-        probing_round=params["probing_round"],
-        use_flush=True,
-    )
-    return int(params["budget_factor"]
-               * PROFILE_64.full_key_rounds * per_round)
 
 
 def _robustness_plan(params: Mapping[str, Any]) -> List[CellPlan]:
@@ -95,55 +75,32 @@ def _robustness_trial(params: Mapping[str, Any], cell: Dict[str, Any],
             eviction_rate=cell["eviction_rate"],
         ),
         voting_confidence=params["confidence"],
-        max_total_encryptions=_full_key_budget(params),
+        max_total_encryptions=effort_budget(params),
     )
     planted = derive_key(128, seed)
     victim = TracedGift64(planted, layout=config.layout)
-    attack = GrinchAttack(victim, config)
-    try:
-        result = attack.recover_master_key()
-    except LowConfidenceError as exc:
-        return {"outcome": "low_confidence", "recovered": False,
-                "encryptions": exc.encryptions,
-                "best_confidence": exc.best_confidence}
-    except BudgetExceeded as exc:
-        return {"outcome": "budget_exceeded", "recovered": False,
-                "encryptions": exc.encryptions}
-    except InconsistentObservation:
-        return {"outcome": "inconsistent", "recovered": False,
-                "encryptions": attack.total_encryptions}
-    except KeyVerificationFailed:
-        return {"outcome": "verify_failed", "recovered": False,
-                "encryptions": attack.total_encryptions}
-    recovered = declassify(result.master_key == planted)
-    return {
-        "outcome": "recovered" if recovered else "wrong_key",
-        "recovered": recovered,
-        "encryptions": result.total_encryptions,
-        "min_confidence": result.min_confidence,
-        "mean_confidence": result.mean_confidence,
-        "retries": result.total_retries,
-    }
+    ended = run_attack(GrinchAttack(victim, config), "full_key", planted)
+    if ended.outcome == "low_confidence":
+        return ended.trial(best_confidence=ended.error.best_confidence)
+    if ended.result is None:
+        return ended.trial()
+    return ended.trial(
+        min_confidence=ended.result.min_confidence,
+        mean_confidence=ended.result.mean_confidence,
+        retries=ended.result.total_retries,
+    )
 
 
 def _robustness_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
                          trials: List[Any]) -> Dict[str, Any]:
-    successes = [t for t in trials if t["recovered"]]
-    outcomes: Dict[str, int] = {}
-    for trial in trials:
-        outcomes[trial["outcome"]] = outcomes.get(trial["outcome"], 0) + 1
     return {
         "cell": cell,
         "trials": trials,
-        "summary": trial_summary(
-            [float(t["encryptions"]) for t in successes]
-        ),
+        **outcome_tally(trials),
         "confidence": confidence_summary(
-            [t["min_confidence"] for t in successes]
+            [t["min_confidence"] for t in trials if t["recovered"]]
         ),
-        "success_rate": len(successes) / len(trials) if trials else 0.0,
-        "outcomes": outcomes,
-        "budget": _full_key_budget(params),
+        "budget": effort_budget(params),
     }
 
 
@@ -154,7 +111,7 @@ def _robustness_summarize(params: Mapping[str, Any],
                 and c["cell"]["eviction_rate"] == 0.0]
     return {
         "cells": len(cells),
-        "budget": _full_key_budget(params),
+        "budget": effort_budget(params),
         "worst_success_rate": min(
             (c["success_rate"] for c in cells), default=0.0
         ),

@@ -44,18 +44,11 @@ from ..channel.primitive import PRIMITIVE_NAMES
 from ..core.attack import GrinchAttack
 from ..core.config import AttackConfig
 from ..core.crosscore import make_cross_core_runner
-from ..core.errors import (
-    BudgetExceeded,
-    InconsistentObservation,
-    KeyVerificationFailed,
-    LowConfidenceError,
-)
-from ..core.profile import PROFILE_64
 from ..targets.gift import TracedGift64
 from ..seeding import derive_key
-from ..staticcheck import declassify
-from .artifact import trial_summary
-from .params import Param, spec
+from .artifact import outcome_tally, run_attack
+from .budget import effort_budget
+from .params import Param, name_list, spec
 from .registry import CellPlan, Experiment, register
 
 #: Scenario -> (transport family, inclusion mode).  Mobile scenarios
@@ -91,45 +84,6 @@ _STEALTH_SPEC = spec(
 )
 
 
-def _primitive_list(params: Mapping[str, Any]) -> List[str]:
-    names = [p.strip() for p in params["primitives"].split(",") if p.strip()]
-    if not names:
-        raise ValueError("primitives must name at least one primitive")
-    for name in names:
-        if name not in PRIMITIVE_NAMES:
-            raise ValueError(
-                f"unknown primitive {name!r}; known: "
-                f"{', '.join(PRIMITIVE_NAMES)}"
-            )
-    return names
-
-
-def _scenario_list(params: Mapping[str, Any]) -> List[str]:
-    names = [s.strip() for s in params["scenarios"].split(",") if s.strip()]
-    if not names:
-        raise ValueError("scenarios must name at least one scenario")
-    for name in names:
-        if name not in SCENARIOS:
-            raise ValueError(
-                f"unknown scenario {name!r}; known: {', '.join(SCENARIOS)}"
-            )
-    return names
-
-
-def _effort_budget(params: Mapping[str, Any]) -> int:
-    """``budget_factor`` x analytic lossless effort of the scope."""
-    from ..analysis.theory import expected_first_round_effort
-
-    per_round = expected_first_round_effort(
-        line_words=params["line_words"],
-        probing_round=1,
-        use_flush=True,
-    )
-    rounds = (1 if params["scope"] == "first_round"
-              else PROFILE_64.full_key_rounds)
-    return int(params["budget_factor"] * rounds * per_round)
-
-
 def _stealth_config(params: Mapping[str, Any], primitive: str,
                     seed: int) -> AttackConfig:
     return AttackConfig(
@@ -141,7 +95,7 @@ def _stealth_config(params: Mapping[str, Any], primitive: str,
             if primitive == "flush_flush" else 0.0
         ),
         voting_min_observations=params["voting_min_observations"],
-        max_total_encryptions=_effort_budget(params),
+        max_total_encryptions=effort_budget(params),
         seed=seed,
     )
 
@@ -183,12 +137,13 @@ def _stealth_plan(params: Mapping[str, Any]) -> List[CellPlan]:
     if params["runs"] < 1:
         raise ValueError(f"runs must be positive, got {params['runs']}")
     cells: List[CellPlan] = []
-    scenarios = _scenario_list(params)
+    scenarios = name_list(params["scenarios"], SCENARIOS, "scenario")
     if "same_core" in scenarios:
         cells.extend(
             CellPlan(cell={"scenario": "same_core", "primitive": primitive},
                      trials=params["runs"])
-            for primitive in _primitive_list(params)
+            for primitive in name_list(params["primitives"],
+                                       PRIMITIVE_NAMES, "primitive")
         )
     for scenario in scenarios:
         if scenario != "same_core":
@@ -207,40 +162,14 @@ def _stealth_trial(params: Mapping[str, Any], cell: Dict[str, Any],
     defender = DefenderObserver(_detection_policy(params))
     runner = _stealth_runner(victim, config, cell["scenario"], defender)
     attack = GrinchAttack(victim, config, runner=runner)
-
-    def _result(outcome: str, recovered: bool,
-                encryptions: int) -> Dict[str, Any]:
-        report = defender.report()
-        result: Dict[str, Any] = {
-            "outcome": outcome,
-            "recovered": recovered,
-            "encryptions": encryptions,
-            "defender": report.as_dict(),
-        }
-        if cell["scenario"] != "same_core":
-            ops = report.windows * (report.attacker_accesses_per_window
-                                    + report.flushes_per_window)
-            result["estimated_attack_seconds"] = (
-                ops * _mobile_probe_seconds()
-            )
-        return result
-
-    try:
-        if params["scope"] == "first_round":
-            outcome = attack.attack_first_round()
-            return _result("recovered", True, outcome.encryptions)
-        result = attack.recover_master_key()
-    except LowConfidenceError as exc:
-        return _result("low_confidence", False, exc.encryptions)
-    except BudgetExceeded as exc:
-        return _result("budget_exceeded", False, exc.encryptions)
-    except InconsistentObservation:
-        return _result("inconsistent", False, attack.total_encryptions)
-    except KeyVerificationFailed:
-        return _result("verify_failed", False, attack.total_encryptions)
-    recovered = declassify(result.master_key == planted)
-    return _result("recovered" if recovered else "wrong_key", recovered,
-                   result.total_encryptions)
+    ended = run_attack(attack, params["scope"], planted)
+    report = defender.report()
+    trial = ended.trial(defender=report.as_dict())
+    if cell["scenario"] != "same_core":
+        ops = report.windows * (report.attacker_accesses_per_window
+                                + report.flushes_per_window)
+        trial["estimated_attack_seconds"] = ops * _mobile_probe_seconds()
+    return trial
 
 
 def _mean(values: List[float]) -> Optional[float]:
@@ -249,19 +178,11 @@ def _mean(values: List[float]) -> Optional[float]:
 
 def _stealth_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
                       trials: List[Any]) -> Dict[str, Any]:
-    successes = [t for t in trials if t["recovered"]]
-    outcomes: Dict[str, int] = {}
-    for trial in trials:
-        outcomes[trial["outcome"]] = outcomes.get(trial["outcome"], 0) + 1
     reports = [t["defender"] for t in trials]
     cell_summary = {
         "cell": cell,
         "trials": trials,
-        "summary": trial_summary(
-            [float(t["encryptions"]) for t in successes]
-        ),
-        "success_rate": len(successes) / len(trials) if trials else 0.0,
-        "outcomes": outcomes,
+        **outcome_tally(trials),
         "detectability": _mean([r["detectability"] for r in reports]),
         "detection_rate": _mean([r["detection_rate"] for r in reports]),
         "flushes_per_window": _mean(
@@ -270,7 +191,7 @@ def _stealth_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
         "flush_resident_per_window": _mean(
             [r["flush_resident_per_window"] for r in reports]
         ),
-        "budget": _effort_budget(params),
+        "budget": effort_budget(params),
     }
     seconds = [t["estimated_attack_seconds"] for t in trials
                if "estimated_attack_seconds" in t]
@@ -305,7 +226,7 @@ def _stealth_summarize(params: Mapping[str, Any],
     same_core = [v for k, v in frontier.items() if k in PRIMITIVE_NAMES]
     summary: Dict[str, Any] = {
         "scope": params["scope"],
-        "budget": _effort_budget(params),
+        "budget": effort_budget(params),
         "frontier": frontier,
         "flush_flush_effort_ratio": effort_ratio,
         "flush_flush_stealthier": (

@@ -42,9 +42,11 @@ refactor the repo-wide rules are checked too:
 4. **Targets layer**: ``repro.targets`` sits below the pipeline — it
    must not import ``repro.core``, ``repro.channel`` or
    ``repro.engine`` (they consume targets, not the reverse).
-5. **Shim ban**: the removed pre-channel deprecation shims
-   (``repro.core.runner`` et al.) must not be imported; this replaces
-   the retired ``deprecation-shims`` CI job.
+5. **Deleted-module ban**: the removed pre-channel deprecation shims
+   (``repro.core.runner`` et al.) and the deleted wrapper/re-export
+   modules (``repro.analysis.experiments``, ``repro.core.profile``,
+   ``repro.cache.hierarchy``) must not be imported; this replaces the
+   retired ``deprecation-shims`` CI job.
 6. **Trace layer (L0)**: ``repro.trace`` sits below everything —
    it may import only the victim-facing data model
    (``repro.targets``), geometry (``repro.cache``), seeding, and the
@@ -112,7 +114,7 @@ TRACE_FORBIDDEN = (
     "repro.soc",
 )
 
-#: Deleted deprecation shims — importing them anywhere is an error.
+#: Deleted modules — importing them anywhere is an error.
 #: (This rule replaces the retired ``deprecation-shims`` CI job.)
 BANNED_MODULES = (
     "repro.core.runner",
@@ -121,6 +123,9 @@ BANNED_MODULES = (
     "repro.core.noise",
     "repro.variants.observations",
     "repro.engine.seeding",
+    "repro.analysis.experiments",
+    "repro.core.profile",
+    "repro.cache.hierarchy",
 )
 
 
@@ -233,7 +238,8 @@ def _in_package(module: str, prefixes: Tuple[str, ...]) -> bool:
 
 
 def check_package_layering(src_dir: Optional[Path] = None) -> List[str]:
-    """Repo-wide rules: cipher encapsulation, targets layer, shim ban."""
+    """Repo-wide rules: cipher encapsulation, targets layer, L0 trace
+    layer, deleted-module ban."""
     if src_dir is None:
         src_dir = Path(__file__).resolve().parent.parent.parent
     repro_dir = src_dir / "repro"
@@ -271,7 +277,7 @@ def check_package_layering(src_dir: Optional[Path] = None) -> List[str]:
             if _in_package(imported, BANNED_MODULES):
                 violations.append(
                     f"{path}:{lineno}: {module} imports the deleted "
-                    f"deprecation shim {imported}"
+                    f"module {imported}"
                 )
     return violations
 
@@ -292,7 +298,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print("channel layering OK "
           f"({len(CHANNEL_LAYERS)} modules, L1 -> L5 acyclic); "
           "package layering OK (cipher encapsulation, targets layer, "
-          "trace layer L0, shim ban)")
+          "trace layer L0, deleted-module ban)")
     return 0
 
 

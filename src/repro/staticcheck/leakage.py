@@ -631,7 +631,7 @@ def predicted_full_key_encryptions(class_count: int) -> float:
         expected_max_geometric,
         visible_noise_accesses,
     )
-    from ..core.profile import profile_for_width
+    from ..targets.gift import profile_for_width
 
     profile = profile_for_width(64)
     p_absent = absence_probability(

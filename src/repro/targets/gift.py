@@ -7,9 +7,8 @@ CLI, countermeasures, perf benchmarks) import the cipher classes from
 here.
 
 :class:`GiftAttackProfile` — the width-specific bookkeeping table the
-paper's attack needs (formerly ``repro.core.profile``) — lives here
-because the target layer may not import ``repro.core``;
-``repro.core.profile`` re-exports it unchanged.
+paper's attack needs — lives here because the target layer may not
+import ``repro.core``; ``repro.core`` re-exports it.
 """
 
 from __future__ import annotations

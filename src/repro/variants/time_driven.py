@@ -27,14 +27,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..cache.geometry import CacheGeometry
-from ..cache.hierarchy import MemoryLatencies
 from ..channel import ObservationChannel
+from ..channel.observer import MemoryLatencies
 from ..core.config import AttackConfig
 from ..core.crafting import PlaintextCrafter
-from ..core.profile import profile_for_width
 from ..core.recover import KeyBitPair, key_pairs_from_line
 from ..core.target_bits import set_target_bits
-from ..targets.gift import TracedGiftCipher
+from ..targets.gift import TracedGiftCipher, profile_for_width
 from ..seeding import derive_rng
 
 

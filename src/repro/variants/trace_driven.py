@@ -34,10 +34,9 @@ from ..channel import ObservationChannel
 from ..core.config import AttackConfig
 from ..core.crafting import PlaintextCrafter
 from ..core.errors import BudgetExceeded
-from ..core.profile import profile_for_width
 from ..core.recover import KeyBitPair, key_pairs_from_line
 from ..core.target_bits import set_target_bits
-from ..targets.gift import TracedGiftCipher
+from ..targets.gift import TracedGiftCipher, profile_for_width
 from ..seeding import derive_rng
 
 

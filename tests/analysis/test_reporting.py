@@ -2,13 +2,6 @@
 
 import pytest
 
-from repro.analysis.experiments import (
-    Figure3Point,
-    Figure3Result,
-    Table1Cell,
-    Table1Result,
-    run_table2,
-)
 from repro.analysis.reporting import (
     format_count,
     format_table,
@@ -17,6 +10,7 @@ from repro.analysis.reporting import (
     render_table1,
     render_table2,
 )
+from repro.engine import run_experiment
 
 
 class TestFormatTable:
@@ -40,33 +34,43 @@ class TestFormatCount:
         assert format_count(2_000_000) == ">1M"
 
 
-class TestRenderers:
-    def _figure(self):
-        return Figure3Result(points=[
-            Figure3Point(1, True, 100.0, True),
-            Figure3Point(1, False, 300.0, True),
-            Figure3Point(2, True, 500.0, False),
-        ])
+def _figure3_cell(probing_round, use_flush, encryptions, simulated):
+    return {"cell": {"probing_round": probing_round,
+                     "use_flush": use_flush},
+            "encryptions": encryptions, "simulated": simulated}
 
+
+def _table1_cell(line_words, probing_round, encryptions, dropped_out,
+                 simulated):
+    return {"cell": {"line_words": line_words,
+                     "probing_round": probing_round},
+            "encryptions": encryptions, "dropped_out": dropped_out,
+            "simulated": simulated}
+
+
+class TestRenderers:
     def test_render_figure3_mentions_series(self):
-        text = render_figure3(self._figure())
+        text = render_figure3({"cells": [
+            _figure3_cell(1, True, 100.0, True),
+            _figure3_cell(1, False, 300.0, True),
+            _figure3_cell(2, True, 500.0, False),
+        ]})
         assert "flush" in text
         assert "no-flush" in text
         assert "analytic" in text
         assert "100" in text
 
     def test_render_table1(self):
-        result = Table1Result(cells=[
-            Table1Cell(1, 1, 96.0, False, True),
-            Table1Cell(1, 2, None, True, False),
-        ])
-        text = render_table1(result)
+        text = render_table1({"cells": [
+            _table1_cell(1, 1, 96.0, False, True),
+            _table1_cell(1, 2, None, True, False),
+        ]})
         assert "1 Word" in text
         assert ">1M" in text
         assert "96" in text
 
     def test_render_table2(self):
-        text = render_table2(run_table2())
+        text = render_table2(run_experiment("table2", use_cache=False))
         assert "single-core SoC" in text
         assert "MPSoC" in text
         assert "50 MHz" in text

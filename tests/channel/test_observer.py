@@ -12,6 +12,7 @@ from repro.channel import (
     LOSSLESS,
     FlushReload,
     LossyChannel,
+    MemoryLatencies,
     ObservationChannel,
     ProbeJitter,
     SboxMonitor,
@@ -163,3 +164,9 @@ class TestEffortInvariant:
             .recover_master_key()
         assert result.master_key == derive_key(128, 0)
         assert result.total_encryptions == 464
+
+
+class TestMemoryLatencies:
+    def test_rejects_negative_latency(self):
+        with pytest.raises(ValueError):
+            MemoryLatencies(l1_hit_cycles=-1)

@@ -10,6 +10,7 @@ from repro.core.config import AttackConfig
 from repro.core.crosscore import CrossCoreRunner, make_cross_core_runner
 from repro.core.errors import AttackError
 from repro.gift.lut import TracedGift64
+from repro.seeding import derive_key
 
 
 @pytest.fixture
@@ -92,6 +93,29 @@ class TestExclusiveHierarchy:
             )
         assert totals[InclusionPolicy.EXCLUSIVE] * 4 < \
             totals[InclusionPolicy.INCLUSIVE]
+
+
+class TestInclusionArgument:
+    """``inclusion`` accepts the enum or its string value; anything else
+    raises instead of building a hierarchy that is neither mode."""
+
+    @staticmethod
+    def _first_round(inclusion):
+        victim = TracedGift64(derive_key(128, 0))
+        config = AttackConfig(seed=0, max_total_encryptions=None)
+        runner = make_cross_core_runner(victim, config, inclusion)
+        return GrinchAttack(victim, config, runner=runner) \
+            .attack_first_round().encryptions
+
+    def test_string_matches_enum(self):
+        assert self._first_round(InclusionPolicy.INCLUSIVE) == 116
+        assert self._first_round("inclusive") == 116
+        assert TwoLevelHierarchy(inclusion="exclusive").inclusion \
+            is InclusionPolicy.EXCLUSIVE
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ValueError):
+            TwoLevelHierarchy(inclusion="bogus")
 
 
 class TestRunnerContracts:

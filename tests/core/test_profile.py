@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.profile import (
+from repro.targets.gift import (
     PROFILE_64,
     PROFILE_128,
     profile_for_width,

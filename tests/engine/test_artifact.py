@@ -4,13 +4,20 @@ import copy
 
 import pytest
 
+from repro.core.attack import GrinchAttack
+from repro.core.config import AttackConfig
 from repro.engine import run_experiment
 from repro.engine.artifact import (
+    OUTCOMES,
     SCHEMA_ID,
     ArtifactSchemaError,
+    outcome_tally,
+    run_attack,
     trial_summary,
     validate_record,
 )
+from repro.seeding import derive_key
+from repro.targets.gift import TracedGift64
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +85,50 @@ class TestTrialSummary:
     def test_stats(self):
         summary = trial_summary([1, 2, 3])
         assert summary == {"mean": 2.0, "min": 1.0, "max": 3.0, "n": 3}
+
+
+class TestRunAttack:
+    """The one outcome classifier behind E14, E15 and E20."""
+
+    @staticmethod
+    def _attack(**config):
+        planted = derive_key(128, 0)
+        victim = TracedGift64(planted)
+        return GrinchAttack(victim, AttackConfig(seed=0, **config)), planted
+
+    def test_full_key_recovers_the_seed0_pin(self):
+        attack, planted = self._attack()
+        ended = run_attack(attack, "full_key", planted)
+        assert ended.outcome == "recovered"
+        assert ended.encryptions == 464
+        assert ended.result.master_key == planted
+
+    def test_other_planted_key_is_a_wrong_key(self):
+        attack, planted = self._attack()
+        ended = run_attack(attack, "full_key", planted ^ 1)
+        assert ended.outcome == "wrong_key"
+        assert not ended.recovered
+
+    def test_budget_exhaustion_is_classified(self):
+        attack, planted = self._attack(max_total_encryptions=50)
+        ended = run_attack(attack, "first_round", planted)
+        assert ended.outcome == "budget_exceeded"
+        assert ended.encryptions == 50
+        assert ended.trial(extra=1) == {
+            "outcome": "budget_exceeded", "recovered": False,
+            "encryptions": 50, "extra": 1,
+        }
+
+    def test_tally_counts_every_outcome(self):
+        trials = [{"outcome": "recovered", "recovered": True,
+                   "encryptions": 100},
+                  {"outcome": "recovered", "recovered": True,
+                   "encryptions": 200},
+                  {"outcome": "low_confidence", "recovered": False,
+                   "encryptions": 900}]
+        tally = outcome_tally(trials)
+        assert set(tally["outcomes"]) <= set(OUTCOMES)
+        assert tally["outcomes"] == {"recovered": 2, "low_confidence": 1}
+        assert tally["success_rate"] == pytest.approx(2 / 3)
+        assert tally["summary"]["mean"] == 150.0
+

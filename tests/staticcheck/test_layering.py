@@ -129,6 +129,7 @@ class TestPackageLayering:
         assert "repro.channel" in TARGETS_FORBIDDEN
         assert "repro.core.runner" in BANNED_MODULES
         assert "repro.variants.observations" in BANNED_MODULES
+        assert "repro.analysis.experiments" in BANNED_MODULES
 
     def test_gift_import_outside_targets_is_flagged(self, tmp_path):
         src = make_src(tmp_path, {
@@ -165,7 +166,22 @@ class TestPackageLayering:
             "engine/thing.py": "from repro.core.runner import Runner\n",
         })
         violations = check_package_layering(src)
-        assert any("deprecation shim" in v for v in violations)
+        assert any("deleted module" in v for v in violations)
+
+    def test_deleted_wrapper_modules_are_flagged(self, tmp_path):
+        src = make_src(tmp_path, {
+            "engine/thing.py": (
+                "from repro.analysis.experiments import run_table1\n"
+                "from ..core.profile import PROFILE_64\n"
+                "from repro.cache import hierarchy\n"
+            ),
+        })
+        violations = check_package_layering(src)
+        assert len(violations) == 3
+        for deleted in ("repro.analysis.experiments", "repro.core.profile",
+                        "repro.cache.hierarchy"):
+            assert any(deleted in v and "deleted module" in v
+                       for v in violations)
 
     def test_from_import_of_a_shim_submodule_is_flagged(self, tmp_path):
         src = make_src(tmp_path, {

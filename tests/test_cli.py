@@ -38,8 +38,11 @@ class TestAttackCommand:
 
 
 class TestExperimentCommands:
+    """The paper artefacts are ``run <experiment>``; the old per-artefact
+    subcommands are gone."""
+
     def test_table2(self, capsys):
-        assert main(["table2"]) == 0
+        assert main(["run", "table2"]) == 0
         out = capsys.readouterr().out
         assert "single-core SoC" in out
         assert "MPSoC" in out
@@ -51,18 +54,24 @@ class TestExperimentCommands:
         assert "practical limit" in out
 
     def test_figure3_quick(self, capsys):
-        assert main(["figure3", "--runs", "1"]) == 0
+        assert main(["run", "figure3", "--set", "runs=1"]) == 0
         assert "no-flush" in capsys.readouterr().out
 
     def test_table1_quick(self, capsys):
-        assert main(["table1", "--runs", "1"]) == 0
+        assert main(["run", "table1", "--set", "runs=1"]) == 0
         assert ">1M" in capsys.readouterr().out
 
     def test_countermeasures(self, capsys):
-        assert main(["countermeasures"]) == 0
+        assert main(["run", "countermeasures"]) == 0
         out = capsys.readouterr().out
         assert "defeated" in out
-        assert "channel closed" in out
+        assert "BROKEN" not in out
+
+    @pytest.mark.parametrize("legacy", ["figure3", "table1", "table2",
+                                        "countermeasures"])
+    def test_legacy_subcommands_are_gone(self, legacy):
+        with pytest.raises(SystemExit):
+            main([legacy])
 
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.hierarchy import MemoryLatencies
+from repro.channel.observer import MemoryLatencies
 from repro.core.errors import BudgetExceeded
 from repro.gift.keyschedule import round_keys
 from repro.gift.lut import TracedGift64, TracedGift128
