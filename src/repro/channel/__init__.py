@@ -51,10 +51,7 @@ from .monitor import SboxMonitor
 from .observer import (
     MemoryLatencies,
     ObservationChannel,
-    WindowBatch,
     WindowObservation,
-    encryption_latency,
-    hit_miss_trace,
     observe_window,
 )
 from .primitive import (
@@ -92,10 +89,7 @@ __all__ = [
     "SboxMonitor",
     "MemoryLatencies",
     "ObservationChannel",
-    "WindowBatch",
     "WindowObservation",
-    "encryption_latency",
-    "hit_miss_trace",
     "observe_window",
     "PRIMITIVE_NAMES",
     "FlushFlush",

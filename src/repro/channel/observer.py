@@ -12,9 +12,9 @@ engine consume.  It composes
 * the victim + crafting-independent RNG streams,
 
 and answers the access-driven question *which monitored lines did this
-encryption (appear to) touch?* via :meth:`observe`, plus the
-trace-/time-driven signals via :meth:`window`, :meth:`hit_miss` and
-:meth:`timing`.
+encryption (appear to) touch?* via :meth:`observe` (and, whole-batch,
+:meth:`observe_batch`), plus the trace-/time-driven signals of one
+window via :meth:`window`.
 
 Two execution paths produce the access-driven answer:
 
@@ -45,8 +45,11 @@ import random
 from dataclasses import dataclass
 from typing import Any, FrozenSet, List, Optional, Sequence, Tuple
 
+import numpy
+
 from ..targets.protocol import TracedVictim
-from ..seeding import derive_rng
+from ..targets.registry import resolve_target_for
+from ..seeding import derive_rng, derive_seed
 from ..staticcheck import secret_attributes
 from .defender import DefenderObserver
 from .monitor import SboxMonitor
@@ -88,43 +91,6 @@ class WindowObservation:
         return sum(1 for hit in self.hit_miss if not hit)
 
 
-@dataclass(frozen=True)
-class WindowBatch:
-    """A whole batch's window signals as one 2-D hit/miss array.
-
-    ``hit_miss[n][k]`` is window ``n``'s ``k``-th monitored S-box load
-    (rounds ascending, segments ascending within a round — the scalar
-    trace order), ``True`` for a cache hit.  Rows are numpy arrays on
-    the vectorized path and plain tuples on the scalar fallback; both
-    index identically and :meth:`observation` converts either back to
-    the scalar :class:`WindowObservation`.
-    """
-
-    hit_miss: Any  # (count, accesses) bool rows
-    latency_cycles: Any  # (count,) ints
-    accesses: int
-    first_round: int
-    last_round: int
-
-    @property
-    def count(self) -> int:
-        """Number of windows in the batch."""
-        return len(self.hit_miss)
-
-    @property
-    def misses(self) -> List[int]:
-        """Per-window miss counts."""
-        return [sum(1 for hit in row if not hit) for row in self.hit_miss]
-
-    def observation(self, index: int) -> WindowObservation:
-        """Window ``index`` as a scalar :class:`WindowObservation`."""
-        return WindowObservation(
-            hit_miss=tuple(bool(hit) for hit in self.hit_miss[index]),
-            latency_cycles=int(self.latency_cycles[index]),
-            accesses=self.accesses,
-        )
-
-
 @secret_attributes("victim")
 class ObservationChannel:
     """Runs crafted encryptions and returns channel observations.
@@ -132,8 +98,8 @@ class ObservationChannel:
     The channel holds the victim instance (and therefore the secret
     key), but exposes only the side-channel signals: callers submit a
     plaintext and receive the set of monitored lines the probe reports
-    (:meth:`observe`), the window's hit/miss sequence
-    (:meth:`hit_miss`), or its latency (:meth:`timing`).
+    (:meth:`observe`), or the window's hit/miss sequence and latency
+    (:meth:`window`).
 
     Parameters
     ----------
@@ -261,32 +227,22 @@ class ObservationChannel:
     def _resolve_batch_view(self) -> Optional[Any]:
         """The victim's vectorized index source, or ``None``.
 
-        A batch-capable victim (:class:`~repro.targets.batch.BatchVictim`)
-        is its own source; otherwise the victim's registered target is
-        asked via ``batch_view`` — which answers ``None`` for wrapped
-        victims it cannot see through (recording/replay) and for
-        targets without a bitsliced backend.
+        The victim's registered target is asked via ``batch_view`` —
+        which answers ``None`` for wrapped victims it cannot see
+        through (recording/replay) and for targets without a bitsliced
+        backend.
         """
         if not self._batch_view_resolved:
             self._batch_view_resolved = True
-            if hasattr(self.victim, "sbox_indices_batch"):
-                self._batch_view = self.victim
-            else:
-                try:
-                    from ..targets import resolve_target_for
-
-                    target = resolve_target_for(self.victim)
-                    self._batch_view = target.batch_view(self.victim)
-                except (TypeError, KeyError, AttributeError):
-                    self._batch_view = None
+            try:
+                target = resolve_target_for(self.victim)
+                self._batch_view = target.batch_view(self.victim)
+            except (TypeError, KeyError, AttributeError):
+                self._batch_view = None
         return self._batch_view
 
     def _batch_loss_generator(self) -> Any:
         if self._loss_batch_gen is None:
-            import numpy
-
-            from ..seeding import derive_seed
-
             self._loss_batch_gen = numpy.random.default_rng(
                 derive_seed(f"{self._rng_scope}-loss-batch",
                             self.config.seed)
@@ -295,8 +251,6 @@ class ObservationChannel:
 
     def _lines_by_index_array(self) -> Any:
         if self._lines_by_index is None:
-            import numpy
-
             self._lines_by_index = numpy.asarray(
                 self.monitor.line_by_index, dtype=numpy.int64
             )
@@ -387,12 +341,6 @@ class ObservationChannel:
             self.defender.end_window()
         return observed
 
-    #: Historic name of :meth:`observe` (the pre-stack runner API).
-    def observe_encryption(self, plaintext: int, attacked_round: int
-                           ) -> FrozenSet[int]:
-        """Alias of :meth:`observe` (the pre-stack runner's name)."""
-        return self.observe(plaintext, attacked_round)
-
     def observe_batch(self, plaintexts: Sequence[int],
                       attacked_round: int) -> List[FrozenSet[int]]:
         """One observation per plaintext, whole-batch at once.
@@ -417,8 +365,6 @@ class ObservationChannel:
         if not self.batch_path_active:
             return [self.observe(plaintext, attacked_round)
                     for plaintext in plaintexts]
-        import numpy
-
         view = self._resolve_batch_view()
         count = len(plaintexts)
         self.encryptions_run += count
@@ -542,81 +488,6 @@ class ObservationChannel:
             surface=self.transport.cold(),
         )
 
-    def window_batch(self, plaintexts: Sequence[int], first_round: int,
-                     last_round: int,
-                     latencies: Optional[MemoryLatencies] = None
-                     ) -> WindowBatch:
-        """Both weaker signals for a whole batch of encryptions.
-
-        Vectorized when the victim has a batch index source and the
-        transport supports the fast path (a cold single-level window
-        can never evict a monitored line, so a load hits exactly when
-        its line was touched earlier in the window); otherwise falls
-        back to looping :meth:`window`.  Both paths are asserted
-        equal window-for-window by the test suite.
-        """
-        if first_round > last_round:
-            raise ValueError(
-                f"empty round window [{first_round}, {last_round}]"
-            )
-        plaintexts = list(plaintexts)
-        cycle_costs = (latencies if latencies is not None
-                       else MemoryLatencies())
-        view = self._resolve_batch_view()
-        if view is None or not self.transport.supports_fast_path:
-            scalar = [
-                self.window(plaintext, first_round, last_round,
-                            latencies=cycle_costs)
-                for plaintext in plaintexts
-            ]
-            return WindowBatch(
-                hit_miss=tuple(obs.hit_miss for obs in scalar),
-                latency_cycles=tuple(obs.latency_cycles for obs in scalar),
-                accesses=scalar[0].accesses if scalar else 0,
-                first_round=first_round,
-                last_round=last_round,
-            )
-        import numpy
-
-        count = len(plaintexts)
-        self.encryptions_run += count
-        indices = numpy.asarray(
-            view.sbox_indices_batch(plaintexts, max_rounds=last_round),
-            dtype=numpy.uint8,
-        )
-        # Monitored loads in scalar trace order: rounds ascending,
-        # segments ascending within a round.
-        sequence = self._lines_by_index_array()[
-            indices[first_round - 1:last_round]
-        ].reshape(-1, max(count, 1))[:, :count]
-        misses = numpy.zeros(sequence.shape, dtype=bool)
-        for line in self.monitor.lines:
-            mask = sequence == line
-            misses |= mask & (numpy.cumsum(mask, axis=0) == 1)
-        hits = ~misses
-        return WindowBatch(
-            hit_miss=hits.T.copy(),
-            latency_cycles=(
-                hits.sum(axis=0) * cycle_costs.l1_hit_cycles
-                + misses.sum(axis=0) * cycle_costs.l1_miss_cycles
-            ),
-            accesses=int(sequence.shape[0]),
-            first_round=first_round,
-            last_round=last_round,
-        )
-
-    def hit_miss(self, plaintext: int, first_round: int, last_round: int
-                 ) -> Tuple[bool, ...]:
-        """Trace-driven channel: the window's hit/miss sequence."""
-        return self.window(plaintext, first_round, last_round).hit_miss
-
-    def timing(self, plaintext: int, first_round: int, last_round: int,
-               latencies: Optional[MemoryLatencies] = None) -> int:
-        """Time-driven channel: the window's total access latency."""
-        return self.window(
-            plaintext, first_round, last_round, latencies
-        ).latency_cycles
-
     # ------------------------------------------------------------------
     # Verification channel
     # ------------------------------------------------------------------
@@ -668,22 +539,3 @@ def observe_window(victim: TracedVictim, plaintext: int,
         accesses=len(hit_miss),
     )
 
-
-def hit_miss_trace(victim: TracedVictim, plaintext: int,
-                   geometry: Any,
-                   first_round: int, last_round: int) -> Tuple[bool, ...]:
-    """Trace-driven channel: the window's hit/miss sequence."""
-    return observe_window(
-        victim, plaintext, geometry, first_round, last_round
-    ).hit_miss
-
-
-def encryption_latency(victim: TracedVictim, plaintext: int,
-                       geometry: Any,
-                       first_round: int, last_round: int,
-                       latencies: MemoryLatencies = MemoryLatencies()
-                       ) -> int:
-    """Time-driven channel: the window's total data-access latency."""
-    return observe_window(
-        victim, plaintext, geometry, first_round, last_round, latencies
-    ).latency_cycles

@@ -77,17 +77,21 @@ class _VotingVerdict:
     """Outcome of one voting run under one hypothesis."""
 
     __slots__ = ("status", "line", "pairs", "confidence", "observations",
-                 "retries")
+                 "retries", "blocked_by")
 
     def __init__(self, status: str, line: Optional[int],
                  pairs: Tuple[KeyBitPair, ...], confidence: float,
-                 observations: int, retries: int) -> None:
+                 observations: int, retries: int,
+                 blocked_by: Optional[Tuple[str, str]] = None) -> None:
         self.status = status  # "accepted" | "rejected" | "low_confidence"
         self.line = line
         self.pairs = pairs
         self.confidence = confidence
         self.observations = observations
         self.retries = retries
+        # low_confidence only: the voter's blocking guard and its values
+        # at give-up time (see VotingEliminator.blocking_guard).
+        self.blocked_by = blocked_by
 
 
 class GrinchAttack:
@@ -112,7 +116,6 @@ class GrinchAttack:
         # bookkeeping the profile used to hold (and is a superset of it:
         # crafting inversion, key algebra, reference encryption).
         self.target = resolve_target_for(victim)
-        self.profile = self.target
         # ``runner`` lets alternative observation substrates plug in —
         # e.g. the cross-core shared-L2 channel of repro.core.crosscore,
         # or an ObservationChannel with a custom primitive/transport/
@@ -125,12 +128,6 @@ class GrinchAttack:
         # even for seed=None — see repro.seeding.
         self.rng = derive_rng("attack-crafting", self.config.seed)
         self.total_encryptions = 0
-
-    @property
-    def channel(self) -> ObservationChannel:
-        """The observation channel (alias of ``runner``, the historic
-        parameter name kept for drop-in compatibility)."""
-        return self.runner
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -147,7 +144,7 @@ class GrinchAttack:
         outcome = self.attack_round(1, [], None)
         encryptions = self.total_encryptions - start
         ambiguity = outcome.estimate.ambiguity
-        recovered = self.profile.bits_per_round - _log2(ambiguity)
+        recovered = self.target.bits_per_round - _log2(ambiguity)
         return FirstRoundResult(
             outcome=outcome,
             encryptions=encryptions,
@@ -160,7 +157,7 @@ class GrinchAttack:
         previous: Optional[RoundKeyEstimate] = None
         rounds: List[RoundAttackOutcome] = []
 
-        for round_index in range(1, self.profile.full_key_rounds + 1):
+        for round_index in range(1, self.target.full_key_rounds + 1):
             outcome = self.attack_round(round_index, resolved, previous)
             if previous is not None:
                 # The source cones of this round's targets cover every
@@ -176,7 +173,7 @@ class GrinchAttack:
         resolved.append(previous.as_round_key())
         verification_encryptions = self.total_encryptions - verification_start
 
-        master_key = self.profile.assemble_master_key(resolved)
+        master_key = self.target.assemble_master_key(resolved)
         verified = self._verify_master_key(master_key)
         if not verified:
             raise KeyVerificationFailed(
@@ -209,9 +206,9 @@ class GrinchAttack:
         self._check_prior(round_index, prior_keys, prior_estimate)
         segments: List[SegmentOutcome] = []
         candidates: List[Tuple[KeyBitPair, ...]] = []
-        for segment in range(self.profile.segments):
+        for segment in range(self.target.segments):
             spec = set_target_bits(round_index, segment,
-                                   width=self.profile.width,
+                                   width=self.target.width,
                                    target=self.target)
             outcome = self._attack_segment(spec, prior_keys, prior_estimate)
             segments.append(outcome)
@@ -263,7 +260,7 @@ class GrinchAttack:
         confidence = 1.0
         observations = 0
         retries = 0
-        undecided: List[float] = []
+        undecided: List[_VotingVerdict] = []
         for hypothesis in hypotheses:
             # Resolving the expected line consumes no attacker
             # randomness, so per-hypothesis resolution cannot perturb
@@ -285,7 +282,7 @@ class GrinchAttack:
                     )
                     confidence = min(confidence, verdict.confidence)
                 elif verdict.status == "low_confidence":
-                    undecided.append(verdict.confidence)
+                    undecided.append(verdict)
             else:
                 accepted = self._run_elimination(
                     spec, prior_keys, prior_estimate, hypothesis,
@@ -296,13 +293,17 @@ class GrinchAttack:
 
         if not survivors:
             if undecided:
-                best = max(undecided)
+                best = max(undecided, key=lambda v: v.confidence)
+                guard, detail = best.blocked_by
                 raise LowConfidenceError(
                     f"round {spec.round_index} segment {spec.segment}: "
-                    f"voting confidence stalled at {best:.3f}, below the "
-                    f"{self.config.voting_confidence} threshold",
+                    f"voting gave up after {best.observations} "
+                    f"observations (best confidence "
+                    f"{best.confidence:.3f}); acceptance was blocked by "
+                    f"the {guard} guard: {detail}",
                     encryptions=self.total_encryptions,
-                    best_confidence=best,
+                    best_confidence=best.confidence,
+                    blocked_by=guard,
                 )
             raise InconsistentObservation(
                 f"round {spec.round_index} segment {spec.segment}: every "
@@ -521,7 +522,8 @@ class GrinchAttack:
                         # Stalled out of retries: give up gracefully.
                         return _VotingVerdict("low_confidence", None, (),
                                               best_confidence, spent,
-                                              recrafts)
+                                              recrafts,
+                                              voter.blocking_guard())
                     recrafts += 1
                     stalled_for = 0
                     # A mid-batch re-craft only affects *future* batches;
@@ -530,7 +532,7 @@ class GrinchAttack:
                     # fixed by the hypothesis, not the crafter.
                     crafter = PlaintextCrafter(spec, full_prior, self.rng)
         return _VotingVerdict("low_confidence", None, (), best_confidence,
-                              spent, recrafts)
+                              spent, recrafts, voter.blocking_guard())
 
     def _accept_lines(self, spec: TargetSpec, lines,
                       expected_line: Optional[int]
@@ -568,12 +570,12 @@ class GrinchAttack:
         constant line; for PRESENT it runs through the still-ambiguous
         last-round estimate, so the line is recomputed per hypothesis.
         """
-        verification_round = self.profile.verification_round
-        for segment in range(self.profile.segments):
+        verification_round = self.target.verification_round
+        for segment in range(self.target.segments):
             if estimate.resolved:
                 return
             spec = set_target_bits(verification_round, segment,
-                                   width=self.profile.width,
+                                   width=self.target.width,
                                    target=self.target)
             if len(self._hypotheses_for(spec, estimate)) <= 1:
                 continue  # nothing left to learn from this target
@@ -646,7 +648,7 @@ class GrinchAttack:
             # is the historical ``+ attacked_round`` term.
             visible_rounds += attacked_round + self._probe_round_offset - 1
         other = (lines - 1) / lines
-        accesses = self.profile.segments * visible_rounds - 1
+        accesses = self.target.segments * visible_rounds - 1
         p_absent = other * other ** accesses
         return math.ceil(self.config.confirmation_factor / p_absent)
 
@@ -707,7 +709,7 @@ class GrinchAttack:
 
     def _verify_master_key(self, master_key: int) -> bool:
         victim = self.runner.victim
-        plaintext = self.rng.getrandbits(self.profile.width)
+        plaintext = self.rng.getrandbits(self.target.width)
         expected = self.runner.known_pair(plaintext)
         reference = self.target.reference_encrypt(
             master_key, plaintext, rounds=victim.rounds

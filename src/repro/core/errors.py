@@ -38,11 +38,16 @@ class LowConfidenceError(AttackError):
     vote counts never separate within the retry and encryption budgets
     (e.g. under extreme channel loss).  Carries the best confidence
     reached so experiment harnesses can report *how* close the segment
-    came.
+    came, and ``blocked_by``: which acceptance guard of
+    :attr:`~repro.core.voting.VotingEliminator.decided` held the leader
+    back at give-up time (``"min_observations"``,
+    ``"leader_not_viable"``, ``"separation"`` or ``"confidence"``) —
+    the posterior can pass while another guard still blocks.
     """
 
     def __init__(self, message: str, encryptions: int,
-                 best_confidence: float) -> None:
+                 best_confidence: float, blocked_by: str) -> None:
         super().__init__(message)
         self.encryptions = encryptions
         self.best_confidence = best_confidence
+        self.blocked_by = blocked_by

@@ -304,6 +304,55 @@ class VotingEliminator:
                 and self.separated
                 and self.confidence >= self.policy.confidence_threshold)
 
+    def blocking_guard(self) -> Tuple[str, str]:
+        """The acceptance guard of :attr:`decided` that holds the leader
+        back, and the values it compared.
+
+        The name is one of ``"min_observations"``,
+        ``"leader_not_viable"``, ``"separation"`` or ``"confidence"``,
+        checked in the order :attr:`decided` applies them (in
+        strict-equivalent mode a non-singleton attendance set is a
+        ``"confidence"`` block).  Meaningful only while the voter is
+        undecided.  Pure arithmetic on the counts, so asking never
+        changes a run.
+        """
+        n = self.observations
+        policy = self.policy
+        if policy.strict_equivalent:
+            return ("confidence",
+                    f"{len(self.viable)} lines attended all {n} windows")
+        if n < policy.min_observations:
+            return ("min_observations",
+                    f"{n} observations, fewer than min_observations="
+                    f"{policy.min_observations}")
+        ranked = self.ranking
+        presence = f"expected presence {policy.expected_presence:.3f}"
+        leader, count = ranked[0]
+        tail = self._separation_tail(count)
+        if not self.is_viable(leader):
+            return ("leader_not_viable",
+                    f"leader line {leader} seen in {count}/{n} windows "
+                    f"has lower tail {tail:.3g} <= viability_epsilon "
+                    f"{policy.viability_epsilon:g} at {presence}")
+        epsilon = policy.separation_epsilon
+        if tail <= epsilon:
+            return ("separation",
+                    f"leader line {leader} seen in {count}/{n} windows "
+                    f"has lower tail {tail:.3g} <= separation_epsilon "
+                    f"{epsilon:g} at {presence}")
+        if len(ranked) > 1:
+            runner_up, runner_count = ranked[1]
+            runner_tail = self._separation_tail(runner_count)
+            if runner_tail > epsilon:
+                return ("separation",
+                        f"runner-up line {runner_up} seen in "
+                        f"{runner_count}/{n} windows has lower tail "
+                        f"{runner_tail:.3g} > separation_epsilon "
+                        f"{epsilon:g} at {presence}")
+        return ("confidence",
+                f"posterior confidence {self.confidence:.6g} under the "
+                f"{policy.confidence_threshold:g} threshold")
+
     @property
     def rejected(self) -> bool:
         """No line behaves like a constant target — the lossy analogue

@@ -2,10 +2,10 @@
 
 ``batch_throughput`` drives every registered cipher target through the
 batch-first execution fabric: plaintext pools are encrypted once by the
-scalar per-block victim and once through
-:meth:`~repro.targets.protocol.CipherTarget.make_victim_batch` (the
-bitsliced numpy backend where one exists, the scalar fallback loop
-otherwise), and the trial body *asserts* bit-exact equivalence of the
+scalar per-block victim and once through the victim's
+:meth:`~repro.targets.protocol.CipherTarget.batch_view` (the bitsliced
+numpy backend where one exists, the scalar loop otherwise), and the
+trial body *asserts* bit-exact equivalence of the
 ciphertexts and of the traced per-round S-box index streams before it
 reports anything.  The deterministic fields (equivalence verdicts, a
 ciphertext checksum, block counts) are identical at any worker count
@@ -60,13 +60,6 @@ def _plan(params: Mapping[str, Any]) -> List[CellPlan]:
     return [CellPlan(cell={"target": name}, trials=1) for name in names]
 
 
-def _nested(indices: Any) -> List[Any]:
-    """Normalise a traced-index batch (numpy array or nested lists) to
-    plain nested lists so the two paths compare by value."""
-    tolist = getattr(indices, "tolist", None)
-    return tolist() if tolist is not None else list(indices)
-
-
 def _scalar_indices(victim: Any, plaintexts: List[int],
                     limit: int) -> List[List[List[int]]]:
     """The scalar reference stream in batch order
@@ -95,17 +88,22 @@ def _trial(params: Mapping[str, Any], cell: Dict[str, Any],
     target = get_target(cell["target"])
     key = derive_key(target.key_bits, "e19-key", seed, cell["target"])
     victim = target.make_victim(key)
-    batch = target.make_victim_batch(key)
+    backend = target.batch_view(victim)
     rng = derive_rng("e19-plaintexts", seed, cell["target"])
     plaintexts = [rng.getrandbits(target.width)
                   for _ in range(params["blocks"])]
     batch_size = params["batch_size"]
 
+    def encrypt_batch(chunk: List[int]) -> List[int]:
+        if backend is None:
+            return [victim.encrypt(plaintext) for plaintext in chunk]
+        return backend.encrypt_batch(chunk)
+
     scalar_cts = [victim.encrypt(plaintext) for plaintext in plaintexts]
     batch_cts: List[int] = []
     for start in range(0, len(plaintexts), batch_size):
         batch_cts.extend(
-            batch.encrypt_batch(plaintexts[start:start + batch_size])
+            encrypt_batch(plaintexts[start:start + batch_size])
         )
     equivalent = batch_cts == scalar_cts
     # The equivalence assertion is part of the trial body on purpose:
@@ -118,8 +116,8 @@ def _trial(params: Mapping[str, Any], cell: Dict[str, Any],
     traced_pool = plaintexts[:min(params["traced_blocks"],
                                   len(plaintexts))]
     limit = min(3, victim.rounds)
-    traced_equivalent = (
-        _nested(batch.sbox_indices_batch(traced_pool, max_rounds=limit))
+    traced_equivalent = backend is None or (
+        backend.sbox_indices_batch(traced_pool, max_rounds=limit).tolist()
         == _scalar_indices(victim, traced_pool, limit)
     )
     assert traced_equivalent, (
@@ -128,7 +126,7 @@ def _trial(params: Mapping[str, Any], cell: Dict[str, Any],
     )
 
     record: Dict[str, Any] = {
-        "vectorized": batch.vectorized,
+        "vectorized": backend is not None,
         "equivalent": declassify(equivalent),
         "traced_equivalent": declassify(traced_equivalent),
         "blocks": len(plaintexts),
@@ -137,7 +135,7 @@ def _trial(params: Mapping[str, Any], cell: Dict[str, Any],
     if params["timed"]:
         start = time.perf_counter()
         for offset in range(0, len(plaintexts), batch_size):
-            batch.encrypt_batch(plaintexts[offset:offset + batch_size])
+            encrypt_batch(plaintexts[offset:offset + batch_size])
         batch_seconds = time.perf_counter() - start
         start = time.perf_counter()
         for plaintext in plaintexts:

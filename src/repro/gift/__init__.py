@@ -7,13 +7,7 @@ structure of the public implementation the GRINCH paper attacks and emit
 the memory-access stream consumed by the cache simulator.
 """
 
-from .bitsliced import (
-    BatchTrace,
-    BitslicedGift64,
-    BitslicedGift128,
-    BitslicedGiftCipher,
-    numpy_available,
-)
+from .bitsliced import BitslicedGift64, BitslicedGift128, BitslicedGiftCipher
 from .cipher import Gift64, Gift128, GiftCipher, RoundState, sub_cells
 from .constants import constant_mask, round_constant
 from .keyschedule import (
@@ -48,11 +42,9 @@ from .trace import EncryptionTrace, MemoryAccess
 from .vectors import GIFT64_VECTORS, GIFT128_VECTORS, TestVector
 
 __all__ = [
-    "BatchTrace",
     "BitslicedGift64",
     "BitslicedGift128",
     "BitslicedGiftCipher",
-    "numpy_available",
     "Gift64",
     "Gift128",
     "GiftCipher",

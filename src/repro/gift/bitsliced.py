@@ -21,46 +21,32 @@ per block) and every round is three whole-matrix operations:
   ``_inject_masks``).
 
 ``encrypt_batch`` is validated bit-exact against
-:class:`repro.gift.cipher.GiftCipher` and ``encrypt_traced_batch`` /
-``sbox_indices_batch`` against
-:meth:`repro.gift.lut.TracedGiftCipher.sbox_indices_by_round` by the
-official vectors and the hypothesis sweeps in
-``tests/gift/test_bitsliced.py``.
-
-numpy is required only by this module (the rest of the package stays
-dependency-free); import errors are deferred to first use so the
-scalar pipeline keeps working without it.
+:class:`repro.gift.cipher.GiftCipher` and ``sbox_indices_batch``
+against :meth:`repro.gift.lut.TracedGiftCipher.sbox_indices_by_round`
+by the official vectors and the hypothesis sweeps in
+``tests/gift/test_bitsliced.py``.  The bit-matrix layout itself (block
+packing, mask rows, nibble extraction) is shared with the PRESENT
+backend through :mod:`repro.bitmatrix`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..bitmatrix import (
+    mask_row,
+    nibble_indices,
+    pack_blocks,
+    round_limit,
+    unpack_blocks,
+)
 from ..staticcheck.secrets import secret_params
 from .constants import constant_mask
 from .cipher import round_key_mask
 from .keyschedule import round_keys as schedule_round_keys
 from .permutation import inverse_permutation_for_width
-
-try:  # pragma: no cover - exercised only where numpy is absent
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-
-def numpy_available() -> bool:
-    """Whether the bitsliced backend can run in this interpreter."""
-    return _np is not None
-
-
-def _require_numpy() -> Any:
-    if _np is None:  # pragma: no cover - exercised only without numpy
-        raise ImportError(
-            "the bitsliced GIFT backend requires numpy; install numpy or "
-            "use the scalar repro.gift.cipher / repro.gift.lut paths"
-        )
-    return _np
 
 
 #: The S-box's output-bit swap (logical output bit 0 is computed into
@@ -74,77 +60,20 @@ def _swapped(position: int) -> int:
     return position
 
 
-def _mask_row(mask: int, width: int) -> "_np.ndarray":
-    """One full-state XOR mask as a ``(width,)`` 0/1 uint8 row."""
-    np = _require_numpy()
-    raw = np.frombuffer(
-        mask.to_bytes(width // 8, "little"), dtype=np.uint8
-    )
-    return np.unpackbits(raw, bitorder="little")
-
-
-def _pack_blocks(blocks: Sequence[int], width: int) -> "_np.ndarray":
-    """Pack integer blocks into the ``(width, N)`` bit-matrix."""
-    np = _require_numpy()
-    count = len(blocks)
-    if count == 0:
-        return np.zeros((width, 0), dtype=np.uint8)
-    nbytes = width // 8
-    try:
-        buf = b"".join(int(block).to_bytes(nbytes, "little")
-                       for block in blocks)
-    except (OverflowError, TypeError):
-        raise ValueError(
-            f"every block must be a {width}-bit integer"
-        ) from None
-    raw = np.frombuffer(buf, dtype=np.uint8).reshape(count, nbytes)
-    return np.ascontiguousarray(
-        np.unpackbits(raw, axis=1, bitorder="little").T
-    )
-
-
-def _unpack_blocks(state: "_np.ndarray") -> List[int]:
-    """Unpack the ``(width, N)`` bit-matrix back into integer blocks."""
-    np = _require_numpy()
-    raw = np.packbits(
-        np.ascontiguousarray(state.T), axis=1, bitorder="little"
-    )
-    return [int.from_bytes(row.tobytes(), "little") for row in raw]
-
-
-@dataclass(frozen=True)
-class BatchTrace:
-    """The vectorized counterpart of per-access ``MemoryAccess`` lists.
-
-    ``sbox_indices[r - 1, segment, n]`` is block ``n``'s S-box input
-    at round ``r`` / segment ``segment`` — the exact value whose load
-    address GRINCH observes — as one dense uint8 array instead of
-    ``rounds * segments * N`` trace objects.
-    """
-
-    ciphertexts: Tuple[int, ...]
-    sbox_indices: Any  # (rounds, segments, N) uint8 ndarray
-    first_round: int = 1
-
-    @property
-    def rounds(self) -> int:
-        return int(self.sbox_indices.shape[0])
-
-
 class BitslicedGiftCipher:
     """A batch GIFT instance bound to an explicit round-key schedule.
 
-    Built either from a master key (:meth:`from_master_key`, standard
-    schedule) or from any scalar victim's already-expanded ``(U, V)``
-    schedule (:meth:`from_victim`) — the latter keeps key-schedule
-    countermeasure subclasses (hardened schedule, reshaped S-box)
-    batch-equivalent for free, since both only change the schedule or
-    the table layout, never the round function.
+    Built either from a master key (:class:`BitslicedGift64` /
+    :class:`BitslicedGift128`, standard schedule) or from any scalar
+    victim's already-expanded ``(U, V)`` schedule (:meth:`from_victim`)
+    — the latter keeps key-schedule countermeasure subclasses (hardened
+    schedule, reshaped S-box) batch-equivalent for free, since both
+    only change the schedule or the table layout, never the round
+    function.
     """
 
     def __init__(self, width: int, rounds: int,
                  round_keys: Sequence[Tuple[int, int]]) -> None:
-        np = _require_numpy()
         if width not in (64, 128):
             raise ValueError(
                 f"GIFT only defines 64- and 128-bit states, got {width}"
@@ -166,21 +95,12 @@ class BitslicedGiftCipher:
             dtype=np.intp,
         )
         self._inject = np.stack([
-            _mask_row(
+            mask_row(
                 round_key_mask(u, v, width) ^ constant_mask(index, width),
                 width,
             )
             for index, (u, v) in enumerate(round_keys[:rounds], start=1)
         ])
-
-    @classmethod
-    def from_master_key(cls, master_key: int, width: int,
-                        rounds: int) -> "BitslicedGiftCipher":
-        """Expand the standard GIFT key schedule and bitslice it."""
-        if not 0 <= master_key < (1 << 128):
-            raise ValueError("master key must be a 128-bit integer")
-        return cls(width, rounds,
-                   schedule_round_keys(master_key, rounds, width))
 
     @classmethod
     def from_victim(cls, victim: Any) -> "BitslicedGiftCipher":
@@ -197,16 +117,8 @@ class BitslicedGiftCipher:
             round_keys = victim.compute_round_keys()
         return cls(victim.width, victim.rounds, round_keys)
 
-    def _check_rounds(self, max_rounds: Optional[int]) -> int:
-        limit = self.rounds if max_rounds is None else max_rounds
-        if not 1 <= limit <= self.rounds:
-            raise ValueError(
-                f"max_rounds must be in [1, {self.rounds}], got {max_rounds}"
-            )
-        return limit
-
     @staticmethod
-    def _sub_cells(state: "_np.ndarray") -> None:
+    def _sub_cells(state: np.ndarray) -> None:
         """The GIFT S-box boolean network on every nibble's bit-rows.
 
         Pure XOR/AND/OR on 0/1 matrices — no table, no secret-indexed
@@ -225,8 +137,7 @@ class BitslicedGiftCipher:
         s3 ^= 1
         s2 ^= s0 & s1
 
-    def _round(self, state: "_np.ndarray",
-               round_index: int) -> "_np.ndarray":
+    def _round(self, state: np.ndarray, round_index: int) -> np.ndarray:
         self._sub_cells(state)
         state = state[self._gather]
         state ^= self._inject[round_index - 1][:, None]
@@ -235,62 +146,29 @@ class BitslicedGiftCipher:
     @secret_params("plaintexts")
     def encrypt_batch(self, plaintexts: Sequence[int]) -> List[int]:
         """Encrypt a whole batch; ``result[n] == encrypt(plaintexts[n])``."""
-        state = _pack_blocks(plaintexts, self.width)
+        state = pack_blocks(plaintexts, self.width)
         for round_index in range(1, self.rounds + 1):
             state = self._round(state, round_index)
-        return _unpack_blocks(state)
+        return unpack_blocks(state)
 
     @secret_params("plaintexts")
     def sbox_indices_batch(self, plaintexts: Sequence[int],
                            max_rounds: Optional[int] = None
-                           ) -> "_np.ndarray":
+                           ) -> np.ndarray:
         """Per-round pre-S-box nibbles for a whole batch.
 
         Returns a ``(max_rounds, segments, N)`` uint8 array such that
         ``result[r - 1, s, n] ==
         victim.sbox_indices_by_round(plaintexts[n], max_rounds)[r-1][s]``.
         """
-        np = _require_numpy()
-        limit = self._check_rounds(max_rounds)
-        state = _pack_blocks(plaintexts, self.width)
+        limit = round_limit(max_rounds, self.rounds)
+        state = pack_blocks(plaintexts, self.width)
         indices = np.empty((limit, self._segments, state.shape[1]),
                            dtype=np.uint8)
         for round_index in range(1, limit + 1):
-            indices[round_index - 1] = (
-                state[0::4]
-                | (state[1::4] << 1)
-                | (state[2::4] << 2)
-                | (state[3::4] << 3)
-            )
+            indices[round_index - 1] = nibble_indices(state)
             state = self._round(state, round_index)
         return indices
-
-    @secret_params("plaintexts")
-    def encrypt_traced_batch(self, plaintexts: Sequence[int],
-                             max_rounds: Optional[int] = None
-                             ) -> BatchTrace:
-        """Encrypt a batch and return the vectorized index trace.
-
-        Like the scalar ``encrypt_traced``, a bounded ``max_rounds``
-        leaves the post-``max_rounds`` state in ``ciphertexts``.
-        """
-        np = _require_numpy()
-        limit = self._check_rounds(max_rounds)
-        state = _pack_blocks(plaintexts, self.width)
-        indices = np.empty((limit, self._segments, state.shape[1]),
-                           dtype=np.uint8)
-        for round_index in range(1, limit + 1):
-            indices[round_index - 1] = (
-                state[0::4]
-                | (state[1::4] << 1)
-                | (state[2::4] << 2)
-                | (state[3::4] << 3)
-            )
-            state = self._round(state, round_index)
-        return BatchTrace(
-            ciphertexts=tuple(_unpack_blocks(state)),
-            sbox_indices=indices,
-        )
 
 
 class BitslicedGift64(BitslicedGiftCipher):
@@ -320,9 +198,7 @@ class BitslicedGift128(BitslicedGiftCipher):
 
 
 __all__ = [
-    "BatchTrace",
     "BitslicedGift64",
     "BitslicedGift128",
     "BitslicedGiftCipher",
-    "numpy_available",
 ]

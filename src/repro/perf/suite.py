@@ -162,11 +162,7 @@ def _cycled(values: List[int]) -> Callable[[], int]:
 
 
 def _cipher_benches(seed: int, quick: bool) -> List[Dict[str, object]]:
-    from ..targets.gift import (
-        BitslicedGift64,
-        BitslicedGift128,
-        numpy_available,
-    )
+    from ..targets.gift import BitslicedGift64, BitslicedGift128
 
     benches: List[Dict[str, object]] = []
     widths = (64,) if quick else (64, 128)
@@ -187,18 +183,16 @@ def _cipher_benches(seed: int, quick: bool) -> List[Dict[str, object]]:
             "fn": (lambda victim=victim, draw=draw:
                    victim.encrypt_traced(draw())),
         })
-        if numpy_available():
-            backend_cls = (BitslicedGift64 if width == 64
-                           else BitslicedGift128)
-            backend = backend_cls(key)
-            batch_rng = derive_rng("perf-batch-plaintexts", seed, width)
-            batch_pool = [batch_rng.getrandbits(width)
-                          for _ in range(_BATCH_BLOCKS)]
-            benches.append({
-                "name": f"gift{width}_encrypt_batch",
-                "fn": (lambda backend=backend, batch_pool=batch_pool:
-                       backend.encrypt_batch(batch_pool)),
-            })
+        backend_cls = BitslicedGift64 if width == 64 else BitslicedGift128
+        backend = backend_cls(key)
+        batch_rng = derive_rng("perf-batch-plaintexts", seed, width)
+        batch_pool = [batch_rng.getrandbits(width)
+                      for _ in range(_BATCH_BLOCKS)]
+        benches.append({
+            "name": f"gift{width}_encrypt_batch",
+            "fn": (lambda backend=backend, batch_pool=batch_pool:
+                   backend.encrypt_batch(batch_pool)),
+        })
     return benches
 
 

@@ -1,6 +1,6 @@
 """PRESENT cipher — GIFT's ancestor, used as a comparison baseline."""
 
-from .bitsliced import BatchTrace, BitslicedPresent, numpy_available
+from .bitsliced import BitslicedPresent
 from .cipher import (
     PLAYER,
     PLAYER_INV,
@@ -12,9 +12,7 @@ from .cipher import (
 from .vectors import PRESENT80_VECTORS
 
 __all__ = [
-    "BatchTrace",
     "BitslicedPresent",
-    "numpy_available",
     "PLAYER",
     "PLAYER_INV",
     "PRESENT_ROUNDS",

@@ -4,7 +4,9 @@ The thin PRESENT counterpart of :mod:`repro.gift.bitsliced`: the state
 of ``N`` blocks is a ``(64, N)`` 0/1 bit-matrix and every round is
 AddRoundKey (broadcast XOR of a precomputed key row), SubCells, and
 the P-layer as one public row gather — followed by the schedule's
-final post-whitening key, exactly as the scalar paths apply it.
+final post-whitening key, exactly as the scalar paths apply it.  The
+bit-matrix layout is the one :mod:`repro.bitmatrix` defines for both
+backends.
 
 PRESENT's S-box is realised LUT-free from its algebraic normal form:
 each output bit is the XOR of a fixed set of input-bit monomials (the
@@ -19,9 +21,17 @@ the round key in *before* SubCells, so the recorded indices — round
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..bitmatrix import (
+    mask_row,
+    nibble_indices,
+    pack_blocks,
+    round_limit,
+    unpack_blocks,
+)
 from ..staticcheck.secrets import secret_params
 from .cipher import (
     PLAYER_INV,
@@ -30,25 +40,6 @@ from .cipher import (
     _key_schedule_80,
     _key_schedule_128,
 )
-
-try:  # pragma: no cover - exercised only where numpy is absent
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-
-def numpy_available() -> bool:
-    """Whether the bitsliced backend can run in this interpreter."""
-    return _np is not None
-
-
-def _require_numpy() -> Any:
-    if _np is None:  # pragma: no cover - exercised only without numpy
-        raise ImportError(
-            "the bitsliced PRESENT backend requires numpy; install numpy "
-            "or use the scalar repro.present paths"
-        )
-    return _np
 
 
 def _anf_monomials(table: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
@@ -74,55 +65,11 @@ def _anf_monomials(table: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
 PRESENT_SBOX_ANF: Tuple[Tuple[int, ...], ...] = _anf_monomials(PRESENT_SBOX)
 
 
-def _pack_blocks(blocks: Sequence[int]) -> "_np.ndarray":
-    np = _require_numpy()
-    count = len(blocks)
-    if count == 0:
-        return np.zeros((64, 0), dtype=np.uint8)
-    try:
-        buf = b"".join(int(block).to_bytes(8, "little")
-                       for block in blocks)
-    except (OverflowError, TypeError):
-        raise ValueError("PRESENT blocks are 64-bit integers") from None
-    raw = np.frombuffer(buf, dtype=np.uint8).reshape(count, 8)
-    return np.ascontiguousarray(
-        np.unpackbits(raw, axis=1, bitorder="little").T
-    )
-
-
-def _unpack_blocks(state: "_np.ndarray") -> List[int]:
-    np = _require_numpy()
-    raw = np.packbits(
-        np.ascontiguousarray(state.T), axis=1, bitorder="little"
-    )
-    return [int.from_bytes(row.tobytes(), "little") for row in raw]
-
-
-def _key_row(round_key: int) -> "_np.ndarray":
-    np = _require_numpy()
-    raw = np.frombuffer(round_key.to_bytes(8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")
-
-
-@dataclass(frozen=True)
-class BatchTrace:
-    """Vectorized index trace (see :class:`repro.gift.bitsliced.BatchTrace`)."""
-
-    ciphertexts: Tuple[int, ...]
-    sbox_indices: Any  # (rounds, 16, N) uint8 ndarray
-    first_round: int = 1
-
-    @property
-    def rounds(self) -> int:
-        return int(self.sbox_indices.shape[0])
-
-
 class BitslicedPresent:
     """Batch PRESENT bound to an 80- or 128-bit key schedule."""
 
     def __init__(self, master_key: int, key_bits: int = 80,
                  rounds: int = PRESENT_ROUNDS) -> None:
-        np = _require_numpy()
         if not 1 <= rounds <= PRESENT_ROUNDS:
             raise ValueError(
                 f"round count must be in [1, {PRESENT_ROUNDS}], got {rounds}"
@@ -141,7 +88,7 @@ class BitslicedPresent:
         self.master_key = master_key
         self._segments = 16
         self._gather = np.array(PLAYER_INV, dtype=np.intp)
-        self._key_rows = np.stack([_key_row(k) for k in round_keys])
+        self._key_rows = np.stack([mask_row(k, 64) for k in round_keys])
 
     @classmethod
     def from_victim(cls, victim: Any) -> "BitslicedPresent":
@@ -149,18 +96,9 @@ class BitslicedPresent:
         return cls(victim.master_key, key_bits=victim.key_bits,
                    rounds=victim.rounds)
 
-    def _check_rounds(self, max_rounds: Optional[int]) -> int:
-        limit = self.rounds if max_rounds is None else max_rounds
-        if not 1 <= limit <= self.rounds:
-            raise ValueError(
-                f"max_rounds must be in [1, {self.rounds}], got {max_rounds}"
-            )
-        return limit
-
     @staticmethod
-    def _sub_cells(state: "_np.ndarray") -> "_np.ndarray":
+    def _sub_cells(state: np.ndarray) -> np.ndarray:
         """PRESENT's S-box from its ANF, on every nibble's bit-rows."""
-        np = _require_numpy()
         inputs = (state[0::4], state[1::4], state[2::4], state[3::4])
         # Shared monomial products across the four output bits.
         monomials = {}
@@ -185,12 +123,6 @@ class BitslicedPresent:
             out[bit::4] = acc
         return out
 
-    def _indices(self, state: "_np.ndarray") -> "_np.ndarray":
-        return (state[0::4]
-                | (state[1::4] << 1)
-                | (state[2::4] << 2)
-                | (state[3::4] << 3))
-
     @secret_params("plaintexts")
     def encrypt_batch(self, plaintexts: Sequence[int]) -> List[int]:
         """Encrypt a whole batch; ``result[n] == encrypt(plaintexts[n])``.
@@ -198,56 +130,36 @@ class BitslicedPresent:
         Matches the scalar victim's semantics: ``rounds`` S-box rounds
         and then the schedule's next key as post-whitening.
         """
-        state = _pack_blocks(plaintexts)
+        state = pack_blocks(plaintexts, self.width)
         for round_index in range(self.rounds):
             state ^= self._key_rows[round_index][:, None]
             state = self._sub_cells(state)
             state = state[self._gather]
         state ^= self._key_rows[self.rounds][:, None]
-        return _unpack_blocks(state)
+        return unpack_blocks(state)
 
     @secret_params("plaintexts")
     def sbox_indices_batch(self, plaintexts: Sequence[int],
                            max_rounds: Optional[int] = None
-                           ) -> "_np.ndarray":
+                           ) -> np.ndarray:
         """Per-round key-XORed nibbles for a whole batch.
 
         ``result[r - 1, s, n]`` equals
         ``victim.sbox_indices_by_round(plaintexts[n], max_rounds)[r-1][s]``.
         """
-        return self.encrypt_traced_batch(plaintexts,
-                                         max_rounds).sbox_indices
-
-    @secret_params("plaintexts")
-    def encrypt_traced_batch(self, plaintexts: Sequence[int],
-                             max_rounds: Optional[int] = None
-                             ) -> BatchTrace:
-        """Encrypt a batch and return the vectorized index trace.
-
-        As in the scalar ``encrypt_traced``, post-whitening is applied
-        only when the full ``rounds`` are run.
-        """
-        np = _require_numpy()
-        limit = self._check_rounds(max_rounds)
-        state = _pack_blocks(plaintexts)
+        limit = round_limit(max_rounds, self.rounds)
+        state = pack_blocks(plaintexts, self.width)
         indices = np.empty((limit, self._segments, state.shape[1]),
                            dtype=np.uint8)
         for round_index in range(limit):
             state ^= self._key_rows[round_index][:, None]
-            indices[round_index] = self._indices(state)
+            indices[round_index] = nibble_indices(state)
             state = self._sub_cells(state)
             state = state[self._gather]
-        if limit == self.rounds:
-            state ^= self._key_rows[self.rounds][:, None]
-        return BatchTrace(
-            ciphertexts=tuple(_unpack_blocks(state)),
-            sbox_indices=indices,
-        )
+        return indices
 
 
 __all__ = [
-    "BatchTrace",
     "BitslicedPresent",
     "PRESENT_SBOX_ANF",
-    "numpy_available",
 ]

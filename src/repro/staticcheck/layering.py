@@ -45,8 +45,8 @@ refactor the repo-wide rules are checked too:
 5. **Deleted-module ban**: the removed pre-channel deprecation shims
    (``repro.core.runner`` et al.) and the deleted wrapper/re-export
    modules (``repro.analysis.experiments``, ``repro.core.profile``,
-   ``repro.cache.hierarchy``) must not be imported; this replaces the
-   retired ``deprecation-shims`` CI job.
+   ``repro.cache.hierarchy``, ``repro.targets.batch``) must not be
+   imported; this replaces the retired ``deprecation-shims`` CI job.
 6. **Trace layer (L0)**: ``repro.trace`` sits below everything —
    it may import only the victim-facing data model
    (``repro.targets``), geometry (``repro.cache``), seeding, and the
@@ -126,6 +126,7 @@ BANNED_MODULES = (
     "repro.analysis.experiments",
     "repro.core.profile",
     "repro.cache.hierarchy",
+    "repro.targets.batch",
 )
 
 

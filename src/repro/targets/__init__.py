@@ -14,7 +14,6 @@ Built-in targets: ``gift64``, ``gift128`` (the paper's victims),
 ``giftcofb`` (GIFT-COFB's nonce channel).  See ``docs/targets.md``.
 """
 
-from .batch import BatchVictim
 from .layout import MAX_SEGMENTS, SBOX_ENTRIES, TableLayout
 from .protocol import CipherTarget, RoundKey, TracedVictim
 from .registry import (
@@ -27,7 +26,6 @@ from .registry import (
 from .trace import EncryptionTrace, MemoryAccess, TestVector
 
 __all__ = [
-    "BatchVictim",
     "CipherTarget",
     "EncryptionTrace",
     "MAX_SEGMENTS",

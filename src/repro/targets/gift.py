@@ -20,7 +20,6 @@ from ..gift.bitsliced import (  # noqa: F401  (re-exported)
     BitslicedGift64,
     BitslicedGift128,
     BitslicedGiftCipher,
-    numpy_available,
 )
 from ..gift.cipher import (  # noqa: F401  (re-exported)
     Gift64,
@@ -287,19 +286,6 @@ class GiftTarget(CipherTarget):
         )
         return cipher.encrypt(plaintext)
 
-    def reference_encrypt_batch(self, master_key: int,
-                                plaintexts: Sequence[int],
-                                rounds: Optional[int] = None) -> List[int]:
-        if not numpy_available():
-            return super().reference_encrypt_batch(
-                master_key, plaintexts, rounds
-            )
-        cipher = BitslicedGiftCipher.from_master_key(
-            master_key, self.width,
-            self.rounds if rounds is None else rounds,
-        )
-        return cipher.encrypt_batch(plaintexts)
-
     def batch_view(self, victim: TracedVictim) -> Optional[Any]:
         """Bitslice any GIFT victim's expanded key schedule.
 
@@ -310,8 +296,6 @@ class GiftTarget(CipherTarget):
         back to the scalar path, which is what keeps recording
         RNG-transparent and replay destructive-safe.
         """
-        if not numpy_available():
-            return None
         if not isinstance(victim, (TracedGiftCipher, GiftCipher)):
             return None
         return BitslicedGiftCipher.from_victim(victim)

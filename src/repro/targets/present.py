@@ -26,10 +26,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Tuple
 
-from ..present.bitsliced import (  # noqa: F401  (re-exported)
-    BitslicedPresent,
-    numpy_available,
-)
+from ..present.bitsliced import BitslicedPresent  # noqa: F401  (re-exported)
 from ..present.cipher import (
     PLAYER_INV,
     PRESENT_ROUNDS,
@@ -195,24 +192,9 @@ class PresentTarget(CipherTarget):
             state = _p_layer(_sbox_layer(state))
         return state ^ keys[limit]
 
-    def reference_encrypt_batch(self, master_key: int,
-                                plaintexts: Sequence[int],
-                                rounds: Optional[int] = None) -> List[int]:
-        if not numpy_available():
-            return super().reference_encrypt_batch(
-                master_key, plaintexts, rounds
-            )
-        cipher = BitslicedPresent(
-            master_key, key_bits=self.key_bits,
-            rounds=self.rounds if rounds is None else rounds,
-        )
-        return cipher.encrypt_batch(plaintexts)
-
     def batch_view(self, victim: TracedVictim) -> Optional[Any]:
         """Bitslice a scalar PRESENT victim's key schedule (scalar
         fallback for wrapped recording/replay victims, as on GIFT)."""
-        if not numpy_available():
-            return None
         if not isinstance(victim, TracedPresent):
             return None
         return BitslicedPresent.from_victim(victim)

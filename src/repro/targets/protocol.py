@@ -230,36 +230,8 @@ class CipherTarget(abc.ABC):
         used to verify an assembled master key against a known pair."""
 
     # ------------------------------------------------------------------
-    # Batch execution (defaults: exact scalar loops)
+    # Batch execution
     # ------------------------------------------------------------------
-
-    def make_victim_batch(self, master_key: int,
-                          layout: Optional[TableLayout] = None,
-                          rounds: Optional[int] = None) -> Any:
-        """Instantiate a batch-capable victim.
-
-        Returns a :class:`~repro.targets.batch.BatchVictim`: the scalar
-        traced victim with ``encrypt_batch`` / ``sbox_indices_batch``
-        on top, vectorized when :meth:`batch_view` provides a bitsliced
-        backend and an exact scalar loop otherwise — so targets without
-        a bitsliced port (GIFT-COFB) work unmodified.
-        """
-        from .batch import BatchVictim
-
-        victim = self.make_victim(master_key, layout, rounds)
-        return BatchVictim(victim, backend=self.batch_view(victim))
-
-    def reference_encrypt_batch(self, master_key: int,
-                                plaintexts: Sequence[int],
-                                rounds: Optional[int] = None) -> List[int]:
-        """Ground-truth encryption of a whole batch.
-
-        The default loops :meth:`reference_encrypt`; bitsliced targets
-        override this with a vectorized path validated bit-exact
-        against the loop.
-        """
-        return [self.reference_encrypt(master_key, plaintext, rounds)
-                for plaintext in plaintexts]
 
     def batch_view(self, victim: Any) -> Optional[Any]:
         """A vectorized index/encryption backend for ``victim``, or

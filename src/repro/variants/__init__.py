@@ -3,8 +3,6 @@
 
 from ..channel.observer import (
     WindowObservation,
-    encryption_latency,
-    hit_miss_trace,
     observe_window,
 )
 from .time_driven import (
@@ -16,8 +14,6 @@ from .trace_driven import TraceDrivenAttack, TraceSegmentRecovery
 
 __all__ = [
     "WindowObservation",
-    "encryption_latency",
-    "hit_miss_trace",
     "observe_window",
     "CandidateScore",
     "TimeDrivenAttack",

@@ -82,8 +82,8 @@ class TimeDrivenAttack:
         self.latencies = latencies
         self.profile = profile_for_width(victim.width)
         # The variant consumes the same L4 observer API as the
-        # access-driven attack — only the signal differs (timing()
-        # instead of observe()).
+        # access-driven attack — only the signal differs (the window's
+        # latency instead of observe()).
         self.channel = ObservationChannel(
             victim,
             AttackConfig(geometry=self.geometry, layout=victim.layout,

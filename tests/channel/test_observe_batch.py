@@ -1,4 +1,4 @@
-"""The channel's batch surface: observe_batch, window_batch, gating.
+"""The channel's batch surface: observe_batch and its gating.
 
 Three invariants anchor the batch path to the historic scalar channel:
 
@@ -21,15 +21,9 @@ from hypothesis import strategies as st
 
 from repro.channel.degradation import LossyChannel, ProbeJitter, NoiseModel
 from repro.channel.observer import ObservationChannel
-from repro.gift.bitsliced import numpy_available
 from repro.core.config import AttackConfig
 from repro.seeding import derive_key, derive_rng
 from repro.targets.gift import TracedGift64
-from repro.targets.registry import get_target
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="the batch path requires numpy"
-)
 
 
 def _plaintexts(count, label="channel-batch"):
@@ -224,34 +218,3 @@ class TestDropLinesBatchStream:
         loss = LossyChannel(miss_probability=0.5)
         assert loss.batch_draws_per_window(4) == 6
 
-
-class TestWindowBatch:
-    def test_vectorized_matches_scalar_windows(self):
-        config = AttackConfig(seed=0)
-        plaintexts = _plaintexts(7, label="window-batch")
-        channel = _channel(config)
-        batch = channel.window_batch(plaintexts, 1, 4)
-        assert batch.count == len(plaintexts)
-        scalar_channel = _channel(config)
-        for index, plaintext in enumerate(plaintexts):
-            assert batch.observation(index) \
-                == scalar_channel.window(plaintext, 1, 4)
-
-    def test_fallback_matches_vectorized(self):
-        config = AttackConfig(seed=0)
-        plaintexts = _plaintexts(5, label="window-fallback")
-        vectorized = _channel(config).window_batch(plaintexts, 2, 5)
-        fallback_channel = _channel(config)
-        fallback_channel._batch_view_resolved = True
-        fallback_channel._batch_view = None
-        fallback = fallback_channel.window_batch(plaintexts, 2, 5)
-        assert fallback.count == vectorized.count
-        assert fallback.accesses == vectorized.accesses
-        for index in range(vectorized.count):
-            assert fallback.observation(index) \
-                == vectorized.observation(index)
-        assert fallback.misses == vectorized.misses
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            _channel(AttackConfig(seed=0)).window_batch([0], 3, 2)

@@ -148,11 +148,6 @@ class TestComposition:
             light_total += len(light.observe(plaintext, 1))
         assert heavy_total < light_total
 
-    def test_observe_encryption_alias(self, victim):
-        a = ObservationChannel(victim, AttackConfig(seed=6))
-        b = ObservationChannel(victim, AttackConfig(seed=6))
-        assert a.observe(0x42, 1) == b.observe_encryption(0x42, 1)
-
 
 class TestEffortInvariant:
     def test_seed0_full_key_takes_exactly_464_encryptions(self):

@@ -17,13 +17,8 @@ from repro.core.attack import BudgetExceeded, GrinchAttack
 from repro.core.config import AttackConfig
 from repro.core.eliminate import CandidateEliminator
 from repro.core.voting import VotingEliminator, VotingPolicy
-from repro.gift.bitsliced import numpy_available
-from repro.seeding import derive_key, derive_rng
+from repro.seeding import derive_key
 from repro.targets.registry import get_target
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="the vectorized batch path requires numpy"
-)
 
 
 def _attack(target_name="gift64", *, seed=0, **config_kwargs):
@@ -78,7 +73,6 @@ class TestEliminatorBatches:
         assert batched.observations == sequential.observations
 
 
-@needs_numpy
 class TestBatchedRecovery:
     def test_scalar_pin_is_untouched(self):
         # The seed-0 historic reference: batch_size=1 IS the scalar
@@ -137,7 +131,6 @@ class TestBatchedRecovery:
         assert result.verified
 
 
-@needs_numpy
 class TestBudgetAccounting:
     def test_batch_never_overruns_the_total_budget(self):
         _, attack = _attack(batch_size=32, max_total_encryptions=100)

@@ -51,7 +51,7 @@ class TestInclusiveHierarchy:
         runner = make_cross_core_runner(
             victim, config, InclusionPolicy.INCLUSIVE
         )
-        observed = runner.observe_encryption(0x123456789ABCDEF0, 1)
+        observed = runner.observe(0x123456789ABCDEF0, 1)
         # Exactly the round-2 lines (flush removed round 1).
         round2 = victim.sbox_indices_by_round(0x123456789ABCDEF0, 2)[1]
         expected = {runner.monitor.line_for_index(i) for i in round2}
@@ -89,7 +89,7 @@ class TestExclusiveHierarchy:
                 victim, AttackConfig(seed=7), inclusion
             )
             totals[inclusion] = sum(
-                len(runner.observe_encryption(p, 1)) for p in plaintexts
+                len(runner.observe(p, 1)) for p in plaintexts
             )
         assert totals[InclusionPolicy.EXCLUSIVE] * 4 < \
             totals[InclusionPolicy.INCLUSIVE]

@@ -25,6 +25,10 @@ from repro.core import (
 from repro.seeding import derive_key
 from repro.gift.lut import TracedGift64
 
+#: Every acceptance guard a LowConfidenceError may name.
+GUARDS = ("min_observations", "leader_not_viable", "separation",
+          "confidence")
+
 #: The acceptance-criterion channel: 20% per-probe false negatives.
 LOSSY = LossyChannel(miss_probability=0.2)
 
@@ -101,6 +105,30 @@ class TestVotingRecovery:
             attack.recover_master_key()
         assert excinfo.value.encryptions > 0
         assert 0.0 <= excinfo.value.best_confidence < 1.0
+        assert excinfo.value.blocked_by in GUARDS
+        assert f"the {excinfo.value.blocked_by} guard" \
+            in str(excinfo.value)
+
+    def test_low_confidence_names_the_blocking_guard(self):
+        # Seed-0 Flush+Flush stalls at round 4 segment 12 with a
+        # posterior of 1.000: the separation guard, not the confidence
+        # threshold, holds the leader back (202/219 sightings against
+        # an expected presence of 0.98), and the message must say so.
+        attack = GrinchAttack(
+            TracedGift64(master_key=derive_key(128, 0)),
+            AttackConfig(seed=0, probe_strategy="flush_flush"),
+        )
+        with pytest.raises(LowConfidenceError) as excinfo:
+            attack.recover_master_key()
+        error = excinfo.value
+        message = str(error)
+        assert error.blocked_by == "separation"
+        assert error.encryptions == 1199
+        assert error.best_confidence == pytest.approx(1.0)
+        assert "below" not in message
+        assert "round 4 segment 12" in message
+        assert "202/219 windows" in message
+        assert "separation_epsilon" in message
 
 
 @pytest.mark.slow

@@ -22,7 +22,7 @@ class TestObservationSemantics:
         t+1..t+r; round 1's accesses must be invisible."""
         runner = _runner(victim, probing_round=1, use_flush=True)
         plaintext = 0x0123456789ABCDEF
-        observed = runner.observe_encryption(plaintext, attacked_round=1)
+        observed = runner.observe(plaintext, attacked_round=1)
         round2 = victim.sbox_indices_by_round(plaintext, 2)[1]
         expected = {runner.monitor.line_for_index(i) for i in round2}
         assert observed == expected
@@ -30,7 +30,7 @@ class TestObservationSemantics:
     def test_no_flush_includes_round_one(self, victim):
         runner = _runner(victim, probing_round=1, use_flush=False)
         plaintext = 0xFEDCBA9876543210
-        observed = runner.observe_encryption(plaintext, attacked_round=1)
+        observed = runner.observe(plaintext, attacked_round=1)
         rounds = victim.sbox_indices_by_round(plaintext, 2)
         expected = {
             runner.monitor.line_for_index(i)
@@ -42,18 +42,18 @@ class TestObservationSemantics:
         early = _runner(victim, probing_round=1)
         late = _runner(victim, probing_round=6)
         plaintext = 0x1122334455667788
-        assert early.observe_encryption(plaintext, 1) <= \
-            late.observe_encryption(plaintext, 1)
+        assert early.observe(plaintext, 1) <= \
+            late.observe(plaintext, 1)
 
     def test_counts_encryptions(self, victim):
         runner = _runner(victim)
         for _ in range(5):
-            runner.observe_encryption(0, 1)
+            runner.observe(0, 1)
         assert runner.encryptions_run == 5
 
     def test_rejects_bad_round(self, victim):
         with pytest.raises(ValueError):
-            _runner(victim).observe_encryption(0, 0)
+            _runner(victim).observe(0, 0)
 
 
 class TestFastFullEquivalence:
@@ -79,8 +79,8 @@ class TestFastFullEquivalence:
         rng = random.Random(77)
         for _ in range(25):
             plaintext = rng.getrandbits(64)
-            assert fast.observe_encryption(plaintext, 1) == \
-                full.observe_encryption(plaintext, 1)
+            assert fast.observe(plaintext, 1) == \
+                full.observe(plaintext, 1)
 
     def test_deeper_attack_rounds_agree_too(self, random_key):
         victim = TracedGift64(random_key)
@@ -89,8 +89,8 @@ class TestFastFullEquivalence:
         rng = random.Random(78)
         for attacked_round in (2, 3, 4):
             plaintext = rng.getrandbits(64)
-            assert fast.observe_encryption(plaintext, attacked_round) == \
-                full.observe_encryption(plaintext, attacked_round)
+            assert fast.observe(plaintext, attacked_round) == \
+                full.observe(plaintext, attacked_round)
 
     def test_prime_probe_never_uses_fast_path(self, victim):
         runner = _runner(victim, probe_strategy="prime_probe")
@@ -104,8 +104,8 @@ class TestFastFullEquivalence:
         rng = random.Random(80)
         for _ in range(10):
             plaintext = rng.getrandbits(128)
-            assert fast.observe_encryption(plaintext, 1) == \
-                full.observe_encryption(plaintext, 1)
+            assert fast.observe(plaintext, 1) == \
+                full.observe(plaintext, 1)
 
 
 class TestNoise:
@@ -118,8 +118,8 @@ class TestNoise:
         rng = random.Random(9)
         for _ in range(10):
             plaintext = rng.getrandbits(64)
-            noisy_obs = noisy.observe_encryption(plaintext, 1)
-            quiet_obs = quiet.observe_encryption(plaintext, 1)
+            noisy_obs = noisy.observe(plaintext, 1)
+            quiet_obs = quiet.observe(plaintext, 1)
             assert quiet_obs <= noisy_obs
             assert noisy_obs <= noisy.monitor.universe
 
@@ -129,7 +129,7 @@ class TestNoise:
             seed=3, noise=NoiseModel(touch_probability=0.0,
                                      monitored_touches=10),
         ))
-        assert a.observe_encryption(42, 1) == b.observe_encryption(42, 1)
+        assert a.observe(42, 1) == b.observe(42, 1)
 
 
 class TestKnownPair:

@@ -181,3 +181,51 @@ class TestLossyViability:
         voter = VotingEliminator(frozenset({0, 1}))
         voter.update({0, 5, 9})
         assert voter.counts == {0: 1, 1: 0}
+
+
+class TestBlockingGuard:
+    """``blocking_guard`` names the first acceptance guard that fails."""
+
+    @staticmethod
+    def _voter(windows, universe=frozenset(range(4)), **policy):
+        voter = VotingEliminator(universe, VotingPolicy(**policy))
+        for observed in windows:
+            voter.update(observed)
+        return voter
+
+    def test_min_observations(self):
+        voter = self._voter([{0}] * 3, expected_presence=0.8)
+        guard, detail = voter.blocking_guard()
+        assert guard == "min_observations"
+        assert "3 observations" in detail
+
+    def test_leader_not_viable(self):
+        voter = self._voter([set()] * 40, expected_presence=0.9)
+        assert voter.blocking_guard()[0] == "leader_not_viable"
+
+    def test_separation_on_the_leader(self):
+        # Viable (tail above 1e-6) but significantly short of a
+        # rate-0.98 target: the seed-0 Flush+Flush stall in miniature.
+        windows = [{0}] * 202 + [set()] * 17
+        voter = self._voter(windows, universe=frozenset({0, 1}),
+                            expected_presence=0.98)
+        assert voter.is_viable(0)
+        guard, detail = voter.blocking_guard()
+        assert guard == "separation"
+        assert "leader line 0 seen in 202/219 windows" in detail
+
+    def test_separation_on_the_runner_up(self):
+        windows = [{0, 1, 2, 3}] * 5 + [{0}] * 5
+        guard, detail = self._voter(
+            windows, expected_presence=0.8).blocking_guard()
+        assert guard == "separation"
+        assert "runner-up line 1 seen in 5/10 windows" in detail
+
+    def test_confidence(self):
+        windows = [{0, 1, 2, 3}] * 4 + [{0}] * 6
+        voter = self._voter(windows, expected_presence=0.8,
+                            confidence_threshold=0.99999)
+        assert voter.separated and not voter.decided
+        guard, detail = voter.blocking_guard()
+        assert guard == "confidence"
+        assert "under the 0.99999 threshold" in detail

@@ -4,7 +4,6 @@ import pytest
 
 from repro.engine import get as get_experiment, run_experiment
 from repro.engine.batchperf import DEFAULT_TARGETS, _plan
-from repro.gift.bitsliced import numpy_available
 
 SMALL = {"blocks": 48, "batch_size": 16, "traced_blocks": 8}
 
@@ -44,10 +43,8 @@ class TestRun:
                                 use_cache=False)
         assert record["summary"]["targets"] == len(DEFAULT_TARGETS)
         assert record["summary"]["all_equivalent"] is True
-        expected_vectorized = (len(DEFAULT_TARGETS) if numpy_available()
-                               else 0)
         assert record["summary"]["vectorized_targets"] \
-            == expected_vectorized
+            == len(DEFAULT_TARGETS)
         for cell in record["cells"]:
             assert cell["equivalent"] is True
             assert cell["traced_equivalent"] is True

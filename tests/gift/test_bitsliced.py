@@ -2,8 +2,8 @@
 
 Every property here pins the batch path to the scalar one the attack
 already trusts: ``encrypt_batch`` against :class:`repro.gift.cipher`,
-``sbox_indices_batch`` / ``encrypt_traced_batch`` against the traced
-LUT victim — including the key-schedule and table-layout
+``sbox_indices_batch`` (full and bounded ``max_rounds``) against the
+traced LUT victim — including the key-schedule and table-layout
 countermeasure subclasses, which :meth:`BitslicedGiftCipher.from_victim`
 must absorb without any per-subclass code.
 """
@@ -16,17 +16,12 @@ from repro.gift.bitsliced import (
     BitslicedGift64,
     BitslicedGift128,
     BitslicedGiftCipher,
-    numpy_available,
 )
 from repro.gift.cipher import Gift64, Gift128
 from repro.gift.vectors import GIFT64_VECTORS, GIFT128_VECTORS
 from repro.countermeasures.hardened_schedule import HardenedKeyScheduleGift64
 from repro.countermeasures.reshaped_sbox import ReshapedSboxGift64
 from repro.targets.gift import TracedGift64, TracedGift128
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="bitsliced backend requires numpy"
-)
 
 keys = st.integers(min_value=0, max_value=(1 << 128) - 1)
 blocks64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -110,15 +105,22 @@ class TestTracedIndices:
                     == list(expected[round_index])
 
     @settings(max_examples=15)
-    @given(keys, batches64)
-    def test_encrypt_traced_batch_full(self, key, plaintexts):
-        batch = BitslicedGift64(key)
-        trace = batch.encrypt_traced_batch(plaintexts)
-        assert trace.rounds == 28
-        assert trace.first_round == 1
-        assert list(trace.ciphertexts) == batch.encrypt_batch(plaintexts)
-        assert (trace.sbox_indices
-                == batch.sbox_indices_batch(plaintexts)).all()
+    @given(keys, batches64, st.integers(min_value=1, max_value=28))
+    def test_bounded_max_rounds_match_reduced_round_cipher(
+            self, key, plaintexts, max_rounds):
+        # A bounded max_rounds trace is the prefix of the full one and
+        # the whole trace of the max_rounds-round cipher, whose
+        # encrypt_batch is the scalar reduced-round victim's.
+        full = BitslicedGift64(key)
+        reduced = BitslicedGift64(key, rounds=max_rounds)
+        bounded = full.sbox_indices_batch(plaintexts, max_rounds=max_rounds)
+        assert bounded.shape == (max_rounds, 16, len(plaintexts))
+        assert (bounded == full.sbox_indices_batch(plaintexts)
+                [:max_rounds]).all()
+        assert (bounded == reduced.sbox_indices_batch(plaintexts)).all()
+        victim = TracedGift64(key, rounds=max_rounds)
+        assert reduced.encrypt_batch(plaintexts) \
+            == [victim.encrypt(p) for p in plaintexts]
 
 
 class TestCountermeasureVictims:
@@ -159,7 +161,8 @@ class TestCountermeasureVictims:
 
     @settings(max_examples=10)
     @given(keys, batches64)
-    def test_from_victim_matches_from_master_key(self, key, plaintexts):
+    def test_from_victim_matches_master_key_constructor(self, key,
+                                                        plaintexts):
         victim = TracedGift64(key)
         assert BitslicedGiftCipher.from_victim(victim) \
             .encrypt_batch(plaintexts) \

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.gift.bitsliced import numpy_available
 from repro.perf.suite import (
     MIN_BATCH_OVER_UNTRACED,
     MIN_UNTRACED_OVER_TRACED,
@@ -77,10 +76,7 @@ class TestRunSuite:
         expected = [
             "gift64_encrypt_untraced",
             "gift64_encrypt_traced",
-        ]
-        if numpy_available():
-            expected.append("gift64_encrypt_batch")
-        expected += [
+            "gift64_encrypt_batch",
             "observer_fast_observations",
             "voting_updates",
             "engine_first_round_trial",
@@ -94,7 +90,6 @@ class TestRunSuite:
         ratio = report.ratios["gift64_untraced_over_traced"]
         assert ratio >= MIN_UNTRACED_OVER_TRACED
 
-    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
     def test_batch_beats_untraced_by_gate_margin(self, report):
         """The batch-fabric claim: bitsliced encrypt_batch delivers
         >= 20x the scalar untraced blocks/s."""

@@ -10,18 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.present.bitsliced import (
-    PRESENT_SBOX_ANF,
-    BitslicedPresent,
-    numpy_available,
-)
+from repro.present.bitsliced import PRESENT_SBOX_ANF, BitslicedPresent
 from repro.present.cipher import PRESENT_SBOX, Present
 from repro.present.lut import TracedPresent
 from repro.present.vectors import PRESENT80_VECTORS, PRESENT128_VECTORS
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="bitsliced backend requires numpy"
-)
 
 blocks = st.integers(min_value=0, max_value=(1 << 64) - 1)
 batches = st.lists(blocks, min_size=1, max_size=12)
@@ -111,18 +103,22 @@ class TestTracedIndices:
 
     @settings(max_examples=15)
     @given(keys80, batches, st.integers(min_value=1, max_value=31))
-    def test_traced_batch_whitening_matches_scalar(self, key, plaintexts,
-                                                   max_rounds):
-        # The post-whitening key must be applied exactly when the full
-        # rounds ran — the scalar encrypt_traced contract.
-        victim = TracedPresent(key, key_bits=80)
-        trace = BitslicedPresent(key, key_bits=80).encrypt_traced_batch(
-            plaintexts, max_rounds=max_rounds
-        )
-        assert trace.rounds == max_rounds
-        for n, plaintext in enumerate(plaintexts):
-            scalar = victim.encrypt_traced(plaintext, max_rounds=max_rounds)
-            assert trace.ciphertexts[n] == scalar.ciphertext
+    def test_bounded_max_rounds_match_reduced_round_cipher(
+            self, key, plaintexts, max_rounds):
+        # A bounded max_rounds trace is the prefix of the full one and
+        # the whole trace of the max_rounds-round cipher, whose
+        # encrypt_batch (post-whitening included) is the scalar
+        # reduced-round victim's.
+        full = BitslicedPresent(key, key_bits=80)
+        reduced = BitslicedPresent(key, key_bits=80, rounds=max_rounds)
+        bounded = full.sbox_indices_batch(plaintexts, max_rounds=max_rounds)
+        assert bounded.shape == (max_rounds, 16, len(plaintexts))
+        assert (bounded == full.sbox_indices_batch(plaintexts)
+                [:max_rounds]).all()
+        assert (bounded == reduced.sbox_indices_batch(plaintexts)).all()
+        victim = TracedPresent(key, key_bits=80, rounds=max_rounds)
+        assert reduced.encrypt_batch(plaintexts) \
+            == [victim.encrypt(p) for p in plaintexts]
 
     @settings(max_examples=10)
     @given(keys80, batches)

@@ -183,6 +183,16 @@ class TestPackageLayering:
             assert any(deleted in v and "deleted module" in v
                        for v in violations)
 
+    def test_deleted_batch_victim_module_is_flagged(self, tmp_path):
+        src = make_src(tmp_path, {
+            "engine/thing.py": "from ..targets.batch import wrapper\n",
+            "core/other.py": "from repro.targets import batch\n",
+        })
+        violations = check_package_layering(src)
+        assert len(violations) == 2
+        assert all("repro.targets.batch" in v and "deleted module" in v
+                   for v in violations)
+
     def test_from_import_of_a_shim_submodule_is_flagged(self, tmp_path):
         src = make_src(tmp_path, {
             "engine/thing.py": "from repro.variants import observations\n",

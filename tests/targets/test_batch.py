@@ -1,21 +1,17 @@
-"""The target layer's batch surface: BatchVictim and the batch hooks.
+"""The target layer's batch hook: ``CipherTarget.batch_view``.
 
-Every registered target must honour the same contract:
-``make_victim_batch`` returns a drop-in victim whose batch calls equal
-the scalar loop element-for-element — vectorized where a bitsliced
-backend exists (gift64, gift128, present80) and via the exact scalar
-fallback where none does (giftcofb) — and ``batch_view`` must refuse
-to see through recording/replay wrappers so those channels stay
-scalar-exact.
+Every registered target must honour the same contract: ``batch_view``
+returns a bitsliced backend exactly for the targets that have one
+(gift64, gift128, present80) and ``None`` otherwise (giftcofb), and it
+must refuse to see through recording/replay wrappers so those channels
+stay scalar-exact.  Where a backend exists, its ``encrypt_batch`` and
+``sbox_indices_batch`` equal the scalar victim's loop element for
+element.
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.gift.bitsliced import numpy_available
 from repro.seeding import derive_key, derive_rng
-from repro.targets.batch import BatchVictim
 from repro.targets.registry import get_target, target_names
 
 ALL_TARGETS = tuple(sorted(target_names()))
@@ -26,95 +22,49 @@ def _pool(target_name, count=6):
     target = get_target(target_name)
     victim = target.make_victim(derive_key(target.key_bits, 0))
     rng = derive_rng("targets-batch-tests", target_name)
-    return target, [rng.getrandbits(victim.width) for _ in range(count)]
-
-
-class TestMakeVictimBatch:
-    @pytest.mark.parametrize("name", ALL_TARGETS)
-    def test_encrypt_batch_equals_scalar_loop(self, name):
-        target, plaintexts = _pool(name)
-        victim = target.make_victim_batch(derive_key(target.key_bits, 0))
-        assert victim.encrypt_batch(plaintexts) \
-            == [victim.encrypt(p) for p in plaintexts]
-
-    @pytest.mark.parametrize("name", ALL_TARGETS)
-    def test_sbox_indices_batch_equals_scalar_loop(self, name):
-        target, plaintexts = _pool(name)
-        victim = target.make_victim_batch(derive_key(target.key_bits, 0))
-        limit = min(3, victim.rounds)
-        indices = victim.sbox_indices_batch(plaintexts, max_rounds=limit)
-        for n, plaintext in enumerate(plaintexts):
-            expected = victim.sbox_indices_by_round(plaintext, limit)
-            for round_index in range(limit):
-                row = indices[round_index]
-                assert [int(row[segment][n])
-                        for segment in range(len(expected[round_index]))] \
-                    == list(expected[round_index])
-
-    @pytest.mark.parametrize("name", ALL_TARGETS)
-    def test_vectorized_exactly_where_a_backend_exists(self, name):
-        target, _ = _pool(name)
-        victim = target.make_victim_batch(derive_key(target.key_bits, 0))
-        assert isinstance(victim, BatchVictim)
-        expected = numpy_available() and name in BITSLICED_TARGETS
-        assert victim.vectorized is expected
-
-    @pytest.mark.parametrize("name", ALL_TARGETS)
-    def test_scalar_surface_delegates(self, name):
-        target, plaintexts = _pool(name, count=1)
-        key = derive_key(target.key_bits, 0)
-        batch_victim = target.make_victim_batch(key)
-        scalar_victim = target.make_victim(key)
-        assert batch_victim.width == scalar_victim.width
-        assert batch_victim.rounds == scalar_victim.rounds
-        assert batch_victim.layout == scalar_victim.layout
-        assert batch_victim.encrypt(plaintexts[0]) \
-            == scalar_victim.encrypt(plaintexts[0])
-        # Optional victim attributes pass through the wrapper, so the
-        # channel's getattr probes see the real victim.
-        assert getattr(batch_victim, "probe_round_offset", 1) \
-            == getattr(scalar_victim, "probe_round_offset", 1)
-
-
-class TestReferenceEncryptBatch:
-    @pytest.mark.parametrize("name", ALL_TARGETS)
-    def test_matches_scalar_reference(self, name):
-        target, plaintexts = _pool(name)
-        key = derive_key(target.key_bits, 0)
-        assert target.reference_encrypt_batch(key, plaintexts) \
-            == [target.reference_encrypt(key, p) for p in plaintexts]
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy required")
-    @settings(max_examples=10)
-    @given(st.integers(min_value=0, max_value=(1 << 128) - 1),
-           st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1),
-                    min_size=1, max_size=6),
-           st.integers(min_value=1, max_value=28))
-    def test_gift64_reduced_round_reference(self, key, plaintexts, rounds):
-        target = get_target("gift64")
-        assert target.reference_encrypt_batch(key, plaintexts,
-                                              rounds=rounds) \
-            == [target.reference_encrypt(key, p, rounds=rounds)
-                for p in plaintexts]
-
-    @pytest.mark.parametrize("name", ALL_TARGETS)
-    def test_empty_batch(self, name):
-        target = get_target(name)
-        assert target.reference_encrypt_batch(
-            derive_key(target.key_bits, 0), []
-        ) == []
+    return target, victim, [rng.getrandbits(victim.width)
+                            for _ in range(count)]
 
 
 class TestBatchView:
-    @pytest.mark.skipif(not numpy_available(), reason="numpy required")
+    @pytest.mark.parametrize("name", ALL_TARGETS)
+    def test_backend_exactly_for_the_bitsliced_targets(self, name):
+        target, victim, _ = _pool(name)
+        view = target.batch_view(victim)
+        assert (view is not None) is (name in BITSLICED_TARGETS)
+
     @pytest.mark.parametrize("name", BITSLICED_TARGETS)
     def test_sees_its_own_victims(self, name):
-        target, plaintexts = _pool(name)
-        victim = target.make_victim(derive_key(target.key_bits, 0))
+        target, victim, plaintexts = _pool(name)
         view = target.batch_view(victim)
         assert view is not None
         assert view.encrypt_batch(plaintexts) \
             == [victim.encrypt(p) for p in plaintexts]
+
+    @pytest.mark.parametrize("name", BITSLICED_TARGETS)
+    def test_encrypt_batch_equals_scalar_loop(self, name):
+        # The all-zero and all-one blocks sit on either edge of the
+        # bit-plane packing; the empty batch must come back empty.
+        target, victim, plaintexts = _pool(name, count=16)
+        plaintexts += [0, (1 << victim.width) - 1]
+        view = target.batch_view(victim)
+        assert view.encrypt_batch(plaintexts) \
+            == [victim.encrypt(p) for p in plaintexts]
+        assert view.encrypt_batch([]) == []
+
+    @pytest.mark.parametrize("name", BITSLICED_TARGETS)
+    def test_sbox_indices_batch_equals_scalar_loop(self, name):
+        target, victim, plaintexts = _pool(name)
+        limit = min(3, victim.rounds)
+        indices = target.batch_view(victim).sbox_indices_batch(
+            plaintexts, max_rounds=limit
+        )
+        assert indices.shape == (limit, victim.width // 4, len(plaintexts))
+        for n, plaintext in enumerate(plaintexts):
+            expected = victim.sbox_indices_by_round(plaintext, limit)
+            for round_index in range(limit):
+                assert list(indices[round_index, :, n]) \
+                    == list(expected[round_index])
 
     def test_giftcofb_has_no_backend(self):
         target = get_target("giftcofb")
@@ -126,40 +76,18 @@ class TestBatchView:
         # Recording and replay wrap the victim in classes the
         # isinstance check cannot (and must not) see through: recording
         # stays RNG-transparent, replay stays cipher-free.
-        from repro.channel.observer import ObservationChannel  # noqa: F401
-        from repro.trace import RecordingVictim, TraceHeader, TraceRecorder
+        from repro.trace import (
+            RecordingVictim,
+            ReplayVictim,
+            TraceHeader,
+            TraceRecorder,
+        )
         from repro.core.config import AttackConfig
 
         target = get_target(name)
         victim = target.make_victim(derive_key(target.key_bits, 0))
         header = TraceHeader.for_victim(name, victim, AttackConfig())
-        wrapped = RecordingVictim(victim, TraceRecorder(header))
-        assert target.batch_view(wrapped) is None
-
-
-class TestBatchVictimFallback:
-    """The backend-less wrapper is the exact scalar loop."""
-
-    def test_empty_sbox_indices_batch(self):
-        target = get_target("giftcofb")
-        victim = target.make_victim_batch(derive_key(target.key_bits, 0))
-        assert victim.sbox_indices_batch([], max_rounds=2) == []
-
-    def test_forced_scalar_wrapper_matches_vectorized(self):
-        target, plaintexts = _pool("gift64")
-        key = derive_key(target.key_bits, 0)
-        scalar_wrap = BatchVictim(target.make_victim(key), backend=None)
-        vectorized = target.make_victim_batch(key)
-        assert not scalar_wrap.vectorized
-        assert scalar_wrap.encrypt_batch(plaintexts) \
-            == vectorized.encrypt_batch(plaintexts)
-        limit = 3
-        scalar_indices = scalar_wrap.sbox_indices_batch(plaintexts,
-                                                        max_rounds=limit)
-        vector_indices = vectorized.sbox_indices_batch(plaintexts,
-                                                       max_rounds=limit)
-        for round_index in range(limit):
-            for segment in range(16):
-                assert list(scalar_indices[round_index][segment]) \
-                    == [int(v) for v in
-                        vector_indices[round_index][segment]]
+        recorder = TraceRecorder(header)
+        assert target.batch_view(RecordingVictim(victim, recorder)) is None
+        assert target.batch_view(
+            ReplayVictim(recorder.to_trace_file())) is None
