@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .geometry import CacheGeometry
+from .geometry import CacheGeometry, decompose
 from .policies import ReplacementPolicy, make_policy
 
 
@@ -54,7 +54,9 @@ class _Level:
     never draw correlated random-replacement sequences; an explicit
     ``rng`` is shared across all sets verbatim instead.  ``stats``
     points at the owning hierarchy's counters so fills report
-    evictions where they happen.
+    evictions where they happen.  Like the single-level cache, each set
+    keeps ``tag -> way`` and ``way -> tag`` indexes, and an address is
+    split into ``(set, tag)`` once per operation.
     """
 
     geometry: CacheGeometry
@@ -63,13 +65,18 @@ class _Level:
     rng_scope: str = "level"
     stats: Optional["HierarchyStats"] = None
     sets: List[Dict[int, int]] = field(default_factory=list)
+    way_tags: List[List[int]] = field(default_factory=list)
     occupied: List[List[bool]] = field(default_factory=list)
     policies: List[ReplacementPolicy] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         count = self.geometry.num_sets
+        self._line_bytes = self.geometry.line_bytes
+        self._num_sets = count
+        self._ways = self.geometry.ways
         self.sets = [{} for _ in range(count)]
-        self.occupied = [[False] * self.geometry.ways for _ in range(count)]
+        self.way_tags = [[0] * self._ways for _ in range(count)]
+        self.occupied = [[False] * self._ways for _ in range(count)]
         self.policies = [
             make_policy(self.policy_name, self.geometry.ways, self.rng,
                         set_index=set_index, rng_scope=self.rng_scope)
@@ -77,45 +84,50 @@ class _Level:
         ]
 
     def lookup(self, address: int) -> bool:
-        set_index = self.geometry.set_of(address)
-        tag = self.geometry.tag_of(address)
-        if tag in self.sets[set_index]:
-            self.policies[set_index].on_access(self.sets[set_index][tag])
-            return True
-        return False
+        set_index, tag = decompose(address, self._line_bytes,
+                                   self._num_sets)
+        way = self.sets[set_index].get(tag)
+        if way is None:
+            return False
+        self.policies[set_index].on_access(way)
+        return True
 
     def is_resident(self, address: int) -> bool:
-        set_index = self.geometry.set_of(address)
-        return self.geometry.tag_of(address) in self.sets[set_index]
+        set_index, tag = decompose(address, self._line_bytes,
+                                   self._num_sets)
+        return tag in self.sets[set_index]
 
     def fill(self, address: int) -> Optional[int]:
         """Insert a line; return the evicted line number, if any."""
-        set_index = self.geometry.set_of(address)
-        tag = self.geometry.tag_of(address)
+        set_index, tag = decompose(address, self._line_bytes,
+                                   self._num_sets)
         ways = self.sets[set_index]
-        if tag in ways:
-            self.policies[set_index].on_access(ways[tag])
+        policy = self.policies[set_index]
+        way = ways.get(tag)
+        if way is not None:
+            policy.on_access(way)
             return None
         occupied = self.occupied[set_index]
+        way_tags = self.way_tags[set_index]
         evicted_line = None
-        if all(occupied):
-            victim_way = self.policies[set_index].victim(occupied)
-            victim_tag = next(t for t, w in ways.items() if w == victim_way)
+        if len(ways) == self._ways:
+            way = policy.victim(occupied)
+            victim_tag = way_tags[way]
             del ways[victim_tag]
-            evicted_line = (victim_tag * self.geometry.num_sets
-                            + set_index)
+            evicted_line = victim_tag * self._num_sets + set_index
             if self.stats is not None:
                 self.stats.evictions += 1
         else:
-            victim_way = occupied.index(False)
-        ways[tag] = victim_way
-        occupied[victim_way] = True
-        self.policies[set_index].on_access(victim_way)
+            way = occupied.index(False)
+        ways[tag] = way
+        way_tags[way] = tag
+        occupied[way] = True
+        policy.on_access(way)
         return evicted_line
 
     def invalidate(self, address: int) -> bool:
-        set_index = self.geometry.set_of(address)
-        tag = self.geometry.tag_of(address)
+        set_index, tag = decompose(address, self._line_bytes,
+                                   self._num_sets)
         ways = self.sets[set_index]
         if tag not in ways:
             return False

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .geometry import CacheGeometry
+from .geometry import CacheGeometry, decompose
 from .policies import ReplacementPolicy, make_policy
 
 
@@ -50,7 +50,9 @@ class SetAssociativeCache:
 
     Addresses are byte addresses; lines are identified by
     ``address // line_bytes`` and mapped to sets by modulo indexing, as
-    in :class:`~repro.cache.geometry.CacheGeometry`.
+    in :class:`~repro.cache.geometry.CacheGeometry`.  Each set keeps a
+    ``tag -> way`` map for lookups and a ``way -> tag`` list, so an
+    eviction finds its victim's tag without scanning the set.
     """
 
     def __init__(self, geometry: CacheGeometry = CacheGeometry(),
@@ -59,9 +61,15 @@ class SetAssociativeCache:
         self.geometry = geometry
         self.policy_name = policy
         self.stats = CacheStats()
+        self._line_bytes = geometry.line_bytes
+        self._num_sets = geometry.num_sets
+        self._ways = geometry.ways
         self._sets: List[Dict[int, int]] = [
             {} for _ in range(geometry.num_sets)
         ]  # tag -> way
+        self._way_tags: List[List[int]] = [
+            [0] * geometry.ways for _ in range(geometry.num_sets)
+        ]  # way -> tag, meaningful for occupied ways only
         self._occupied: List[List[bool]] = [
             [False] * geometry.ways for _ in range(geometry.num_sets)
         ]
@@ -79,29 +87,31 @@ class SetAssociativeCache:
 
     def access(self, address: int) -> bool:
         """Load ``address``; return ``True`` on hit, filling on miss."""
-        set_index = self.geometry.set_of(address)
-        tag = self.geometry.tag_of(address)
+        set_index, tag = decompose(address, self._line_bytes,
+                                   self._num_sets)
         ways = self._sets[set_index]
-        self.stats.accesses += 1
-        if tag in ways:
-            self.stats.hits += 1
-            self._policies[set_index].on_access(ways[tag])
+        policy = self._policies[set_index]
+        stats = self.stats
+        stats.accesses += 1
+        way = ways.get(tag)
+        if way is not None:
+            stats.hits += 1
+            policy.on_access(way)
             return True
 
-        self.stats.misses += 1
+        stats.misses += 1
         occupied = self._occupied[set_index]
-        if all(occupied):
-            victim_way = self._policies[set_index].victim(occupied)
-            victim_tag = next(
-                t for t, w in ways.items() if w == victim_way
-            )
-            del ways[victim_tag]
-            self.stats.evictions += 1
+        way_tags = self._way_tags[set_index]
+        if len(ways) == self._ways:
+            way = policy.victim(occupied)
+            del ways[way_tags[way]]
+            stats.evictions += 1
         else:
-            victim_way = occupied.index(False)
-        ways[tag] = victim_way
-        occupied[victim_way] = True
-        self._policies[set_index].on_access(victim_way)
+            way = occupied.index(False)
+        ways[tag] = way
+        way_tags[way] = tag
+        occupied[way] = True
+        policy.on_access(way)
         return False
 
     def is_resident(self, address: int) -> bool:
@@ -111,14 +121,14 @@ class SetAssociativeCache:
         primitives in :mod:`repro.channel.primitive` decide whether to use this
         (idealised) or :meth:`access` (Flush+Reload's perturbing reload).
         """
-        set_index = self.geometry.set_of(address)
-        tag = self.geometry.tag_of(address)
+        set_index, tag = decompose(address, self._line_bytes,
+                                   self._num_sets)
         return tag in self._sets[set_index]
 
     def flush_line(self, address: int) -> bool:
         """Invalidate the line holding ``address``; return whether present."""
-        set_index = self.geometry.set_of(address)
-        tag = self.geometry.tag_of(address)
+        set_index, tag = decompose(address, self._line_bytes,
+                                   self._num_sets)
         ways = self._sets[set_index]
         self.stats.flushes += 1
         if tag not in ways:
@@ -144,7 +154,7 @@ class SetAssociativeCache:
             for way in list(self._sets[set_index].values()):
                 self._policies[set_index].on_invalidate(way)
             self._sets[set_index].clear()
-            self._occupied[set_index] = [False] * self.geometry.ways
+            self._occupied[set_index] = [False] * self._ways
 
     # ------------------------------------------------------------------
     # Introspection
@@ -155,7 +165,7 @@ class SetAssociativeCache:
         lines = []
         for set_index, ways in enumerate(self._sets):
             for tag in ways:
-                lines.append(tag * self.geometry.num_sets + set_index)
+                lines.append(tag * self._num_sets + set_index)
         return sorted(lines)
 
     def resident_count(self) -> int:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 try:  # Python 3.8+: typing.Protocol
     from typing import Protocol
@@ -91,6 +91,10 @@ class ProbePrimitive(ABC):
 
     def __init__(self, monitor: SboxMonitor) -> None:
         self.monitor = monitor
+        #: ``(line, representative address)`` of every monitored line.
+        self._probes: Tuple[Tuple[int, int], ...] = tuple(
+            zip(monitor.lines, monitor.line_addresses())
+        )
 
     @abstractmethod
     def reset(self, surface: ProbeSurface) -> None:
@@ -136,7 +140,7 @@ class FlushReload(ProbePrimitive):
     line_granular = True
 
     def reset(self, surface: ProbeSurface) -> None:
-        for address in self.monitor.line_addresses():
+        for _, address in self._probes:
             surface.flush_line(address)
 
     def mid_flush(self, surface: ProbeSurface) -> None:
@@ -144,8 +148,7 @@ class FlushReload(ProbePrimitive):
 
     def observe(self, surface: ProbeSurface) -> FrozenSet[int]:
         observed = set()
-        for line, address in zip(self.monitor.lines,
-                                 self.monitor.line_addresses()):
+        for line, address in self._probes:
             if surface.access(address):  # the "reload": hit == was resident
                 observed.add(line)
         return frozenset(observed)
@@ -172,7 +175,7 @@ class PrimeProbe(ProbePrimitive):
         super().__init__(monitor)
         geometry = monitor.geometry
         self._lines_by_set: Dict[int, List[int]] = {}
-        for line, address in zip(monitor.lines, monitor.line_addresses()):
+        for line, address in self._probes:
             self._lines_by_set.setdefault(
                 geometry.set_of(address), []
             ).append(line)
@@ -252,12 +255,11 @@ class FlushFlush(ProbePrimitive):
                 signal_miss_probability
                 * profile[geometry.set_of(address) % len(profile)],
             )
-            for line, address in zip(monitor.lines,
-                                     monitor.line_addresses())
+            for line, address in self._probes
         }
 
     def reset(self, surface: ProbeSurface) -> None:
-        for address in self.monitor.line_addresses():
+        for _, address in self._probes:
             surface.flush_line(address)
 
     def mid_flush(self, surface: ProbeSurface) -> None:
@@ -265,8 +267,7 @@ class FlushFlush(ProbePrimitive):
 
     def observe(self, surface: ProbeSurface) -> FrozenSet[int]:
         observed = set()
-        for line, address in zip(self.monitor.lines,
-                                 self.monitor.line_addresses()):
+        for line, address in self._probes:
             # The flush is the probe: a long (== hit) flush reveals the
             # victim's touch and leaves the line reset in one step.
             if surface.flush_line(address):

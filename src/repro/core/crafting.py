@@ -17,6 +17,12 @@ The inversion is the cipher target's
 cipher knows how its own rounds unwind (PRESENT, for instance, XORs
 its key *before* the S-box layer and has no state-side constants).
 
+Each :class:`PlaintextCrafter` turns its spec into a per-segment draw
+table once, so crafting a plaintext is one rejection-sampled draw per
+segment plus the inversion.  The draws consume the attacker's RNG
+exactly as ``rng.choice``/``rng.randrange(16)`` would, which keeps
+every seeded attack (and the recorded trace corpus) unchanged.
+
 A wrong guess for a round key shows up as a constant XOR error on the
 achieved constrained state; errors outside the four pinned segments land
 in positions that were random anyway, which is why hypothesis testing
@@ -28,8 +34,44 @@ from __future__ import annotations
 import random
 from typing import List, Sequence, Tuple
 
-from ..targets.registry import get_target
 from .target_bits import TargetSpec
+
+#: One segment's draw: ``(shift, values, n, n.bit_length())``.
+SegmentDraw = Tuple[int, Sequence[int], int, int]
+
+_ANY_NIBBLE = tuple(range(16))
+
+
+def _draw_plan(spec: TargetSpec) -> Tuple[SegmentDraw, ...]:
+    """Per-segment draw table of ``spec``, in segment order.
+
+    A pinned source segment draws from its valid-input list, every
+    other segment from all sixteen nibbles.
+    """
+    plan = []
+    for segment in range(spec.width // 4):
+        values = spec.valid_inputs.get(segment, _ANY_NIBBLE)
+        count = len(values)
+        plan.append((4 * segment, values, count, count.bit_length()))
+    return tuple(plan)
+
+
+def _draw_state(plan: Sequence[SegmentDraw], rng: random.Random) -> int:
+    """Draw one state from a :func:`_draw_plan`.
+
+    Each segment takes ``getrandbits(k)`` until the draw is below
+    ``n``: the rejection loop CPython's ``Random._randbelow`` runs for
+    ``rng.choice(values)`` and ``rng.randrange(16)``, so the generator
+    advances exactly as those calls would advance it.
+    """
+    getrandbits = rng.getrandbits
+    state = 0
+    for shift, values, count, bits in plan:
+        draw = getrandbits(bits)
+        while draw >= count:
+            draw = getrandbits(bits)
+        state |= values[draw] << shift
+    return state
 
 
 def build_target_round_input(spec: TargetSpec, rng: random.Random) -> int:
@@ -39,29 +81,7 @@ def build_target_round_input(spec: TargetSpec, rng: random.Random) -> int:
     valid-input list; the remaining segments take uniform random
     nibbles (Algorithm 2 lines 3-10).
     """
-    segments = spec.width // 4
-    state = 0
-    for segment in range(segments):
-        if segment in spec.valid_inputs:
-            nibble = rng.choice(spec.valid_inputs[segment])
-        else:
-            nibble = rng.randrange(16)
-        state |= nibble << (4 * segment)
-    return state
-
-
-def invert_rounds(state: int, round_keys: Sequence[Tuple[int, int]],
-                  width: int) -> int:
-    """Invert GIFT rounds ``len(round_keys) .. 1`` on a round-input state.
-
-    ``round_keys[r - 1]`` is the ``(U, V)`` key of round ``r``.  Given the
-    input of round ``len(round_keys) + 1``, returns the plaintext (the
-    input of round 1) that produces it under those keys.
-
-    Kept as the module-level GIFT entry point; the generic path is
-    :meth:`repro.targets.CipherTarget.invert_rounds`.
-    """
-    return get_target(f"gift{width}").invert_rounds(state, round_keys)
+    return _draw_state(_draw_plan(spec), rng)
 
 
 class PlaintextCrafter:
@@ -91,16 +111,13 @@ class PlaintextCrafter:
         self.spec = spec
         self.prior_round_keys = list(prior_round_keys)
         self._rng = rng
+        self._plan = _draw_plan(spec)
+        self._invert_rounds = spec.target.invert_rounds
 
     def craft(self) -> int:
         """Return one crafted plaintext."""
-        target_input = build_target_round_input(self.spec, self._rng)
-        if self.spec.target is not None:
-            return self.spec.target.invert_rounds(
-                target_input, self.prior_round_keys
-            )
-        return invert_rounds(target_input, self.prior_round_keys,
-                             self.spec.width)
+        return self._invert_rounds(_draw_state(self._plan, self._rng),
+                                   self.prior_round_keys)
 
     def craft_many(self, count: int) -> List[int]:
         """Return ``count`` crafted plaintexts."""

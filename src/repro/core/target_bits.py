@@ -86,8 +86,7 @@ class TargetSpec:
     key_offsets: Tuple[int, ...]
     free_bit_predictions: Tuple[Tuple[int, int], ...]
     key_bit_positions: Tuple[int, ...]
-    target: Optional[CipherTarget] = field(default=None, compare=False,
-                                           repr=False)
+    target: CipherTarget = field(compare=False, repr=False)
 
     @property
     def source_segments(self) -> Tuple[int, ...]:
@@ -115,14 +114,9 @@ class TargetSpec:
         Only defined for the attacked rounds (where round keys are
         fresh master-key material).
         """
-        return self._target().master_key_bit_positions(
+        return self.target.master_key_bit_positions(
             self.round_index, self.segment
         )
-
-    def _target(self) -> CipherTarget:
-        if self.target is not None:
-            return self.target
-        return get_target(f"gift{self.width}")
 
 
 def set_target_bits(round_index: int, segment: int, width: int = 64,

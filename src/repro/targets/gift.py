@@ -28,14 +28,14 @@ from ..gift.cipher import (  # noqa: F401  (re-exported)
     round_key_mask,
     sub_cells,
 )
-from ..gift.constants import constant_mask
+from ..gift.constants import MAX_ROUNDS, constant_mask
 from ..gift.keyschedule import round_keys  # noqa: F401  (re-exported)
 from ..gift.lut import (  # noqa: F401  (re-exported)
     TracedGift64,
     TracedGift128,
     TracedGiftCipher,
 )
-from ..gift.permutation import inverse_permutation_for_width, permute
+from ..gift.permutation import inverse_permutation_for_width
 from ..gift.sbox import GIFT_SBOX, GIFT_SBOX_INV  # noqa: F401  (re-exported)
 from .layout import TableLayout
 from .protocol import CipherTarget, TracedVictim
@@ -45,6 +45,41 @@ from .registry import register_target
 def _rotate_right_16(word: int, amount: int) -> int:
     amount %= 16
     return ((word >> amount) | (word << (16 - amount))) & 0xFFFF
+
+
+@dataclass(frozen=True)
+class _InverseRoundTables:
+    """Byte-sliced tables of one GIFT width's inverse round.
+
+    ``perm_rows[i][b]`` is P⁻¹ of byte value ``b`` sitting in state
+    byte ``i``, ``sbox_inv[b]`` is S⁻¹ applied to both nibbles of a
+    byte, and ``constant_masks[r - 1]`` is round ``r``'s constant mask.
+    """
+
+    perm_rows: Tuple[Tuple[int, ...], ...]
+    sbox_inv: Tuple[int, ...]
+    constant_masks: Tuple[int, ...]
+
+    @classmethod
+    def build(cls, width: int) -> "_InverseRoundTables":
+        inverse_perm = inverse_permutation_for_width(width)
+        perm_rows = []
+        for base in range(0, width, 8):
+            row = [0] * 256
+            for value in range(1, 256):
+                low = value & -value
+                row[value] = (row[value ^ low]
+                              | 1 << inverse_perm[base + low.bit_length() - 1])
+            perm_rows.append(tuple(row))
+        sbox_inv = tuple(
+            GIFT_SBOX_INV[value & 0xF] | GIFT_SBOX_INV[value >> 4] << 4
+            for value in range(256)
+        )
+        constant_masks = tuple(
+            constant_mask(round_index, width)
+            for round_index in range(1, MAX_ROUNDS + 1)
+        )
+        return cls(tuple(perm_rows), sbox_inv, constant_masks)
 
 
 @dataclass(frozen=True)
@@ -211,6 +246,9 @@ class GiftTarget(CipherTarget):
         self.key_offsets = profile.key_offsets
         self.free_offsets = profile.free_offsets
         self._inverse_perm = inverse_permutation_for_width(profile.width)
+        # Built on the first inversion, so importing the target stays
+        # cheap for processes that never craft.
+        self._inverse_tables: Optional[_InverseRoundTables] = None
 
     # -- Algorithm-1 support ------------------------------------------
 
@@ -226,14 +264,31 @@ class GiftTarget(CipherTarget):
                       prior_round_keys: Sequence[Tuple[int, int]]) -> int:
         """Step 5's inversion: ``input_r = S⁻¹(P⁻¹(input_{r+1} XOR RK_r
         XOR C_r))`` from the constrained round-``t`` input down to the
-        plaintext."""
+        plaintext.
+
+        P⁻¹ and S⁻¹ run one state byte at a time through the lazily
+        built :class:`_InverseRoundTables` of this width.
+        """
+        tables = self._inverse_tables
+        if tables is None:
+            tables = self._inverse_tables = _InverseRoundTables.build(
+                self.width
+            )
         width = self.width
+        perm_rows = tables.perm_rows
+        sbox_inv = tables.sbox_inv
+        constant_masks = tables.constant_masks
         for round_index in range(len(prior_round_keys), 0, -1):
             u, v = prior_round_keys[round_index - 1]
-            state ^= round_key_mask(u, v, width)
-            state ^= constant_mask(round_index, width)
-            state = permute(state, self._inverse_perm)
-            state = sub_cells(state, width, inverse=True)
+            state ^= (round_key_mask(u, v, width)
+                      ^ constant_masks[round_index - 1])
+            permuted = 0
+            for row in perm_rows:
+                permuted |= row[state & 0xFF]
+                state >>= 8
+            state = 0
+            for shift in range(0, width, 8):
+                state |= sbox_inv[(permuted >> shift) & 0xFF] << shift
         return state
 
     # -- key-relation algebra -----------------------------------------

@@ -152,14 +152,20 @@ class CipherTarget(abc.ABC):
             self, constraints: Sequence[Tuple[int, int]]) -> Tuple[int, ...]:
         """S-box inputs whose output satisfies every ``(bit, value)``
         constraint — the paper's ``List_A``/``List_B`` construction,
-        over this cipher's S-box."""
-        candidates = []
-        for value in range(SBOX_ENTRIES):
-            output = self.sbox[value]
-            if all((output >> bit) & 1 == wanted
-                   for bit, wanted in constraints):
-                candidates.append(value)
-        return tuple(candidates)
+        over this cipher's S-box.
+
+        Memoised per target instance: Algorithm 1 asks for the same few
+        constraint tuples on every target it traces.
+        """
+        key = tuple(constraints)
+        memo = self.__dict__.setdefault("_inputs_for_output_bits", {})
+        if key not in memo:
+            memo[key] = tuple(
+                value for value in range(SBOX_ENTRIES)
+                if all((self.sbox[value] >> bit) & 1 == wanted
+                       for bit, wanted in key)
+            )
+        return memo[key]
 
     # ------------------------------------------------------------------
     # Algorithm-2 / Step-5 support (crafting)

@@ -1,0 +1,245 @@
+"""Both cache arrays against a brute-force reference model.
+
+The arrays split each address into ``(set, tag)`` once and keep a
+``way -> tag`` index, so an eviction never scans its set.  The
+reference below is the straightforward algorithm: ``set_of``/``tag_of``
+per call, victim tag found by scanning the set, fullness by
+``all(occupied)``.  Random operation sequences must give the same
+return values, residency, counters and replacement-policy RNG draws.
+"""
+
+from dataclasses import asdict
+from typing import Dict, List, Optional
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cache.geometry import CacheGeometry, geometry_preset
+from repro.cache.multilevel import InclusionPolicy, TwoLevelHierarchy
+from repro.cache.policies import make_policy
+from repro.cache.setassoc import CacheStats, SetAssociativeCache
+
+POLICIES = ("lru", "fifo", "random")
+GEOMETRIES = ("paper", "paper-4word")
+
+
+class ReferenceArray:
+    """One residency-only cache array, the unindexed way."""
+
+    def __init__(self, geometry: CacheGeometry, policy: str,
+                 rng_scope="level", stats=None) -> None:
+        self.geometry = geometry
+        self.stats = stats
+        self.sets: List[Dict[int, int]] = [
+            {} for _ in range(geometry.num_sets)
+        ]
+        self.occupied = [[False] * geometry.ways
+                         for _ in range(geometry.num_sets)]
+        self.policies = [
+            make_policy(policy, geometry.ways, None, set_index=set_index,
+                        rng_scope=rng_scope)
+            for set_index in range(geometry.num_sets)
+        ]
+
+    def lookup(self, address: int) -> bool:
+        set_index = self.geometry.set_of(address)
+        tag = self.geometry.tag_of(address)
+        if tag in self.sets[set_index]:
+            self.policies[set_index].on_access(self.sets[set_index][tag])
+            return True
+        return False
+
+    def is_resident(self, address: int) -> bool:
+        set_index = self.geometry.set_of(address)
+        return self.geometry.tag_of(address) in self.sets[set_index]
+
+    def fill(self, address: int) -> Optional[int]:
+        set_index = self.geometry.set_of(address)
+        tag = self.geometry.tag_of(address)
+        ways = self.sets[set_index]
+        if tag in ways:
+            self.policies[set_index].on_access(ways[tag])
+            return None
+        occupied = self.occupied[set_index]
+        evicted_line = None
+        if all(occupied):
+            victim_way = self.policies[set_index].victim(occupied)
+            victim_tag = next(t for t, w in ways.items() if w == victim_way)
+            del ways[victim_tag]
+            evicted_line = victim_tag * self.geometry.num_sets + set_index
+            if self.stats is not None:
+                self.stats.evictions += 1
+        else:
+            victim_way = occupied.index(False)
+        ways[tag] = victim_way
+        occupied[victim_way] = True
+        self.policies[set_index].on_access(victim_way)
+        return evicted_line
+
+    def invalidate(self, address: int) -> bool:
+        set_index = self.geometry.set_of(address)
+        tag = self.geometry.tag_of(address)
+        ways = self.sets[set_index]
+        if tag not in ways:
+            return False
+        way = ways.pop(tag)
+        self.occupied[set_index][way] = False
+        self.policies[set_index].on_invalidate(way)
+        return True
+
+    def resident_lines(self) -> List[int]:
+        return sorted(
+            tag * self.geometry.num_sets + set_index
+            for set_index, ways in enumerate(self.sets)
+            for tag in ways
+        )
+
+
+class ReferenceCache:
+    """:class:`SetAssociativeCache` semantics over one reference array."""
+
+    def __init__(self, geometry: CacheGeometry, policy: str) -> None:
+        self.stats = CacheStats()
+        # The single-level cache derives its per-set streams at scope 0.
+        self.array = ReferenceArray(geometry, policy, rng_scope=0,
+                                    stats=self.stats)
+
+    def access(self, address: int) -> bool:
+        self.stats.accesses += 1
+        if self.array.lookup(address):
+            self.stats.hits += 1
+            return True
+        self.stats.misses += 1
+        self.array.fill(address)
+        return False
+
+    def flush_line(self, address: int) -> bool:
+        self.stats.flushes += 1
+        if self.array.invalidate(address):
+            self.stats.flush_hits += 1
+            return True
+        self.stats.flush_misses += 1
+        return False
+
+    def flush_all(self) -> None:
+        array = self.array
+        for set_index, ways in enumerate(array.sets):
+            self.stats.flushes += len(ways)
+            self.stats.flush_hits += len(ways)
+            for way in list(ways.values()):
+                array.policies[set_index].on_invalidate(way)
+            ways.clear()
+            array.occupied[set_index] = [False] * array.geometry.ways
+
+    def resident_lines(self) -> List[int]:
+        return self.array.resident_lines()
+
+
+class ReferenceHierarchy(TwoLevelHierarchy):
+    """The real hierarchy logic over reference arrays."""
+
+    def __init__(self, l1_geometry, l2_geometry, inclusion, policy):
+        super().__init__(cores=2, l1_geometry=l1_geometry,
+                         l2_geometry=l2_geometry, inclusion=inclusion,
+                         policy=policy)
+        self.l1 = [
+            ReferenceArray(l1_geometry, policy, f"l1-core{core}",
+                           self.stats)
+            for core in range(self.cores)
+        ]
+        self.l2 = ReferenceArray(l2_geometry, policy, "l2", self.stats)
+
+
+def _address(geometry: CacheGeometry, set_index: int, tag: int,
+             offset: int) -> int:
+    line = tag * geometry.num_sets + set_index
+    return line * geometry.line_bytes + offset % geometry.line_bytes
+
+
+#: ``(kind, core, set, tag, byte offset)``: two hot sets, 41 tags
+#: against at most 16 ways, and long sequences, so most examples fill
+#: their sets and evict many times between whole-cache flushes.
+operations = st.lists(
+    st.tuples(
+        st.sampled_from(["access"] * 12 + ["flush_line"] * 3
+                        + ["flush_all"]),
+        st.integers(0, 1),
+        st.integers(0, 1),
+        st.integers(0, 40),
+        st.integers(0, 7),
+    ),
+    min_size=80,
+    max_size=250,
+)
+
+
+@pytest.mark.parametrize("preset", GEOMETRIES)
+@pytest.mark.parametrize("policy", POLICIES)
+class TestAgainstReference:
+    @settings(max_examples=10, deadline=None)
+    @given(ops=operations)
+    def test_set_associative_cache(self, preset, policy, ops):
+        geometry = geometry_preset(preset)
+        cache = SetAssociativeCache(geometry, policy)
+        reference = ReferenceCache(geometry, policy)
+        for kind, _, set_index, tag, offset in ops:
+            if kind == "flush_all":
+                assert cache.flush_all() is reference.flush_all()
+                continue
+            address = _address(geometry, set_index, tag, offset)
+            assert (getattr(cache, kind)(address)
+                    == getattr(reference, kind)(address))
+            assert cache.is_resident(address) == \
+                reference.array.is_resident(address)
+        assert cache.resident_lines() == reference.resident_lines()
+        assert asdict(cache.stats) == asdict(reference.stats)
+
+    @settings(max_examples=10, deadline=None)
+    @given(ops=operations,
+           inclusion=st.sampled_from(list(InclusionPolicy)))
+    def test_two_level_hierarchy(self, preset, policy, ops, inclusion):
+        l2_geometry = geometry_preset(preset)
+        l1_geometry = CacheGeometry(total_lines=64, ways=4,
+                                    line_words=l2_geometry.line_words)
+        hierarchy = TwoLevelHierarchy(
+            cores=2, l1_geometry=l1_geometry, l2_geometry=l2_geometry,
+            inclusion=inclusion, policy=policy,
+        )
+        reference = ReferenceHierarchy(l1_geometry, l2_geometry,
+                                       inclusion, policy)
+        for kind, core, set_index, tag, offset in ops:
+            address = _address(l2_geometry, set_index, tag, offset)
+            if kind == "access":
+                assert (hierarchy.access(core, address)
+                        is reference.access(core, address))
+            else:
+                hierarchy.flush_line(address)
+                reference.flush_line(address)
+            assert (hierarchy.is_resident_l2(address)
+                    == reference.is_resident_l2(address))
+        assert asdict(hierarchy.stats) == asdict(reference.stats)
+        for real, model in zip(hierarchy.l1 + [hierarchy.l2],
+                               reference.l1 + [reference.l2]):
+            assert real.sets == model.sets
+            assert real.occupied == model.occupied
+        assert hierarchy.inclusion_holds()
+
+
+class TestNegativeAddresses:
+    def test_set_associative_cache_rejects(self):
+        cache = SetAssociativeCache()
+        for operation in (cache.access, cache.is_resident,
+                          cache.flush_line):
+            with pytest.raises(ValueError, match="non-negative"):
+                operation(-1)
+        assert asdict(cache.stats) == asdict(CacheStats())
+
+    def test_hierarchy_rejects(self):
+        hierarchy = TwoLevelHierarchy()
+        with pytest.raises(ValueError, match="non-negative"):
+            hierarchy.access(0, -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            hierarchy.flush_line(-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            hierarchy.is_resident_l2(-1)

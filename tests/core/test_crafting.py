@@ -12,15 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.crafting import (
-    PlaintextCrafter,
-    build_target_round_input,
-    invert_rounds,
-)
+from repro.core.crafting import PlaintextCrafter, build_target_round_input
 from repro.core.recover import expected_index
 from repro.core.target_bits import set_target_bits
 from repro.gift.cipher import Gift64
 from repro.gift.keyschedule import round_keys
+from repro.targets import get_target
 
 keys = st.integers(min_value=0, max_value=(1 << 128) - 1)
 
@@ -38,12 +35,12 @@ class TestInvertRounds:
            st.integers(min_value=1, max_value=4))
     def test_inversion_matches_forward_rounds(self, key, state, rounds):
         rks = round_keys(key, rounds, width=64)
-        plaintext = invert_rounds(state, rks, width=64)
+        plaintext = get_target("gift64").invert_rounds(state, rks)
         states = Gift64(key).round_states(plaintext, rounds=rounds)
         assert states[-1].after_add_round_key == state
 
     def test_zero_rounds_is_identity(self):
-        assert invert_rounds(0xDEADBEEF, [], width=64) == 0xDEADBEEF
+        assert get_target("gift64").invert_rounds(0xDEADBEEF, []) == 0xDEADBEEF
 
 
 class TestRoundOneCrafting:
