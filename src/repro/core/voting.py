@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 
 def log_binom_pmf(n: int, k: int, p: float) -> float:
@@ -166,6 +166,12 @@ class VotingEliminator:
         self.policy = policy
         self._counts: Dict[int, int] = {line: 0 for line in sorted(universe)}
         self.observations = 0
+        # Decision state derived from the counts, rebuilt lazily after
+        # each update: the sorted ranking, the posterior, and the
+        # running sums of ``binom_tail_le(observations, k, e)``.
+        self._ranked: Optional[List[Tuple[int, int]]] = None
+        self._confidence: Optional[float] = None
+        self._tail: List[float] = []
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -177,6 +183,9 @@ class VotingEliminator:
         self.observations += 1
         for line in set(observed) & self.universe:
             self._counts[line] += 1
+        self._ranked = None
+        self._confidence = None
+        self._tail = []
 
     def update_batch(self,
                      observations: Iterable[Iterable[int]]) -> None:
@@ -203,19 +212,61 @@ class VotingEliminator:
             return 0.0
         return self._counts[line] / self.observations
 
+    def _ranking(self) -> List[Tuple[int, int]]:
+        """The shared ranking, sorted once per update (do not mutate)."""
+        if self._ranked is None:
+            self._ranked = sorted(self._counts.items(),
+                                  key=lambda kv: (-kv[1], kv[0]))
+        return self._ranked
+
     @property
     def ranking(self) -> List[Tuple[int, int]]:
         """Lines ranked by count (desc), ties broken by line number."""
-        return sorted(self._counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        return list(self._ranking())
 
     @property
     def leader(self) -> int:
         """The current count leader."""
-        return self.ranking[0][0]
+        return self._ranking()[0][0]
 
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
+
+    def _lower_tail(self, k: int) -> float:
+        """``binom_tail_le(observations, k, expected_presence)``, bit for
+        bit, read from running sums built once per update.
+
+        The sums are extended only as far as the largest ``k`` asked
+        since the last update.  Each term is the expression
+        :func:`log_binom_pmf` evaluates, with the same operands in the
+        same order, and the terms are added in the order
+        :func:`binom_tail_le` adds them, so every prefix sum is the
+        float that function returns before its ``min(1.0, ...)``.
+        """
+        n = self.observations
+        if k >= n:
+            return 1.0
+        if k < 0:
+            return 0.0
+        sums = self._tail
+        if k >= len(sums):
+            p = self.policy.expected_presence
+            if p >= 1.0:
+                # log_binom_pmf's degenerate rate: no mass below n.
+                sums.extend([0.0] * (k + 1 - len(sums)))
+            else:
+                lgamma = math.lgamma
+                exp = math.exp
+                lg_n = lgamma(n + 1)
+                log_p = math.log(p)
+                log_q = math.log1p(-p)
+                total = sums[-1] if sums else 0.0
+                for i in range(len(sums), k + 1):
+                    total += exp((lg_n - lgamma(i + 1) - lgamma(n - i + 1))
+                                 + i * log_p + (n - i) * log_q)
+                    sums.append(total)
+        return min(1.0, sums[k])
 
     def is_viable(self, line: int) -> bool:
         """Whether ``line``'s count is consistent with the target rate."""
@@ -223,9 +274,8 @@ class VotingEliminator:
             return True
         if self.policy.strict_equivalent:
             return self._counts[line] == self.observations
-        tail = binom_tail_le(self.observations, self._counts[line],
-                             self.policy.expected_presence)
-        return tail > self.policy.viability_epsilon
+        return (self._lower_tail(self._counts[line])
+                > self.policy.viability_epsilon)
 
     @property
     def viable(self) -> FrozenSet[int]:
@@ -251,12 +301,17 @@ class VotingEliminator:
         possible and the confidence is 0.  1.0 in strict-equivalent
         mode once the attendance set is a singleton.
         """
+        if self._confidence is None:
+            self._confidence = self._posterior()
+        return self._confidence
+
+    def _posterior(self) -> float:
         n = self.observations
         if n == 0:
             return 0.0
         if self.policy.strict_equivalent:
             return 1.0 if len(self.viable) == 1 else 0.0
-        ranked = self.ranking
+        ranked = self._ranking()
         if len(ranked) == 1:
             return 1.0
         e = self.policy.expected_presence
@@ -274,22 +329,17 @@ class VotingEliminator:
     # Decisions
     # ------------------------------------------------------------------
 
-    def _separation_tail(self, count: int) -> float:
-        """Lower tail of ``count`` under the target-presence rate."""
-        return binom_tail_le(self.observations, count,
-                             self.policy.expected_presence)
-
     @property
     def separated(self) -> bool:
         """The leader looks like a rate-``e`` target and the runner-up
         does not (trivially true for a single-line universe)."""
-        ranked = self.ranking
+        ranked = self._ranking()
         epsilon = self.policy.separation_epsilon
-        if self._separation_tail(ranked[0][1]) <= epsilon:
+        if self._lower_tail(ranked[0][1]) <= epsilon:
             return False
         if len(ranked) == 1:
             return True
-        return self._separation_tail(ranked[1][1]) <= epsilon
+        return self._lower_tail(ranked[1][1]) <= epsilon
 
     @property
     def decided(self) -> bool:
@@ -325,10 +375,10 @@ class VotingEliminator:
             return ("min_observations",
                     f"{n} observations, fewer than min_observations="
                     f"{policy.min_observations}")
-        ranked = self.ranking
+        ranked = self._ranking()
         presence = f"expected presence {policy.expected_presence:.3f}"
         leader, count = ranked[0]
-        tail = self._separation_tail(count)
+        tail = self._lower_tail(count)
         if not self.is_viable(leader):
             return ("leader_not_viable",
                     f"leader line {leader} seen in {count}/{n} windows "
@@ -342,7 +392,7 @@ class VotingEliminator:
                     f"{epsilon:g} at {presence}")
         if len(ranked) > 1:
             runner_up, runner_count = ranked[1]
-            runner_tail = self._separation_tail(runner_count)
+            runner_tail = self._lower_tail(runner_count)
             if runner_tail > epsilon:
                 return ("separation",
                         f"runner-up line {runner_up} seen in "

@@ -10,7 +10,8 @@ each benchmarked here:
   :data:`_BATCH_BLOCKS` blocks through ``encrypt_batch``);
 * the **observer fast path** — crafted-encryption line observations
   (``observer_fast_observations``);
-* the **voting decision core** — per-window count updates
+* the **voting decision core** — one window of the attack's voting
+  loop: the count update and the decision reads that follow it
   (``voting_updates``);
 * the **engine trial body** — one complete first-round attack, the
   unit Fig. 3 / Table I fan out (``engine_first_round_trial``).
@@ -66,6 +67,11 @@ _PLAINTEXT_POOL: int = 256
 
 #: Synthetic probe windows cycled through the voting bench.
 _OBSERVATION_POOL: int = 512
+
+#: Windows per voter in the voting bench: past ``min_observations`` and
+#: ``rejection_observations``, and about twice the median voting run
+#: (20 windows) of a GIFT-64 full-key attack at 15% signal loss.
+_VOTING_RUN: int = 48
 
 #: Blocks per ``encrypt_batch`` call in the batch cipher bench (one
 #: bench op encrypts this many blocks; large enough to amortise the
@@ -212,7 +218,10 @@ def _observer_bench(seed: int) -> Dict[str, object]:
 def _voting_bench(seed: int) -> Dict[str, object]:
     # A 16-line universe (the paper's 1-byte-entry S-box under 1-word
     # lines) fed synthetic lossy windows: the target present at 80%,
-    # three background lines drawn uniformly.
+    # three background lines drawn uniformly.  One op is one window of
+    # the attack's voting loop: the update, then the rejection,
+    # acceptance and posterior reads it makes, on a fresh voter every
+    # _VOTING_RUN windows.
     universe = frozenset(range(16))
     rng = derive_rng("perf-voting", seed)
     windows: List[FrozenSet[int]] = []
@@ -220,12 +229,20 @@ def _voting_bench(seed: int) -> Dict[str, object]:
         lines = {0} if rng.random() < 0.8 else set()
         lines.update(rng.randrange(16) for _ in range(3))
         windows.append(frozenset(lines))
-    voter = VotingEliminator(universe, VotingPolicy(expected_presence=0.8))
+    policy = VotingPolicy(expected_presence=0.8)
     draw = _cycled(windows)  # type: ignore[arg-type]
-    return {
-        "name": "voting_updates",
-        "fn": lambda: voter.update(draw()),
-    }
+    voter = VotingEliminator(universe, policy)
+
+    def window() -> None:
+        nonlocal voter
+        if voter.observations == _VOTING_RUN:
+            voter = VotingEliminator(universe, policy)
+        voter.update(draw())
+        voter.rejected
+        voter.decided
+        voter.confidence
+
+    return {"name": "voting_updates", "fn": window}
 
 
 def _engine_trial_bench(seed: int) -> Dict[str, object]:

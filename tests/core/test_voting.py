@@ -11,6 +11,11 @@ The lossy-channel tentpole rests on four claims, each pinned here:
 * whenever the voter accepts with confidence at or above the
   threshold, the full attack's recovered key matches the planted one
   (checked end-to-end in ``test_lossy_attack.py``).
+
+The voter keeps its binomial tails, ranking and posterior per update
+instead of recomputing them per query; the last two classes hold that
+arithmetic to :func:`binom_tail_le` and to a voter that recomputes
+everything on every call, float for float.
 """
 
 import random
@@ -229,3 +234,94 @@ class TestBlockingGuard:
         guard, detail = voter.blocking_guard()
         assert guard == "confidence"
         assert "under the 0.99999 threshold" in detail
+
+
+class TestTailTable:
+    """The voter's running tail sums are ``binom_tail_le``, bit for bit."""
+
+    @pytest.mark.parametrize("n_max", [
+        120,
+        pytest.param(400, marks=pytest.mark.slow),
+    ])
+    @pytest.mark.parametrize("p", [0.85, 0.98, 0.5, 0.784, 0.123, 1.0])
+    def test_equals_reference_for_every_k(self, n_max, p):
+        voter = VotingEliminator(frozenset({0}),
+                                 VotingPolicy(expected_presence=p))
+        rng = random.Random(n_max)
+        for n in range(n_max):
+            # Shuffled queries extend the sums in jumps and read back
+            # below the high-water mark.
+            ks = list(range(-1, n + 2))
+            rng.shuffle(ks)
+            for k in ks:
+                assert voter._lower_tail(k) == binom_tail_le(n, k, p), (n, k)
+            voter.update(())
+
+
+class PerCallVoter(VotingEliminator):
+    """The reference: the voter with every per-update cache bypassed.
+    Each read re-sorts the counts, re-sums its binomial tail from zero
+    with :func:`binom_tail_le` and recomputes the posterior."""
+
+    def _ranking(self):
+        return sorted(self._counts.items(), key=lambda kv: (-kv[1], kv[0]))
+
+    def _lower_tail(self, k):
+        return binom_tail_le(self.observations, k,
+                             self.policy.expected_presence)
+
+    @property
+    def confidence(self):
+        return self._posterior()
+
+
+#: The decision reads the attack loop and the error path make.
+QUERIES = {
+    "ranking": lambda voter: voter.ranking,
+    "viable": lambda voter: voter.viable,
+    "confidence": lambda voter: voter.confidence,
+    "separated": lambda voter: voter.separated,
+    "decided": lambda voter: voter.decided,
+    "rejected": lambda voter: voter.rejected,
+    "blocking_guard": lambda voter: voter.blocking_guard(),
+}
+
+
+class TestCachedDecisions:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lines=st.integers(1, 8),
+        windows=st.integers(1, 100),
+        target_rate=st.floats(0.3, 1.0),
+        background_rate=st.floats(0.0, 0.7),
+        presence=st.floats(0.05, 0.99),
+        min_observations=st.integers(1, 24),
+        rejection_observations=st.integers(1, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_call_voter_after_every_update(
+            self, seed, lines, windows, target_rate, background_rate,
+            presence, min_observations, rejection_observations):
+        policy = VotingPolicy(
+            expected_presence=presence,
+            min_observations=min_observations,
+            rejection_observations=rejection_observations,
+        )
+        universe = frozenset(range(lines))
+        voter = VotingEliminator(universe, policy)
+        reference = PerCallVoter(universe, policy)
+        rng = random.Random(seed)
+        names = list(QUERIES)
+        for _ in range(windows):
+            observed = {line for line in universe
+                        if rng.random() < background_rate}
+            if rng.random() < target_rate:
+                observed.add(0)
+            voter.update(observed)
+            reference.update(observed)
+            # Each update reads in a fresh order, so the sums are
+            # extended from whatever an earlier read left.
+            rng.shuffle(names)
+            for name in names:
+                assert QUERIES[name](voter) == QUERIES[name](reference), \
+                    name
