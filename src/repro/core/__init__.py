@@ -38,12 +38,6 @@ from .errors import (
     KeyVerificationFailed,
     LowConfidenceError,
 )
-from ..targets.gift import (
-    PROFILE_64,
-    PROFILE_128,
-    GiftAttackProfile,
-    profile_for_width,
-)
 from .recover import (
     KeyBitPair,
     expected_index,
@@ -92,10 +86,6 @@ __all__ = [
     "ObservationChannel",
     "ProbePrimitive",
     "make_primitive",
-    "PROFILE_64",
-    "PROFILE_128",
-    "GiftAttackProfile",
-    "profile_for_width",
     "KeyBitPair",
     "expected_index",
     "indices_consistent_with_prediction",

@@ -106,20 +106,20 @@ class GrinchAttack:
 
     def __init__(self, victim: TracedVictim,
                  config: Optional[AttackConfig] = None,
-                 runner=None) -> None:
+                 runner: Optional[ObservationChannel] = None) -> None:
         self.config = config if config is not None else AttackConfig()
         if victim.layout != self.config.layout:
             raise ValueError(
                 "victim table layout differs from the attack configuration"
             )
         # The victim's registered cipher target supplies the structural
-        # bookkeeping the profile used to hold (and is a superset of it:
-        # crafting inversion, key algebra, reference encryption).
+        # bookkeeping: crafting inversion, key algebra, reference
+        # encryption.
         self.target = resolve_target_for(victim)
-        # ``runner`` lets alternative observation substrates plug in —
-        # e.g. the cross-core shared-L2 channel of repro.core.crosscore,
-        # or an ObservationChannel with a custom primitive/transport/
-        # degradation stack.
+        # ``runner`` lets alternative observation channels plug in —
+        # e.g. the cross-core shared-L2 CrossCoreRunner of
+        # repro.core.crosscore, or an ObservationChannel with a custom
+        # primitive/transport/degradation stack.
         self.runner = (runner if runner is not None
                        else ObservationChannel(victim, self.config))
         self.monitor = self.runner.monitor
@@ -415,7 +415,7 @@ class GrinchAttack:
         )
         # A noisy primitive readout (Flush+Flush) loses genuine target
         # sightings on top of the channel-level loss model.
-        presence *= getattr(self.runner, "signal_reliability", 1.0)
+        presence *= self.runner.signal_reliability
         return VotingPolicy(
             expected_presence=presence,
             confidence_threshold=self.config.voting_confidence,
@@ -641,8 +641,7 @@ class GrinchAttack:
         if lines <= 1:
             return 0
         visible_rounds = self.config.probing_round
-        mid_flush = getattr(self.runner, "mid_flush_supported", False)
-        if not (self.config.use_flush and mid_flush):
+        if not (self.config.use_flush and self.runner.mid_flush_supported):
             # Rounds 1 .. attacked_round + offset - 1 precede the
             # monitored round; with probe_round_offset = 1 (GIFT) this
             # is the historical ``+ attacked_round`` term.
@@ -690,22 +689,16 @@ class GrinchAttack:
         loop would, and a ``requested`` of 1 (the ``batch_size=1``
         default) reproduces the historic ``observe(craft(), round)``
         call byte for byte — so scalar effort pins (seed-0 GIFT-64's
-        464 encryptions) are untouched by construction.  Larger batches
-        go through the runner's ``observe_batch`` when it has one
-        (vectorized bitsliced path where active), else fall back to a
-        scalar loop over the same plaintexts.
+        464 encryptions) are untouched by construction; lossy batches
+        draw from the channel's separate batch-loss stream.  Larger
+        batches go through the runner's ``observe_batch`` (vectorized
+        bitsliced path where active).
         """
         count = self._charge_batch(requested)
         if count == 1:
             return [self.runner.observe(crafter.craft(), attacked_round)]
         plaintexts = [crafter.craft() for _ in range(count)]
-        observe_batch = getattr(self.runner, "observe_batch", None)
-        if observe_batch is not None:
-            return list(observe_batch(plaintexts, attacked_round))
-        return [
-            self.runner.observe(plaintext, attacked_round)
-            for plaintext in plaintexts
-        ]
+        return self.runner.observe_batch(plaintexts, attacked_round)
 
     def _verify_master_key(self, master_key: int) -> bool:
         victim = self.runner.victim

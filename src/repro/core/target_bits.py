@@ -133,7 +133,7 @@ def set_target_bits(round_index: int, segment: int, width: int = 64,
     segment:
         Target state segment ``s``.
     width:
-        Cipher state width; selects the GIFT profile when no ``target``
+        Cipher state width; selects the GIFT target when no ``target``
         is given (the historical call shape).
     forced_high_bits:
         Constants for the key-free bits of the target index, in

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..targets.gift import GIFT_SBOX, TracedGiftCipher, standard_round_keys
+from ..targets.gift import GIFT_SBOX, TracedGiftCipher, round_keys
 from ..targets.layout import TableLayout
 from ..staticcheck.secrets import secret_params
 
@@ -60,7 +60,7 @@ def hardened_round_keys(master_key: int, rounds: int
     "bits that were not used yet" at attack time.  Later rounds keep the
     standard schedule (their key material is already mixed).
     """
-    keys = standard_round_keys(master_key, rounds, width=64)
+    keys = round_keys(master_key, rounds, width=64)
     words = [(master_key >> (16 * i)) & 0xFFFF for i in range(8)]
     hardened = []
     for round_index, (u, v) in enumerate(keys, start=1):

@@ -44,7 +44,7 @@ def effort_budget(params: Mapping[str, Any]) -> int:
     every round the master key needs).
     """
     from ..analysis.theory import expected_first_round_effort
-    from ..targets.gift import PROFILE_64
+    from ..targets.gift import gift64
 
     per_round = expected_first_round_effort(
         line_words=params["line_words"],
@@ -52,5 +52,5 @@ def effort_budget(params: Mapping[str, Any]) -> int:
         use_flush=True,
     )
     rounds = (1 if params.get("scope", "full_key") == "first_round"
-              else PROFILE_64.full_key_rounds)
+              else gift64.full_key_rounds)
     return int(params["budget_factor"] * rounds * per_round)

@@ -10,13 +10,7 @@ the memory-access stream consumed by the cache simulator.
 from .bitsliced import BitslicedGift64, BitslicedGift128, BitslicedGiftCipher
 from .cipher import Gift64, Gift128, GiftCipher, RoundState, sub_cells
 from .constants import constant_mask, round_constant
-from .keyschedule import (
-    GiftKeyState,
-    assemble_master_key_from_round_keys,
-    key_xor_state_bits,
-    master_key_bits_for_segment,
-    round_keys,
-)
+from .keyschedule import GiftKeyState, key_xor_state_bits, round_keys
 from .lut import TableLayout, TracedGift64, TracedGift128, TracedGiftCipher
 from .permutation import (
     PERM64,
@@ -38,8 +32,7 @@ from .sbox import (
     sbox,
     sbox_inv,
 )
-from .trace import EncryptionTrace, MemoryAccess
-from .vectors import GIFT64_VECTORS, GIFT128_VECTORS, TestVector
+from .vectors import GIFT64_VECTORS, GIFT128_VECTORS
 
 __all__ = [
     "BitslicedGift64",
@@ -53,9 +46,7 @@ __all__ = [
     "constant_mask",
     "round_constant",
     "GiftKeyState",
-    "assemble_master_key_from_round_keys",
     "key_xor_state_bits",
-    "master_key_bits_for_segment",
     "round_keys",
     "TableLayout",
     "TracedGift64",
@@ -77,9 +68,6 @@ __all__ = [
     "outputs_with_bit",
     "sbox",
     "sbox_inv",
-    "EncryptionTrace",
-    "MemoryAccess",
     "GIFT64_VECTORS",
     "GIFT128_VECTORS",
-    "TestVector",
 ]

@@ -17,8 +17,8 @@ per block) and every round is three whole-matrix operations:
   S-box's output-bit swap), never secret data.
 * **AddRoundKey** — one broadcast XOR of a precomputed ``(width,)``
   0/1 mask row per round (round-key halves fused with the round
-  constant, exactly as the scalar paths precompute
-  ``_inject_masks``).
+  constant, exactly as the scalar paths precompute their per-round
+  key masks).
 
 ``encrypt_batch`` is validated bit-exact against
 :class:`repro.gift.cipher.GiftCipher` and ``sbox_indices_batch``

@@ -116,49 +116,3 @@ def key_xor_state_bits(width: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         raise ValueError(
             f"GIFT only defines 64- and 128-bit states, got {width}"
         ) from None
-
-
-def master_key_bits_for_segment(round_index: int, segment: int, width: int = 64
-                                ) -> Tuple[int, int]:
-    """Master-key bit indices XORed into ``segment`` at round ``round_index``.
-
-    Only valid for rounds 1-4, where the round keys are disjoint quarters
-    of the master key (the property GRINCH exploits).  For GIFT-64 round
-    ``r`` and segment ``i`` these are bit ``32(r-1) + i`` (the ``V`` bit,
-    state bit ``4i``) and bit ``32(r-1) + 16 + i`` (the ``U`` bit, state
-    bit ``4i + 1``); e.g. round 1, segment 0 uses key bits 0 and 16 as in
-    Fig. 1 of the paper.
-
-    Returns ``(v_key_bit, u_key_bit)``.
-    """
-    if width != 64:
-        raise ValueError("segment/key-bit bookkeeping is defined for GIFT-64")
-    if not 1 <= round_index <= 4:
-        raise ValueError(
-            "master-key quarters only align with rounds 1-4, "
-            f"got round {round_index}"
-        )
-    if not 0 <= segment < 16:
-        raise ValueError(f"GIFT-64 has 16 segments, got {segment}")
-    base = 32 * (round_index - 1)
-    return base + segment, base + 16 + segment
-
-
-def assemble_master_key_from_round_keys(
-    round_key_list: List[Tuple[int, int]]
-) -> int:
-    """Rebuild the 128-bit master key from the first four GIFT-64 round keys.
-
-    This is the final step of a full GRINCH run: each recovered round key
-    ``(U, V)`` of round ``r`` (1-based) contributes master-key words
-    ``k(2r-1) = U`` and ``k(2r-2) = V``.
-    """
-    if len(round_key_list) != 4:
-        raise ValueError("exactly the first four round keys are required")
-    master = 0
-    for round_index, (u, v) in enumerate(round_key_list, start=1):
-        if not 0 <= u <= _WORD_MASK or not 0 <= v <= _WORD_MASK:
-            raise ValueError("GIFT-64 round-key halves are 16-bit values")
-        master |= v << (32 * (round_index - 1))
-        master |= u << (32 * (round_index - 1) + 16)
-    return master

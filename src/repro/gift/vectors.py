@@ -7,18 +7,9 @@ GRINCH attack's bookkeeping silently breaks if any of these drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
-
-@dataclass(frozen=True)
-class TestVector:
-    """One known-answer test: ``encrypt(key, plaintext) == ciphertext``."""
-
-    key: int
-    plaintext: int
-    ciphertext: int
-
+from ..targets.trace import TestVector
 
 GIFT64_VECTORS: Tuple[TestVector, ...] = (
     TestVector(

@@ -1,21 +1,23 @@
 """Table-based (lookup-table) PRESENT victim with memory tracing.
 
-Mirrors :mod:`repro.gift.lut` for GIFT's ancestor: the S-box layer is
-one table load per segment per round and the P-layer is one load per
-segment from a precomputed scatter table.  The structural difference
-that matters for GRINCH is *where* the key enters: PRESENT XORs the
-full 64-bit round key into the state *before* the S-box layer, so the
-monitored S-box index of a round-``t`` target lives in round ``t``
-itself (``probe_round_offset = 0``) and even round 1's indices are
+GIFT's ancestor on the shared round engine of :mod:`repro.targets.lut`:
+the S-box layer is one table load per segment per round and the P-layer
+is one load per segment from a precomputed scatter table.  The
+structural difference that matters for GRINCH is *where* the key
+enters: PRESENT XORs the full 64-bit round key into the state *before*
+the S-box layer (the engine's pre-masks), so the monitored S-box index
+of a round-``t`` target lives in round ``t`` itself
+(``probe_round_offset = 0``) and even round 1's indices are
 key-dependent.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
 
 from ..staticcheck.secrets import secret_params
 from ..targets.layout import TableLayout
+from ..targets.lut import TracedLutCipher
 from ..targets.trace import EncryptionTrace, MemoryAccess
 from .cipher import (
     PLAYER,
@@ -24,35 +26,12 @@ from .cipher import (
     PRESENT_SBOX_INV,
     _key_schedule_80,
     _key_schedule_128,
+    _p_layer,
+    _sbox_layer,
 )
 
 
-def _build_scatter_table() -> Tuple[Tuple[int, ...], ...]:
-    """Precompute the P-layer as ``table[segment][nibble] -> scattered
-    bits`` (the LUT realisation of PRESENT's bit permutation)."""
-    table = []
-    for segment in range(16):
-        row = []
-        for nibble in range(16):
-            scattered = 0
-            for bit in range(4):
-                if (nibble >> bit) & 1:
-                    scattered |= 1 << PLAYER[4 * segment + bit]
-            row.append(scattered)
-        table.append(tuple(row))
-    return tuple(table)
-
-
-_SCATTER_TABLE = _build_scatter_table()
-
-#: Fused S-box/scatter: ``fused[seg][x] = scatter[seg][SBOX[x]]`` where
-#: ``x`` is the (already key-XORed) input nibble.
-_FUSED_SBOX_SCATTER = tuple(
-    tuple(row[PRESENT_SBOX[x]] for x in range(16)) for row in _SCATTER_TABLE
-)
-
-
-class TracedPresent:
+class TracedPresent(TracedLutCipher):
     """LUT-based PRESENT that records every table load it performs.
 
     Functionally identical to :class:`repro.present.cipher.Present`
@@ -78,27 +57,20 @@ class TracedPresent:
             self._round_keys = _key_schedule_80(master_key)
         elif key_bits == 128:
             self._round_keys = _key_schedule_128(master_key)
+            self.attack_target = "present128"
         else:
             raise ValueError(
                 f"PRESENT keys are 80 or 128 bits, got {key_bits}"
             )
-        if key_bits == 128:
-            self.attack_target = "present128"
-        self.width = 64
         self.key_bits = key_bits
-        self.rounds = rounds
         self.master_key = master_key
-        self.layout = layout
-        self._segments = 16
-        self._scatter = _SCATTER_TABLE
-        self._fused_sbox_scatter = _FUSED_SBOX_SCATTER
-        self._sbox_address_table: Tuple[int, ...] = tuple(
-            layout.sbox_addresses()
-        )
-        self._perm_address_table: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(layout.perm_address(segment, nibble, self._segments)
-                  for nibble in range(16))
-            for segment in range(self._segments)
+        # K_r enters before round r's S-box layer; the schedule's next
+        # entry whitens the output.
+        super().__init__(
+            64, rounds, layout, PRESENT_SBOX, PLAYER,
+            pre_masks=self._round_keys[:rounds],
+            post_masks=(0,) * rounds,
+            final_mask=self._round_keys[rounds],
         )
 
     @property
@@ -106,26 +78,10 @@ class TracedPresent:
         """The full schedule (32 entries for 31 rounds)."""
         return self._round_keys
 
-    def encrypt(self, plaintext: int) -> int:
-        """Encrypt one block on the trace-free fast path."""
-        if not 0 <= plaintext < (1 << 64):
-            raise ValueError("PRESENT blocks are 64-bit integers")
-        state = plaintext
-        fused = self._fused_sbox_scatter
-        keys = self._round_keys
-        for round_index in range(self.rounds):
-            state ^= keys[round_index]
-            permuted = 0
-            for segment in range(16):
-                permuted |= fused[segment][(state >> (4 * segment)) & 0xF]
-            state = permuted
-        return state ^ keys[self.rounds]
-
     def decrypt(self, ciphertext: int) -> int:
         """Decrypt one block (not traced)."""
         if not 0 <= ciphertext < (1 << 64):
             raise ValueError("PRESENT blocks are 64-bit integers")
-        from .cipher import _p_layer, _sbox_layer
         state = ciphertext ^ self._round_keys[self.rounds]
         for round_index in range(self.rounds - 1, -1, -1):
             state = _p_layer(state, inverse=True)
@@ -133,53 +89,9 @@ class TracedPresent:
             state ^= self._round_keys[round_index]
         return state
 
-    def encrypt_traced(self, plaintext: int,
-                       max_rounds: Optional[int] = None) -> EncryptionTrace:
-        """Encrypt one block, recording all table loads.
-
-        As in the GIFT victim, a bounded ``max_rounds`` leaves the
-        post-``max_rounds`` state in ``ciphertext`` (no final key XOR).
-        """
-        if not 0 <= plaintext < (1 << 64):
-            raise ValueError("PRESENT blocks are 64-bit integers")
-        limit = self.rounds if max_rounds is None else max_rounds
-        if not 1 <= limit <= self.rounds:
-            raise ValueError(f"max_rounds must be in [1, {self.rounds}]")
-        trace = EncryptionTrace(plaintext=plaintext, ciphertext=0)
-        state = plaintext
-        for round_index in range(1, limit + 1):
-            state ^= self._round_keys[round_index - 1]
-            state = self._sbox_layer_traced(state, round_index, trace)
-            state = self._p_layer_traced(state, round_index, trace)
-        if limit == self.rounds:
-            state ^= self._round_keys[self.rounds]
-        trace.ciphertext = state
-        return trace
-
-    def sbox_indices_by_round(self, plaintext: int, max_rounds: int
-                              ) -> List[List[int]]:
-        """Per-round S-box indices (the key-XORed nibbles), without
-        trace-object overhead — the fast observation path."""
-        if not 0 <= plaintext < (1 << 64):
-            raise ValueError("PRESENT blocks are 64-bit integers")
-        if not 1 <= max_rounds <= self.rounds:
-            raise ValueError(f"max_rounds must be in [1, {self.rounds}]")
-        indices_by_round: List[List[int]] = []
-        state = plaintext
-        fused = self._fused_sbox_scatter
-        for round_index in range(max_rounds):
-            state ^= self._round_keys[round_index]
-            indices = [(state >> (4 * segment)) & 0xF for segment in range(16)]
-            indices_by_round.append(indices)
-            permuted = 0
-            for segment, index in enumerate(indices):
-                permuted |= fused[segment][index]
-            state = permuted
-        return indices_by_round
-
     @secret_params("state")
-    def _sbox_layer_traced(self, state: int, round_index: int,
-                           trace: EncryptionTrace) -> int:
+    def _sub_cells_traced(self, state: int, round_index: int,
+                          trace: EncryptionTrace) -> int:
         # AddRoundKey has already happened: every index below is
         # key-dependent — round 1 included, unlike GIFT.
         result = 0
@@ -196,25 +108,6 @@ class TracedPresent:
                 )
             )
             result |= PRESENT_SBOX[index] << (4 * segment)
-        return result
-
-    @secret_params("state")
-    def _p_layer_traced(self, state: int, round_index: int,
-                        trace: EncryptionTrace) -> int:
-        result = 0
-        addresses = self._perm_address_table
-        for segment in range(self._segments):
-            nibble = (state >> (4 * segment)) & 0xF
-            trace.append(
-                MemoryAccess(
-                    address=addresses[segment][nibble],
-                    round_index=round_index,
-                    segment=segment,
-                    table="perm",
-                    index=segment * 16 + nibble,
-                )
-            )
-            result |= self._scatter[segment][nibble]
         return result
 
 

@@ -12,7 +12,7 @@ running the code: an AST-based, intraprocedural taint analysis whose
   lookup tables (the S-box/LUT channel GRINCH exploits), (b)
   secret-dependent branch and loop conditions (the timing channel), and
   (c) secret-dependent address expressions feeding
-  :class:`repro.gift.trace.MemoryAccess`.
+  :class:`repro.targets.trace.MemoryAccess`.
 
 Severity is cache-geometry aware: a table lookup observable at line
 granularity leaks ``log2(ceil(table_bytes / line_bytes))`` bits per

@@ -631,14 +631,13 @@ def predicted_full_key_encryptions(class_count: int) -> float:
         expected_max_geometric,
         visible_noise_accesses,
     )
-    from ..targets.gift import profile_for_width
+    from ..targets.gift import gift64
 
-    profile = profile_for_width(64)
     p_absent = absence_probability(
         class_count, visible_noise_accesses(probing_round=1, use_flush=True)
     )
     per_segment = expected_max_geometric(class_count - 1, p_absent)
-    return profile.full_key_rounds * profile.segments * per_segment
+    return gift64.full_key_rounds * gift64.segments * per_segment
 
 
 def validate_against_measured(geometry: Optional[CacheGeometry] = None,

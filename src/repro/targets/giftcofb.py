@@ -15,7 +15,7 @@ analysis (full write-up in ``docs/targets.md``) splits in two:
   (``crafting_channel = "nonce"``) — nonce-misuse is not even required,
   since every crafted nonce may be fresh.
 
-The target therefore reuses GIFT-128's entire profile and algebra; the
+The target therefore reuses GIFT-128's entire description and algebra; the
 only new piece is the victim, which wraps the traced GIFT-128 core the
 way COFB's first call uses it and exposes the surrounding AEAD for
 end-to-end key-confirmation in tests.
@@ -34,7 +34,7 @@ from typing import List, Optional, Tuple
 
 from ..gift.cofb import GiftCofb
 from ..gift.lut import TracedGift128
-from .gift import PROFILE_128, GiftTarget
+from .gift import GiftTarget
 from .layout import TableLayout
 from .protocol import TracedVictim
 from .registry import register_target
@@ -84,7 +84,7 @@ class GiftCofbTarget(GiftTarget):
     crafting_channel = "nonce"
 
     def __init__(self) -> None:
-        super().__init__("giftcofb", PROFILE_128, rounds=40)
+        super().__init__("giftcofb", width=128, rounds=40)
 
     def make_victim(self, master_key: int,
                     layout: Optional[TableLayout] = None,

@@ -33,7 +33,8 @@ from ..core.config import AttackConfig
 from ..core.crafting import PlaintextCrafter
 from ..core.recover import KeyBitPair, key_pairs_from_line
 from ..core.target_bits import set_target_bits
-from ..targets.gift import TracedGiftCipher, profile_for_width
+from ..targets.gift import TracedGiftCipher
+from ..targets.registry import resolve_target_for
 from ..seeding import derive_rng
 
 
@@ -80,7 +81,7 @@ class TimeDrivenAttack:
         self.victim = victim
         self.geometry = geometry if geometry is not None else CacheGeometry()
         self.latencies = latencies
-        self.profile = profile_for_width(victim.width)
+        self.target = resolve_target_for(victim)
         # The variant consumes the same L4 observer API as the
         # access-driven attack — only the signal differs (the window's
         # latency instead of observe()).
@@ -118,7 +119,7 @@ class TimeDrivenAttack:
         """Recover one segment's round-1 key-bit pair from latencies."""
         if samples < 2:
             raise ValueError(f"need at least 2 samples, got {samples}")
-        spec = set_target_bits(1, segment, width=self.profile.width)
+        spec = set_target_bits(1, segment, target=self.target)
         crafter = PlaintextCrafter(spec, [], self.rng)
         lines = list(self.monitor.lines)
         sums: Dict[int, List[float]] = {
@@ -140,7 +141,7 @@ class TimeDrivenAttack:
                 self.monitor.line_for_index(
                     (plaintext >> (4 * s)) & 0xF
                 )
-                for s in range(self.profile.segments)
+                for s in range(self.target.segments)
             }
             for line in lines:
                 bucket = 1 if line in covered else 0

@@ -36,7 +36,8 @@ from ..core.crafting import PlaintextCrafter
 from ..core.errors import BudgetExceeded
 from ..core.recover import KeyBitPair, key_pairs_from_line
 from ..core.target_bits import set_target_bits
-from ..targets.gift import TracedGiftCipher, profile_for_width
+from ..targets.gift import TracedGiftCipher
+from ..targets.registry import resolve_target_for
 from ..seeding import derive_rng
 
 
@@ -66,7 +67,7 @@ class TraceDrivenAttack:
                  max_encryptions_per_segment: int = 50_000) -> None:
         self.victim = victim
         self.geometry = geometry if geometry is not None else CacheGeometry()
-        self.profile = profile_for_width(victim.width)
+        self.target = resolve_target_for(victim)
         # Same L4 observer API as the access-driven attack; this
         # variant reads the hit_miss() signal instead of observe().
         self.channel = ObservationChannel(
@@ -86,15 +87,15 @@ class TraceDrivenAttack:
             self.monitor.line_for_index(
                 (plaintext >> (4 * segment)) & 0xF
             )
-            for segment in range(self.profile.segments)
+            for segment in range(self.target.segments)
         )
 
     def recover_segment(self, segment: int) -> TraceSegmentRecovery:
         """Recover one segment's round-1 key-bit pair."""
-        spec = set_target_bits(1, segment, width=self.profile.width)
+        spec = set_target_bits(1, segment, target=self.target)
         crafter = PlaintextCrafter(spec, [], self.rng)
         candidates = set(self.monitor.universe)
-        target_position = self.profile.segments + segment
+        target_position = self.target.segments + segment
         misses = 0
 
         for used in range(1, self.max_encryptions_per_segment + 1):
@@ -131,7 +132,7 @@ class TraceDrivenAttack:
         """Recover the full round-1 ``(U, V)`` (needs 1-entry lines)."""
         u = 0
         v = 0
-        for segment in range(self.profile.segments):
+        for segment in range(self.target.segments):
             recovery = self.recover_segment(segment)
             if len(recovery.key_pairs) != 1:
                 raise RuntimeError(

@@ -92,7 +92,7 @@ class TestPrecomputation:
         plain, hardened = TracedGift64(key), HardenedKeyScheduleGift64(key)
         assert hardened._round_keys == hardened.compute_round_keys()
         assert plain._round_keys != hardened._round_keys
-        assert plain._inject_masks != hardened._inject_masks
+        assert plain._post_masks != hardened._post_masks
         assert plain.encrypt(0) != hardened.encrypt(0)
 
     def test_inverse_permutation_cached_on_instance(self):

@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.gift.keyschedule import (
-    GiftKeyState,
-    assemble_master_key_from_round_keys,
-    key_xor_state_bits,
-    master_key_bits_for_segment,
-    round_keys,
-)
+from repro.gift.keyschedule import GiftKeyState, key_xor_state_bits, round_keys
+from repro.targets.gift import gift64
 
 keys = st.integers(min_value=0, max_value=(1 << 128) - 1)
 
@@ -90,13 +85,15 @@ class TestRoundKeys:
     @given(keys)
     def test_assemble_inverts_extraction(self, key):
         rks = round_keys(key, 4, width=64)
-        assert assemble_master_key_from_round_keys(rks) == key
+        assert gift64.assemble_master_key(rks) == key
 
     def test_assemble_validates_input(self):
         with pytest.raises(ValueError):
-            assemble_master_key_from_round_keys([(0, 0)] * 3)
+            gift64.assemble_master_key([(0, 0)] * 3)
         with pytest.raises(ValueError):
-            assemble_master_key_from_round_keys([(1 << 16, 0)] + [(0, 0)] * 3)
+            gift64.assemble_master_key([(1 << 16, 0)] + [(0, 0)] * 3)
+        with pytest.raises(ValueError):
+            gift64.assemble_master_key([(0, 1 << 16)] + [(0, 0)] * 3)
 
 
 class TestStateBitMapping:
@@ -120,14 +117,14 @@ class TestSegmentKeyBits:
     def test_paper_example_segment_zero(self):
         # "the two LSB bits of the first segment are XORed with key-bit 0
         # and key-bit 16" (Section II).
-        assert master_key_bits_for_segment(1, 0) == (0, 16)
+        assert gift64.master_key_bit_positions(1, 0) == (0, 16)
 
     def test_next_segment_uses_bits_1_and_17(self):
-        assert master_key_bits_for_segment(1, 1) == (1, 17)
+        assert gift64.master_key_bit_positions(1, 1) == (1, 17)
 
     def test_rounds_step_by_32_bits(self):
         for round_index in range(1, 5):
-            v_bit, u_bit = master_key_bits_for_segment(round_index, 0)
+            v_bit, u_bit = gift64.master_key_bit_positions(round_index, 0)
             assert v_bit == 32 * (round_index - 1)
             assert u_bit == 32 * (round_index - 1) + 16
 
@@ -135,13 +132,14 @@ class TestSegmentKeyBits:
         seen = set()
         for round_index in range(1, 5):
             for segment in range(16):
-                seen.update(master_key_bits_for_segment(round_index, segment))
+                seen.update(gift64.master_key_bit_positions(round_index,
+                                                            segment))
         assert seen == set(range(128))
 
     def test_bounds(self):
         with pytest.raises(ValueError):
-            master_key_bits_for_segment(5, 0)
+            gift64.master_key_bit_positions(5, 0)
         with pytest.raises(ValueError):
-            master_key_bits_for_segment(1, 16)
+            gift64.master_key_bit_positions(1, 16)
         with pytest.raises(ValueError):
-            master_key_bits_for_segment(1, 0, width=128)
+            gift64.master_key_bit_positions(0, 0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gift.trace import EncryptionTrace, MemoryAccess
+from repro.targets.trace import EncryptionTrace, MemoryAccess
 
 
 def _access(round_index, segment=0, table="sbox", index=0, address=None):

@@ -175,11 +175,12 @@ class TestPackageLayering:
                 "from ..core.profile import PROFILE_64\n"
                 "from repro.cache import hierarchy\n"
             ),
+            "targets/thing.py": "from ..gift.trace import MemoryAccess\n",
         })
         violations = check_package_layering(src)
-        assert len(violations) == 3
+        assert len(violations) == 4
         for deleted in ("repro.analysis.experiments", "repro.core.profile",
-                        "repro.cache.hierarchy"):
+                        "repro.cache.hierarchy", "repro.gift.trace"):
             assert any(deleted in v and "deleted module" in v
                        for v in violations)
 

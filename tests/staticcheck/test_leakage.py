@@ -3,6 +3,7 @@ budget gate, and the analytic-vs-measured cross-validation."""
 
 import ast
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from repro.staticcheck.leakage import (
     predicted_full_key_encryptions,
     write_budget,
 )
+from repro.targets import get_target
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 SRC = REPO_ROOT / "src" / "repro"
@@ -88,12 +90,32 @@ class TestAnalyzeLeakage:
         assert sites, f"no site for table *{table_suffix}"
         return sites[0]
 
-    def test_gift_sbox_computes_exactly_four_bits(self):
-        report = analyze_leakage([str(SRC / "gift")], PAPER)
-        site = self.site_for(report, "GIFT_SBOX")
-        assert site.bits_exact == 4.0
-        assert site.bits_bound == 4.0
-        assert (site.class_count, site.domain) == (16, 16)
+    @pytest.mark.parametrize("name", ["gift64", "present80"])
+    def test_gift_sbox_computes_exactly_four_bits(self, name):
+        """Each LUT victim's own traced SubCells indexes its named S-box
+        table, so the shared round engine keeps the full 4-bit site."""
+        target = get_target(name)
+        victim_class = type(target.make_victim(0))
+        package = Path(sys.modules[victim_class.__module__].__file__).parent
+        report = analyze_leakage([str(package)], PAPER)
+        sites = [s for s in report.sites
+                 if s.finding.table == target.table_names[0]
+                 and s.finding.function
+                 == f"{victim_class.__name__}._sub_cells_traced"]
+        assert sites, f"no {target.table_names[0]} site in _sub_cells_traced"
+        for site in sites:
+            assert site.bits_exact == 4.0
+            assert site.bits_bound == 4.0
+            assert (site.class_count, site.domain) == (16, 16)
+
+    def test_shared_lut_engine_fast_paths_are_table_lookups(self):
+        """Taint reaches the engine's fused-table loads through the
+        ``@secret_attributes`` key masks alone."""
+        report = analyze_leakage([str(SRC / "targets" / "lut.py")], PAPER)
+        lookups = {s.finding.function for s in report.sites
+                   if s.finding.kind.value == "table-lookup"}
+        assert {"TracedLutCipher.encrypt",
+                "TracedLutCipher.sbox_indices_by_round"} <= lookups
 
     def test_reshaped_sbox_computes_exactly_zero_bits(self):
         report = analyze_leakage(
