@@ -10,11 +10,34 @@ Section III-D point that growing lines obfuscate the low index bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..cache.geometry import CacheGeometry
+from ..staticcheck.secrets import secret_params
 from ..targets.layout import SBOX_ENTRIES as SBOX_SIZE
 from ..targets.layout import TableLayout
+
+
+#: Line tuples of one byte of an S-box index mask, per byte value.
+ByteLines = Tuple[Tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _mask_line_tables(line_by_index: Tuple[int, ...]
+                      ) -> Tuple[ByteLines, ByteLines]:
+    """``(low, high)``: ``low[b]`` holds the distinct lines of the
+    indices 0-7 whose bits are set in ``b``, ``high[b]`` those of
+    indices 8-15.  Shared by every monitor with the same index map."""
+    def by_byte(indices: Sequence[int]) -> ByteLines:
+        return tuple(
+            tuple(dict.fromkeys(
+                line_by_index[index]
+                for bit, index in enumerate(indices) if (byte >> bit) & 1
+            ))
+            for byte in range(256)
+        )
+    return by_byte(range(8)), by_byte(range(8, SBOX_SIZE))
 
 
 @dataclass(frozen=True)
@@ -26,14 +49,23 @@ class SboxMonitor:
     lines: Tuple[int, ...]
     indices_by_line: Dict[int, Tuple[int, ...]]
     line_by_index: Tuple[int, ...]
+    address_by_index: Tuple[int, ...]
 
     @classmethod
-    def build(cls, layout: TableLayout, geometry: CacheGeometry
-              ) -> "SboxMonitor":
-        """Derive the monitored lines for a layout/geometry pair."""
+    def build(cls, layout: TableLayout, geometry: CacheGeometry,
+              addresses: Optional[Sequence[int]] = None) -> "SboxMonitor":
+        """Derive the monitored lines for a layout/geometry pair.
+
+        ``addresses`` is the byte address each S-box index loads (a
+        victim's ``sbox_load_addresses``); it defaults to the layout's
+        one-entry-per-byte table, and differs for packed tables such as
+        the reshaped S-box, where two indices share one byte.
+        """
+        address_by_index = tuple(
+            layout.sbox_addresses() if addresses is None else addresses
+        )
         line_by_index = tuple(
-            geometry.line_of(layout.sbox_address(index))
-            for index in range(SBOX_SIZE)
+            geometry.line_of(address) for address in address_by_index
         )
         indices_by_line: Dict[int, List[int]] = {}
         for index, line in enumerate(line_by_index):
@@ -47,6 +79,7 @@ class SboxMonitor:
                 for line, indices in indices_by_line.items()
             },
             line_by_index=line_by_index,
+            address_by_index=address_by_index,
         )
 
     @property
@@ -65,6 +98,31 @@ class SboxMonitor:
             raise ValueError(f"S-box index must be a 4-bit value, got {index}")
         return self.line_by_index[index]
 
+    # The two mask tables are built on first use, so a channel that
+    # never takes the fast path never builds them.
+
+    @cached_property
+    def lines_by_low_byte(self) -> ByteLines:
+        """Lines of S-box indices 0-7, per low byte of an index mask."""
+        return _mask_line_tables(self.line_by_index)[0]
+
+    @cached_property
+    def lines_by_high_byte(self) -> ByteLines:
+        """Lines of S-box indices 8-15, per high byte of an index mask."""
+        return _mask_line_tables(self.line_by_index)[1]
+
+    @secret_params("mask")
+    def lines_of_mask(self, mask: int) -> FrozenSet[int]:
+        """Monitored lines holding the S-box entries set in the 16-bit
+        index ``mask`` (bit ``i`` set iff entry ``i`` was loaded).
+
+        ``mask`` comes from the victim's key-dependent indices, so its
+        two lookups are declared secret-indexed, as the per-index line
+        lookup they replace was through the observer's victim.
+        """
+        return frozenset(self.lines_by_low_byte[mask & 0xFF]
+                         + self.lines_by_high_byte[mask >> 8])
+
     def indices_for_line(self, line: int) -> Tuple[int, ...]:
         """S-box indices covered by a monitored ``line``."""
         if line not in self.indices_by_line:
@@ -78,6 +136,6 @@ class SboxMonitor:
         address suffices because residency is line-granular.
         """
         return [
-            self.layout.sbox_address(self.indices_by_line[line][0])
+            self.address_by_index[self.indices_by_line[line][0]]
             for line in self.lines
         ]

@@ -22,14 +22,23 @@ Two execution paths produce the access-driven answer:
   through the transport and runs the probe primitive on it — used for
   Prime+Probe, cross-core transports, ablations, and as ground truth
   in tests;
-* the **fast path** computes the observation directly from the S-box
-  accesses in the visible round window — exact for line-granular
-  flush-based primitives on a single-level transport under the default
-  layouts (monitored lines can never be evicted: the victim's visible
-  working set per cache set is far below the paper's 16 ways), and
-  ~40x faster, which the million-encryption sweeps of Table I need.
-  An equivalence test in the suite proves the two paths agree
-  observation-for-observation for every primitive.
+* the **fast path** asks the victim for one 16-bit S-box index mask of
+  the visible round window (``sbox_index_mask``) and turns it into
+  lines with two table lookups on the monitor, which maps each index
+  through the address the victim really loads for it — exact for
+  line-granular flush-based primitives on a single-level transport
+  under the default layouts (monitored lines can never be evicted: the
+  victim's visible working set per cache set is far below the paper's
+  16 ways).  On the end-to-end benchmark a GIFT-64 full-key attack
+  takes about 13x longer on the full path (``fullsim_fullkey``,
+  ~170 ms) than on this one (``fast_fullkey``, ~13 ms on a 1-vCPU
+  x86-64 container), which the million-encryption sweeps of Table I
+  need.  ``observe_batch`` folds the bitsliced backend's indices into
+  the same masks.  The suite's victim sweep (``TestPathEquivalence`` in
+  ``tests/channel/test_observer.py``) proves the two paths agree
+  observation-for-observation for GIFT-64, GIFT-128, PRESENT-80, both
+  countermeasure victims and the COFB nonce victim at line sizes of 1
+  to 16 words, with and without the mid-encryption flush.
 
 RNG discipline: the noise stream (``"{scope}-noise"``), the loss
 stream (``"{scope}-loss"``) and the primitive's own signal stream
@@ -139,7 +148,8 @@ class ObservationChannel:
                  defender: Optional[DefenderObserver] = None) -> None:
         self.victim = victim
         self.config = config
-        self.monitor = SboxMonitor.build(victim.layout, config.geometry)
+        self.monitor = SboxMonitor.build(victim.layout, config.geometry,
+                                         victim.sbox_load_addresses)
         if transport is None:
             transport = SingleLevelTransport(config.geometry)
         else:
@@ -165,6 +175,24 @@ class ObservationChannel:
         if degradations is None:
             degradations = (config.loss,)
         self.degradations: Tuple[Any, ...] = tuple(degradations)
+        # Per-window invariants of observe(), in stack order (the order
+        # the loss stream is drawn in).
+        self._probe_round_offset: int = getattr(
+            victim, "probe_round_offset", 1
+        )
+        self._window_shifters: Tuple[Any, ...] = tuple(
+            d for d in self.degradations if d.shifts_window
+        )
+        self._lossy: Tuple[Any, ...] = tuple(
+            d for d in self.degradations if not d.is_lossless
+        )
+        self._flush_supported: bool = (config.use_flush
+                                       and primitive.supports_mid_flush)
+        self._fast_path: bool = (config.fast_path_applicable
+                                 and primitive.line_granular
+                                 and transport.supports_fast_path)
+        # A silent noise model draws nothing, so the fast paths skip it.
+        self._noise_silent: bool = config.noise.is_silent
         # Scope-derived so the noise stream is independent of the
         # attacker's crafting stream, and deterministic even when no
         # seed was configured (seed=None is a valid, reproducible seed).
@@ -177,15 +205,13 @@ class ObservationChannel:
         self._monitored_addresses = self.monitor.line_addresses()
         self.encryptions_run = 0
         # Batch-path state, all lazy: the vectorized index source (from
-        # the victim's target), the numpy loss stream (a NEW derived
+        # the victim's target) and the numpy loss stream (a NEW derived
         # stream — "{scope}-loss-batch" — so the scalar loss_rng above
-        # keeps its exact pre-batch draw sequence), and the index->line
-        # lookup array.
+        # keeps its exact pre-batch draw sequence).
         self._rng_scope = rng_scope
         self._batch_view_resolved = False
         self._batch_view: Optional[Any] = None
         self._loss_batch_gen: Optional[Any] = None
-        self._lines_by_index: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Capabilities
@@ -194,9 +220,7 @@ class ObservationChannel:
     @property
     def fast_path_active(self) -> bool:
         """Whether observations take the accelerated exact path."""
-        return (self.config.fast_path_applicable
-                and self.primitive.line_granular
-                and self.transport.supports_fast_path)
+        return self._fast_path
 
     @property
     def batch_path_active(self) -> bool:
@@ -216,12 +240,10 @@ class ObservationChannel:
             return False
         if self.primitive.signal_reliability != 1.0:
             return False
-        for degradation in self.degradations:
-            if degradation.shifts_window:
-                return False
-            if (not degradation.is_lossless
-                    and not hasattr(degradation, "drop_lines_batch")):
-                return False
+        if self._window_shifters:
+            return False
+        if not all(hasattr(d, "drop_lines_batch") for d in self._lossy):
+            return False
         return self._resolve_batch_view() is not None
 
     def _resolve_batch_view(self) -> Optional[Any]:
@@ -248,13 +270,6 @@ class ObservationChannel:
                             self.config.seed)
             )
         return self._loss_batch_gen
-
-    def _lines_by_index_array(self) -> Any:
-        if self._lines_by_index is None:
-            self._lines_by_index = numpy.asarray(
-                self.monitor.line_by_index, dtype=numpy.int64
-            )
-        return self._lines_by_index
 
     @property
     def mid_flush_supported(self) -> bool:
@@ -298,31 +313,29 @@ class ObservationChannel:
         self.encryptions_run += 1
         if self.defender is not None:
             self.defender.begin_window(self.primitive.name)
-        offset = getattr(self.victim, "probe_round_offset", 1)
-        monitored_round = attacked_round + offset
+        monitored_round = attacked_round + self._probe_round_offset
         visible_through = monitored_round - 1 + self.config.probing_round
-        for degradation in self.degradations:
-            if degradation.shifts_window:
-                # A jittered probe lands early or late: late draws add
-                # later rounds' accesses, early draws can lose the
-                # target round — or the whole window — outright.
-                visible_through += degradation.sample_jitter(self._loss_rng)
-                visible_through = min(visible_through, self.victim.rounds)
-        flush_supported = (self.config.use_flush
-                           and self.primitive.supports_mid_flush)
+        for degradation in self._window_shifters:
+            # A jittered probe lands early or late: late draws add later
+            # rounds' accesses, early draws can lose the target round —
+            # or the whole window — outright.
+            visible_through += degradation.sample_jitter(self._loss_rng)
+            visible_through = min(visible_through, self.victim.rounds)
+        flush_supported = self._flush_supported
         first_visible = monitored_round if flush_supported else 1
 
         if visible_through < first_visible:
             observed = self._empty_window_observation()
             if not self.transport.noise_via_victim:
                 observed |= self._noise_lines()
-        elif self.fast_path_active:
+        elif self._fast_path:
             observed = self.primitive.filter_observation(
-                self._fast_observation(
+                self.monitor.lines_of_mask(self.victim.sbox_index_mask(
                     plaintext, first_visible, visible_through
-                )
+                ))
             )
-            observed |= self._noise_lines()
+            if not self._noise_silent:
+                observed |= self._noise_lines()
         else:
             observed = self.primitive.filter_observation(
                 self._full_observation(
@@ -332,11 +345,10 @@ class ObservationChannel:
             )
             if not self.transport.noise_via_victim:
                 observed |= self._noise_lines()
-        for degradation in self.degradations:
-            if not degradation.is_lossless:
-                observed = degradation.drop_lines(
-                    observed, self.monitor.lines, self._loss_rng
-                )
+        for degradation in self._lossy:
+            observed = degradation.drop_lines(
+                observed, self.monitor.lines, self._loss_rng
+            )
         if self.defender is not None:
             self.defender.end_window()
         return observed
@@ -368,54 +380,37 @@ class ObservationChannel:
         view = self._resolve_batch_view()
         count = len(plaintexts)
         self.encryptions_run += count
-        offset = getattr(self.victim, "probe_round_offset", 1)
-        monitored_round = attacked_round + offset
+        monitored_round = attacked_round + self._probe_round_offset
         visible_through = monitored_round - 1 + self.config.probing_round
-        flush_supported = (self.config.use_flush
-                           and self.primitive.supports_mid_flush)
-        first_visible = monitored_round if flush_supported else 1
+        first_visible = monitored_round if self._flush_supported else 1
         indices = numpy.asarray(
             view.sbox_indices_batch(plaintexts, max_rounds=visible_through),
-            dtype=numpy.uint8,
+            dtype=numpy.uint16,
         )
-        # (rounds', segments, N) -> monitored lines -> per-line presence.
-        window_lines = self._lines_by_index_array()[
-            indices[first_visible - 1:]
-        ].reshape(-1, count)
-        present = {
-            line: (window_lines == line).any(axis=0)
-            for line in self.monitor.lines
-        }
+        # (rounds', segments, N) -> one 16-bit index mask per block, the
+        # same form the scalar fast path gets from the victim.
+        masks = numpy.bitwise_or.reduce(
+            numpy.left_shift(1, indices[first_visible - 1:],
+                             dtype=numpy.uint16).reshape(-1, count),
+            axis=0,
+        )
+        lines_of_mask = self.monitor.lines_of_mask
         observations: List[FrozenSet[int]] = []
-        for n in range(count):
-            observed = self.primitive.filter_observation(frozenset(
-                line for line in self.monitor.lines if present[line][n]
-            ))
-            observed |= self._noise_lines()
+        for mask in masks.tolist():
+            observed = self.primitive.filter_observation(lines_of_mask(mask))
+            if not self._noise_silent:
+                observed |= self._noise_lines()
             observations.append(observed)
-        for degradation in self.degradations:
-            if not degradation.is_lossless:
-                observations = degradation.drop_lines_batch(
-                    observations, self.monitor.lines,
-                    self._batch_loss_generator(),
-                )
+        for degradation in self._lossy:
+            observations = degradation.drop_lines_batch(
+                observations, self.monitor.lines,
+                self._batch_loss_generator(),
+            )
         return observations
 
     # ------------------------------------------------------------------
     # Paths
     # ------------------------------------------------------------------
-
-    def _fast_observation(self, plaintext: int, first_visible: int,
-                          visible_through: int) -> FrozenSet[int]:
-        indices_by_round = self.victim.sbox_indices_by_round(
-            plaintext, max_rounds=visible_through
-        )
-        line_by_index = self.monitor.line_by_index
-        return frozenset(
-            line_by_index[index]
-            for round_indices in indices_by_round[first_visible - 1:]
-            for index in round_indices
-        )
 
     def _full_observation(self, plaintext: int, monitored_round: int,
                           visible_through: int,
@@ -459,7 +454,7 @@ class ObservationChannel:
         )
         if not addresses:
             return frozenset()
-        if not self.fast_path_active:
+        if not self._fast_path:
             for address in addresses:
                 self.transport.victim_access(address)
         return frozenset(

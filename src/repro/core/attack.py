@@ -161,8 +161,16 @@ class GrinchAttack:
             outcome = self.attack_round(round_index, resolved, previous)
             if previous is not None:
                 # The source cones of this round's targets cover every
-                # segment, so the consistency tests pinned the previous
-                # round.
+                # segment, so the consistency tests pin the previous
+                # round — unless the lines cannot tell its candidates
+                # apart (one line holding every S-box entry).
+                if not previous.resolved:
+                    raise InconsistentObservation(
+                        f"round {round_index} consistency tests left the "
+                        f"round-{round_index - 1} key with "
+                        f"{previous.ambiguity} candidates: the observed "
+                        f"lines cannot separate them"
+                    )
                 resolved.append(previous.as_round_key())
             previous = outcome.estimate
             rounds.append(outcome)

@@ -20,10 +20,12 @@ class BudgetExceeded(AttackError):
 
 
 class InconsistentObservation(AttackError):
-    """Every hypothesis was contradicted by the cache observations.
+    """Every hypothesis was contradicted by the cache observations, or
+    the observations left a round key with several candidates.
 
-    Seen when the victim is protected (countermeasures) or when the
-    attack is run against an implementation it does not model.
+    Seen when the victim is protected (countermeasures), when the
+    attack is run against an implementation it does not model, or when
+    the cache lines are too wide to separate the candidates.
     """
 
 

@@ -66,6 +66,12 @@ class ReshapedSboxGift64(TracedGiftCipher):
     def __init__(self, master_key: int, rounds: int = 28,
                  layout: TableLayout = TableLayout()) -> None:
         super().__init__(master_key, width=64, rounds=rounds, layout=layout)
+        # What the fast observation path maps indices to lines through:
+        # the packed row each index really loads, not the 16-entry
+        # layout's one byte per index.
+        self._sbox_address_table = tuple(
+            self.sbox_row_address(index) for index in range(16)
+        )
 
     @secret_params("index")
     def sbox_row_address(self, index: int) -> int:

@@ -21,6 +21,7 @@ Record shape (``repro.perf/bench/v1``)::
       "gates": {
         "min_untraced_over_traced": 5.0,
         "min_batch_over_untraced": 20.0,
+        "min_fast_observation_over_untraced": 7.0,
         "regression_headroom": 2.0,
         "baseline_untraced_over_traced": 24.0 | null,
         "failures": [],
@@ -45,6 +46,7 @@ from typing import Any, Dict, Mapping, Optional
 
 from .suite import (
     MIN_BATCH_OVER_UNTRACED,
+    MIN_FAST_OBSERVATION_OVER_UNTRACED,
     MIN_UNTRACED_OVER_TRACED,
     REGRESSION_HEADROOM,
     PerfReport,
@@ -140,6 +142,8 @@ def build_record(report: PerfReport,
         "gates": {
             "min_untraced_over_traced": MIN_UNTRACED_OVER_TRACED,
             "min_batch_over_untraced": MIN_BATCH_OVER_UNTRACED,
+            "min_fast_observation_over_untraced":
+                MIN_FAST_OBSERVATION_OVER_UNTRACED,
             "regression_headroom": REGRESSION_HEADROOM,
             "baseline_untraced_over_traced": baseline_ratio,
             "failures": failures,

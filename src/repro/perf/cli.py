@@ -71,6 +71,8 @@ def _render(report: PerfReport, record: dict) -> str:
     lines.append(
         f"  gates: min ratio {gates['min_untraced_over_traced']:.1f}x, "
         f"min batch ratio {gates['min_batch_over_untraced']:.1f}x, "
+        f"min observation ratio "
+        f"{gates['min_fast_observation_over_untraced']:.1f}x, "
         f"baseline "
         f"{'none' if baseline is None else format(baseline, '.2f') + 'x'}"
     )

@@ -22,7 +22,10 @@ so they hold on any hardware: the untraced cipher must stay at least
 bitsliced batch path must deliver at least
 :data:`MIN_BATCH_OVER_UNTRACED` times the scalar untraced blocks/s
 (``gift64_batch_over_untraced`` — the whole point of the batch-first
-fabric), and the traced path must not silently rot — the
+fabric), one fast-path observation must run at least
+:data:`MIN_FAST_OBSERVATION_OVER_UNTRACED` times as often as one
+untraced encryption (``observer_fast_over_untraced``), and the traced
+path must not silently rot — the
 untraced/traced ratio may not grow past :data:`REGRESSION_HEADROOM`
 times the ratio recorded in the trajectory file (a growing ratio means
 traced got slower relative to the untraced anchor).
@@ -55,6 +58,15 @@ MIN_UNTRACED_OVER_TRACED: float = 5.0
 #: ops/s; below 20x the vectorized fabric has regressed into
 #: per-block work).
 MIN_BATCH_OVER_UNTRACED: float = 20.0
+
+#: Hard gate: one fast-path observation (a round-1 target: two victim
+#: rounds plus the index-mask -> lines lookup) must run at least this
+#: many times as often as one untraced 28-round GIFT-64 encryption.
+#: ``--quick`` runs of the index-mask fast path measured 11.6-17.9x on
+#: a 1-vCPU x86-64 container (8.1-11.2x under ``--profile``), and the
+#: per-index line work before it 4.6-5.8x, so falling below 7x means
+#: the fast path went back to per-index work.
+MIN_FAST_OBSERVATION_OVER_UNTRACED: float = 7.0
 
 #: Soft anchor: the untraced/traced ratio may not exceed the recorded
 #: trajectory baseline by more than this factor (a growing ratio means
@@ -120,6 +132,15 @@ class PerfReport:
                 ratios[f"gift{width}_batch_over_untraced"] = (
                     batch.ops_per_s * _BATCH_BLOCKS / fast.ops_per_s
                 )
+        try:
+            observer = self.result("observer_fast_observations")
+            untraced = self.result("gift64_encrypt_untraced")
+        except KeyError:
+            return ratios
+        if untraced.ops_per_s > 0.0:
+            ratios["observer_fast_over_untraced"] = (
+                observer.ops_per_s / untraced.ops_per_s
+            )
         return ratios
 
 
@@ -128,6 +149,8 @@ def check_gates(ratios: Dict[str, float],
                 *,
                 min_ratio: float = MIN_UNTRACED_OVER_TRACED,
                 min_batch_ratio: float = MIN_BATCH_OVER_UNTRACED,
+                min_observation_ratio: float =
+                MIN_FAST_OBSERVATION_OVER_UNTRACED,
                 headroom: float = REGRESSION_HEADROOM) -> List[str]:
     """Evaluate the ratio gates; returns human-readable failures.
 
@@ -136,12 +159,17 @@ def check_gates(ratios: Dict[str, float],
     ratio must stay within ``headroom`` times it, bounding how much the
     traced path may regress relative to the untraced anchor.
     Batch-over-untraced ratios are gated against ``min_batch_ratio``
-    instead of ``min_ratio``.
+    and ``observer_fast_over_untraced`` against
+    ``min_observation_ratio`` instead of ``min_ratio``.
     """
     failures: List[str] = []
     for name, ratio in sorted(ratios.items()):
-        floor = (min_batch_ratio if name.endswith("_batch_over_untraced")
-                 else min_ratio)
+        if name.endswith("_batch_over_untraced"):
+            floor = min_batch_ratio
+        elif name == "observer_fast_over_untraced":
+            floor = min_observation_ratio
+        else:
+            floor = min_ratio
         if ratio < floor:
             failures.append(
                 f"{name} = {ratio:.2f}x, below the {floor:.1f}x gate"

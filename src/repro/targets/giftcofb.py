@@ -59,6 +59,7 @@ class CofbNonceVictim:
         self.width = self._core.width
         self.rounds = self._core.rounds
         self.layout = self._core.layout
+        self.sbox_load_addresses = self._core.sbox_load_addresses
 
     def encrypt(self, nonce: int) -> int:
         """``Y0 = E_K(N)`` — the nonce-channel observable."""
@@ -70,6 +71,10 @@ class CofbNonceVictim:
     def sbox_indices_by_round(self, nonce: int,
                               max_rounds: int) -> List[List[int]]:
         return self._core.sbox_indices_by_round(nonce, max_rounds)
+
+    def sbox_index_mask(self, nonce: int, first_round: int,
+                        last_round: int) -> int:
+        return self._core.sbox_index_mask(nonce, first_round, last_round)
 
     def seal(self, nonce: int, associated_data: bytes,
              plaintext: bytes) -> Tuple[bytes, int]:

@@ -78,6 +78,42 @@ def _fused_sbox_scatter(sbox: Tuple[int, ...],
     )
 
 
+@lru_cache(maxsize=None)
+def _byte_pair_tables(sbox: Tuple[int, ...],
+                      permutation: Tuple[int, ...], width: int
+                      ) -> Tuple[Tuple[int, ...], ...]:
+    """Fuse two segments into one byte-indexed table per state byte.
+
+    ``tables[b][x]`` covers segments ``2b`` (low nibble of ``x``) and
+    ``2b + 1`` (high nibble): its low ``width`` bits are the two
+    nibbles' fused S-box+scatter contribution, and the 16 bits above
+    them mark which S-box entries the two loads read (bit ``i`` set iff
+    entry ``i`` was loaded).  OR-ing one entry per byte yields the
+    permuted state and the round's index presence in one integer.
+    Built once per (S-box, permutation, width), shared by every victim.
+    """
+    fused = _fused_sbox_scatter(sbox, permutation)
+    return tuple(
+        tuple(
+            low_row[x & 0xF] | high_row[x >> 4]
+            | ((1 << (x & 0xF)) | (1 << (x >> 4))) << width
+            for x in range(256)
+        )
+        for low_row, high_row in zip(fused[0::2], fused[1::2])
+    )
+
+
+def index_mask(indices_by_round: Sequence[Sequence[int]]) -> int:
+    """The 16-bit S-box index mask of per-round index rows: bit ``i``
+    is set iff some row holds index ``i`` (the reference form of
+    :meth:`TracedLutCipher.sbox_index_mask`)."""
+    mask = 0
+    for indices in indices_by_round:
+        for index in indices:
+            mask |= 1 << index
+    return mask
+
+
 @secret_attributes("_pre_masks", "_post_masks", "_final_mask")
 class TracedLutCipher:
     """LUT-based SPN cipher that records every table load it performs.
@@ -101,6 +137,7 @@ class TracedLutCipher:
         self._segments = width // 4
         self._scatter = scatter_table(permutation)
         self._fused_sbox_scatter = _fused_sbox_scatter(sbox, permutation)
+        self._byte_pair_tables = _byte_pair_tables(sbox, permutation, width)
         # Per-(index, segment) load addresses, hoisted out of the traced
         # loops.
         self._sbox_address_table: Tuple[int, ...] = tuple(
@@ -114,6 +151,11 @@ class TracedLutCipher:
         self._pre_masks: Tuple[int, ...] = tuple(pre_masks)
         self._post_masks: Tuple[int, ...] = tuple(post_masks)
         self._final_mask = final_mask
+
+    @property
+    def sbox_load_addresses(self) -> Tuple[int, ...]:
+        """Byte address each S-box index loads, in index order."""
+        return self._sbox_address_table
 
     def encrypt(self, plaintext: int) -> int:
         """Encrypt one block on the trace-free fast path.
@@ -195,6 +237,41 @@ class TracedLutCipher:
                 permuted |= fused[segment][index]
             state = permuted ^ post[round_index]
         return indices_by_round
+
+    def sbox_index_mask(self, plaintext: int, first_round: int,
+                        last_round: int) -> int:
+        """S-box entries loaded in rounds ``first_round..last_round``, as
+        one 16-bit mask (bit ``i`` set iff entry ``i`` was loaded).
+
+        Equal to :func:`index_mask` over
+        ``sbox_indices_by_round(plaintext, last_round)[first_round - 1:]``
+        (asserted by the test suite), but a round is one byte-pair table
+        load per state byte: the fast observation path's victim call.
+        """
+        if not 0 <= plaintext < (1 << self.width):
+            raise ValueError(f"block must be a {self.width}-bit integer")
+        if not 1 <= last_round <= self.rounds:
+            raise ValueError(f"last_round must be in [1, {self.rounds}]")
+        if not 1 <= first_round <= last_round:
+            raise ValueError(f"first_round must be in [1, {last_round}]")
+        tables = self._byte_pair_tables
+        pre = self._pre_masks
+        post = self._post_masks
+        width = self.width
+        state_bits = (1 << width) - 1
+        state_bytes = width // 8
+        mask = 0
+        state = plaintext
+        for round_index in range(last_round):
+            state ^= pre[round_index]
+            loaded = 0
+            for table, byte in zip(tables,
+                                   state.to_bytes(state_bytes, "little")):
+                loaded |= table[byte]
+            if round_index >= first_round - 1:
+                mask |= loaded >> width
+            state = (loaded & state_bits) ^ post[round_index]
+        return mask
 
     def _sub_cells_traced(self, state: int, round_index: int,
                           trace: EncryptionTrace) -> int:

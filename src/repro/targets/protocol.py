@@ -64,6 +64,8 @@ class TracedVictim(Protocol):
     width: int
     rounds: int
     layout: TableLayout
+    #: Byte address each S-box index loads, in index order.
+    sbox_load_addresses: Tuple[int, ...]
 
     def encrypt(self, plaintext: int) -> int: ...
 
@@ -72,6 +74,9 @@ class TracedVictim(Protocol):
 
     def sbox_indices_by_round(self, plaintext: int,
                               max_rounds: int) -> List[List[int]]: ...
+
+    def sbox_index_mask(self, plaintext: int, first_round: int,
+                        last_round: int) -> int: ...
 
 
 class CipherTarget(abc.ABC):

@@ -3,9 +3,10 @@
 Two capture points cover the observer's two execution paths:
 
 * :class:`RecordingVictim` wraps the victim itself and records every
-  protocol call — ``sbox_indices_by_round`` (the fast path's signal,
-  stored packed), ``encrypt_traced`` (the full path's tagged address
-  stream), and ``encrypt`` (the known-pair verification channel).
+  protocol call — ``sbox_indices_by_round`` and ``sbox_index_mask``
+  (the fast path's signal, stored packed as the window's index rows),
+  ``encrypt_traced`` (the full path's tagged address stream), and
+  ``encrypt`` (the known-pair verification channel).
   This is the richest capture and the one the recording CLI uses.
 * :class:`RecordingTransport` wraps any L2 ``CacheTransport`` (by
   duck-typing its surface — L0 never imports the channel package) and
@@ -26,9 +27,10 @@ same run would write every access twice.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
 
 from ..staticcheck.secrets import secret_attributes
+from ..targets.lut import index_mask
 from ..targets.trace import EncryptionTrace, MemoryAccess
 from .errors import TraceError
 from .format import (
@@ -118,7 +120,8 @@ class RecordingVictim:
     """A TracedVictim wrapper that records every protocol call.
 
     Implements the same duck-typed surface as the victim it wraps
-    (width/rounds/layout plus the three observation methods); every
+    (width/rounds/layout/sbox_load_addresses plus the four observation
+    methods, each implemented here so none bypasses the recorder); every
     other attribute (``attack_target``, ``probe_round_offset``,
     countermeasure knobs, ...) is delegated untouched, so target
     resolution and the observer's capability probing see the wrapped
@@ -148,6 +151,10 @@ class RecordingVictim:
     @property
     def layout(self) -> Any:
         return self.inner.layout
+
+    @property
+    def sbox_load_addresses(self) -> Tuple[int, ...]:
+        return self.inner.sbox_load_addresses
 
     def encrypt(self, plaintext: int) -> int:
         ciphertext = self.inner.encrypt(plaintext)
@@ -179,6 +186,14 @@ class RecordingVictim:
             indices=tuple(tuple(row) for row in rows),
         ))
         return rows
+
+    def sbox_index_mask(self, plaintext: int, first_round: int,
+                        last_round: int) -> int:
+        # Records the same indices row a sbox_indices_by_round call of
+        # the whole window would, so the trace does not depend on which
+        # form the observer asked for.
+        rows = self.sbox_indices_by_round(plaintext, last_round)
+        return index_mask(rows[first_round - 1:])
 
 
 @secret_attributes("recorder")

@@ -2,8 +2,9 @@
 
 :class:`ReplayVictim` implements the duck-typed ``TracedVictim``
 surface from a :class:`~repro.trace.format.TraceFile` instead of a
-cipher: ``sbox_indices_by_round`` / ``encrypt_traced`` pop the next
-recorded observation window and ``encrypt`` pops the next known pair.
+cipher: ``sbox_indices_by_round`` / ``sbox_index_mask`` /
+``encrypt_traced`` pop the next recorded observation window and
+``encrypt`` pops the next known pair.
 Plugged into the unchanged observer + attack, a deterministic
 recording replays bit-identically — the full-key attack re-derives the
 same crafting stream from the header's seed, asks for the same
@@ -32,6 +33,7 @@ from typing import Any, FrozenSet, List, Optional
 from ..cache.geometry import CacheGeometry
 from ..cache.setassoc import SetAssociativeCache
 from ..staticcheck.secrets import secret_attributes
+from ..targets.lut import index_mask
 from ..targets.trace import EncryptionTrace
 from .errors import TraceExhaustedError, TraceMismatchError
 from .format import (
@@ -66,6 +68,7 @@ class ReplayVictim:
         self.width = header.width
         self.rounds = header.rounds
         self.layout = header.layout
+        self.sbox_load_addresses = tuple(header.layout.sbox_addresses())
         self.probe_round_offset = header.probe_round_offset
         self._cursor = 0
         self.windows_served = 0
@@ -155,6 +158,11 @@ class ReplayVictim:
             )
         self.windows_served += 1
         return rows[:max_rounds]
+
+    def sbox_index_mask(self, plaintext: int, first_round: int,
+                        last_round: int) -> int:
+        rows = self.sbox_indices_by_round(plaintext, last_round)
+        return index_mask(rows[first_round - 1:])
 
 
 class ReplayTransport:

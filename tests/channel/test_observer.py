@@ -2,6 +2,7 @@
 seed-0 effort invariant the refactor promised to preserve."""
 
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,10 +22,40 @@ from repro.channel import (
 )
 from repro.core.attack import GrinchAttack
 from repro.core.config import AttackConfig
-from repro.gift.lut import TracedGift64
+from repro.countermeasures import (
+    HardenedKeyScheduleGift64,
+    ReshapedSboxGift64,
+)
+from repro.gift.lut import TracedGift64, TracedGift128
+from repro.present.lut import TracedPresent
 from repro.seeding import derive_key
+from repro.targets.giftcofb import CofbNonceVictim
+from repro.targets.lut import index_mask
+from repro.trace import (
+    RecordingVictim,
+    ReplayVictim,
+    TraceHeader,
+    TraceRecorder,
+)
 
 plaintexts = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+#: Every live victim class the fast path serves, by name.
+VICTIMS = {
+    "gift64": lambda key: TracedGift64(key),
+    "gift128": lambda key: TracedGift128(key),
+    "present80": lambda key: TracedPresent(key >> 48),
+    "hardened": lambda key: HardenedKeyScheduleGift64(key),
+    "reshaped": lambda key: ReshapedSboxGift64(key),
+    "cofb": lambda key: CofbNonceVictim(key),
+}
+#: Line sizes from one index per line up to one line for all sixteen.
+LINE_WORDS = (1, 2, 4, 8, 16)
+
+
+@lru_cache(maxsize=None)
+def _victim(name):
+    return VICTIMS[name](derive_key(128, 31))
 
 
 def _pair(victim, primitive, **overrides):
@@ -89,6 +120,98 @@ class TestPathEquivalence:
         assert fast.is_lossless
         assert fast.observe(plaintext, 1) == full.observe(plaintext, 1)
         assert fast.observe(plaintext, 1) == plain_fast.observe(plaintext, 1)
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data(), st.sampled_from(sorted(VICTIMS)),
+           st.sampled_from(LINE_WORDS), st.integers(1, 3), st.booleans())
+    def test_fast_path_is_exact_for_every_victim(
+            self, data, name, line_words, attacked_round, use_flush):
+        """Every victim x line size x attacked round x flush setting:
+        the index-mask fast path reports what the simulated cache sees,
+        including the reshaped S-box, whose packed rows put two
+        indices on one byte."""
+        victim = _victim(name)
+        plaintext = data.draw(st.integers(0, (1 << victim.width) - 1))
+        fast, full = _pair(victim, "flush_reload",
+                           geometry=CacheGeometry(line_words=line_words),
+                           use_flush=use_flush)
+        assert fast.fast_path_active and not full.fast_path_active
+        assert fast.observe(plaintext, attacked_round) == \
+            full.observe(plaintext, attacked_round)
+
+    @pytest.mark.parametrize("name", ["gift64", "gift128", "present80",
+                                      "reshaped"])
+    @pytest.mark.parametrize("line_words", LINE_WORDS)
+    def test_batch_matches_scalar_loop(self, name, line_words):
+        """On a lossless channel ``observe_batch`` equals the scalar
+        ``observe`` loop: both turn one index mask into lines."""
+        victim = _victim(name)
+        rng = random.Random(line_words)
+        batch = [rng.getrandbits(victim.width) for _ in range(12)]
+        config = AttackConfig(seed=6,
+                              geometry=CacheGeometry(line_words=line_words))
+        batched = ObservationChannel(victim, config)
+        assert batched.batch_path_active
+        scalar = ObservationChannel(victim, config)
+        for attacked_round in (1, 3):
+            assert batched.observe_batch(batch, attacked_round) == [
+                scalar.observe(p, attacked_round) for p in batch
+            ]
+
+
+class TestIndexMask:
+    """``sbox_index_mask`` is ``sbox_indices_by_round`` folded into one
+    mask, for every implementer of the victim protocol."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data(), st.sampled_from(sorted(VICTIMS)))
+    def test_live_victims(self, data, name):
+        victim = _victim(name)
+        plaintext = data.draw(st.integers(0, (1 << victim.width) - 1))
+        last = data.draw(st.integers(1, victim.rounds))
+        first = data.draw(st.integers(1, last))
+        rows = victim.sbox_indices_by_round(plaintext, last)
+        assert victim.sbox_index_mask(plaintext, first, last) == \
+            index_mask(rows[first - 1:])
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(st.tuples(plaintexts, st.integers(1, 6),
+                              st.integers(0, 5)),
+                    min_size=1, max_size=5))
+    def test_recording_and_replay_victims(self, windows):
+        """The recorder writes the same rows a whole-window
+        ``sbox_indices_by_round`` call writes, and replay answers the
+        mask from them."""
+        victim = _victim("gift64")
+        windows = [(p, max(1, last - back), last)
+                   for p, last, back in windows]
+        header = TraceHeader.for_victim("gift64", victim, AttackConfig())
+        by_mask = TraceRecorder(header)
+        recording = RecordingVictim(victim, by_mask)
+        by_rows = TraceRecorder(header)
+        reference = RecordingVictim(victim, by_rows)
+        expected = []
+        for plaintext, first, last in windows:
+            rows = reference.sbox_indices_by_round(plaintext, last)
+            expected.append(index_mask(rows[first - 1:]))
+            assert recording.sbox_index_mask(plaintext, first, last) == \
+                expected[-1]
+        assert by_mask.to_trace_file() == by_rows.to_trace_file()
+        replay = ReplayVictim(by_mask.to_trace_file())
+        assert [replay.sbox_index_mask(p, first, last)
+                for p, first, last in windows] == expected
+
+    def test_rejects_bad_windows(self):
+        victim = _victim("gift64")
+        with pytest.raises(ValueError, match="64-bit"):
+            victim.sbox_index_mask(1 << 64, 1, 1)
+        with pytest.raises(ValueError, match="last_round"):
+            victim.sbox_index_mask(0, 1, victim.rounds + 1)
+        with pytest.raises(ValueError, match="first_round"):
+            victim.sbox_index_mask(0, 3, 2)
 
 
 class TestComposition:

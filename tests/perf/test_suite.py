@@ -4,6 +4,7 @@ import pytest
 
 from repro.perf.suite import (
     MIN_BATCH_OVER_UNTRACED,
+    MIN_FAST_OBSERVATION_OVER_UNTRACED,
     MIN_UNTRACED_OVER_TRACED,
     PerfReport,
     check_gates,
@@ -47,6 +48,16 @@ class TestCheckGates:
         assert check_gates(
             {"gift64_batch_over_untraced": MIN_BATCH_OVER_UNTRACED}
         ) == []
+
+    def test_fast_observation_ratio_gated_at_its_floor(self):
+        # 6x clears the 5x untraced gate but not the observation gate.
+        failures = check_gates({"observer_fast_over_untraced": 6.0})
+        assert len(failures) == 1
+        assert f"{MIN_FAST_OBSERVATION_OVER_UNTRACED:.1f}x" in failures[0]
+        assert check_gates({
+            "observer_fast_over_untraced":
+                MIN_FAST_OBSERVATION_OVER_UNTRACED,
+        }) == []
 
 
 class TestPerfReport:
@@ -95,6 +106,12 @@ class TestRunSuite:
         >= 20x the scalar untraced blocks/s."""
         ratio = report.ratios["gift64_batch_over_untraced"]
         assert ratio >= MIN_BATCH_OVER_UNTRACED
+
+    def test_fast_observation_beats_untraced_by_gate_margin(self, report):
+        """The index-mask claim: one fast-path observation runs >= 7x
+        as often as one untraced encryption."""
+        ratio = report.ratios["observer_fast_over_untraced"]
+        assert ratio >= MIN_FAST_OBSERVATION_OVER_UNTRACED
 
     def test_gates_pass_on_real_run(self, report):
         assert check_gates(report.ratios) == []

@@ -115,7 +115,8 @@ class TestAnalyzeLeakage:
         lookups = {s.finding.function for s in report.sites
                    if s.finding.kind.value == "table-lookup"}
         assert {"TracedLutCipher.encrypt",
-                "TracedLutCipher.sbox_indices_by_round"} <= lookups
+                "TracedLutCipher.sbox_indices_by_round",
+                "TracedLutCipher.sbox_index_mask"} <= lookups
 
     def test_reshaped_sbox_computes_exactly_zero_bits(self):
         report = analyze_leakage(

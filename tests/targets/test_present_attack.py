@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.cache.geometry import CacheGeometry
-from repro.core import AttackConfig, GrinchAttack
+from repro.core import AttackConfig, GrinchAttack, InconsistentObservation
 from repro.seeding import derive_key
 from repro.staticcheck import declassify
 from repro.targets import get_target
@@ -59,11 +59,13 @@ class TestFullKey:
         """The documented structural limit: PRESENT's P-layer sends all
         four output bits of round-1 nibble ``q`` to index-bit offset
         ``q % 4``, so 2-word lines make nibbles 0/4/8/12 unobservable
-        through round 2 and the full-key assembly cannot finish."""
+        through round 2 and the full-key assembly cannot finish — a
+        typed failure that names the unresolved round."""
         planted, attack = _attack(
             3, geometry=CacheGeometry(line_words=2)
         )
-        with pytest.raises(RuntimeError, match="joint candidates"):
+        with pytest.raises(InconsistentObservation,
+                           match="round-1 key with .* candidates"):
             attack.recover_master_key()
 
 
