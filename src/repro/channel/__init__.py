@@ -47,7 +47,7 @@ from .degradation import (
     ProbeJitter,
     jitter_from_platform,
 )
-from .monitor import SboxMonitor
+from .monitor import EvictionModel, SboxMonitor
 from .observer import (
     MemoryLatencies,
     ObservationChannel,
@@ -86,6 +86,7 @@ __all__ = [
     "NoiseModel",
     "ProbeJitter",
     "jitter_from_platform",
+    "EvictionModel",
     "SboxMonitor",
     "MemoryLatencies",
     "ObservationChannel",

@@ -4,14 +4,18 @@ With a line of ``L`` words (1 byte each on the paper's platforms) the
 16-byte S-box spans ``16 / L`` cache lines, each covering ``L``
 consecutive indices.  The attacker's observations are *line*-granular;
 this module owns the index-to-line arithmetic, including the paper's
-Section III-D point that growing lines obfuscate the low index bits.
+Section III-D point that growing lines obfuscate the low index bits,
+and the :class:`EvictionModel` that says when the victim's own
+PermBits loads can push a monitored line out before the probe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import chain
+from operator import getitem
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..cache.geometry import CacheGeometry
 from ..staticcheck.secrets import secret_params
@@ -139,3 +143,154 @@ class SboxMonitor:
             self.address_by_index[self.indices_by_line[line][0]]
             for line in self.lines
         ]
+
+
+@dataclass(frozen=True)
+class EvictionModel:
+    """When the victim's own loads evict a monitored line, and the
+    exact readout of a window when they can.
+
+    An LRU set drops a line once ``ways`` other distinct lines of that
+    set are loaded after its last use, whatever the set held before.
+    Each round the victim loads one S-box entry per segment and then
+    one PermBits entry per segment, and PermBits lines share cache sets
+    with S-box lines.  A visible window of up to ``safe_rounds`` rounds
+    can never evict a monitored line, so the index mask alone is its
+    readout; a longer window is read out by :meth:`readout`, which
+    replays the window's loads into the *contested* sets (the sets
+    where eviction cannot be ruled out) in LRU order.
+    """
+
+    monitor: SboxMonitor
+    #: Longest visible window, in rounds, that cannot evict a
+    #: monitored line.
+    safe_rounds: int
+    #: Monitored lines whose set may overflow within a window.
+    contested: FrozenSet[int]
+    #: Per S-box index: its line if contested, else ``None``.
+    sbox_lines: Tuple[Optional[int], ...]
+    #: Per segment, per S-box index: the PermBits line it loads if that
+    #: line falls in a contested set, else ``None``.
+    perm_lines: Tuple[Tuple[Optional[int], ...], ...]
+    #: Cache set of every line the two tables above can name.
+    set_of_line: Dict[int, int]
+
+    @classmethod
+    def build(cls, monitor: SboxMonitor,
+              perm_load_addresses: Sequence[Sequence[int]],
+              rounds: int) -> "EvictionModel":
+        """Bound the eviction pressure of a victim's address pattern.
+
+        ``perm_load_addresses`` is the victim's PermBits load address
+        per segment and S-box index.  After a monitored line's last
+        load in round ``r`` of a window, its set sees at most the
+        round-``r`` PermBits loads of the other segments (plus the one
+        that loaded it, if that lands in the set), every later round's
+        PermBits loads and the set's other monitored lines; the window
+        is safe while that count stays below ``ways``.
+        """
+        geometry = monitor.geometry
+        ways = geometry.ways
+        num_sets = geometry.num_sets
+        monitored: Dict[int, List[int]] = {}
+        for line in monitor.lines:
+            monitored.setdefault(line % num_sets, []).append(line)
+        perm_rows = [[geometry.line_of(address) for address in row]
+                     for row in perm_load_addresses]
+        reach: Dict[int, List[Set[int]]] = {
+            cache_set: [set() for _ in perm_rows] for cache_set in monitored
+        }
+        for segment, row in enumerate(perm_rows):
+            for line in row:
+                if line % num_sets in reach:
+                    reach[line % num_sets][segment].add(line)
+        safe_rounds = rounds
+        contested_sets: Set[int] = set()
+        for cache_set, lines in monitored.items():
+            by_segment = reach[cache_set]
+            perm_lines: Set[int] = set().union(*by_segment)
+            others = len(lines) - 1
+            if perm_lines & set(lines):
+                # A PermBits load reads a monitored line itself, which
+                # the index mask cannot show.
+                contested_sets.add(cache_set)
+                safe_rounds = 0
+                continue
+            if len(perm_lines) + others < ways:
+                continue
+            contested_sets.add(cache_set)
+            per_round = sum(1 for segment in by_segment if segment)
+            for line in lines:
+                last_round = max(
+                    (row[index] in by_segment[segment])
+                    + per_round - bool(by_segment[segment])
+                    for segment, row in enumerate(perm_rows)
+                    for index in monitor.indices_by_line[line]
+                )
+                if last_round + others >= ways:
+                    safe_rounds = 0
+                elif per_round:
+                    safe_rounds = min(
+                        safe_rounds,
+                        1 + (ways - 1 - others - last_round) // per_round,
+                    )
+        contested = frozenset(
+            line
+            for cache_set in contested_sets
+            for line in monitored[cache_set]
+        )
+        sbox_lines = tuple(line if line in contested else None
+                           for line in monitor.line_by_index)
+        perm_lines_by_index = tuple(
+            tuple(line if line % num_sets in contested_sets else None
+                  for line in row)
+            for row in perm_rows
+        )
+        set_of_line = {
+            line: line % num_sets
+            for row in (sbox_lines, *perm_lines_by_index)
+            for line in row if line is not None
+        }
+        return cls(
+            monitor=monitor,
+            safe_rounds=safe_rounds,
+            contested=contested,
+            sbox_lines=sbox_lines,
+            perm_lines=perm_lines_by_index,
+            set_of_line=set_of_line,
+        )
+
+    @secret_params("window")
+    def readout(self, window: Sequence[Sequence[int]]) -> FrozenSet[int]:
+        """Monitored lines cached after the visible ``window`` — its
+        rounds' S-box indices per segment, oldest first — ran through
+        an LRU cache whose monitored lines were flushed before it."""
+        mask = 0
+        for index in set(chain.from_iterable(window)):
+            mask |= 1 << index
+        observed = self.monitor.lines_of_mask(mask) - self.contested
+        if not self.contested:
+            return observed
+        ways = self.monitor.geometry.ways
+        contested = self.contested
+        set_of_line = self.set_of_line
+        sbox_lines = self.sbox_lines
+        perm_lines = self.perm_lines
+        # Walk the loads newest first: a contested line's first sighting
+        # is its last use, and it survives iff fewer than ``ways`` other
+        # lines of its set were loaded after it.
+        later: Dict[int, Set[int]] = {}
+        kept: List[int] = []
+        for indices in reversed(window):
+            # A round loads its S-box entries, then its PermBits entries.
+            loads = [sbox_lines[index] for index in indices]
+            loads += map(getitem, perm_lines, indices)
+            for line in [line for line in reversed(loads)
+                         if line is not None]:
+                seen = later.setdefault(set_of_line[line], set())
+                if line in seen:
+                    continue
+                if line in contested and len(seen) < ways:
+                    kept.append(line)
+                seen.add(line)
+        return observed.union(kept)

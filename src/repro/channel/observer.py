@@ -25,16 +25,20 @@ Two execution paths produce the access-driven answer:
 * the **fast path** asks the victim for one 16-bit S-box index mask of
   the visible round window (``sbox_index_mask``) and turns it into
   lines with two table lookups on the monitor, which maps each index
-  through the address the victim really loads for it — exact for
-  line-granular flush-based primitives on a single-level transport
-  under the default layouts (monitored lines can never be evicted: the
-  victim's visible working set per cache set is far below the paper's
-  16 ways).  On the end-to-end benchmark a GIFT-64 full-key attack
-  takes about 13x longer on the full path (``fullsim_fullkey``,
-  ~170 ms) than on this one (``fast_fullkey``, ~13 ms on a 1-vCPU
-  x86-64 container), which the million-encryption sweeps of Table I
-  need.  ``observe_batch`` folds the bitsliced backend's indices into
-  the same masks.  The suite's victim sweep (``TestPathEquivalence`` in
+  through the address the victim really loads for it.  That is the
+  probe's readout as long as no monitored line is evicted before the
+  probe; the channel's :class:`~repro.channel.monitor.EvictionModel`
+  bounds, from the victim's PermBits load addresses, how long a window
+  stays eviction-free on an LRU cache (the paper's flushed one-round
+  GIFT-64 window does), and reads longer windows out from
+  ``sbox_indices_by_round`` by replaying their loads into the contested
+  sets.  It applies to line-granular flush-based primitives on an LRU
+  single-level transport.  On the end-to-end benchmark a GIFT-64
+  full-key attack takes about 13x longer on the full path
+  (``fullsim_fullkey``, ~170 ms) than on this one (``fast_fullkey``,
+  ~13 ms on a 1-vCPU x86-64 container), which the million-encryption
+  sweeps of Table I need.  ``observe_batch`` folds the bitsliced
+  backend's indices into the same masks.  The suite's victim sweep (``TestPathEquivalence`` in
   ``tests/channel/test_observer.py``) proves the two paths agree
   observation-for-observation for GIFT-64, GIFT-128, PRESENT-80, both
   countermeasure victims and the COFB nonce victim at line sizes of 1
@@ -61,7 +65,7 @@ from ..targets.registry import resolve_target_for
 from ..seeding import derive_rng, derive_seed
 from ..staticcheck import secret_attributes
 from .defender import DefenderObserver
-from .monitor import SboxMonitor
+from .monitor import EvictionModel, SboxMonitor
 from .primitive import ProbePrimitive, make_primitive
 from .transport import CacheTransport, SingleLevelTransport
 
@@ -191,6 +195,13 @@ class ObservationChannel:
         self._fast_path: bool = (config.fast_path_applicable
                                  and primitive.line_granular
                                  and transport.supports_fast_path)
+        # How long a visible window the index mask reads out exactly
+        # before the victim's own loads can evict a monitored line.
+        self._eviction: Optional[EvictionModel] = (
+            EvictionModel.build(self.monitor, victim.perm_load_addresses,
+                                victim.rounds)
+            if self._fast_path else None
+        )
         # A silent noise model draws nothing, so the fast paths skip it.
         self._noise_silent: bool = config.noise.is_silent
         # Scope-derived so the noise stream is independent of the
@@ -330,9 +341,8 @@ class ObservationChannel:
                 observed |= self._noise_lines()
         elif self._fast_path:
             observed = self.primitive.filter_observation(
-                self.monitor.lines_of_mask(self.victim.sbox_index_mask(
-                    plaintext, first_visible, visible_through
-                ))
+                self._fast_observation(plaintext, first_visible,
+                                       visible_through)
             )
             if not self._noise_silent:
                 observed |= self._noise_lines()
@@ -386,18 +396,25 @@ class ObservationChannel:
         indices = numpy.asarray(
             view.sbox_indices_batch(plaintexts, max_rounds=visible_through),
             dtype=numpy.uint16,
-        )
-        # (rounds', segments, N) -> one 16-bit index mask per block, the
-        # same form the scalar fast path gets from the victim.
-        masks = numpy.bitwise_or.reduce(
-            numpy.left_shift(1, indices[first_visible - 1:],
-                             dtype=numpy.uint16).reshape(-1, count),
-            axis=0,
-        )
-        lines_of_mask = self.monitor.lines_of_mask
+        )[first_visible - 1:]
+        assert self._eviction is not None
+        if visible_through - first_visible < self._eviction.safe_rounds:
+            # (rounds', segments, N) -> one 16-bit index mask per block,
+            # the same form the scalar fast path gets from the victim.
+            masks = numpy.bitwise_or.reduce(
+                numpy.left_shift(1, indices,
+                                 dtype=numpy.uint16).reshape(-1, count),
+                axis=0,
+            )
+            lines_of_mask = self.monitor.lines_of_mask
+            readouts = [lines_of_mask(mask) for mask in masks.tolist()]
+        else:
+            readout = self._eviction.readout
+            readouts = [readout(window)
+                        for window in indices.transpose(2, 0, 1).tolist()]
         observations: List[FrozenSet[int]] = []
-        for mask in masks.tolist():
-            observed = self.primitive.filter_observation(lines_of_mask(mask))
+        for lines in readouts:
+            observed = self.primitive.filter_observation(lines)
             if not self._noise_silent:
                 observed |= self._noise_lines()
             observations.append(observed)
@@ -411,6 +428,16 @@ class ObservationChannel:
     # ------------------------------------------------------------------
     # Paths
     # ------------------------------------------------------------------
+
+    def _fast_observation(self, plaintext: int, first_visible: int,
+                          visible_through: int) -> FrozenSet[int]:
+        assert self._eviction is not None
+        if visible_through - first_visible < self._eviction.safe_rounds:
+            return self.monitor.lines_of_mask(self.victim.sbox_index_mask(
+                plaintext, first_visible, visible_through
+            ))
+        rows = self.victim.sbox_indices_by_round(plaintext, visible_through)
+        return self._eviction.readout(rows[first_visible - 1:])
 
     def _full_observation(self, plaintext: int, monitored_round: int,
                           visible_through: int,

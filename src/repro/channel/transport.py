@@ -45,7 +45,8 @@ class CacheTransport(ABC):
     supports_prime_probe: bool = False
 
     #: Whether monitored-line residency after the visible window is a
-    #: pure function of the victim's S-box accesses (exact fast path).
+    #: pure function of the victim's loads in that window (exact fast
+    #: path).
     supports_fast_path: bool = False
 
     #: Whether co-runner noise manifests as victim-side traffic (it is
@@ -93,7 +94,6 @@ class SingleLevelTransport(CacheTransport):
     """Attacker and victim time-share one set-associative cache."""
 
     supports_prime_probe = True
-    supports_fast_path = True
     noise_via_victim = False
     probe_on_empty_window = False
 
@@ -103,6 +103,13 @@ class SingleLevelTransport(CacheTransport):
         self.policy_name = policy
         self.rng = rng
         self.cache = SetAssociativeCache(geometry, policy=policy, rng=rng)
+
+    @property
+    def supports_fast_path(self) -> bool:
+        """The analytic path's eviction model is LRU's: under FIFO or
+        random replacement a monitored line's survival depends on what
+        the set held before the window."""
+        return self.policy_name == "lru"
 
     def access(self, address: int) -> bool:
         return self.cache.access(address)

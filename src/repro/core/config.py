@@ -225,8 +225,9 @@ class AttackConfig:
 
         The fast path skips the LRU machinery; that is exact only for
         the line-granular flush-based primitives (Flush+Reload and
-        Flush+Flush: no set conflicts with other tables, and the
-        readout noise applies identically on both paths) —
+        Flush+Flush: the observer's eviction model accounts for the
+        victim's own set conflicts, and the readout noise applies
+        identically on both paths) —
         Prime+Probe observes at set granularity where the PermBits
         table interferes, so it must run on the full simulator.
         """

@@ -60,6 +60,7 @@ class CofbNonceVictim:
         self.rounds = self._core.rounds
         self.layout = self._core.layout
         self.sbox_load_addresses = self._core.sbox_load_addresses
+        self.perm_load_addresses = self._core.perm_load_addresses
 
     def encrypt(self, nonce: int) -> int:
         """``Y0 = E_K(N)`` — the nonce-channel observable."""

@@ -148,6 +148,12 @@ class TracedLutCipher:
                   for nibble in range(SBOX_ENTRIES))
             for segment in range(self._segments)
         )
+        # The PermBits load of a segment follows from its S-box index:
+        # the scatter entry of the substituted nibble.
+        self._perm_load_table: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(row[sbox[index]] for index in range(SBOX_ENTRIES))
+            for row in self._perm_address_table
+        )
         self._pre_masks: Tuple[int, ...] = tuple(pre_masks)
         self._post_masks: Tuple[int, ...] = tuple(post_masks)
         self._final_mask = final_mask
@@ -156,6 +162,12 @@ class TracedLutCipher:
     def sbox_load_addresses(self) -> Tuple[int, ...]:
         """Byte address each S-box index loads, in index order."""
         return self._sbox_address_table
+
+    @property
+    def perm_load_addresses(self) -> Tuple[Tuple[int, ...], ...]:
+        """Byte address of the PermBits load of each segment, per S-box
+        index of that segment, in segment then index order."""
+        return self._perm_load_table
 
     def encrypt(self, plaintext: int) -> int:
         """Encrypt one block on the trace-free fast path.

@@ -66,6 +66,8 @@ class TracedVictim(Protocol):
     layout: TableLayout
     #: Byte address each S-box index loads, in index order.
     sbox_load_addresses: Tuple[int, ...]
+    #: Byte address of each segment's PermBits load, per S-box index.
+    perm_load_addresses: Tuple[Tuple[int, ...], ...]
 
     def encrypt(self, plaintext: int) -> int: ...
 

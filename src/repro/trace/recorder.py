@@ -120,12 +120,12 @@ class RecordingVictim:
     """A TracedVictim wrapper that records every protocol call.
 
     Implements the same duck-typed surface as the victim it wraps
-    (width/rounds/layout/sbox_load_addresses plus the four observation
-    methods, each implemented here so none bypasses the recorder); every
-    other attribute (``attack_target``, ``probe_round_offset``,
-    countermeasure knobs, ...) is delegated untouched, so target
-    resolution and the observer's capability probing see the wrapped
-    victim exactly.
+    (width/rounds/layout, the S-box and PermBits load addresses, plus
+    the four observation methods, each implemented here so none
+    bypasses the recorder); every other attribute (``attack_target``,
+    ``probe_round_offset``, countermeasure knobs, ...) is delegated
+    untouched, so target resolution and the observer's capability
+    probing see the wrapped victim exactly.
     """
 
     def __init__(self, victim: Any, recorder: TraceRecorder) -> None:
@@ -155,6 +155,10 @@ class RecordingVictim:
     @property
     def sbox_load_addresses(self) -> Tuple[int, ...]:
         return self.inner.sbox_load_addresses
+
+    @property
+    def perm_load_addresses(self) -> Tuple[Tuple[int, ...], ...]:
+        return self.inner.perm_load_addresses
 
     def encrypt(self, plaintext: int) -> int:
         ciphertext = self.inner.encrypt(plaintext)

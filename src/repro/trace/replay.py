@@ -34,6 +34,7 @@ from ..cache.geometry import CacheGeometry
 from ..cache.setassoc import SetAssociativeCache
 from ..staticcheck.secrets import secret_attributes
 from ..targets.lut import index_mask
+from ..targets.registry import get_target
 from ..targets.trace import EncryptionTrace
 from .errors import TraceExhaustedError, TraceMismatchError
 from .format import (
@@ -53,7 +54,8 @@ class ReplayVictim:
     """A victim whose "encryptions" are answered from a recording.
 
     The attack-facing attributes (``attack_target``, ``width``,
-    ``rounds``, ``layout``, ``probe_round_offset``) come from the
+    ``rounds``, ``layout``, ``probe_round_offset``, and the load
+    addresses the target's S-box and layout imply) come from the
     trace header, so target resolution, monitor construction and the
     observer's offset arithmetic behave exactly as they did against
     the live victim.  The recorded index stream is key-dependent —
@@ -69,6 +71,13 @@ class ReplayVictim:
         self.rounds = header.rounds
         self.layout = header.layout
         self.sbox_load_addresses = tuple(header.layout.sbox_addresses())
+        sbox = get_target(header.target).sbox
+        self.perm_load_addresses = tuple(
+            tuple(header.layout.perm_address(segment, sbox[index],
+                                             header.segments)
+                  for index in range(len(sbox)))
+            for segment in range(header.segments)
+        )
         self.probe_round_offset = header.probe_round_offset
         self._cursor = 0
         self.windows_served = 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.cache.geometry import CacheGeometry
 from repro.channel import (
     LOSSLESS,
+    EvictionModel,
     FlushReload,
     LossyChannel,
     MemoryLatencies,
@@ -212,6 +213,77 @@ class TestIndexMask:
             victim.sbox_index_mask(0, 1, victim.rounds + 1)
         with pytest.raises(ValueError, match="first_round"):
             victim.sbox_index_mask(0, 3, 2)
+
+
+class TestEvictionModel:
+    """Each round the victim's PermBits loads follow its S-box loads and
+    share cache sets with them; the fast path reads out a window that
+    can overflow a set in LRU order instead of from the index mask."""
+
+    @staticmethod
+    def _model(name, geometry):
+        victim = _victim(name)
+        monitor = SboxMonitor.build(victim.layout, geometry,
+                                    victim.sbox_load_addresses)
+        return monitor, EvictionModel.build(
+            monitor, victim.perm_load_addresses, victim.rounds
+        )
+
+    @pytest.mark.parametrize("name", ["gift64", "present80", "hardened",
+                                      "reshaped"])
+    def test_flushed_paper_window_reads_the_mask(self, name):
+        """Sixteen segments cannot fill a 16-way set after the S-box
+        load they follow, so the paper's one-round window is safe."""
+        assert self._model(name, CacheGeometry())[1].safe_rounds == 1
+
+    def test_gift128_round_can_fill_a_set(self):
+        """Thirty-two PermBits loads per round can."""
+        assert self._model("gift128", CacheGeometry())[1].safe_rounds == 0
+
+    def test_uncontested_geometry_reads_the_mask(self):
+        """With 16-word lines each set holds few PermBits lines, so no
+        window of any length can evict."""
+        monitor, model = self._model("gift64", CacheGeometry(line_words=16))
+        assert not model.contested
+        assert model.safe_rounds == _victim("gift64").rounds
+        window = _victim("gift64").sbox_indices_by_round(0x0123456789ABCDEF,
+                                                         3)
+        assert model.readout(window) == \
+            monitor.lines_of_mask(index_mask(window))
+
+    def test_self_evicted_line_is_not_observed(self):
+        """The victim sweep's falsifying example: 146 puts index 9
+        (line 2052 under 2-word lines) in round 1, then the zero
+        nibbles' thirty PermBits loads land in that line's set and an
+        unflushed window loses it."""
+        victim = _victim("gift128")
+        fast, full = _pair(victim, "flush_reload",
+                           geometry=CacheGeometry(line_words=2),
+                           use_flush=False)
+        loaded = fast.monitor.lines_of_mask(
+            victim.sbox_index_mask(146, 1, 2)
+        )
+        assert 2052 in loaded
+        observed = full.observe(146, 1)
+        assert 2052 not in observed
+        assert fast.observe(146, 1) == observed == loaded - {2052}
+
+    def test_replay_reads_out_what_the_recording_saw(self):
+        """Replay derives the PermBits addresses from the header's
+        target and layout, so it evicts what the live victim did."""
+        victim = _victim("gift128")
+        config = AttackConfig(seed=5, use_flush=False,
+                              geometry=CacheGeometry(line_words=2))
+        recorder = TraceRecorder(
+            TraceHeader.for_victim("gift128", victim, config)
+        )
+        live = ObservationChannel(RecordingVictim(victim, recorder), config)
+        seen = live.observe(146, 1)
+        assert 2052 not in seen
+        replayed = ObservationChannel(
+            ReplayVictim(recorder.to_trace_file()), config
+        )
+        assert replayed.observe(146, 1) == seen
 
 
 class TestComposition:

@@ -29,6 +29,12 @@ class TestSingleLevel:
         assert not transport.noise_via_victim
         assert not transport.probe_on_empty_window
 
+    @pytest.mark.parametrize("policy", ["fifo", "random"])
+    def test_fast_path_needs_lru(self, policy):
+        transport = SingleLevelTransport(CacheGeometry(), policy=policy)
+        assert not transport.supports_fast_path
+        assert not transport.cold().supports_fast_path
+
     def test_geometry_check(self):
         transport = SingleLevelTransport(CacheGeometry(line_words=1))
         transport.check_geometry(CacheGeometry(line_words=1))
