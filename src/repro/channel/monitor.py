@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
-from operator import getitem
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..cache.geometry import CacheGeometry
 from ..staticcheck.secrets import secret_params
 from ..targets.layout import SBOX_ENTRIES as SBOX_SIZE
 from ..targets.layout import TableLayout
+from ..targets.lut import index_mask
 
 
 #: Line tuples of one byte of an S-box index mask, per byte value.
@@ -147,18 +146,17 @@ class SboxMonitor:
 
 @dataclass(frozen=True)
 class EvictionModel:
-    """When the victim's own loads evict a monitored line, and the
-    exact readout of a window when they can.
+    """When the victim's own loads can evict a monitored line, and the
+    exact readout of a window in which they can.
 
-    An LRU set drops a line once ``ways`` other distinct lines of that
-    set are loaded after its last use, whatever the set held before.
-    Each round the victim loads one S-box entry per segment and then
-    one PermBits entry per segment, and PermBits lines share cache sets
-    with S-box lines.  A visible window of up to ``safe_rounds`` rounds
-    can never evict a monitored line, so the index mask alone is its
-    readout; a longer window is read out by :meth:`readout`, which
-    replays the window's loads into the *contested* sets (the sets
-    where eviction cannot be ruled out) in LRU order.
+    An LRU set keeps the ``ways`` distinct lines most recently used in
+    it, whatever it held before.  Each round the victim loads one S-box
+    entry per segment and then one PermBits entry per segment, and
+    PermBits lines share cache sets with S-box lines.  A visible window
+    of up to ``safe_rounds`` rounds can never evict a monitored line, so
+    the index mask alone is its readout; :meth:`readout` reads a longer
+    window out of its loads into the *contested* sets (the sets where
+    eviction cannot be ruled out).
     """
 
     monitor: SboxMonitor
@@ -172,8 +170,6 @@ class EvictionModel:
     #: Per segment, per S-box index: the PermBits line it loads if that
     #: line falls in a contested set, else ``None``.
     perm_lines: Tuple[Tuple[Optional[int], ...], ...]
-    #: Cache set of every line the two tables above can name.
-    set_of_line: Dict[int, int]
 
     @classmethod
     def build(cls, monitor: SboxMonitor,
@@ -239,25 +235,17 @@ class EvictionModel:
             for cache_set in contested_sets
             for line in monitored[cache_set]
         )
-        sbox_lines = tuple(line if line in contested else None
-                           for line in monitor.line_by_index)
-        perm_lines_by_index = tuple(
-            tuple(line if line % num_sets in contested_sets else None
-                  for line in row)
-            for row in perm_rows
-        )
-        set_of_line = {
-            line: line % num_sets
-            for row in (sbox_lines, *perm_lines_by_index)
-            for line in row if line is not None
-        }
         return cls(
             monitor=monitor,
             safe_rounds=safe_rounds,
             contested=contested,
-            sbox_lines=sbox_lines,
-            perm_lines=perm_lines_by_index,
-            set_of_line=set_of_line,
+            sbox_lines=tuple(line if line in contested else None
+                             for line in monitor.line_by_index),
+            perm_lines=tuple(
+                tuple(line if line % num_sets in contested_sets else None
+                      for line in row)
+                for row in perm_rows
+            ),
         )
 
     @secret_params("window")
@@ -265,32 +253,24 @@ class EvictionModel:
         """Monitored lines cached after the visible ``window`` — its
         rounds' S-box indices per segment, oldest first — ran through
         an LRU cache whose monitored lines were flushed before it."""
-        mask = 0
-        for index in set(chain.from_iterable(window)):
-            mask |= 1 << index
-        observed = self.monitor.lines_of_mask(mask) - self.contested
+        observed = self.monitor.lines_of_mask(index_mask(window))
         if not self.contested:
             return observed
-        ways = self.monitor.geometry.ways
-        contested = self.contested
-        set_of_line = self.set_of_line
         sbox_lines = self.sbox_lines
         perm_lines = self.perm_lines
-        # Walk the loads newest first: a contested line's first sighting
-        # is its last use, and it survives iff fewer than ``ways`` other
-        # lines of its set were loaded after it.
-        later: Dict[int, Set[int]] = {}
-        kept: List[int] = []
-        for indices in reversed(window):
+        loads: List[Optional[int]] = []
+        for indices in window:
             # A round loads its S-box entries, then its PermBits entries.
-            loads = [sbox_lines[index] for index in indices]
-            loads += map(getitem, perm_lines, indices)
-            for line in [line for line in reversed(loads)
-                         if line is not None]:
-                seen = later.setdefault(set_of_line[line], set())
-                if line in seen:
-                    continue
-                if line in contested and len(seen) < ways:
-                    kept.append(line)
-                seen.add(line)
-        return observed.union(kept)
+            loads += [sbox_lines[index] for index in indices]
+            loads += [row[index] for row, index in zip(perm_lines, indices)]
+        # Each contested set keeps its ``ways`` most recent distinct
+        # lines; loads outside those sets are ``None``.
+        recent = dict.fromkeys(reversed(loads))
+        recent.pop(None, None)
+        num_sets = self.monitor.geometry.num_sets
+        by_set: Dict[int, List[int]] = {}
+        for line in recent:
+            by_set.setdefault(line % num_sets, []).append(line)
+        ways = self.monitor.geometry.ways
+        kept = {line for lines in by_set.values() for line in lines[:ways]}
+        return (observed - self.contested) | (self.contested & kept)

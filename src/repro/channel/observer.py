@@ -31,15 +31,15 @@ Two execution paths produce the access-driven answer:
   bounds, from the victim's PermBits load addresses, how long a window
   stays eviction-free on an LRU cache (the paper's flushed one-round
   GIFT-64 window does), and reads longer windows out from
-  ``sbox_indices_by_round`` by replaying their loads into the contested
-  sets.  It applies to line-granular flush-based primitives on an LRU
-  single-level transport.  On the end-to-end benchmark a GIFT-64
-  full-key attack takes about 13x longer on the full path
-  (``fullsim_fullkey``, ~170 ms) than on this one (``fast_fullkey``,
-  ~13 ms on a 1-vCPU x86-64 container), which the million-encryption
-  sweeps of Table I need.  ``observe_batch`` folds the bitsliced
-  backend's indices into the same masks.  The suite's victim sweep (``TestPathEquivalence`` in
-  ``tests/channel/test_observer.py``) proves the two paths agree
+  ``sbox_indices_by_round`` as an LRU cache keeps them.  It applies to
+  line-granular flush-based primitives on an LRU single-level
+  transport.  On the end-to-end benchmark a GIFT-64 full-key attack
+  takes about 13x longer on the full path (``fullsim_fullkey``,
+  ~170 ms) than on this one (``fast_fullkey``, ~13 ms on a 1-vCPU
+  x86-64 container), which the million-encryption sweeps of Table I
+  need.  ``observe_batch`` folds the bitsliced backend's indices into
+  the same masks.  The suite's victim sweep (``TestPathEquivalence``
+  in ``tests/channel/test_observer.py``) proves the two paths agree
   observation-for-observation for GIFT-64, GIFT-128, PRESENT-80, both
   countermeasure victims and the COFB nonce victim at line sizes of 1
   to 16 words, with and without the mid-encryption flush.
@@ -371,8 +371,9 @@ class ObservationChannel:
         all encryptions run through the victim's vectorized index
         source and lossy degradations apply as batch masks on the
         dedicated ``"-loss-batch"`` stream (deterministic at ANY batch
-        split — see ``LossyChannel.drop_lines_batch``); otherwise this
-        is exactly ``[self.observe(p, attacked_round) for p in
+        split — see ``LossyChannel.drop_lines_batch``); otherwise, and
+        for a window the index mask cannot read out alone, this is
+        exactly ``[self.observe(p, attacked_round) for p in
         plaintexts]``.  On a lossless channel the two paths are
         observation-for-observation identical (the noise stream is
         consumed per window in scalar order on both).
@@ -384,37 +385,31 @@ class ObservationChannel:
         plaintexts = list(plaintexts)
         if not plaintexts:
             return []
-        if not self.batch_path_active:
+        monitored_round = attacked_round + self._probe_round_offset
+        visible_through = monitored_round - 1 + self.config.probing_round
+        first_visible = monitored_round if self._flush_supported else 1
+        if not (self.batch_path_active
+                and self._mask_reads(first_visible, visible_through)):
             return [self.observe(plaintext, attacked_round)
                     for plaintext in plaintexts]
         view = self._resolve_batch_view()
         count = len(plaintexts)
         self.encryptions_run += count
-        monitored_round = attacked_round + self._probe_round_offset
-        visible_through = monitored_round - 1 + self.config.probing_round
-        first_visible = monitored_round if self._flush_supported else 1
         indices = numpy.asarray(
             view.sbox_indices_batch(plaintexts, max_rounds=visible_through),
             dtype=numpy.uint16,
         )[first_visible - 1:]
-        assert self._eviction is not None
-        if visible_through - first_visible < self._eviction.safe_rounds:
-            # (rounds', segments, N) -> one 16-bit index mask per block,
-            # the same form the scalar fast path gets from the victim.
-            masks = numpy.bitwise_or.reduce(
-                numpy.left_shift(1, indices,
-                                 dtype=numpy.uint16).reshape(-1, count),
-                axis=0,
-            )
-            lines_of_mask = self.monitor.lines_of_mask
-            readouts = [lines_of_mask(mask) for mask in masks.tolist()]
-        else:
-            readout = self._eviction.readout
-            readouts = [readout(window)
-                        for window in indices.transpose(2, 0, 1).tolist()]
+        # (rounds', segments, N) -> one 16-bit index mask per block, the
+        # same form the scalar fast path gets from the victim.
+        masks = numpy.bitwise_or.reduce(
+            numpy.left_shift(1, indices,
+                             dtype=numpy.uint16).reshape(-1, count),
+            axis=0,
+        )
+        lines_of_mask = self.monitor.lines_of_mask
         observations: List[FrozenSet[int]] = []
-        for lines in readouts:
-            observed = self.primitive.filter_observation(lines)
+        for mask in masks.tolist():
+            observed = self.primitive.filter_observation(lines_of_mask(mask))
             if not self._noise_silent:
                 observed |= self._noise_lines()
             observations.append(observed)
@@ -429,10 +424,15 @@ class ObservationChannel:
     # Paths
     # ------------------------------------------------------------------
 
+    def _mask_reads(self, first_visible: int, visible_through: int) -> bool:
+        """Whether the index mask alone is the readout of a window."""
+        return (self._eviction is not None and visible_through
+                - first_visible < self._eviction.safe_rounds)
+
     def _fast_observation(self, plaintext: int, first_visible: int,
                           visible_through: int) -> FrozenSet[int]:
         assert self._eviction is not None
-        if visible_through - first_visible < self._eviction.safe_rounds:
+        if self._mask_reads(first_visible, visible_through):
             return self.monitor.lines_of_mask(self.victim.sbox_index_mask(
                 plaintext, first_visible, visible_through
             ))

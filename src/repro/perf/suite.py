@@ -149,8 +149,6 @@ def check_gates(ratios: Dict[str, float],
                 *,
                 min_ratio: float = MIN_UNTRACED_OVER_TRACED,
                 min_batch_ratio: float = MIN_BATCH_OVER_UNTRACED,
-                min_observation_ratio: float =
-                MIN_FAST_OBSERVATION_OVER_UNTRACED,
                 headroom: float = REGRESSION_HEADROOM) -> List[str]:
     """Evaluate the ratio gates; returns human-readable failures.
 
@@ -160,14 +158,14 @@ def check_gates(ratios: Dict[str, float],
     traced path may regress relative to the untraced anchor.
     Batch-over-untraced ratios are gated against ``min_batch_ratio``
     and ``observer_fast_over_untraced`` against
-    ``min_observation_ratio`` instead of ``min_ratio``.
+    :data:`MIN_FAST_OBSERVATION_OVER_UNTRACED` instead of ``min_ratio``.
     """
     failures: List[str] = []
     for name, ratio in sorted(ratios.items()):
         if name.endswith("_batch_over_untraced"):
             floor = min_batch_ratio
         elif name == "observer_fast_over_untraced":
-            floor = min_observation_ratio
+            floor = MIN_FAST_OBSERVATION_OVER_UNTRACED
         else:
             floor = min_ratio
         if ratio < floor:

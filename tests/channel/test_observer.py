@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
+from repro.cache.setassoc import SetAssociativeCache
 from repro.channel import (
     LOSSLESS,
     EvictionModel,
@@ -68,6 +69,23 @@ def _pair(victim, primitive, **overrides):
         probe_strategy=primitive, use_fast_path=False, seed=5, **overrides
     ))
     return fast, full
+
+
+def _lru_readout(victim, monitor, window):
+    """Reference readout: run the window's loads (each round's S-box
+    entries, then its PermBits entries) through an empty LRU cache and
+    report the monitored lines it still holds."""
+    cache = SetAssociativeCache(monitor.geometry)
+    for indices in window:
+        for index in indices:
+            cache.access(victim.sbox_load_addresses[index])
+        for row, index in zip(victim.perm_load_addresses, indices):
+            cache.access(row[index])
+    return {
+        line for line, address in zip(monitor.lines,
+                                      monitor.line_addresses())
+        if cache.is_resident(address)
+    }
 
 
 class TestPathEquivalence:
@@ -217,8 +235,9 @@ class TestIndexMask:
 
 class TestEvictionModel:
     """Each round the victim's PermBits loads follow its S-box loads and
-    share cache sets with them; the fast path reads out a window that
-    can overflow a set in LRU order instead of from the index mask."""
+    share cache sets with them; the fast path reads a window that can
+    overflow a set out as an LRU cache keeps it, not from the index
+    mask alone."""
 
     @staticmethod
     def _model(name, geometry):
@@ -250,6 +269,60 @@ class TestEvictionModel:
                                                          3)
         assert model.readout(window) == \
             monitor.lines_of_mask(index_mask(window))
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data(), st.sampled_from(["gift64", "gift128"]),
+           st.sampled_from((1, 2, 4)))
+    def test_readout_is_what_an_lru_cache_keeps(self, data, name,
+                                                line_words):
+        """Any window of index rows, realizable or not, reads out as the
+        monitored lines an LRU cache still holds after its loads.  Rows
+        drawn from a few indices crowd one set, up to and past ``ways``
+        distinct lines."""
+        victim = _victim(name)
+        geometry = CacheGeometry(line_words=line_words)
+        monitor, model = self._model(name, geometry)
+        pool = data.draw(st.lists(st.integers(0, 15), min_size=1,
+                                  max_size=3))
+        segments = len(victim.perm_load_addresses)
+        window = data.draw(st.lists(
+            st.lists(st.sampled_from(pool), min_size=segments,
+                     max_size=segments),
+            min_size=1, max_size=4,
+        ))
+        assert model.readout(window) == _lru_readout(victim, monitor,
+                                                     window)
+
+    @pytest.mark.parametrize("crowding", [15, 16])
+    def test_sixteenth_line_evicts(self, crowding):
+        """GIFT-64 under 2-word lines: round 1 loads line 2048 (index 0),
+        and in round 2 every segment whose index is 13 loads a distinct
+        PermBits line of 2048's 16-way set.  Fifteen leave it cached;
+        sixteen evict it."""
+        victim = _victim("gift64")
+        monitor, model = self._model("gift64", CacheGeometry(line_words=2))
+        window = [[0] * 16, [13] * crowding + [2] * (16 - crowding)]
+        observed = model.readout(window)
+        assert (2048 in observed) == (crowding < 16)
+        assert observed == _lru_readout(victim, monitor, window)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data(), st.sampled_from(["gift64", "gift128", "present80"]),
+           st.sampled_from((1, 2)), st.integers(2, 6))
+    def test_long_flushed_windows_read_out_exactly(
+            self, data, name, line_words, probing_round):
+        """Fig. 3 and Table I probe rounds 2 and later: flushed windows
+        longer than ``safe_rounds`` read out as the full path sees
+        them."""
+        victim = _victim(name)
+        plaintext = data.draw(st.integers(0, (1 << victim.width) - 1))
+        fast, full = _pair(victim, "flush_reload",
+                           geometry=CacheGeometry(line_words=line_words),
+                           probing_round=probing_round)
+        assert fast._eviction.safe_rounds < probing_round
+        assert fast.observe(plaintext, 1) == full.observe(plaintext, 1)
 
     def test_self_evicted_line_is_not_observed(self):
         """The victim sweep's falsifying example: 146 puts index 9
