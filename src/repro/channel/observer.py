@@ -34,8 +34,8 @@ Two execution paths produce the access-driven answer:
   ``sbox_indices_by_round`` as an LRU cache keeps them.  It applies to
   line-granular flush-based primitives on an LRU single-level
   transport.  On the end-to-end benchmark a GIFT-64 full-key attack
-  takes about 13x longer on the full path (``fullsim_fullkey``,
-  ~170 ms) than on this one (``fast_fullkey``, ~13 ms on a 1-vCPU
+  takes about 12x longer on the full path (``fullsim_fullkey``,
+  ~166 ms) than on this one (``fast_fullkey``, ~13.5 ms on a 1-vCPU
   x86-64 container), which the million-encryption sweeps of Table I
   need.  ``observe_batch`` folds the bitsliced backend's indices into
   the same masks.  The suite's victim sweep (``TestPathEquivalence``
