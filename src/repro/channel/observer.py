@@ -37,12 +37,16 @@ Two execution paths produce the access-driven answer:
   takes about 12x longer on the full path (``fullsim_fullkey``,
   ~166 ms) than on this one (``fast_fullkey``, ~13.5 ms on a 1-vCPU
   x86-64 container), which the million-encryption sweeps of Table I
-  need.  ``observe_batch`` folds the bitsliced backend's indices into
-  the same masks.  The suite's victim sweep (``TestPathEquivalence``
-  in ``tests/channel/test_observer.py``) proves the two paths agree
+  need.  The suite's victim sweep (``TestPathEquivalence`` in
+  ``tests/channel/test_observer.py``) proves the two paths agree
   observation-for-observation for GIFT-64, GIFT-128, PRESENT-80, both
   countermeasure victims and the COFB nonce victim at line sizes of 1
   to 16 words, with and without the mid-encryption flush.
+
+:meth:`observe_batch` runs the fast path's per-window readout once per
+plaintext, exactly as looping :meth:`observe` would, and applies the
+lossy degradations once per batch.  The victim's index mask is
+thus the one index source of the attack, scalar or batched.
 
 RNG discipline: the noise stream (``"{scope}-noise"``), the loss
 stream (``"{scope}-loss"``) and the primitive's own signal stream
@@ -54,14 +58,12 @@ the pre-stack runner did (seed-0 full-key recovery still takes exactly
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy
 
 from ..targets.protocol import TracedVictim
-from ..targets.registry import resolve_target_for
 from ..seeding import derive_rng, derive_seed
 from ..staticcheck import secret_attributes
 from .defender import DefenderObserver
@@ -121,8 +123,6 @@ class ObservationChannel:
     config:
         An :class:`~repro.core.config.AttackConfig` (duck-typed: any
         object with the same observation-relevant attributes works).
-    rng:
-        Optional override of the noise stream (legacy runner knob).
     transport:
         L2 override; defaults to a single shared cache of the config's
         geometry.
@@ -143,8 +143,7 @@ class ObservationChannel:
         never changes what the attacker sees or spends.
     """
 
-    def __init__(self, victim: TracedVictim, config: Any,
-                 rng: Optional[random.Random] = None, *,
+    def __init__(self, victim: TracedVictim, config: Any, *,
                  transport: Optional[CacheTransport] = None,
                  primitive: Optional[ProbePrimitive] = None,
                  degradations: Optional[Sequence[Any]] = None,
@@ -207,21 +206,23 @@ class ObservationChannel:
         # Scope-derived so the noise stream is independent of the
         # attacker's crafting stream, and deterministic even when no
         # seed was configured (seed=None is a valid, reproducible seed).
-        self._noise_rng = (rng if rng is not None
-                           else derive_rng(f"{rng_scope}-noise",
-                                           config.seed))
+        self._noise_rng = derive_rng(f"{rng_scope}-noise", config.seed)
         # The loss stream is separate again so a lossless run consumes
         # exactly the randomness it did before the channel existed.
         self._loss_rng = derive_rng(f"{rng_scope}-loss", config.seed)
         self._monitored_addresses = self.monitor.line_addresses()
         self.encryptions_run = 0
-        # Batch-path state, all lazy: the vectorized index source (from
-        # the victim's target) and the numpy loss stream (a NEW derived
-        # stream — "{scope}-loss-batch" — so the scalar loss_rng above
-        # keeps its exact pre-batch draw sequence).
+        # observe_batch shares the fast path's per-window readout; it
+        # cannot take jitter (drawn per encryption from the scalar loss
+        # stream) and needs batch-aware losses.
+        self._batch_path: bool = (
+            self._fast_path and not self._window_shifters
+            and all(hasattr(d, "drop_lines_batch") for d in self._lossy)
+        )
+        # The batch loss stream is a NEW derived stream —
+        # "{scope}-loss-batch" — so the scalar loss_rng above keeps its
+        # exact pre-batch draw sequence; built on first use.
         self._rng_scope = rng_scope
-        self._batch_view_resolved = False
-        self._batch_view: Optional[Any] = None
         self._loss_batch_gen: Optional[Any] = None
 
     # ------------------------------------------------------------------
@@ -235,44 +236,16 @@ class ObservationChannel:
 
     @property
     def batch_path_active(self) -> bool:
-        """Whether :meth:`observe_batch` runs vectorized.
+        """Whether :meth:`observe_batch` applies its losses per batch.
 
-        The batch path requires everything the fast path does, plus a
-        perfectly reliable per-line readout (a noisy Flush+Flush signal
-        consumes the primitive's RNG per window in scalar order), no
-        window-shifting degradation (jitter draws from the scalar loss
-        stream before each encryption), batch-aware lossy degradations
-        (:meth:`~repro.channel.degradation.LossyChannel.drop_lines_batch`),
-        and a vectorized index source for the victim.  Anything else
-        falls back to looping :meth:`observe`, which stays bit-exact
-        with the historic scalar runs.
+        The batch path requires the fast path, no window-shifting
+        degradation (jitter draws from the scalar loss stream before
+        each encryption) and batch-aware lossy degradations
+        (:meth:`~repro.channel.degradation.LossyChannel.drop_lines_batch`).
+        Anything else loops :meth:`observe`, which stays bit-exact with
+        the historic scalar runs.
         """
-        if not self.fast_path_active:
-            return False
-        if self.primitive.signal_reliability != 1.0:
-            return False
-        if self._window_shifters:
-            return False
-        if not all(hasattr(d, "drop_lines_batch") for d in self._lossy):
-            return False
-        return self._resolve_batch_view() is not None
-
-    def _resolve_batch_view(self) -> Optional[Any]:
-        """The victim's vectorized index source, or ``None``.
-
-        The victim's registered target is asked via ``batch_view`` —
-        which answers ``None`` for wrapped victims it cannot see
-        through (recording/replay) and for targets without a bitsliced
-        backend.
-        """
-        if not self._batch_view_resolved:
-            self._batch_view_resolved = True
-            try:
-                target = resolve_target_for(self.victim)
-                self._batch_view = target.batch_view(self.victim)
-            except (TypeError, KeyError, AttributeError):
-                self._batch_view = None
-        return self._batch_view
+        return self._batch_path
 
     def _batch_loss_generator(self) -> Any:
         if self._loss_batch_gen is None:
@@ -313,44 +286,29 @@ class ObservationChannel:
         probe_round_offset`` (``t + 1`` for GIFT, whose key enters
         after round ``t``; ``t`` itself for PRESENT).  The probe lands
         after the monitored round plus ``probing_round - 1`` further
-        rounds complete, and — when the flush is enabled and the
+        rounds complete (or after the victim's last round, if that
+        comes first), and — when the flush is enabled and the
         primitive supports it — the monitored lines are flushed right
         before the monitored round so earlier rounds leave no residue.
         """
-        if attacked_round < 1:
-            raise ValueError(
-                f"attacked_round must be >= 1, got {attacked_round}"
-            )
+        monitored_round, first_visible, visible_through = self._window(
+            attacked_round
+        )
         self.encryptions_run += 1
         if self.defender is not None:
             self.defender.begin_window(self.primitive.name)
-        monitored_round = attacked_round + self._probe_round_offset
-        visible_through = monitored_round - 1 + self.config.probing_round
-        for degradation in self._window_shifters:
-            # A jittered probe lands early or late: late draws add later
-            # rounds' accesses, early draws can lose the target round —
-            # or the whole window — outright.
-            visible_through += degradation.sample_jitter(self._loss_rng)
-            visible_through = min(visible_through, self.victim.rounds)
-        flush_supported = self._flush_supported
-        first_visible = monitored_round if flush_supported else 1
-
-        if visible_through < first_visible:
+        if self._fast_path:
+            observed = self._fast_observation(plaintext, first_visible,
+                                              visible_through)
+        elif visible_through < first_visible:
             observed = self._empty_window_observation()
             if not self.transport.noise_via_victim:
-                observed |= self._noise_lines()
-        elif self._fast_path:
-            observed = self.primitive.filter_observation(
-                self._fast_observation(plaintext, first_visible,
-                                       visible_through)
-            )
-            if not self._noise_silent:
                 observed |= self._noise_lines()
         else:
             observed = self.primitive.filter_observation(
                 self._full_observation(
                     plaintext, monitored_round, visible_through,
-                    flush_supported
+                    self._flush_supported
                 )
             )
             if not self.transport.noise_via_victim:
@@ -365,54 +323,28 @@ class ObservationChannel:
 
     def observe_batch(self, plaintexts: Sequence[int],
                       attacked_round: int) -> List[FrozenSet[int]]:
-        """One observation per plaintext, whole-batch at once.
+        """One observation per plaintext, losses applied whole-batch.
 
-        Capability-dispatched: when :attr:`batch_path_active` holds,
-        all encryptions run through the victim's vectorized index
-        source and lossy degradations apply as batch masks on the
-        dedicated ``"-loss-batch"`` stream (deterministic at ANY batch
-        split — see ``LossyChannel.drop_lines_batch``); otherwise, and
-        for a window the index mask cannot read out alone, this is
+        When :attr:`batch_path_active` holds, each plaintext gets the
+        fast path's per-window readout in order — the victim's index
+        mask, the primitive's readout filter and the noise stream
+        consumed exactly as looping :meth:`observe` consumes them — and
+        lossy degradations then apply as batch masks on the dedicated
+        ``"-loss-batch"`` stream (deterministic at ANY batch split —
+        see ``LossyChannel.drop_lines_batch``).  Otherwise this is
         exactly ``[self.observe(p, attacked_round) for p in
-        plaintexts]``.  On a lossless channel the two paths are
-        observation-for-observation identical (the noise stream is
-        consumed per window in scalar order on both).
+        plaintexts]``.  On a lossless channel the two are
+        observation-for-observation identical.
         """
-        if attacked_round < 1:
-            raise ValueError(
-                f"attacked_round must be >= 1, got {attacked_round}"
-            )
-        plaintexts = list(plaintexts)
-        if not plaintexts:
-            return []
-        monitored_round = attacked_round + self._probe_round_offset
-        visible_through = monitored_round - 1 + self.config.probing_round
-        first_visible = monitored_round if self._flush_supported else 1
-        if not (self.batch_path_active
-                and self._mask_reads(first_visible, visible_through)):
+        if not self._batch_path:
             return [self.observe(plaintext, attacked_round)
                     for plaintext in plaintexts]
-        view = self._resolve_batch_view()
-        count = len(plaintexts)
-        self.encryptions_run += count
-        indices = numpy.asarray(
-            view.sbox_indices_batch(plaintexts, max_rounds=visible_through),
-            dtype=numpy.uint16,
-        )[first_visible - 1:]
-        # (rounds', segments, N) -> one 16-bit index mask per block, the
-        # same form the scalar fast path gets from the victim.
-        masks = numpy.bitwise_or.reduce(
-            numpy.left_shift(1, indices,
-                             dtype=numpy.uint16).reshape(-1, count),
-            axis=0,
-        )
-        lines_of_mask = self.monitor.lines_of_mask
-        observations: List[FrozenSet[int]] = []
-        for mask in masks.tolist():
-            observed = self.primitive.filter_observation(lines_of_mask(mask))
-            if not self._noise_silent:
-                observed |= self._noise_lines()
-            observations.append(observed)
+        _, first_visible, visible_through = self._window(attacked_round)
+        observations = [
+            self._fast_observation(plaintext, first_visible, visible_through)
+            for plaintext in plaintexts
+        ]
+        self.encryptions_run += len(observations)
         for degradation in self._lossy:
             observations = degradation.drop_lines_batch(
                 observations, self.monitor.lines,
@@ -424,20 +356,48 @@ class ObservationChannel:
     # Paths
     # ------------------------------------------------------------------
 
-    def _mask_reads(self, first_visible: int, visible_through: int) -> bool:
-        """Whether the index mask alone is the readout of a window."""
-        return (self._eviction is not None and visible_through
-                - first_visible < self._eviction.safe_rounds)
+    def _window(self, attacked_round: int) -> Tuple[int, int, int]:
+        """``(monitored_round, first_visible, visible_through)`` of one
+        encryption, with its jitter drawn; the probe never lands past
+        the victim's last round."""
+        if attacked_round < 1:
+            raise ValueError(
+                f"attacked_round must be >= 1, got {attacked_round}"
+            )
+        monitored_round = attacked_round + self._probe_round_offset
+        visible_through = monitored_round - 1 + self.config.probing_round
+        for degradation in self._window_shifters:
+            # A jittered probe lands early or late: late draws add later
+            # rounds' accesses, early draws can lose the target round —
+            # or the whole window — outright.
+            visible_through += degradation.sample_jitter(self._loss_rng)
+            visible_through = min(visible_through, self.victim.rounds)
+        if visible_through > self.victim.rounds:
+            visible_through = self.victim.rounds
+        first_visible = monitored_round if self._flush_supported else 1
+        return monitored_round, first_visible, visible_through
 
     def _fast_observation(self, plaintext: int, first_visible: int,
                           visible_through: int) -> FrozenSet[int]:
+        """The fast path's whole readout of one window: the index mask
+        (or, past ``safe_rounds``, the LRU readout), the primitive's
+        filter, then the noise."""
         assert self._eviction is not None
-        if self._mask_reads(first_visible, visible_through):
-            return self.monitor.lines_of_mask(self.victim.sbox_index_mask(
+        span = visible_through - first_visible
+        if span < 0:
+            lines: FrozenSet[int] = frozenset()
+        elif span < self._eviction.safe_rounds:
+            lines = self.monitor.lines_of_mask(self.victim.sbox_index_mask(
                 plaintext, first_visible, visible_through
             ))
-        rows = self.victim.sbox_indices_by_round(plaintext, visible_through)
-        return self._eviction.readout(rows[first_visible - 1:])
+        else:
+            rows = self.victim.sbox_indices_by_round(plaintext,
+                                                     visible_through)
+            lines = self._eviction.readout(rows[first_visible - 1:])
+        observed = self.primitive.filter_observation(lines)
+        if not self._noise_silent:
+            observed |= self._noise_lines()
+        return observed
 
     def _full_observation(self, plaintext: int, monitored_round: int,
                           visible_through: int,

@@ -699,8 +699,9 @@ class GrinchAttack:
         call byte for byte — so scalar effort pins (seed-0 GIFT-64's
         464 encryptions) are untouched by construction; lossy batches
         draw from the channel's separate batch-loss stream.  Larger
-        batches go through the runner's ``observe_batch`` (vectorized
-        bitsliced path where active).
+        batches go through the runner's ``observe_batch``, which reads
+        each window out as ``observe`` does and applies losses once
+        per batch.
         """
         count = self._charge_batch(requested)
         if count == 1:

@@ -129,11 +129,10 @@ class AttackConfig:
         historic one-encryption-at-a-time loop exactly — including its
         RNG draw order and encryption counts.  Larger batches route
         through :meth:`~repro.channel.ObservationChannel.observe_batch`
-        (vectorized when a bitsliced backend is available), at the cost
-        that a segment decision landing mid-batch leaves the rest of
-        that batch's encryptions charged: throughput is bought with a
-        bounded amount of over-observation, never with different
-        decisions.
+        (losses applied once per batch), at the cost that a segment
+        decision landing mid-batch leaves the rest of that batch's
+        encryptions charged: a bounded amount of over-observation,
+        never different decisions.
     """
 
     geometry: CacheGeometry = field(default_factory=CacheGeometry)

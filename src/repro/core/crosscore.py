@@ -21,7 +21,6 @@ only the observability differs:
 
 from __future__ import annotations
 
-import random
 from typing import Any, Optional
 
 from ..cache.multilevel import (
@@ -46,7 +45,6 @@ class CrossCoreRunner(ObservationChannel):
 
     def __init__(self, victim: TracedVictim, config: AttackConfig,
                  hierarchy: Optional[TwoLevelHierarchy] = None,
-                 rng: Optional[random.Random] = None,
                  defender: Optional[Any] = None) -> None:
         if config.probe_strategy == "prime_probe":
             raise ValueError(
@@ -61,7 +59,7 @@ class CrossCoreRunner(ObservationChannel):
                 "hierarchy line size must match the attack geometry"
             )
         super().__init__(
-            victim, config, rng,
+            victim, config,
             transport=SharedL2Transport(hierarchy),
             rng_scope="crosscore",
             defender=defender,

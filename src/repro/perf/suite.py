@@ -145,41 +145,38 @@ class PerfReport:
 
 
 def check_gates(ratios: Dict[str, float],
-                baseline_ratio: Optional[float] = None,
-                *,
-                min_ratio: float = MIN_UNTRACED_OVER_TRACED,
-                min_batch_ratio: float = MIN_BATCH_OVER_UNTRACED,
-                headroom: float = REGRESSION_HEADROOM) -> List[str]:
+                baseline_ratio: Optional[float] = None) -> List[str]:
     """Evaluate the ratio gates; returns human-readable failures.
 
     ``baseline_ratio`` is the GIFT-64 untraced/traced ratio of the
     trajectory's most recent entry (``None`` on a first run): the new
-    ratio must stay within ``headroom`` times it, bounding how much the
-    traced path may regress relative to the untraced anchor.
-    Batch-over-untraced ratios are gated against ``min_batch_ratio``
-    and ``observer_fast_over_untraced`` against
-    :data:`MIN_FAST_OBSERVATION_OVER_UNTRACED` instead of ``min_ratio``.
+    ratio must stay within :data:`REGRESSION_HEADROOM` times it,
+    bounding how much the traced path may regress relative to the
+    untraced anchor.  Batch-over-untraced ratios are gated against
+    :data:`MIN_BATCH_OVER_UNTRACED`, ``observer_fast_over_untraced``
+    against :data:`MIN_FAST_OBSERVATION_OVER_UNTRACED` and every other
+    ratio against :data:`MIN_UNTRACED_OVER_TRACED`.
     """
     failures: List[str] = []
     for name, ratio in sorted(ratios.items()):
         if name.endswith("_batch_over_untraced"):
-            floor = min_batch_ratio
+            floor = MIN_BATCH_OVER_UNTRACED
         elif name == "observer_fast_over_untraced":
             floor = MIN_FAST_OBSERVATION_OVER_UNTRACED
         else:
-            floor = min_ratio
+            floor = MIN_UNTRACED_OVER_TRACED
         if ratio < floor:
             failures.append(
                 f"{name} = {ratio:.2f}x, below the {floor:.1f}x gate"
             )
     key = "gift64_untraced_over_traced"
     if baseline_ratio is not None and key in ratios:
-        bound = baseline_ratio * headroom
+        bound = baseline_ratio * REGRESSION_HEADROOM
         if ratios[key] > bound:
             failures.append(
                 f"{key} = {ratios[key]:.2f}x exceeds {bound:.2f}x "
-                f"({headroom:.1f}x the {baseline_ratio:.2f}x trajectory "
-                f"baseline) — the traced path regressed"
+                f"({REGRESSION_HEADROOM:.1f}x the {baseline_ratio:.2f}x "
+                f"trajectory baseline) — the traced path regressed"
             )
     return failures
 

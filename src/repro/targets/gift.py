@@ -277,9 +277,8 @@ class GiftTarget(CipherTarget):
         Countermeasure subclasses stay batch-equivalent for free (the
         hardened schedule only changes ``compute_round_keys``, the
         reshaped S-box only load addresses); wrapped victims the
-        isinstance check cannot see through (recording/replay) fall
-        back to the scalar path, which is what keeps recording
-        RNG-transparent and replay destructive-safe.
+        isinstance check cannot see through (recording/replay) get
+        ``None``, and E19 loops them scalar.
         """
         if not isinstance(victim, (TracedGiftCipher, GiftCipher)):
             return None

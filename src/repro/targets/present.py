@@ -193,8 +193,8 @@ class PresentTarget(CipherTarget):
         return state ^ keys[limit]
 
     def batch_view(self, victim: TracedVictim) -> Optional[Any]:
-        """Bitslice a scalar PRESENT victim's key schedule (scalar
-        fallback for wrapped recording/replay victims, as on GIFT)."""
+        """Bitslice a scalar PRESENT victim's key schedule for E19
+        (``None`` for wrapped recording/replay victims, as on GIFT)."""
         if not isinstance(victim, TracedPresent):
             return None
         return BitslicedPresent.from_victim(victim)

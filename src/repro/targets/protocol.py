@@ -250,11 +250,11 @@ class CipherTarget(abc.ABC):
         """A vectorized index/encryption backend for ``victim``, or
         ``None`` when only the scalar path exists.
 
-        The observation channel treats ``None`` as "loop the scalar
-        :meth:`~repro.channel.observer.ObservationChannel.observe`" —
-        the correct answer for wrapped victims it cannot see through
-        (recording or replay victims) and for ciphers without a
-        bitsliced port.
+        The E19 batch-throughput experiment treats ``None`` as "loop
+        the scalar victim" — the correct answer for wrapped victims it
+        cannot see through (recording or replay victims) and for
+        ciphers without a bitsliced port.  The observation channel
+        never asks: its batches read the victim's index mask.
         """
         return None
 

@@ -10,20 +10,30 @@ Three invariants anchor the batch path to the historic scalar channel:
   batch split — ``drop_lines_batch`` draws one C-order matrix per call
   on the dedicated ``"-loss-batch"`` stream, so window ``k`` always
   gets row ``k``'s randomness;
-* the capability gate falls back to the exact scalar loop whenever a
-  configuration could diverge (noisy Flush+Flush readouts, jittered
-  windows, wrapped replay/recording victims).
+* the capability gate falls back to the exact scalar loop only where
+  the batch path cannot apply (no fast path, jittered windows); every
+  victim, window length and readout the fast path serves — replay and
+  COFB victims, windows past ``safe_rounds``, noisy Flush+Flush —
+  takes the batch path.
 """
+
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.geometry import CacheGeometry
 from repro.channel.degradation import LossyChannel, ProbeJitter, NoiseModel
 from repro.channel.observer import ObservationChannel
 from repro.core.config import AttackConfig
+from repro.engine.replay import config_from_header
 from repro.seeding import derive_key, derive_rng
-from repro.targets.gift import TracedGift64
+from repro.targets.gift import TracedGift64, TracedGift128
+from repro.targets.giftcofb import CofbNonceVictim
+from repro.trace import ReplayVictim, read_binary
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _plaintexts(count, label="channel-batch"):
@@ -34,6 +44,41 @@ def _plaintexts(count, label="channel-batch"):
 def _channel(config, key_seed=0):
     victim = TracedGift64(derive_key(128, key_seed))
     return ObservationChannel(victim, config)
+
+
+def _replay_case():
+    """Fresh channels over the seed-0 GIFT-64 corpus recording, and the
+    plaintexts of its first round-1 windows (replay checks them)."""
+    trace = read_binary(CORPUS / "gift64-seed0-full.grtr")
+    config = config_from_header(trace.header)
+    plaintexts = [record.plaintext for record in trace.records[:8]]
+    return (lambda: ObservationChannel(ReplayVictim(trace), config),
+            plaintexts, (1,))
+
+
+def _live_case(make_victim, **overrides):
+    victim = make_victim(derive_key(128, 9))
+    config = AttackConfig(seed=9, **overrides)
+    rng = derive_rng("batch-cases", 9)
+    plaintexts = [rng.getrandbits(victim.width) for _ in range(10)]
+    return (lambda: ObservationChannel(victim, config), plaintexts,
+            (1, 2, 3))
+
+
+#: Victims and readouts the batch path once left to the scalar loop.
+CASES = {
+    "replay": _replay_case,
+    "cofb": lambda: _live_case(CofbNonceVictim),
+    # safe_rounds == 0: every window goes through the LRU readout.
+    "gift128-1word": lambda: _live_case(
+        TracedGift128, geometry=CacheGeometry(line_words=1)
+    ),
+    "unflushed": lambda: _live_case(TracedGift64, use_flush=False),
+    "noisy-flush-flush": lambda: _live_case(
+        TracedGift64, probe_strategy="flush_flush",
+        flush_flush_miss_probability=0.1,
+    ),
+}
 
 
 class TestGating:
@@ -63,25 +108,18 @@ class TestGating:
         assert channel.fast_path_active
         assert not channel.batch_path_active
 
-    def test_inactive_for_noisy_flush_flush_readout(self):
-        channel = _channel(AttackConfig(
-            seed=0, probe_strategy="flush_flush",
-            flush_flush_miss_probability=0.1,
-        ))
-        assert not channel.batch_path_active
+    def test_active_for_noisy_flush_flush_readout(self):
+        # The readout filter runs per window in scalar order, so the
+        # primitive's stream is drawn as the scalar loop draws it
+        # (TestLosslessEquivalence checks the observations).
+        make_channel, _, _ = CASES["noisy-flush-flush"]()
+        assert make_channel().batch_path_active
 
-    def test_inactive_for_replay_victims(self):
-        from repro.engine.replay import config_from_header
-        from repro.trace import ReplayVictim, read_binary
-        from pathlib import Path
-
-        corpus = (Path(__file__).resolve().parent.parent / "corpus"
-                  / "gift64-seed0-full.grtr")
-        trace = read_binary(corpus)
-        victim = ReplayVictim(trace)
-        channel = ObservationChannel(victim,
-                                     config_from_header(trace.header))
-        assert not channel.batch_path_active
+    def test_active_for_replay_victims(self):
+        # Replay answers one window per plaintext in order, whether the
+        # scalar loop or the batch loop asks.
+        make_channel, _, _ = CASES["replay"]()
+        assert make_channel().batch_path_active
 
     def test_fallback_still_answers(self):
         # An inactive batch path must still serve observe_batch via the
@@ -133,6 +171,18 @@ class TestLosslessEquivalence:
         assert batched == [scalar_channel.observe(p, 4)
                            for p in plaintexts]
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_scalar_loop_on(self, case):
+        make_channel, plaintexts, rounds = CASES[case]()
+        batched = make_channel()
+        assert batched.batch_path_active
+        scalar = make_channel()
+        for attacked_round in rounds:
+            assert batched.observe_batch(plaintexts, attacked_round) == [
+                scalar.observe(p, attacked_round) for p in plaintexts
+            ]
+        assert batched.encryptions_run == scalar.encryptions_run
+
     def test_empty_batch(self):
         channel = _channel(AttackConfig(seed=0))
         assert channel.observe_batch([], 1) == []
@@ -168,6 +218,28 @@ class TestLossyDeterminism:
             ))
             cursor += size
         assert split == whole
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 16),
+           st.integers(min_value=0, max_value=8))
+    def test_long_windows_split_on_the_batch_stream(self, seed, cut):
+        """Unflushed round-2 windows (rounds 1..3) run the LRU readout:
+        their losses come from the batch stream at any split, and the
+        scalar loss stream stays untouched."""
+        config = AttackConfig(
+            seed=seed, use_flush=False,
+            loss=LossyChannel(miss_probability=0.25, eviction_rate=0.1),
+        )
+        plaintexts = _plaintexts(8, label="lossy-long-window")
+        whole = _channel(config).observe_batch(plaintexts, 2)
+        split_channel = _channel(config)
+        assert split_channel.batch_path_active
+        split = split_channel.observe_batch(plaintexts[:cut], 2) \
+            + split_channel.observe_batch(plaintexts[cut:], 2)
+        assert split == whole
+        pure = _channel(config)
+        assert [split_channel.observe(p, 2) for p in plaintexts] \
+            == [pure.observe(p, 2) for p in plaintexts]
 
     def test_scalar_loss_stream_untouched_by_batch_calls(self):
         # A batch call must never consume the scalar "-loss" stream:

@@ -160,23 +160,47 @@ class TestPathEquivalence:
             full.observe(plaintext, attacked_round)
 
     @pytest.mark.parametrize("name", ["gift64", "gift128", "present80",
-                                      "reshaped"])
+                                      "reshaped", "hardened", "cofb"])
     @pytest.mark.parametrize("line_words", LINE_WORDS)
     def test_batch_matches_scalar_loop(self, name, line_words):
         """On a lossless channel ``observe_batch`` equals the scalar
-        ``observe`` loop: both turn one index mask into lines."""
+        ``observe`` loop, flushed or not: both run the same per-window
+        readout."""
         victim = _victim(name)
         rng = random.Random(line_words)
         batch = [rng.getrandbits(victim.width) for _ in range(12)]
-        config = AttackConfig(seed=6,
-                              geometry=CacheGeometry(line_words=line_words))
-        batched = ObservationChannel(victim, config)
-        assert batched.batch_path_active
-        scalar = ObservationChannel(victim, config)
-        for attacked_round in (1, 3):
-            assert batched.observe_batch(batch, attacked_round) == [
-                scalar.observe(p, attacked_round) for p in batch
-            ]
+        for use_flush in (True, False):
+            config = AttackConfig(
+                seed=6, use_flush=use_flush,
+                geometry=CacheGeometry(line_words=line_words),
+            )
+            batched = ObservationChannel(victim, config)
+            assert batched.batch_path_active
+            scalar = ObservationChannel(victim, config)
+            for attacked_round in (1, 3):
+                assert batched.observe_batch(batch, attacked_round) == [
+                    scalar.observe(p, attacked_round) for p in batch
+                ]
+
+    def test_probe_past_the_last_round_is_clamped(self):
+        """A probe window that would end past a reduced-round victim's
+        last round reads out through that round on every path, and the
+        attack ends in a typed outcome instead of the victim's own
+        ``ValueError``."""
+        from repro.engine.artifact import run_attack
+
+        key = derive_key(128, 0)
+        victim = TracedGift64(key, rounds=8)
+        fast, full = _pair(victim, "flush_reload", probing_round=5)
+        batched = ObservationChannel(victim, fast.config)
+        rng = random.Random(8)
+        batch = [rng.getrandbits(64) for _ in range(6)]
+        # Attacked round 4 probes rounds 5..9 of an 8-round victim.
+        expected = [full.observe(p, 4) for p in batch]
+        assert [fast.observe(p, 4) for p in batch] == expected
+        assert batched.observe_batch(batch, 4) == expected
+        attack = GrinchAttack(victim, AttackConfig(seed=0, probing_round=5))
+        assert run_attack(attack, "full_key", key).outcome == "recovered"
 
 
 class TestIndexMask:
