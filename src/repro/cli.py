@@ -150,7 +150,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         probing_round=args.probing_round,
         use_flush=not args.no_flush,
         probe_strategy=args.probe,
-        stall_window=200 if args.probe == "prime_probe" else 0,
         seed=args.seed,
         max_total_encryptions=None,
     )

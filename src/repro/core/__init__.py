@@ -27,7 +27,7 @@ from ..channel import (
     make_primitive,
 )
 from .attack import FULL_KEY_ROUNDS, GrinchAttack, recover_full_key
-from .config import PROBE_STRATEGIES, RECOVERY_MODES, AttackConfig
+from .config import PROBE_STRATEGIES, AttackConfig
 from .crafting import PlaintextCrafter, build_target_round_input
 from .crosscore import CrossCoreRunner, make_cross_core_runner
 from .eliminate import CandidateEliminator
@@ -59,7 +59,6 @@ __all__ = [
     "GrinchAttack",
     "recover_full_key",
     "PROBE_STRATEGIES",
-    "RECOVERY_MODES",
     "AttackConfig",
     "PlaintextCrafter",
     "build_target_round_input",

@@ -9,7 +9,9 @@ Per attacked round ``t`` and segment ``s`` the attack loop is:
    :class:`~repro.channel.ObservationChannel` returns the monitored
    lines the probe saw.
 3. *Eliminate Candidates* — :class:`CandidateEliminator` intersects
-   observations until one line survives.
+   observations until one line survives (on a lossy channel
+   :class:`~repro.core.voting.VotingEliminator` counts votes instead;
+   one per-hypothesis loop drives either).
 4. *Reverse Engineer Key-Bits* — :func:`key_pairs_from_line` inverts the
    forced bits into round-key bit candidates.
 5. *Update Plaintext Generation* — the recovered bits feed the next
@@ -33,7 +35,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union,
+)
 
 from ..seeding import derive_rng
 from ..targets.protocol import TracedVictim
@@ -72,26 +76,31 @@ FULL_KEY_ROUNDS = 4
 #: prior-round hypothesis when the schedule couples them (PRESENT).
 ExpectedLine = Union[int, Callable[[Dict[int, KeyBitPair]], int]]
 
+#: Re-crafts a stalled voting run makes before it gives the hypothesis
+#: up as low-confidence.
+MAX_SEGMENT_RETRIES = 2
 
-class _VotingVerdict:
-    """Outcome of one voting run under one hypothesis."""
+#: Safety factor of the confirmation margin: a wrong hypothesis survives
+#: it with probability about ``exp(-CONFIRMATION_FACTOR)``.
+CONFIRMATION_FACTOR = 8.0
 
-    __slots__ = ("status", "line", "pairs", "confidence", "observations",
-                 "retries", "blocked_by")
+#: Windows without progress after which a strict run on a set-granular
+#: primitive (Prime+Probe) accepts a stalled set of 2-4 lines.
+SET_GRANULAR_STALL_WINDOW = 200
 
-    def __init__(self, status: str, line: Optional[int],
-                 pairs: Tuple[KeyBitPair, ...], confidence: float,
-                 observations: int, retries: int,
-                 blocked_by: Optional[Tuple[str, str]] = None) -> None:
-        self.status = status  # "accepted" | "rejected" | "low_confidence"
-        self.line = line
-        self.pairs = pairs
-        self.confidence = confidence
-        self.observations = observations
-        self.retries = retries
-        # low_confidence only: the voter's blocking guard and its values
-        # at give-up time (see VotingEliminator.blocking_guard).
-        self.blocked_by = blocked_by
+
+class _Verdict(NamedTuple):
+    """Outcome of one recovery run under one hypothesis."""
+
+    status: str  # "accepted" | "rejected" | "low_confidence"
+    line: Optional[int]
+    pairs: Tuple[KeyBitPair, ...]
+    confidence: float
+    observations: int
+    retries: int
+    # low_confidence only: the voter's blocking guard and its values at
+    # give-up time (see VotingEliminator.blocking_guard).
+    blocked_by: Optional[Tuple[str, str]] = None
 
 
 class GrinchAttack:
@@ -128,6 +137,28 @@ class GrinchAttack:
         # even for seed=None — see repro.seeding.
         self.rng = derive_rng("attack-crafting", self.config.seed)
         self.total_encryptions = 0
+        # The decision core: strict intersection on a lossless channel,
+        # voting calibrated against the composed channel's losses
+        # otherwise (a noisy primitive readout, Flush+Flush, loses
+        # genuine target sightings on top of the channel-level model).
+        self._policy: Optional[VotingPolicy] = None
+        if self.config.voting_active:
+            presence = self.config.loss.expected_target_presence(
+                len(self.monitor.lines), self.config.probing_round
+            ) * self.runner.signal_reliability
+            self._policy = VotingPolicy(
+                expected_presence=presence,
+                confidence_threshold=self.config.voting_confidence,
+                min_observations=self.config.voting_min_observations,
+            )
+            self._stall_window = self.config.voting_stall_window
+        elif self.runner.primitive.line_granular:
+            self._stall_window = 0
+        else:
+            # Prime+Probe's set-granular view keeps the PermBits table's
+            # sets hot forever, so its intersections never fully
+            # converge (the reason the paper prefers Flush+Reload).
+            self._stall_window = SET_GRANULAR_STALL_WINDOW
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -258,17 +289,21 @@ class GrinchAttack:
         # With a unique hypothesis the target access is constant by
         # construction, so first convergence is final; with several, a
         # wrong one can pass through a single candidate transiently and
-        # must survive a confirmation margin before it may be kept.
-        confirmation = (self._confirmation_margin(spec.round_index)
-                        if len(hypotheses) > 1 else 0)
-        voting = self.config.voting_active
+        # must survive a confirmation margin before it may be kept.  A
+        # voter below full presence guards acceptance statistically
+        # instead.
+        policy = self._policy
+        confirmation = 0
+        if len(hypotheses) > 1 and (policy is None
+                                    or policy.strict_equivalent):
+            confirmation = self._confirmation_margin(spec.round_index)
         start = self.total_encryptions
         survivors: List[Tuple[Dict[int, KeyBitPair], int,
                               Tuple[KeyBitPair, ...]]] = []
         confidence = 1.0
         observations = 0
         retries = 0
-        undecided: List[_VotingVerdict] = []
+        undecided: List[_Verdict] = []
         for hypothesis in hypotheses:
             # Resolving the expected line consumes no attacker
             # randomness, so per-hypothesis resolution cannot perturb
@@ -277,27 +312,17 @@ class GrinchAttack:
                 expected_line(hypothesis) if callable(expected_line)
                 else expected_line
             )
-            if voting:
-                verdict = self._run_voting(
-                    spec, prior_keys, prior_estimate, hypothesis,
-                    line_for_hypothesis, confirmation
-                )
-                observations += verdict.observations
-                retries = max(retries, verdict.retries)
-                if verdict.status == "accepted":
-                    survivors.append(
-                        (hypothesis, verdict.line, verdict.pairs)
-                    )
-                    confidence = min(confidence, verdict.confidence)
-                elif verdict.status == "low_confidence":
-                    undecided.append(verdict)
-            else:
-                accepted = self._run_elimination(
-                    spec, prior_keys, prior_estimate, hypothesis,
-                    line_for_hypothesis, confirmation
-                )
-                if accepted is not None:
-                    survivors.append((hypothesis, accepted[0], accepted[1]))
+            verdict = self._run_hypothesis(
+                spec, prior_keys, prior_estimate, hypothesis,
+                line_for_hypothesis, confirmation
+            )
+            observations += verdict.observations
+            retries = max(retries, verdict.retries)
+            if verdict.status == "accepted":
+                survivors.append((hypothesis, verdict.line, verdict.pairs))
+                confidence = min(confidence, verdict.confidence)
+            elif verdict.status == "low_confidence":
+                undecided.append(verdict)
 
         if not survivors:
             if undecided:
@@ -333,7 +358,7 @@ class GrinchAttack:
             confidence=confidence,
             observations=observations,
             retries=retries,
-            recovery="voting" if voting else "strict",
+            recovery="strict" if policy is None else "voting",
         )
 
     @staticmethod
@@ -354,136 +379,53 @@ class GrinchAttack:
                 resolved[segment] = surviving_pairs[0]
         return resolved
 
-    def _run_elimination(self, spec: TargetSpec,
-                         prior_keys: List[Any],
-                         prior_estimate: Optional[RoundKeyEstimate],
-                         hypothesis: Dict[int, KeyBitPair],
-                         expected_line: Optional[int],
-                         confirmation: int = 0
-                         ) -> Optional[Tuple[int, Tuple[KeyBitPair, ...]]]:
-        """One elimination run under one hypothesis.
+    def _run_hypothesis(self, spec: TargetSpec,
+                        prior_keys: List[Any],
+                        prior_estimate: Optional[RoundKeyEstimate],
+                        hypothesis: Dict[int, KeyBitPair],
+                        expected_line: Optional[int],
+                        confirmation: int) -> _Verdict:
+        """One recovery run (Steps 1-3) under one hypothesis.
 
-        Returns ``(line, key_pairs)`` on acceptance, ``None`` on
-        contradiction/rejection; raises on exhausted budgets.
+        Craft, probe and update the decision core until it accepts a
+        line, refutes the hypothesis (the wrong-hypothesis signal), or
+        stalls: a stall window of observations without progress (a
+        smaller candidate set, or a higher voting confidence).  A
+        strict run accepts a stalled set of 2-4 lines and raises
+        :class:`BudgetExceeded` when the per-segment budget runs out.
+        A voting run re-crafts a fresh plaintext stream on a stall, up
+        to :data:`MAX_SEGMENT_RETRIES` times, and otherwise gives the
+        hypothesis up as low-confidence.  Vote counts survive re-crafts:
+        the target line is fixed by the hypothesis, not by the
+        crafter's random choices, so discarding observations would only
+        burn budget.
         """
         full_prior = list(prior_keys)
         if prior_estimate is not None:
             full_prior.append(prior_estimate.guess_round_key(hypothesis))
-        crafter = PlaintextCrafter(spec, full_prior, self.rng)
-        eliminator = CandidateEliminator(self.monitor.universe)
-
-        confirmations_left = confirmation
-        stall_window = self.config.stall_window
-        previous_candidates = eliminator.candidates
-        stalled_for = 0
-        remaining = self.config.max_encryptions_per_segment
-        while remaining > 0:
-            observations = self._observe_many(
-                crafter, spec.round_index,
-                min(self.config.batch_size, remaining)
-            )
-            remaining -= len(observations)
-            for observed in observations:
-                eliminator.update(observed)
-                if eliminator.contradicted:
-                    return None
-                if eliminator.candidates == previous_candidates:
-                    stalled_for += 1
-                else:
-                    stalled_for = 0
-                    previous_candidates = eliminator.candidates
-                if eliminator.converged:
-                    if confirmations_left > 0:
-                        confirmations_left -= 1
-                        continue
-                    return self._accept_lines(
-                        spec, eliminator.candidates, expected_line
-                    )
-                if (stall_window and stalled_for >= stall_window
-                        and len(eliminator.candidates) <= 4):
-                    # Persistent interference (e.g. Prime+Probe set
-                    # conflicts with the PermBits table) keeps some lines
-                    # hot forever; accept the stalled set and carry its
-                    # ambiguity forward like the wide-line case of
-                    # Section III-D.
-                    return self._accept_lines(
-                        spec, eliminator.candidates, expected_line
-                    )
-        raise BudgetExceeded(
-            f"round {spec.round_index} segment {spec.segment} did not "
-            f"converge within {self.config.max_encryptions_per_segment} "
-            f"encryptions",
-            encryptions=self.total_encryptions,
-        )
-
-    def _voting_policy(self) -> VotingPolicy:
-        """Calibrate the voter against the composed channel's losses."""
-        presence = self.config.loss.expected_target_presence(
-            len(self.monitor.lines), self.config.probing_round
-        )
-        # A noisy primitive readout (Flush+Flush) loses genuine target
-        # sightings on top of the channel-level loss model.
-        presence *= self.runner.signal_reliability
-        return VotingPolicy(
-            expected_presence=presence,
-            confidence_threshold=self.config.voting_confidence,
-            min_observations=self.config.voting_min_observations,
-        )
-
-    def _run_voting(self, spec: TargetSpec,
-                    prior_keys: List[Any],
-                    prior_estimate: Optional[RoundKeyEstimate],
-                    hypothesis: Dict[int, KeyBitPair],
-                    expected_line: Optional[int],
-                    confirmation: int = 0) -> _VotingVerdict:
-        """One voting recovery run under one hypothesis.
-
-        Replaces :meth:`_run_elimination` when the channel is lossy:
-        instead of demanding the target in *every* window, per-line
-        vote counts are accumulated until either the leader separates
-        with the configured confidence (acceptance), the stream stops
-        behaving like it contains a constant target (rejection — the
-        wrong-hypothesis signal), or the confidence stalls.  A stall
-        triggers a re-craft — a fresh plaintext stream — up to
-        ``max_segment_retries`` times before the run gives up as
-        low-confidence.  The vote counts survive re-crafts: the target
-        line is fixed by the hypothesis, not by the crafter's random
-        choices, so discarding observations would only burn budget.
-
-        Two rejection triggers, both sound and the second much earlier:
-        the voter's own "no line is viable", and — in verification mode
-        — the death of the *predicted* line's viability (the hypothesis
-        stands or falls with that one line, so there is no need to wait
-        for the whole universe to die).
-        """
-        full_prior = list(prior_keys)
-        if prior_estimate is not None:
-            full_prior.append(prior_estimate.guess_round_key(hypothesis))
-        policy = self._voting_policy()
-        # The predicted key-free index bits already rule out most lines
-        # (strict mode applies the same filter post hoc in
-        # ``_accept_lines``); voting applies it up front so impossible
-        # lines never compete for the lead — fewer competitors means
-        # fewer windows to separate and no false leaders.
+        policy = self._policy
         universe = self.monitor.universe
-        if expected_line is None:
-            consistent = frozenset(
-                line for line in universe
-                if key_pairs_from_line(spec, self.monitor, line)
-            )
-            if consistent:
-                universe = consistent
-        budget = self.config.max_encryptions_per_segment
-        stall_window = self.config.voting_stall_window
-        spent = 0
+        if policy is None:
+            core: Any = CandidateEliminator(universe)
+        else:
+            # The predicted key-free index bits already rule out most
+            # lines (``_accept_lines`` applies the same filter post
+            # hoc); the voter applies it up front so impossible lines
+            # never compete for the lead — fewer competitors means
+            # fewer windows to separate and no false leaders.
+            if expected_line is None:
+                consistent = frozenset(
+                    line for line in universe
+                    if key_pairs_from_line(spec, self.monitor, line)
+                )
+                if consistent:
+                    universe = consistent
+            core = VotingEliminator(universe, policy)
         crafter = PlaintextCrafter(spec, full_prior, self.rng)
-        voter = VotingEliminator(universe, policy)
-        # In strict-equivalent mode the voter converges exactly like
-        # the intersection, so the same transient-singleton guard
-        # applies when several hypotheses compete.
-        confirmations_left = (confirmation
-                              if policy.strict_equivalent else 0)
-        best_confidence = 0.0
+        budget = self.config.max_encryptions_per_segment
+        stall_window = self._stall_window
+        spent = 0
+        best = core.progress
         stalled_for = 0
         recrafts = 0
         while spent < budget:
@@ -493,54 +435,56 @@ class GrinchAttack:
             )
             spent += len(observations)
             for observed in observations:
-                voter.update(observed)
-                if voter.rejected or (
-                        expected_line is not None
-                        and not voter.is_viable(expected_line)):
-                    return _VotingVerdict("rejected", None, (),
-                                          voter.confidence, spent,
-                                          recrafts)
-                if voter.decided:
-                    if confirmations_left > 0:
-                        confirmations_left -= 1
-                        continue
-                    accepted = self._accept_lines(
-                        spec, frozenset({voter.resolved_line}),
-                        expected_line
-                    )
-                    if accepted is None:
-                        # Verification mode: the leader separated but is
-                        # not the predicted line — the hypothesis that
-                        # predicted it is wrong.
-                        return _VotingVerdict("rejected", None, (),
-                                              voter.confidence, spent,
-                                              recrafts)
-                    return _VotingVerdict("accepted", accepted[0],
-                                          accepted[1], voter.confidence,
-                                          spent, recrafts)
-                current = voter.confidence
-                if current > best_confidence:
-                    best_confidence = current
+                core.update(observed)
+                if core.rejects(expected_line):
+                    return _Verdict("rejected", None, (), core.confidence,
+                                    spent, recrafts)
+                progress = core.progress
+                if progress > best:
+                    best = progress
                     stalled_for = 0
                 else:
                     stalled_for += 1
-                if (voter.observations >= policy.min_observations
-                        and stalled_for >= stall_window):
-                    if recrafts >= self.config.max_segment_retries:
-                        # Stalled out of retries: give up gracefully.
-                        return _VotingVerdict("low_confidence", None, (),
-                                              best_confidence, spent,
-                                              recrafts,
-                                              voter.blocking_guard())
-                    recrafts += 1
-                    stalled_for = 0
-                    # A mid-batch re-craft only affects *future* batches;
-                    # the rest of this batch was crafted by the stalled
-                    # stream, which is still sound — the target line is
-                    # fixed by the hypothesis, not the crafter.
-                    crafter = PlaintextCrafter(spec, full_prior, self.rng)
-        return _VotingVerdict("low_confidence", None, (), best_confidence,
-                              spent, recrafts, voter.blocking_guard())
+                if core.decided:
+                    if confirmation > 0:
+                        confirmation -= 1
+                        continue
+                    lines = frozenset({core.resolved_line})
+                elif (stall_window and stalled_for >= stall_window
+                        and core.may_stall):
+                    if policy is not None:
+                        if recrafts >= MAX_SEGMENT_RETRIES:
+                            return _Verdict("low_confidence", None, (),
+                                            best, spent, recrafts,
+                                            core.blocking_guard())
+                        recrafts += 1
+                        stalled_for = 0
+                        # A mid-batch re-craft only affects *future*
+                        # batches; the rest of this batch was crafted by
+                        # the stalled stream, which is still sound.
+                        crafter = PlaintextCrafter(spec, full_prior,
+                                                   self.rng)
+                        continue
+                    # Persistent interference keeps some lines hot
+                    # forever; accept the stalled set and carry its
+                    # ambiguity forward.
+                    lines = core.candidates
+                else:
+                    continue
+                accepted = self._accept_lines(spec, lines, expected_line)
+                if accepted is None:
+                    return _Verdict("rejected", None, (), core.confidence,
+                                    spent, recrafts)
+                return _Verdict("accepted", accepted[0], accepted[1],
+                                core.confidence, spent, recrafts)
+        if policy is None:
+            raise BudgetExceeded(
+                f"round {spec.round_index} segment {spec.segment} did not "
+                f"converge within {budget} encryptions",
+                encryptions=self.total_encryptions,
+            )
+        return _Verdict("low_confidence", None, (), best, spent, recrafts,
+                        core.blocking_guard())
 
     def _accept_lines(self, spec: TargetSpec, lines,
                       expected_line: Optional[int]
@@ -639,12 +583,10 @@ class GrinchAttack:
         varying target must miss it and so must every other S-box access
         in the visible window (``segments`` per visible round; without
         the flush, the rounds before the monitored one stay visible
-        too).  Sizing the margin to ``confirmation_factor`` expected
-        absence events drives the false-accept probability to about
-        ``exp(-factor)``.
+        too).  Sizing the margin to :data:`CONFIRMATION_FACTOR`
+        expected absence events drives the false-accept probability to
+        about ``exp(-CONFIRMATION_FACTOR)``.
         """
-        if self.config.confirmation_margin is not None:
-            return self.config.confirmation_margin
         lines = len(self.monitor.lines)
         if lines <= 1:
             return 0
@@ -657,7 +599,7 @@ class GrinchAttack:
         other = (lines - 1) / lines
         accesses = self.target.segments * visible_rounds - 1
         p_absent = other * other ** accesses
-        return math.ceil(self.config.confirmation_factor / p_absent)
+        return math.ceil(CONFIRMATION_FACTOR / p_absent)
 
     @property
     def _probe_round_offset(self) -> int:

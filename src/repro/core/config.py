@@ -19,9 +19,6 @@ from ..targets.layout import TableLayout
 #: Probe primitive names accepted by :class:`AttackConfig`.
 PROBE_STRATEGIES = ("flush_reload", "prime_probe", "flush_flush")
 
-#: Candidate-recovery modes accepted by :class:`AttackConfig`.
-RECOVERY_MODES = ("auto", "strict", "voting")
-
 
 @dataclass(frozen=True)
 class AttackConfig:
@@ -51,35 +48,15 @@ class AttackConfig:
         flush-latency margin is small, so a present line is sometimes
         read as absent; scaled per cache set — see
         :class:`~repro.channel.primitive.FlushFlush`).  Ignored by the
-        other primitives.  A positive value makes ``recovery="auto"``
-        vote, exactly like a lossy channel.
+        other primitives.  A positive value makes the attack vote
+        (see :attr:`voting_active`), exactly like a lossy channel.
     max_encryptions_per_segment:
-        Per-segment convergence budget; exceeding it raises
-        :class:`~repro.core.errors.BudgetExceeded`.
+        Per-hypothesis convergence budget.  A strict run that exhausts
+        it raises :class:`~repro.core.errors.BudgetExceeded`; a voting
+        run gives the hypothesis up as low-confidence and tries the
+        next one.
     max_total_encryptions:
         Optional whole-attack budget (Table I's 1M drop-out).
-    confirmation_margin:
-        Extra encryptions run after an elimination reaches a single
-        candidate *while testing ambiguous hypotheses*.  A wrong
-        hypothesis makes the target access vary, so its intersection
-        only passes through size one transiently; the margin lets it
-        fall to empty before the hypothesis is accepted.  ``None``
-        (default) sizes the margin from the analytic line-absence
-        probability so the false-accept chance per hypothesis is about
-        ``exp(-confirmation_factor)``.  Unambiguous runs (1-word lines,
-        i.e. all of Fig. 3 / Table I row one) skip the margin, matching
-        the paper's effort accounting.
-    confirmation_factor:
-        Safety factor for the automatic margin (see above).
-    stall_window:
-        When positive, an elimination whose candidate set has been
-        *unchanged* for this many consecutive observations while still
-        holding 2-4 lines is accepted as stalled: the surviving lines'
-        key-pair candidates are carried forward like the wide-cache-line
-        ambiguity of Section III-D.  Needed for Prime+Probe, whose
-        set-granular view suffers persistent false positives from the
-        PermBits table (the reason the paper prefers Flush+Reload);
-        ``0`` (default) disables stall acceptance.
     seed:
         Seed for the attacker's RNG (plaintext crafting choices).
     noise:
@@ -90,12 +67,6 @@ class AttackConfig:
         eviction, probe-round jitter) — see
         :class:`~repro.channel.degradation.LossyChannel`.  The default is the
         lossless channel the strict intersection assumes.
-    recovery:
-        Candidate-recovery mode: ``"strict"`` (monotone intersection,
-        contradicts on any false negative), ``"voting"`` (frequency
-        scoring, see :mod:`repro.core.voting`), or ``"auto"`` (default:
-        voting iff ``loss`` is lossy — the configurable fallback to
-        strict intersection at zero loss).
     voting_confidence:
         Confidence the voting recovery must reach before accepting a
         segment's line.  The default is deliberately strict: acceptance
@@ -114,11 +85,9 @@ class AttackConfig:
         Re-craft the segment's plaintext stream after this many
         consecutive observations without a confidence improvement.
         Vote counts are kept across re-crafts — the target line is
-        fixed by the hypothesis, not the crafter's randomness.
-    max_segment_retries:
-        Re-craft attempts per segment before giving up with
-        :class:`~repro.core.errors.LowConfidenceError` instead of
-        returning a low-confidence (probably wrong) key.
+        fixed by the hypothesis, not the crafter's randomness.  After
+        :data:`~repro.core.attack.MAX_SEGMENT_RETRIES` re-crafts the
+        hypothesis is given up as low-confidence.
     use_fast_path:
         Allow the accelerated observation path when it is provably
         equivalent to the full cache simulation (Flush+Reload with
@@ -143,17 +112,12 @@ class AttackConfig:
     flush_flush_miss_probability: float = 0.02
     max_encryptions_per_segment: int = 100_000
     max_total_encryptions: Optional[int] = 1_000_000
-    confirmation_margin: Optional[int] = None
-    confirmation_factor: float = 8.0
-    stall_window: int = 0
     seed: Optional[int] = None
     noise: NoiseModel = NO_NOISE
     loss: LossyChannel = LOSSLESS
-    recovery: str = "auto"
     voting_confidence: float = 0.9995
     voting_min_observations: int = 16
     voting_stall_window: int = 48
-    max_segment_retries: int = 2
     use_fast_path: bool = True
     batch_size: int = 1
 
@@ -177,25 +141,12 @@ class AttackConfig:
         if (self.max_total_encryptions is not None
                 and self.max_total_encryptions < 1):
             raise ValueError("max_total_encryptions must be positive or None")
-        if self.confirmation_margin is not None and self.confirmation_margin < 0:
-            raise ValueError("confirmation_margin must be non-negative")
-        if self.confirmation_factor <= 0:
-            raise ValueError("confirmation_factor must be positive")
-        if self.stall_window < 0:
-            raise ValueError("stall_window must be non-negative")
-        if self.recovery not in RECOVERY_MODES:
-            raise ValueError(
-                f"recovery must be one of {RECOVERY_MODES}, "
-                f"got {self.recovery!r}"
-            )
         if not 0.0 < self.voting_confidence < 1.0:
             raise ValueError("voting_confidence must be in (0, 1)")
         if self.voting_min_observations < 1:
             raise ValueError("voting_min_observations must be positive")
         if self.voting_stall_window < 1:
             raise ValueError("voting_stall_window must be positive")
-        if self.max_segment_retries < 0:
-            raise ValueError("max_segment_retries must be non-negative")
         if self.batch_size < 1:
             raise ValueError(
                 f"batch_size must be >= 1, got {self.batch_size}"
@@ -204,12 +155,8 @@ class AttackConfig:
     @property
     def voting_active(self) -> bool:
         """Whether segments are recovered by voting instead of strict
-        intersection (``"auto"`` votes exactly when the channel is
-        lossy)."""
-        if self.recovery == "voting":
-            return True
-        if self.recovery == "strict":
-            return False
+        intersection: exactly when the channel is lossy or the
+        Flush+Flush readout is noisy."""
         if (self.probe_strategy == "flush_flush"
                 and self.flush_flush_miss_probability > 0.0):
             # A noisy Flush+Flush readout loses genuine accesses just

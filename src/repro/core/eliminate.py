@@ -19,11 +19,20 @@ class's behaviour.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Set
+from typing import FrozenSet, Iterable, Optional, Set
 
 
 class CandidateEliminator:
-    """Monotone intersection of observed line sets over a fixed universe."""
+    """Monotone intersection of observed line sets over a fixed universe.
+
+    The lossless decision core of the attack's per-hypothesis loop; it
+    shares that loop's interface (:attr:`decided`, :meth:`rejects`,
+    :attr:`progress`, :attr:`may_stall`, :attr:`confidence`) with
+    :class:`~repro.core.voting.VotingEliminator`.
+    """
+
+    #: An accepted intersection is exact.
+    confidence = 1.0
 
     def __init__(self, universe: FrozenSet[int]) -> None:
         if not universe:
@@ -42,6 +51,8 @@ class CandidateEliminator:
         """Exactly one candidate line remains."""
         return len(self._candidates) == 1
 
+    decided = converged
+
     @property
     def contradicted(self) -> bool:
         """No candidate survives — some assumption was wrong."""
@@ -55,6 +66,23 @@ class CandidateEliminator:
                 f"eliminator has {len(self._candidates)} candidates, not 1"
             )
         return next(iter(self._candidates))
+
+    @property
+    def progress(self) -> int:
+        """Grows exactly when an update shrinks the candidate set."""
+        return -len(self._candidates)
+
+    @property
+    def may_stall(self) -> bool:
+        """Whether a stalled run may accept the surviving set (2-4
+        lines, carried forward like the wide-line ambiguity of
+        Section III-D)."""
+        return len(self._candidates) <= 4
+
+    def rejects(self, expected_line: Optional[int]) -> bool:
+        """Whether the hypothesis is refuted: only an empty intersection
+        refutes it (a predicted line is checked at acceptance)."""
+        return not self._candidates
 
     def update(self, observed: Iterable[int]) -> FrozenSet[int]:
         """Intersect with one observation; return the surviving set."""
@@ -71,7 +99,9 @@ class CandidateEliminator:
         intersection is order-insensitive, but the ``updates`` counter
         still advances by the batch size so effort accounting matches
         the sequential path.  Returns the surviving set after the whole
-        batch.
+        batch.  The attack loop feeds :meth:`update` window by window;
+        this stays for the end-to-end benchmark's tracer and the
+        batch-equivalence tests.
         """
         for observed in observations:
             self.update(observed)

@@ -17,12 +17,12 @@ class SegmentOutcome:
     assignment survived the consistency test (empty for round 1 or when
     nothing was ambiguous).
 
-    The telemetry trio ``confidence`` / ``observations`` / ``retries``
-    describes the voting recovery when it ran (``recovery ==
-    "voting"``): the acceptance confidence of the surviving line, how
-    many probe windows it took, and how many re-crafts were needed.
-    Strict-intersection segments keep the defaults (an accepted strict
-    run is exact, hence confidence 1.0).
+    ``observations`` counts the probe windows the segment consumed over
+    every hypothesis it tried.  ``recovery`` names the decision core
+    (``"strict"`` or ``"voting"``).  ``confidence`` is the lowest
+    acceptance confidence of the surviving hypotheses, and ``retries``
+    the most re-crafts one of them needed; a strict run is exact and
+    never re-crafts, so it reports 1.0 and 0.
     """
 
     round_index: int

@@ -153,9 +153,11 @@ class VotingPolicy:
 class VotingEliminator:
     """Per-line vote counts over a fixed universe of monitored lines.
 
-    Drop-in decision core for the lossy-channel attack loop: feed each
-    probe observation to :meth:`update`, then poll :attr:`decided` /
-    :attr:`rejected`; :attr:`resolved_line` is the accepted target.
+    Decision core of the attack's per-hypothesis loop on lossy
+    channels: feed each probe observation to :meth:`update`, then poll
+    :attr:`decided` / :meth:`rejects`; :attr:`resolved_line` is the
+    accepted target.  :attr:`progress` and :attr:`may_stall` drive the
+    loop's re-crafts.
     """
 
     def __init__(self, universe: FrozenSet[int],
@@ -192,11 +194,11 @@ class VotingEliminator:
         """Record a whole window batch of probe observations.
 
         Vote counts are pure sums, so feeding a batch is exactly
-        equivalent to calling :meth:`update` per window — this is the
-        entry point the batched attack loop uses after
-        :meth:`~repro.channel.ObservationChannel.observe_batch`.
-        Decision properties (:attr:`decided`, :attr:`rejected`) reflect
-        the state after the full batch.
+        equivalent to calling :meth:`update` per window.  Decision
+        properties (:attr:`decided`, :attr:`rejected`) reflect the
+        state after the full batch.  The attack loop feeds
+        :meth:`update` window by window; this stays for the end-to-end
+        benchmark's tracer and the batch-equivalence tests.
         """
         for observed in observations:
             self.update(observed)
@@ -412,6 +414,25 @@ class VotingEliminator:
         if self.observations < self.policy.rejection_observations:
             return False
         return not self.viable
+
+    def rejects(self, expected_line: Optional[int]) -> bool:
+        """Whether the hypothesis is refuted: :attr:`rejected`, or the
+        predicted ``expected_line`` stopped being viable (the hypothesis
+        stands or falls with that one line, so there is no need to wait
+        for the whole universe to die)."""
+        return self.rejected or (expected_line is not None
+                                 and not self.is_viable(expected_line))
+
+    @property
+    def progress(self) -> float:
+        """The confidence: a run stalls while it does not rise."""
+        return self.confidence
+
+    @property
+    def may_stall(self) -> bool:
+        """Whether a stall may trigger a re-craft (after
+        ``min_observations``)."""
+        return self.observations >= self.policy.min_observations
 
     @property
     def resolved_line(self) -> int:

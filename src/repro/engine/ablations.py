@@ -53,7 +53,6 @@ def _probe_trial(params: Mapping[str, Any], cell: Dict[str, Any],
                  trial_index: int, seed: int) -> Dict[str, Any]:
     config = AttackConfig(
         probe_strategy=cell["strategy"],
-        stall_window=200 if cell["strategy"] == "prime_probe" else 0,
         seed=seed,
         max_total_encryptions=None,
     )

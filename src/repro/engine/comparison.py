@@ -68,7 +68,6 @@ def _comparison_config(params: Mapping[str, Any], primitive: str,
         geometry=CacheGeometry(line_words=params["line_words"]),
         probing_round=params["probing_round"],
         probe_strategy=primitive,
-        stall_window=200 if primitive == "prime_probe" else 0,
         flush_flush_miss_probability=(
             params["flush_flush_miss_probability"]
             if primitive == "flush_flush" else 0.0

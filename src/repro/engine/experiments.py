@@ -346,8 +346,6 @@ def _full_key_config(params: Mapping[str, Any], seed: int) -> AttackConfig:
         probing_round=params["probing_round"],
         use_flush=params["use_flush"],
         probe_strategy=params["probe_strategy"],
-        stall_window=200 if params["probe_strategy"] == "prime_probe"
-        else 0,
         max_encryptions_per_segment=params["max_encryptions_per_segment"],
         max_total_encryptions=params["max_total_encryptions"] or None,
         seed=seed,

@@ -62,11 +62,11 @@ def _resolve(path_text: str) -> Path:
 def config_from_header(header: TraceHeader) -> AttackConfig:
     """The attack configuration a trace header describes.
 
-    Mirrors the trace CLI's mapping so a replayed attack re-derives
-    the recorded crafting stream exactly — including the lossy-channel
-    parameters a degraded recording stamps into the header meta, which
-    select the same voting recovery (and the same derived degradation
-    RNG streams) on replay.
+    ``trace replay`` and this experiment both use this mapping, so a
+    replayed attack re-derives the recorded crafting stream exactly —
+    including the lossy-channel parameters a degraded recording stamps
+    into the header meta, which select the same voting recovery (and
+    the same derived degradation RNG streams) on replay.
     """
     return AttackConfig(
         geometry=header.geometry,
@@ -74,8 +74,6 @@ def config_from_header(header: TraceHeader) -> AttackConfig:
         probing_round=header.probing_round,
         use_flush=header.use_flush,
         probe_strategy=header.probe_strategy,
-        stall_window=(200 if header.probe_strategy == "prime_probe"
-                      else 0),
         seed=header.seed,
         loss=LossyChannel(
             miss_probability=float(header.meta.get("miss_probability",

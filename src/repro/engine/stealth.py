@@ -89,7 +89,6 @@ def _stealth_config(params: Mapping[str, Any], primitive: str,
     return AttackConfig(
         geometry=CacheGeometry(line_words=params["line_words"]),
         probe_strategy=primitive,
-        stall_window=200 if primitive == "prime_probe" else 0,
         flush_flush_miss_probability=(
             params["flush_flush_miss_probability"]
             if primitive == "flush_flush" else 0.0

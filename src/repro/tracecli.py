@@ -34,6 +34,7 @@ from typing import List, Optional
 from .channel.degradation import LossyChannel
 from .core.attack import GrinchAttack
 from .core.config import AttackConfig
+from .engine.replay import config_from_header
 from .seeding import derive_key
 from .targets.registry import get_target, target_names
 from .trace import (
@@ -54,34 +55,6 @@ from .trace import (
 
 #: Recording scopes the CLI understands.
 SCOPES = ("full-key", "first-round")
-
-
-def _config_from_header(header: TraceHeader) -> AttackConfig:
-    """The attack configuration a header describes.
-
-    Record and replay both use this mapping, so the replayed attack
-    re-derives the exact crafting stream of the recorded one —
-    including the degradation model: a lossy recording stamps its loss
-    parameters into the header meta, and the replay rebuilds the same
-    :class:`~repro.channel.degradation.LossyChannel` so the voting
-    recovery (and its derived RNG streams) make identical decisions.
-    """
-    return AttackConfig(
-        geometry=header.geometry,
-        layout=header.layout,
-        probing_round=header.probing_round,
-        use_flush=header.use_flush,
-        probe_strategy=header.probe_strategy,
-        stall_window=(200 if header.probe_strategy == "prime_probe"
-                      else 0),
-        seed=header.seed,
-        loss=LossyChannel(
-            miss_probability=float(header.meta.get("miss_probability",
-                                                   0.0)),
-            eviction_rate=float(header.meta.get("eviction_rate", 0.0)),
-        ),
-        max_total_encryptions=None,
-    )
 
 
 def _detect_format(data: bytes) -> str:
@@ -142,7 +115,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
         probing_round=args.probing_round,
         use_flush=not args.no_flush,
         probe_strategy=args.probe,
-        stall_window=200 if args.probe == "prime_probe" else 0,
         seed=args.seed,
         loss=LossyChannel(miss_probability=args.miss,
                           eviction_rate=args.evict),
@@ -200,7 +172,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     meta = header.meta
     scope = args.scope or meta.get("scope") or "full-key"
     victim = ReplayVictim(trace, strict=not args.lenient)
-    attack = GrinchAttack(victim, _config_from_header(header))
+    attack = GrinchAttack(victim, config_from_header(header))
     print(f"replaying {args.trace}: target {header.target}, "
           f"scope {scope}, seed {header.seed}, "
           f"{trace.windows} windows")

@@ -213,7 +213,7 @@ class TestPrimitiveSignatures:
         assert report.flush_resident_per_window > 0
 
     def test_prime_probe_lights_up_the_eviction_counters(self):
-        report = self._report("prime_probe", stall_window=200)
+        report = self._report("prime_probe")
         assert report.windows == 32
         assert report.evictions_per_window > 10
         assert report.flushes_per_window == 0  # no clflush at all
@@ -223,7 +223,7 @@ class TestPrimitiveSignatures:
     def test_stealth_ordering(self):
         flush_flush = self._report("flush_flush")
         flush_reload = self._report("flush_reload")
-        prime_probe = self._report("prime_probe", stall_window=200)
+        prime_probe = self._report("prime_probe")
         assert flush_flush.detectability < flush_reload.detectability
         assert flush_reload.detectability < prime_probe.detectability
 

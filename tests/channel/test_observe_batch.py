@@ -95,7 +95,7 @@ class TestGating:
 
     def test_inactive_for_prime_probe(self):
         channel = _channel(AttackConfig(
-            seed=0, probe_strategy="prime_probe", stall_window=200
+            seed=0, probe_strategy="prime_probe"
         ))
         assert not channel.batch_path_active
 
@@ -124,8 +124,7 @@ class TestGating:
     def test_fallback_still_answers(self):
         # An inactive batch path must still serve observe_batch via the
         # scalar loop, bit-identical to fresh scalar observes.
-        config = AttackConfig(seed=0, probe_strategy="prime_probe",
-                              stall_window=200)
+        config = AttackConfig(seed=0, probe_strategy="prime_probe")
         plaintexts = _plaintexts(5)
         batched = _channel(config).observe_batch(plaintexts, 1)
         scalar_channel = _channel(config)

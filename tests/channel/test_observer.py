@@ -122,7 +122,7 @@ class TestPathEquivalence:
         """Prime+Probe can never take the analytic path; asking for it
         must be a safe no-op, not a silent wrong answer."""
         victim = TracedGift64(derive_key(128, 23))
-        fast, full = _pair(victim, "prime_probe", stall_window=200)
+        fast, full = _pair(victim, "prime_probe")
         assert not fast.fast_path_active and not full.fast_path_active
         assert fast.observe(plaintext, 1) == full.observe(plaintext, 1)
 

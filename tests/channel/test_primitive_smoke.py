@@ -33,7 +33,7 @@ class TestFirstRoundSmoke:
 
     def test_prime_probe(self):
         planted, attack = _attack(
-            32, probe_strategy="prime_probe", stall_window=200
+            32, probe_strategy="prime_probe"
         )
         outcome = attack.attack_first_round()
         assert outcome.recovered_bits == 32
@@ -81,7 +81,7 @@ class TestFullKeySmoke:
 
     def test_prime_probe_full_key(self):
         planted, attack = _attack(
-            36, probe_strategy="prime_probe", stall_window=200
+            36, probe_strategy="prime_probe"
         )
         result = attack.recover_master_key()
         assert result.master_key == planted

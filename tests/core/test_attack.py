@@ -141,20 +141,22 @@ class TestProbeStrategies:
     @pytest.mark.slow
     def test_prime_probe_also_recovers_the_key(self):
         """Prime+Probe works too (Section III-C offers both), but needs
-        stall acceptance: the PermBits table keeps two monitored sets
-        permanently hot, so its eliminations never fully converge — one
-        of the paper's reasons to prefer Flush+Reload."""
+        stall acceptance, which a set-granular primitive turns on: the
+        PermBits table keeps two monitored sets permanently hot, so its
+        eliminations never fully converge — one of the paper's reasons
+        to prefer Flush+Reload."""
         key = random.Random(31).getrandbits(128)
         config = AttackConfig(seed=31, probe_strategy="prime_probe",
-                              stall_window=200,
                               max_total_encryptions=None)
         result = recover_full_key(TracedGift64(key), config)
         assert result.master_key == key
 
     def test_prime_probe_without_stall_acceptance_exhausts_budget(self):
+        # A per-segment budget below the stall window ends every
+        # Prime+Probe elimination before stall acceptance can.
         key = random.Random(32).getrandbits(128)
         config = AttackConfig(seed=32, probe_strategy="prime_probe",
-                              max_encryptions_per_segment=2_000,
+                              max_encryptions_per_segment=150,
                               max_total_encryptions=None)
         attack = GrinchAttack(TracedGift64(key), config)
         with pytest.raises(BudgetExceeded):

@@ -83,6 +83,16 @@ class TestBatchedRecovery:
         assert result.verified
         assert result.total_encryptions == 464
 
+    def test_segment_observations_count_every_window(self):
+        # Strict segments report the probe windows they consumed: at
+        # batch_size=1 they add up to the whole attack's encryptions.
+        _, attack = _attack()
+        result = attack.recover_master_key()
+        observed = sum(segment.observations
+                       for outcome in result.rounds
+                       for segment in outcome.segments)
+        assert observed == result.total_encryptions == 464
+
     def test_batched_full_key_recovers_same_key(self):
         key, attack = _attack(batch_size=32)
         result = attack.recover_master_key()

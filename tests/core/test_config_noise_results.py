@@ -32,8 +32,6 @@ class TestAttackConfig:
         {"probe_strategy": "guess"},
         {"max_encryptions_per_segment": 0},
         {"max_total_encryptions": 0},
-        {"confirmation_margin": -1},
-        {"confirmation_factor": 0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -8,7 +8,8 @@ The tentpole claims, attack-level:
   same lossy configuration — the failure mode the voter exists to fix;
 * whenever the attack accepts, every segment's confidence is at or
   above the configured threshold and the key matches the planted one;
-* at zero loss, voting and strict recover the same key;
+* at full target presence (late-only probe jitter), voting recovers
+  the key strict recovers on the still channel;
 * under hopeless loss the attack gives up gracefully with
   :class:`~repro.core.errors.LowConfidenceError`, not a wrong key.
 """
@@ -21,6 +22,8 @@ from repro.core import (
     InconsistentObservation,
     LossyChannel,
     LowConfidenceError,
+    ObservationChannel,
+    ProbeJitter,
 )
 from repro.seeding import derive_key
 from repro.gift.lut import TracedGift64
@@ -67,27 +70,37 @@ class TestVotingRecovery:
         assert result.master_key == planted
 
     def test_strict_contradicts_on_the_same_channel(self):
-        # recovery="strict" forces the monotone intersection onto the
-        # identical lossy configuration: the first false negative that
-        # hits the target line empties the intersection.
+        # A lossless configuration keeps the monotone intersection while
+        # the runner's degradation stack drops target sightings: the
+        # first false negative that hits the target line empties the
+        # intersection.
         planted = derive_key(128, 100)
-        attack = GrinchAttack(TracedGift64(master_key=planted),
-                              _lossy_config(0, recovery="strict"))
+        victim = TracedGift64(master_key=planted)
+        config = AttackConfig(seed=0, max_total_encryptions=E14_BUDGET)
+        runner = ObservationChannel(victim, config, degradations=(LOSSY,))
+        attack = GrinchAttack(victim, config, runner=runner)
         with pytest.raises(InconsistentObservation):
             attack.recover_master_key()
 
     def test_zero_loss_voting_matches_strict_key(self):
+        # A probe that only ever lands late is a lossy channel, so the
+        # attack votes, but the target line is in every window: the
+        # voter runs at full presence, where it is strict-equivalent.
         planted = derive_key(128, 7)
         strict = GrinchAttack(
-            TracedGift64(master_key=planted),
-            AttackConfig(seed=7, recovery="strict"),
+            TracedGift64(master_key=planted), AttackConfig(seed=7),
         ).recover_master_key()
+        late = LossyChannel(jitter=ProbeJitter(offsets=(0, 1),
+                                               weights=(0.5, 0.5)))
         voting = GrinchAttack(
             TracedGift64(master_key=planted),
-            AttackConfig(seed=7, recovery="voting"),
+            AttackConfig(seed=7, loss=late),
         ).recover_master_key()
         assert strict.master_key == voting.master_key == planted
-        # Lossless voting reports full confidence on every segment.
+        assert all(segment.recovery == "voting"
+                   for outcome in voting.rounds
+                   for segment in outcome.segments)
+        # Full-presence voting reports full confidence on every segment.
         assert voting.min_confidence == 1.0
 
     def test_hopeless_loss_fails_gracefully(self):
