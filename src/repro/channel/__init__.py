@@ -11,9 +11,9 @@ from four layers:
 * **L2 transport** (:mod:`repro.channel.transport`) — which substrate
   the probe and the victim meet on: :class:`SingleLevelTransport`,
   :class:`SharedL2Transport`;
-* **L3 degradation** (:mod:`repro.channel.degradation`) — composable
-  loss/jitter/noise decorators: :class:`LossyChannel`,
-  :class:`ProbeJitter`, :class:`NoiseModel`;
+* **L3 degradation** (:mod:`repro.channel.degradation`) — the
+  config's one :class:`LossyChannel` (with its :class:`ProbeJitter`)
+  and the co-runner :class:`NoiseModel`;
 * **L4 observer** (:mod:`repro.channel.observer`) — the single API the
   attack, the variants and the engine consume:
   :class:`ObservationChannel`;

@@ -16,16 +16,12 @@ negatives* — observations where a line the victim really touched is
 absent — which break the monotone-intersection soundness assumption and
 motivate the voting recovery of :mod:`repro.core.voting`.
 
-Degradations compose as decorators around an observation: the
-:class:`~repro.channel.observer.ObservationChannel` accepts a tuple of
-them and applies each one's window shift before the victim runs and
-each one's line drop to the raw readout afterwards.  Anything with the
-small duck-typed interface ``is_lossless`` / ``shifts_window`` /
-``sample_jitter(rng)`` / ``drop_lines(observed, monitored, rng)``
-participates; :class:`LossyChannel` and :class:`ProbeJitter` both do.
-:func:`jitter_from_platform` builds the degradation matching a measured
-SoC probe landing (Table II) so platform timing plugs into the same
-stack.
+The observer applies one :class:`LossyChannel` — ``AttackConfig.loss``
+— per window: its :class:`ProbeJitter` moves the probe before the
+victim runs, and :meth:`LossyChannel.drop_lines` removes evicted and
+misread lines from the raw readout afterwards.
+:func:`jitter_from_platform` turns a measured SoC probe landing
+(Table II) into the jitter to pass as ``LossyChannel(jitter=...)``.
 """
 
 from __future__ import annotations
@@ -114,32 +110,11 @@ class ProbeJitter:
         """True when the probe always lands exactly where aimed."""
         return all(o == 0 for o in self.offsets)
 
-    @property
-    def is_lossless(self) -> bool:
-        """Degradation protocol: a still jitter loses nothing."""
-        return self.is_still
-
-    @property
-    def shifts_window(self) -> bool:
-        """Degradation protocol: whether the probe window can move."""
-        return not self.is_still
-
     def sample(self, rng: random.Random) -> int:
         """Draw one probe-round offset."""
         if self.is_still:
             return 0
         return rng.choices(self.offsets, weights=self.weights, k=1)[0]
-
-    def sample_jitter(self, rng: random.Random) -> int:
-        """Degradation protocol alias of :meth:`sample`."""
-        return self.sample(rng)
-
-    def drop_lines(self, observed: "FrozenSet[int]",
-                   monitored_lines: Sequence[int],
-                   rng: random.Random) -> "FrozenSet[int]":
-        """Degradation protocol: jitter drops nothing after the fact
-        (its loss happens by moving the window before the victim runs)."""
-        return observed
 
     def target_visibility(self, probing_round: int) -> float:
         """Probability the jittered probe still covers the target round.
@@ -170,7 +145,7 @@ class LossyChannel:
         Chance that the probe's per-line hit/miss signal reads a
         genuinely present line as absent (Flush+Flush-style unreliable
         signal, coarse timers).  Applied independently per observed
-        line per probe window.
+        line per probe window; must be below 1.
     eviction_rate:
         Chance per probe window that a co-running process evicts one
         uniformly chosen monitored line before the probe runs; if that
@@ -186,10 +161,14 @@ class LossyChannel:
     jitter: ProbeJitter = field(default_factory=ProbeJitter)
 
     def __post_init__(self) -> None:
-        for name in ("miss_probability", "eviction_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        # A certain miss would hide every genuine access, so no
+        # observation could ever show the target.
+        if not 0.0 <= self.miss_probability < 1.0:
+            raise ValueError(f"miss_probability must be in [0, 1), "
+                             f"got {self.miss_probability}")
+        if not 0.0 <= self.eviction_rate <= 1.0:
+            raise ValueError(f"eviction_rate must be in [0, 1], "
+                             f"got {self.eviction_rate}")
 
     @property
     def is_lossless(self) -> bool:
@@ -197,15 +176,6 @@ class LossyChannel:
         return (self.miss_probability == 0.0
                 and self.eviction_rate == 0.0
                 and self.jitter.is_still)
-
-    @property
-    def shifts_window(self) -> bool:
-        """Degradation protocol: whether the probe window can move."""
-        return not self.jitter.is_still
-
-    def sample_jitter(self, rng: random.Random) -> int:
-        """Probe-round offset for one window (0 when still)."""
-        return self.jitter.sample(rng)
 
     def drop_lines(self, observed: FrozenSet[int],
                    monitored_lines: Sequence[int],
@@ -310,10 +280,10 @@ def jitter_from_platform(probed_round: int, aimed_round: int) -> ProbeJitter:
     Table II's platform study reports, per SoC and clock domain, the
     round whose state the probe ends up observing
     (:attr:`repro.soc.platform.ProbeReport.probed_round`-style
-    measurements).  This helper turns that measurement into the
-    equivalent degradation decorator: a deterministic offset of
-    ``probed_round - aimed_round``, so the timing behaviour of a
-    platform composes with loss and noise through the same stack.
+    measurements).  This helper turns that measurement into a
+    deterministic offset of ``probed_round - aimed_round``; pass it as
+    ``LossyChannel(jitter=...)`` to combine the platform's timing with
+    the channel's other losses.
     """
     return ProbeJitter(offsets=(probed_round - aimed_round,),
                        weights=(1.0,))

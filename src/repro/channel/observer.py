@@ -8,7 +8,8 @@ engine consume.  It composes
   residency),
 * a :class:`~repro.channel.transport.CacheTransport` (L2 — which
   substrate the probe and victim meet on),
-* a tuple of degradations (L3 — loss/jitter decorators), and
+* the config's :class:`~repro.channel.degradation.LossyChannel` (L3 —
+  jitter, eviction and signal misses), and
 * the victim + crafting-independent RNG streams,
 
 and answers the access-driven question *which monitored lines did this
@@ -45,7 +46,7 @@ Two execution paths produce the access-driven answer:
 
 :meth:`observe_batch` runs the fast path's per-window readout once per
 plaintext, exactly as looping :meth:`observe` would, and applies the
-lossy degradations once per batch.  The victim's index mask is
+channel's losses once per batch.  The victim's index mask is
 thus the one index source of the attack, scalar or batched.
 
 RNG discipline: the noise stream (``"{scope}-noise"``), the loss
@@ -68,7 +69,7 @@ from ..seeding import derive_rng, derive_seed
 from ..staticcheck import secret_attributes
 from .defender import DefenderObserver
 from .monitor import EvictionModel, SboxMonitor
-from .primitive import ProbePrimitive, make_primitive
+from .primitive import make_primitive
 from .transport import CacheTransport, SingleLevelTransport
 
 
@@ -123,13 +124,11 @@ class ObservationChannel:
     config:
         An :class:`~repro.core.config.AttackConfig` (duck-typed: any
         object with the same observation-relevant attributes works).
+        It alone chooses the primitive (``probe_strategy``) and the
+        losses (``loss``).
     transport:
         L2 override; defaults to a single shared cache of the config's
         geometry.
-    primitive:
-        L1 override; defaults to ``config.probe_strategy``.
-    degradations:
-        L3 decorator stack; defaults to ``(config.loss,)``.
     rng_scope:
         Label prefix of the derived RNG streams.  The default keeps
         bit-identical streams with the historic single-core runner;
@@ -145,8 +144,6 @@ class ObservationChannel:
 
     def __init__(self, victim: TracedVictim, config: Any, *,
                  transport: Optional[CacheTransport] = None,
-                 primitive: Optional[ProbePrimitive] = None,
-                 degradations: Optional[Sequence[Any]] = None,
                  rng_scope: str = "runner",
                  defender: Optional[DefenderObserver] = None) -> None:
         self.victim = victim
@@ -161,13 +158,12 @@ class ObservationChannel:
         if defender is not None:
             transport = defender.watch(transport)
         self.transport = transport
-        if primitive is None:
-            primitive = make_primitive(
-                config.probe_strategy, self.monitor,
-                signal_miss_probability=getattr(
-                    config, "flush_flush_miss_probability", 0.0),
-                rng=derive_rng(f"{rng_scope}-primitive", config.seed),
-            )
+        primitive = make_primitive(
+            config.probe_strategy, self.monitor,
+            signal_miss_probability=getattr(
+                config, "flush_flush_miss_probability", 0.0),
+            rng=derive_rng(f"{rng_scope}-primitive", config.seed),
+        )
         self.primitive = primitive
         if not primitive.flush_based and not transport.supports_prime_probe:
             raise ValueError(
@@ -175,23 +171,16 @@ class ObservationChannel:
                 f"which {type(transport).__name__} cannot provide "
                 f"(a cross-core attacker is clflush-based)"
             )
-        if degradations is None:
-            degradations = (config.loss,)
-        self.degradations: Tuple[Any, ...] = tuple(degradations)
-        # Per-window invariants of observe(), in stack order (the order
-        # the loss stream is drawn in).
+        # Per-window invariants of observe().  The loss stream draws
+        # the jitter before the victim runs and the drops after it.
         self._probe_round_offset: int = getattr(
             victim, "probe_round_offset", 1
         )
-        self._window_shifters: Tuple[Any, ...] = tuple(
-            d for d in self.degradations if d.shifts_window
-        )
-        self._lossy: Tuple[Any, ...] = tuple(
-            d for d in self.degradations if not d.is_lossless
-        )
+        self._jittered: bool = not config.loss.jitter.is_still
+        self._lossy: bool = not config.loss.is_lossless
         self._flush_supported: bool = (config.use_flush
                                        and primitive.supports_mid_flush)
-        self._fast_path: bool = (config.fast_path_applicable
+        self._fast_path: bool = (config.use_fast_path
                                  and primitive.line_granular
                                  and transport.supports_fast_path)
         # How long a visible window the index mask reads out exactly
@@ -214,11 +203,8 @@ class ObservationChannel:
         self.encryptions_run = 0
         # observe_batch shares the fast path's per-window readout; it
         # cannot take jitter (drawn per encryption from the scalar loss
-        # stream) and needs batch-aware losses.
-        self._batch_path: bool = (
-            self._fast_path and not self._window_shifters
-            and all(hasattr(d, "drop_lines_batch") for d in self._lossy)
-        )
+        # stream).
+        self._batch_path: bool = self._fast_path and not self._jittered
         # The batch loss stream is a NEW derived stream —
         # "{scope}-loss-batch" — so the scalar loss_rng above keeps its
         # exact pre-batch draw sequence; built on first use.
@@ -238,10 +224,8 @@ class ObservationChannel:
     def batch_path_active(self) -> bool:
         """Whether :meth:`observe_batch` applies its losses per batch.
 
-        The batch path requires the fast path, no window-shifting
-        degradation (jitter draws from the scalar loss stream before
-        each encryption) and batch-aware lossy degradations
-        (:meth:`~repro.channel.degradation.LossyChannel.drop_lines_batch`).
+        The batch path requires the fast path and a still probe (jitter
+        draws from the scalar loss stream before each encryption).
         Anything else loops :meth:`observe`, which stays bit-exact with
         the historic scalar runs.
         """
@@ -256,9 +240,10 @@ class ObservationChannel:
         return self._loss_batch_gen
 
     @property
-    def mid_flush_supported(self) -> bool:
-        """Whether the primitive can clear state mid-encryption."""
-        return self.primitive.supports_mid_flush
+    def mid_flush_active(self) -> bool:
+        """Whether the monitored lines are flushed right before the
+        monitored round (the config asks for it and the primitive can)."""
+        return self._flush_supported
 
     @property
     def signal_reliability(self) -> float:
@@ -269,9 +254,18 @@ class ObservationChannel:
 
     @property
     def is_lossless(self) -> bool:
-        """Whether the composed channel can never lose a genuine access."""
-        return (self.primitive.signal_reliability == 1.0
-                and all(d.is_lossless for d in self.degradations))
+        """Whether the channel can never lose a genuine access: neither
+        the primitive's readout nor ``config.loss`` drops one."""
+        return self.signal_reliability == 1.0 and not self._lossy
+
+    @property
+    def target_presence(self) -> float:
+        """Per-window probability that the target line shows up: the
+        loss model's survival rate times the primitive's readout
+        reliability.  The voting recovery calibrates against it."""
+        return self.config.loss.expected_target_presence(
+            len(self.monitor.lines), self.config.probing_round
+        ) * self.signal_reliability
 
     # ------------------------------------------------------------------
     # Access-driven channel
@@ -313,8 +307,8 @@ class ObservationChannel:
             )
             if not self.transport.noise_via_victim:
                 observed |= self._noise_lines()
-        for degradation in self._lossy:
-            observed = degradation.drop_lines(
+        if self._lossy:
+            observed = self.config.loss.drop_lines(
                 observed, self.monitor.lines, self._loss_rng
             )
         if self.defender is not None:
@@ -329,7 +323,7 @@ class ObservationChannel:
         fast path's per-window readout in order — the victim's index
         mask, the primitive's readout filter and the noise stream
         consumed exactly as looping :meth:`observe` consumes them — and
-        lossy degradations then apply as batch masks on the dedicated
+        the channel's losses then apply as batch masks on the dedicated
         ``"-loss-batch"`` stream (deterministic at ANY batch split —
         see ``LossyChannel.drop_lines_batch``).  Otherwise this is
         exactly ``[self.observe(p, attacked_round) for p in
@@ -345,8 +339,8 @@ class ObservationChannel:
             for plaintext in plaintexts
         ]
         self.encryptions_run += len(observations)
-        for degradation in self._lossy:
-            observations = degradation.drop_lines_batch(
+        if self._lossy:
+            observations = self.config.loss.drop_lines_batch(
                 observations, self.monitor.lines,
                 self._batch_loss_generator(),
             )
@@ -366,12 +360,11 @@ class ObservationChannel:
             )
         monitored_round = attacked_round + self._probe_round_offset
         visible_through = monitored_round - 1 + self.config.probing_round
-        for degradation in self._window_shifters:
+        if self._jittered:
             # A jittered probe lands early or late: late draws add later
             # rounds' accesses, early draws can lose the target round —
             # or the whole window — outright.
-            visible_through += degradation.sample_jitter(self._loss_rng)
-            visible_through = min(visible_through, self.victim.rounds)
+            visible_through += self.config.loss.jitter.sample(self._loss_rng)
         if visible_through > self.victim.rounds:
             visible_through = self.victim.rounds
         first_visible = monitored_round if self._flush_supported else 1

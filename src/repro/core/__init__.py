@@ -27,9 +27,9 @@ from ..channel import (
     make_primitive,
 )
 from .attack import FULL_KEY_ROUNDS, GrinchAttack, recover_full_key
-from .config import PROBE_STRATEGIES, AttackConfig
+from .config import AttackConfig
 from .crafting import PlaintextCrafter, build_target_round_input
-from .crosscore import CrossCoreRunner, make_cross_core_runner
+from .crosscore import make_cross_core_runner
 from .eliminate import CandidateEliminator
 from .errors import (
     AttackError,
@@ -58,11 +58,9 @@ __all__ = [
     "FULL_KEY_ROUNDS",
     "GrinchAttack",
     "recover_full_key",
-    "PROBE_STRATEGIES",
     "AttackConfig",
     "PlaintextCrafter",
     "build_target_round_input",
-    "CrossCoreRunner",
     "make_cross_core_runner",
     "CandidateEliminator",
     "VotingEliminator",

@@ -117,18 +117,13 @@ class GrinchAttack:
                  config: Optional[AttackConfig] = None,
                  runner: Optional[ObservationChannel] = None) -> None:
         self.config = config if config is not None else AttackConfig()
-        if victim.layout != self.config.layout:
-            raise ValueError(
-                "victim table layout differs from the attack configuration"
-            )
         # The victim's registered cipher target supplies the structural
         # bookkeeping: crafting inversion, key algebra, reference
         # encryption.
         self.target = resolve_target_for(victim)
-        # ``runner`` lets alternative observation channels plug in —
-        # e.g. the cross-core shared-L2 CrossCoreRunner of
-        # repro.core.crosscore, or an ObservationChannel with a custom
-        # primitive/transport/degradation stack.
+        # ``runner`` lets an observation channel over another transport
+        # plug in — e.g. the cross-core shared-L2 channel of
+        # repro.core.crosscore.
         self.runner = (runner if runner is not None
                        else ObservationChannel(victim, self.config))
         self.monitor = self.runner.monitor
@@ -138,14 +133,21 @@ class GrinchAttack:
         self.rng = derive_rng("attack-crafting", self.config.seed)
         self.total_encryptions = 0
         # The decision core: strict intersection on a lossless channel,
-        # voting calibrated against the composed channel's losses
+        # voting calibrated against the channel's target presence
         # otherwise (a noisy primitive readout, Flush+Flush, loses
         # genuine target sightings on top of the channel-level model).
         self._policy: Optional[VotingPolicy] = None
-        if self.config.voting_active:
-            presence = self.config.loss.expected_target_presence(
-                len(self.monitor.lines), self.config.probing_round
-            ) * self.runner.signal_reliability
+        if not self.runner.is_lossless:
+            presence = self.runner.target_presence
+            if presence == 0.0:
+                loss = self.runner.config.loss
+                raise ValueError(
+                    "the observation channel never shows the target "
+                    f"line: probe jitter offsets {loss.jitter.offsets} "
+                    f"at probing_round={self.runner.config.probing_round}"
+                    f", eviction_rate={loss.eviction_rate}, readout "
+                    f"reliability {self.runner.signal_reliability}"
+                )
             self._policy = VotingPolicy(
                 expected_presence=presence,
                 confidence_threshold=self.config.voting_confidence,
@@ -591,7 +593,7 @@ class GrinchAttack:
         if lines <= 1:
             return 0
         visible_rounds = self.config.probing_round
-        if not (self.config.use_flush and self.runner.mid_flush_supported):
+        if not self.runner.mid_flush_active:
             # Rounds 1 .. attacked_round + offset - 1 precede the
             # monitored round; with probe_round_offset = 1 (GIFT) this
             # is the historical ``+ attacked_round`` term.

@@ -14,22 +14,23 @@ from typing import Optional
 
 from ..cache.geometry import CacheGeometry
 from ..channel.degradation import LOSSLESS, NO_NOISE, LossyChannel, NoiseModel
-from ..targets.layout import TableLayout
-
-#: Probe primitive names accepted by :class:`AttackConfig`.
-PROBE_STRATEGIES = ("flush_reload", "prime_probe", "flush_flush")
+from ..channel.primitive import PRIMITIVE_NAMES
 
 
 @dataclass(frozen=True)
 class AttackConfig:
     """Parameters of one GRINCH attack run.
 
+    The config is the only description of the observation channel:
+    :class:`~repro.channel.ObservationChannel` builds its primitive and
+    its losses from it, and the attack asks that channel whether it can
+    lose the target.  The victim's table placement is the victim's own
+    (``victim.layout``).
+
     Attributes
     ----------
     geometry:
         Shared-L1 shape; ``geometry.line_words`` is Table I's sweep axis.
-    layout:
-        Victim table placement in memory.
     probing_round:
         How many rounds of victim activity accumulate in the cache before
         the attacker can probe (Fig. 3's x-axis).  Probing round ``r``
@@ -49,7 +50,8 @@ class AttackConfig:
         read as absent; scaled per cache set — see
         :class:`~repro.channel.primitive.FlushFlush`).  Ignored by the
         other primitives.  A positive value makes the attack vote
-        (see :attr:`voting_active`), exactly like a lossy channel.
+        (see :attr:`~repro.channel.ObservationChannel.is_lossless`),
+        exactly like a lossy channel.
     max_encryptions_per_segment:
         Per-hypothesis convergence budget.  A strict run that exhausts
         it raises :class:`~repro.core.errors.BudgetExceeded`; a voting
@@ -90,8 +92,10 @@ class AttackConfig:
         hypothesis is given up as low-confidence.
     use_fast_path:
         Allow the accelerated observation path when it is provably
-        equivalent to the full cache simulation (Flush+Reload with
-        non-colliding tables); automatically ignored otherwise.
+        equivalent to the full cache simulation: a line-granular
+        primitive (Flush+Reload, Flush+Flush) on a single-level LRU
+        transport; automatically ignored otherwise (see
+        :attr:`~repro.channel.ObservationChannel.fast_path_active`).
     batch_size:
         How many crafted plaintexts the attack loop hands to the
         observation channel per call.  ``1`` (default) reproduces the
@@ -105,7 +109,6 @@ class AttackConfig:
     """
 
     geometry: CacheGeometry = field(default_factory=CacheGeometry)
-    layout: TableLayout = field(default_factory=TableLayout)
     probing_round: int = 1
     use_flush: bool = True
     probe_strategy: str = "flush_reload"
@@ -126,9 +129,9 @@ class AttackConfig:
             raise ValueError(
                 f"probing_round must be >= 1, got {self.probing_round}"
             )
-        if self.probe_strategy not in PROBE_STRATEGIES:
+        if self.probe_strategy not in PRIMITIVE_NAMES:
             raise ValueError(
-                f"probe_strategy must be one of {PROBE_STRATEGIES}, "
+                f"probe_strategy must be one of {PRIMITIVE_NAMES}, "
                 f"got {self.probe_strategy!r}"
             )
         if not 0.0 <= self.flush_flush_miss_probability < 1.0:
@@ -151,31 +154,3 @@ class AttackConfig:
             raise ValueError(
                 f"batch_size must be >= 1, got {self.batch_size}"
             )
-
-    @property
-    def voting_active(self) -> bool:
-        """Whether segments are recovered by voting instead of strict
-        intersection: exactly when the channel is lossy or the
-        Flush+Flush readout is noisy."""
-        if (self.probe_strategy == "flush_flush"
-                and self.flush_flush_miss_probability > 0.0):
-            # A noisy Flush+Flush readout loses genuine accesses just
-            # like a lossy channel, so strict intersection would
-            # contradict on it.
-            return True
-        return not self.loss.is_lossless
-
-    @property
-    def fast_path_applicable(self) -> bool:
-        """Whether the accelerated observation path preserves semantics.
-
-        The fast path skips the LRU machinery; that is exact only for
-        the line-granular flush-based primitives (Flush+Reload and
-        Flush+Flush: the observer's eviction model accounts for the
-        victim's own set conflicts, and the readout noise applies
-        identically on both paths) —
-        Prime+Probe observes at set granularity where the PermBits
-        table interferes, so it must run on the full simulator.
-        """
-        return (self.use_fast_path
-                and self.probe_strategy in ("flush_reload", "flush_flush"))

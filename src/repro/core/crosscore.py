@@ -6,11 +6,12 @@ victim runs on core 0 behind a private L1, the attacker on core 1 can
 only sense the *shared L2* (its reloads hit there, never in the
 victim's L1) but wields a ``clflush`` that purges the whole hierarchy.
 
-Since the observation-channel refactor this is a thin specialisation
-of :class:`~repro.channel.ObservationChannel`: all the cross-core
-behaviour lives in :class:`~repro.channel.transport.SharedL2Transport`,
-and :class:`~repro.core.attack.GrinchAttack` runs unchanged on top —
-only the observability differs:
+All the cross-core behaviour lives in
+:class:`~repro.channel.transport.SharedL2Transport`:
+:func:`make_cross_core_runner` returns a plain
+:class:`~repro.channel.ObservationChannel` over it, on which
+:class:`~repro.core.attack.GrinchAttack` runs unchanged — only the
+observability differs:
 
 * **inclusive L2**: every victim miss fills L2 too, so after a flush
   the first touch of each line is visible — the attack goes through.
@@ -23,10 +24,8 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..cache.multilevel import (
-    InclusionPolicy,
-    TwoLevelHierarchy,
-)
+from ..cache.geometry import CacheGeometry
+from ..cache.multilevel import InclusionPolicy, TwoLevelHierarchy
 from ..channel.observer import ObservationChannel
 from ..channel.transport import ATTACKER_CORE, VICTIM_CORE, SharedL2Transport
 from ..targets.protocol import TracedVictim
@@ -35,53 +34,25 @@ from .config import AttackConfig
 __all__ = [
     "ATTACKER_CORE",
     "VICTIM_CORE",
-    "CrossCoreRunner",
     "make_cross_core_runner",
 ]
-
-
-class CrossCoreRunner(ObservationChannel):
-    """Drop-in observation channel whose probes go through a shared L2."""
-
-    def __init__(self, victim: TracedVictim, config: AttackConfig,
-                 hierarchy: Optional[TwoLevelHierarchy] = None,
-                 defender: Optional[Any] = None) -> None:
-        if config.probe_strategy == "prime_probe":
-            raise ValueError(
-                "the cross-core runner models a clflush-based attacker"
-            )
-        if hierarchy is None:
-            hierarchy = TwoLevelHierarchy()
-        if hierarchy.cores < 2:
-            raise ValueError("cross-core attacks need at least two cores")
-        if hierarchy.line_bytes != config.geometry.line_bytes:
-            raise ValueError(
-                "hierarchy line size must match the attack geometry"
-            )
-        super().__init__(
-            victim, config,
-            transport=SharedL2Transport(hierarchy),
-            rng_scope="crosscore",
-            defender=defender,
-        )
-        self.hierarchy = hierarchy
 
 
 def make_cross_core_runner(victim: TracedVictim, config: AttackConfig,
                            inclusion: InclusionPolicy,
                            policy: str = "lru",
                            defender: Optional[Any] = None
-                           ) -> CrossCoreRunner:
+                           ) -> ObservationChannel:
     """Build a runner over a default two-core hierarchy.
 
     The hierarchy's line size follows the attack geometry so Table-I
     style sweeps stay meaningful cross-core.  ``policy`` selects the
     replacement policy of both levels (``"random"`` gives the
     ARMageddon-style mobile-SoC substrate, with independently derived
-    per-set streams); ``defender`` optionally taps the transport.
+    per-set streams); ``defender`` optionally taps the transport.  The
+    channel rejects a Prime+Probe config: a cross-core attacker is
+    clflush-based.
     """
-    from ..cache.geometry import CacheGeometry
-
     line_words = config.geometry.line_words
     hierarchy = TwoLevelHierarchy(
         cores=2,
@@ -92,4 +63,6 @@ def make_cross_core_runner(victim: TracedVictim, config: AttackConfig,
         inclusion=inclusion,
         policy=policy,
     )
-    return CrossCoreRunner(victim, config, hierarchy, defender=defender)
+    return ObservationChannel(victim, config,
+                              transport=SharedL2Transport(hierarchy),
+                              rng_scope="crosscore", defender=defender)

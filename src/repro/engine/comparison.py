@@ -91,7 +91,7 @@ def _comparison_trial(params: Mapping[str, Any], cell: Dict[str, Any],
                       trial_index: int, seed: int) -> Dict[str, Any]:
     config = _comparison_config(params, cell["primitive"], seed)
     planted = derive_key(128, seed)
-    victim = TracedGift64(planted, layout=config.layout)
+    victim = TracedGift64(planted)
     attack = GrinchAttack(victim, config)
     reliability = attack.runner.signal_reliability
     ended = run_attack(attack, params["scope"], planted)

@@ -51,7 +51,7 @@ def _expected_effort(line_words: int, probing_round: int,
 
 def _first_round_encryptions(seed: int, config: AttackConfig) -> float:
     """One Monte-Carlo sample: encryptions to attack round 1."""
-    victim = TracedGift64(derive_key(128, seed), layout=config.layout)
+    victim = TracedGift64(derive_key(128, seed))
     return float(GrinchAttack(victim, config).attack_first_round()
                  .encryptions)
 

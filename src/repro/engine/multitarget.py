@@ -69,7 +69,7 @@ def _present_trial(params: Mapping[str, Any], cell: Dict[str, Any],
         seed=seed,
     )
     planted = derive_key(target.key_bits, seed)
-    victim = target.make_victim(planted, layout=config.layout)
+    victim = target.make_victim(planted)
     result = GrinchAttack(victim, config).recover_master_key()
     return {
         "recovered": declassify(result.master_key == planted),
@@ -162,7 +162,7 @@ def _matrix_trial(params: Mapping[str, Any], cell: Dict[str, Any],
         seed=seed,
     )
     planted = derive_key(target.key_bits, seed)
-    victim = target.make_victim(planted, layout=config.layout)
+    victim = target.make_victim(planted)
     first = GrinchAttack(victim, config).attack_first_round()
     return {
         "encryptions": first.encryptions,

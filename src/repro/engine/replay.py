@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, List, Mapping, Union
 
 from ..channel.degradation import LossyChannel
 from ..core.attack import GrinchAttack
 from ..core.config import AttackConfig
+from ..core.results import AttackResult, FirstRoundResult
 from ..staticcheck import declassify
 from ..trace import ReplayVictim, TraceHeader, read_binary
 from .artifact import trial_summary
@@ -70,7 +71,6 @@ def config_from_header(header: TraceHeader) -> AttackConfig:
     """
     return AttackConfig(
         geometry=header.geometry,
-        layout=header.layout,
         probing_round=header.probing_round,
         use_flush=header.use_flush,
         probe_strategy=header.probe_strategy,
@@ -82,6 +82,42 @@ def config_from_header(header: TraceHeader) -> AttackConfig:
         ),
         max_total_encryptions=None,
     )
+
+
+def replay_mismatches(meta: Mapping[str, Any],
+                      result: Union[AttackResult, FirstRoundResult]
+                      ) -> List[str]:
+    """How a replayed outcome differs from the one the recording
+    stamped into its header meta; empty when the replay matches.
+
+    ``trace replay --check`` and this experiment share the rule.  A
+    full-key replay must reproduce the key, the encryption count and
+    the verification verdict (``verified == recovered``); a first-round
+    replay the encryption count and the recovered bits.  A value the
+    recording lacks is a mismatch: the replay cannot match it.
+    """
+    if isinstance(result, FirstRoundResult):
+        checks = [
+            ("effort drift", meta.get("total_encryptions"),
+             result.encryptions),
+            ("recovered-bits mismatch", meta.get("recovered_bits"),
+             result.recovered_bits),
+        ]
+    else:
+        recorded_key = meta.get("master_key")
+        checks = [
+            ("key mismatch", None if recorded_key is None
+             else f"{int(recorded_key, 16):x}", f"{result.master_key:x}"),
+            ("effort drift", meta.get("total_encryptions"),
+             result.total_encryptions),
+            ("verification mismatch", meta.get("recovered"),
+             result.verified),
+        ]
+    return [
+        f"{label}: recorded {'nothing' if recorded is None else recorded}"
+        f", replayed {replayed}"
+        for label, recorded, replayed in checks if recorded != replayed
+    ]
 
 
 def _replay_plan(params: Mapping[str, Any]) -> List[CellPlan]:
@@ -124,10 +160,7 @@ def _replay_trial(params: Mapping[str, Any], cell: Dict[str, Any],
             "verified": result.verified,
             "encryptions": result.total_encryptions,
             "matches_recording": declassify(
-                key_matches
-                and result.total_encryptions
-                == meta.get("total_encryptions")
-                and result.verified == bool(meta.get("recovered"))
+                not replay_mismatches(meta, result)
             ),
             "windows_left": victim.remaining,
         }
@@ -139,8 +172,7 @@ def _replay_trial(params: Mapping[str, Any], cell: Dict[str, Any],
         "verified": None,
         "encryptions": result.encryptions,
         "matches_recording": declassify(
-            result.encryptions == meta.get("total_encryptions")
-            and result.recovered_bits == meta.get("recovered_bits")
+            not replay_mismatches(meta, result)
         ),
         "windows_left": victim.remaining,
     }

@@ -56,6 +56,11 @@ _ROBUSTNESS_SPEC = spec(
 def _robustness_plan(params: Mapping[str, Any]) -> List[CellPlan]:
     if params["runs"] < 1:
         raise ValueError(f"runs must be positive, got {params['runs']}")
+    for miss in params["miss_probabilities"]:
+        if not 0.0 <= miss < 1.0:
+            raise ValueError(
+                f"miss_probabilities must lie in [0, 1), got {miss}"
+            )
     return [
         CellPlan(cell={"miss_probability": miss, "eviction_rate": evict},
                  trials=params["runs"])
@@ -78,7 +83,7 @@ def _robustness_trial(params: Mapping[str, Any], cell: Dict[str, Any],
         max_total_encryptions=effort_budget(params),
     )
     planted = derive_key(128, seed)
-    victim = TracedGift64(planted, layout=config.layout)
+    victim = TracedGift64(planted)
     ended = run_attack(GrinchAttack(victim, config), "full_key", planted)
     if ended.outcome == "low_confidence":
         return ended.trial(best_confidence=ended.error.best_confidence)

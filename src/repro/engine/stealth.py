@@ -157,7 +157,7 @@ def _stealth_trial(params: Mapping[str, Any], cell: Dict[str, Any],
                    trial_index: int, seed: int) -> Dict[str, Any]:
     config = _stealth_config(params, cell["primitive"], seed)
     planted = derive_key(128, seed)
-    victim = TracedGift64(planted, layout=config.layout)
+    victim = TracedGift64(planted)
     defender = DefenderObserver(_detection_policy(params))
     runner = _stealth_runner(victim, config, cell["scenario"], defender)
     attack = GrinchAttack(victim, config, runner=runner)

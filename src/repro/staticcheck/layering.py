@@ -7,7 +7,7 @@ four-layer architecture (see ``docs/architecture.md``):
 L0    ``repro.trace``         trace record/replay substrate
 L1    ``channel.primitive``   how residency is read
 L2    ``channel.transport``   which substrate probe & victim share
-L3    ``channel.degradation`` loss/jitter decorators
+L3    ``channel.degradation`` loss, jitter and noise models
 L4    ``channel.defender``    counter-tap + detection (consumer #2)
 L4    ``channel.observer``    the one public observation API
 ====  ======================  =================================

@@ -34,7 +34,7 @@ from typing import List, Optional
 from .channel.degradation import LossyChannel
 from .core.attack import GrinchAttack
 from .core.config import AttackConfig
-from .engine.replay import config_from_header
+from .engine.replay import config_from_header, replay_mismatches
 from .seeding import derive_key
 from .targets.registry import get_target, target_names
 from .trace import (
@@ -176,41 +176,16 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     print(f"replaying {args.trace}: target {header.target}, "
           f"scope {scope}, seed {header.seed}, "
           f"{trace.windows} windows")
-    failures = []
     if scope == "full-key":
         result = attack.recover_master_key()
         print(f"recovered key : {result.master_key:x}")
         print(f"encryptions   : {result.total_encryptions}")
         print(f"verified      : {result.verified}")
-        if args.check:
-            expected_key = meta.get("master_key")
-            if expected_key is not None \
-                    and int(expected_key, 16) != result.master_key:
-                failures.append(
-                    f"key mismatch: recorded {expected_key}, replayed "
-                    f"{result.master_key:x}"
-                )
-            expected_count = meta.get("total_encryptions")
-            if expected_count is not None \
-                    and expected_count != result.total_encryptions:
-                failures.append(
-                    f"effort drift: recorded {expected_count} "
-                    f"encryptions, replayed {result.total_encryptions}"
-                )
-            if meta.get("recovered") and not result.verified:
-                failures.append("recording verified but replay did not")
     else:
         result = attack.attack_first_round()
         print(f"encryptions   : {result.encryptions}")
         print(f"recovered bits: {result.recovered_bits}")
-        if args.check:
-            expected_count = meta.get("total_encryptions")
-            if expected_count is not None \
-                    and expected_count != result.encryptions:
-                failures.append(
-                    f"effort drift: recorded {expected_count} "
-                    f"encryptions, replayed {result.encryptions}"
-                )
+    failures = replay_mismatches(meta, result) if args.check else []
     if victim.remaining:
         print(f"note: {victim.remaining} records left unconsumed")
     for failure in failures:

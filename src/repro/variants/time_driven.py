@@ -87,8 +87,7 @@ class TimeDrivenAttack:
         # latency instead of observe()).
         self.channel = ObservationChannel(
             victim,
-            AttackConfig(geometry=self.geometry, layout=victim.layout,
-                         seed=seed),
+            AttackConfig(geometry=self.geometry, seed=seed),
             rng_scope="time-driven",
         )
         self.monitor = self.channel.monitor

@@ -72,8 +72,7 @@ class TraceDrivenAttack:
         # variant reads the hit_miss() signal instead of observe().
         self.channel = ObservationChannel(
             victim,
-            AttackConfig(geometry=self.geometry, layout=victim.layout,
-                         seed=seed),
+            AttackConfig(geometry=self.geometry, seed=seed),
             rng_scope="trace-driven",
         )
         self.monitor = self.channel.monitor

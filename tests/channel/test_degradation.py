@@ -1,4 +1,4 @@
-"""Tests for the L3 degradation decorators.
+"""Tests for the L3 degradation models.
 
 The observation/attack-level behaviour of noise, loss, and jitter is
 covered by the observer and core suites; this file checks the analytic
@@ -23,6 +23,18 @@ jitters = st.lists(
     offsets=tuple(offset for offset, _ in pairs),
     weights=tuple(weight for _, weight in pairs),
 ))
+
+
+class TestValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"miss_probability": -0.1},
+        # A certain miss hides every genuine access: no channel at all.
+        {"miss_probability": 1.0},
+        {"eviction_rate": 1.5},
+    ])
+    def test_lossy_channel_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            LossyChannel(**kwargs)
 
 
 class TestTargetVisibilityAnalytic:

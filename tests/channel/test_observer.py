@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 from repro.cache.geometry import CacheGeometry
 from repro.cache.setassoc import SetAssociativeCache
 from repro.channel import (
-    LOSSLESS,
     EvictionModel,
     FlushReload,
     LossyChannel,
     MemoryLatencies,
     ObservationChannel,
-    ProbeJitter,
     SboxMonitor,
     SharedL2Transport,
     SingleLevelTransport,
@@ -388,25 +386,10 @@ class TestComposition:
         channel = ObservationChannel(victim, AttackConfig(seed=1))
         assert isinstance(channel.transport, SingleLevelTransport)
         assert isinstance(channel.primitive, FlushReload)
-        assert channel.degradations == (LOSSLESS,)
         assert channel.is_lossless
         assert channel.signal_reliability == 1.0
-        assert channel.mid_flush_supported
-
-    def test_explicit_layers_compose(self, victim):
-        config = AttackConfig(seed=2)
-        monitor = SboxMonitor.build(victim.layout, config.geometry)
-        channel = ObservationChannel(
-            victim, config,
-            transport=SingleLevelTransport(config.geometry),
-            primitive=FlushReload(monitor),
-            degradations=(LossyChannel(miss_probability=0.2),
-                          ProbeJitter(offsets=(0, 1),
-                                      weights=(0.5, 0.5))),
-        )
-        assert not channel.is_lossless
-        observed = channel.observe(0x0123456789ABCDEF, 1)
-        assert observed <= channel.monitor.universe
+        assert channel.target_presence == 1.0
+        assert channel.mid_flush_active
 
     def test_prime_probe_rejected_on_cross_core_transport(self, victim):
         config = AttackConfig(probe_strategy="prime_probe", seed=3)
@@ -421,24 +404,6 @@ class TestComposition:
         with pytest.raises(ValueError, match="line size"):
             ObservationChannel(victim, config,
                                transport=SharedL2Transport())
-
-    def test_stacked_degradations_apply_in_order(self, victim):
-        """Two lossy decorators drop more than either alone (statistically,
-        at p high enough to be certain over the run)."""
-        config = AttackConfig(seed=4)
-        heavy = ObservationChannel(
-            victim, config,
-            degradations=(LossyChannel(miss_probability=0.9),
-                          LossyChannel(miss_probability=0.9)),
-        )
-        light = ObservationChannel(victim, AttackConfig(seed=4))
-        rng = random.Random(0)
-        heavy_total = light_total = 0
-        for _ in range(10):
-            plaintext = rng.getrandbits(64)
-            heavy_total += len(heavy.observe(plaintext, 1))
-            light_total += len(light.observe(plaintext, 1))
-        assert heavy_total < light_total
 
 
 class TestEffortInvariant:

@@ -47,7 +47,7 @@ class TestFirstRoundSmoke:
             33, probe_strategy="flush_flush",
             flush_flush_miss_probability=0.0,
         )
-        assert not attack.config.voting_active
+        assert attack.runner.is_lossless
         outcome = attack.attack_first_round()
         assert outcome.recovered_bits == 32
         assert outcome.outcome.estimate.as_round_key() == \
@@ -61,7 +61,7 @@ class TestFirstRoundSmoke:
             flush_flush_miss_probability=0.02,
             voting_min_observations=8,
         )
-        assert attack.config.voting_active
+        assert not attack.runner.is_lossless
         outcome = attack.attack_first_round()
         assert outcome.recovered_bits == 32
         assert outcome.outcome.estimate.as_round_key() == \

@@ -10,7 +10,7 @@ from repro.core.config import AttackConfig
 from repro.core.errors import BudgetExceeded
 from repro.channel import NoiseModel
 from repro.gift.keyschedule import round_keys
-from repro.gift.lut import TableLayout, TracedGift64
+from repro.gift.lut import TracedGift64
 
 
 class TestFullKeyRecovery:
@@ -206,11 +206,6 @@ class TestBudgets:
 
 
 class TestInterfaceContracts:
-    def test_layout_mismatch_rejected(self):
-        victim = TracedGift64(0, layout=TableLayout(sbox_base=0x8000))
-        with pytest.raises(ValueError):
-            GrinchAttack(victim, AttackConfig())
-
     def test_prior_checks(self):
         attack = GrinchAttack(TracedGift64(0), AttackConfig(seed=1))
         with pytest.raises(ValueError):

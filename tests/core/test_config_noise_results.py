@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.core.config import AttackConfig
-from repro.channel import NO_NOISE, NoiseModel
+from repro.channel import NO_NOISE, NoiseModel, ObservationChannel
+from repro.gift.lut import TracedGift64
 from repro.core.results import (
     RoundKeyEstimate,
     SegmentOutcome,
@@ -21,11 +22,17 @@ class TestAttackConfig:
         assert config.max_total_encryptions == 1_000_000
 
     def test_fast_path_applicability(self):
-        assert AttackConfig().fast_path_applicable
-        assert not AttackConfig(
-            probe_strategy="prime_probe"
-        ).fast_path_applicable
-        assert not AttackConfig(use_fast_path=False).fast_path_applicable
+        # The channel takes the fast path exactly for line-granular
+        # primitives the config lets use it.
+        def fast(**kwargs):
+            return ObservationChannel(
+                TracedGift64(0), AttackConfig(**kwargs)
+            ).fast_path_active
+
+        assert fast()
+        assert fast(probe_strategy="flush_flush")
+        assert not fast(probe_strategy="prime_probe")
+        assert not fast(use_fast_path=False)
 
     @pytest.mark.parametrize("kwargs", [
         {"probing_round": 0},

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from repro.cache.multilevel import InclusionPolicy, TwoLevelHierarchy
+from repro.channel.transport import SharedL2Transport
 from repro.core.attack import GrinchAttack
 from repro.core.config import AttackConfig
-from repro.core.crosscore import CrossCoreRunner, make_cross_core_runner
+from repro.core.crosscore import make_cross_core_runner
 from repro.core.errors import AttackError
 from repro.gift.lut import TracedGift64
 from repro.seeding import derive_key
@@ -120,29 +121,18 @@ class TestInclusionArgument:
 
 class TestRunnerContracts:
     def test_rejects_prime_probe(self, planted):
+        # A cross-core attacker is clflush-based; the channel refuses a
+        # primitive that needs same-cache contention.
         victim, _ = planted
-        with pytest.raises(ValueError):
-            CrossCoreRunner(
-                victim, AttackConfig(probe_strategy="prime_probe")
+        with pytest.raises(ValueError, match="same-cache contention"):
+            make_cross_core_runner(
+                victim, AttackConfig(probe_strategy="prime_probe"),
+                InclusionPolicy.INCLUSIVE,
             )
 
-    def test_rejects_single_core_hierarchy(self, planted):
-        victim, _ = planted
-        with pytest.raises(ValueError):
-            CrossCoreRunner(
-                victim, AttackConfig(),
-                hierarchy=TwoLevelHierarchy(cores=1),
-            )
-
-    def test_rejects_line_size_mismatch(self, planted):
-        victim, _ = planted
-        from repro.cache.geometry import CacheGeometry
-        with pytest.raises(ValueError):
-            CrossCoreRunner(
-                victim,
-                AttackConfig(geometry=CacheGeometry(line_words=8)),
-                hierarchy=TwoLevelHierarchy(),  # 1-byte lines
-            )
+    def test_rejects_single_core_hierarchy(self):
+        with pytest.raises(ValueError, match="at least two cores"):
+            SharedL2Transport(TwoLevelHierarchy(cores=1))
 
     def test_known_pair_channel(self, planted):
         victim, _ = planted

@@ -4,8 +4,8 @@ The tentpole claims, attack-level:
 
 * under per-probe false negatives up to 0.2 the voting recovery still
   assembles and verifies the planted 128-bit master key;
-* the strict intersection raises its contradiction error on the very
-  same lossy configuration — the failure mode the voter exists to fix;
+* the attack votes exactly when its observation channel is lossy, and
+  refuses a channel that can never show the target;
 * whenever the attack accepts, every segment's confidence is at or
   above the configured threshold and the key matches the planted one;
 * at full target presence (late-only probe jitter), voting recovers
@@ -19,12 +19,11 @@ import pytest
 from repro.core import (
     AttackConfig,
     GrinchAttack,
-    InconsistentObservation,
     LossyChannel,
     LowConfidenceError,
-    ObservationChannel,
     ProbeJitter,
 )
+from repro.cache.geometry import CacheGeometry
 from repro.seeding import derive_key
 from repro.gift.lut import TracedGift64
 
@@ -69,18 +68,38 @@ class TestVotingRecovery:
                 assert segment.observations > 0
         assert result.master_key == planted
 
-    def test_strict_contradicts_on_the_same_channel(self):
-        # A lossless configuration keeps the monotone intersection while
-        # the runner's degradation stack drops target sightings: the
-        # first false negative that hits the target line empties the
-        # intersection.
-        planted = derive_key(128, 100)
-        victim = TracedGift64(master_key=planted)
-        config = AttackConfig(seed=0, max_total_encryptions=E14_BUDGET)
-        runner = ObservationChannel(victim, config, degradations=(LOSSY,))
-        attack = GrinchAttack(victim, config, runner=runner)
-        with pytest.raises(InconsistentObservation):
-            attack.recover_master_key()
+    def test_votes_iff_the_channel_is_lossy(self):
+        victim = TracedGift64(master_key=derive_key(128, 100))
+        strict = GrinchAttack(victim, AttackConfig(seed=0))
+        lossy = GrinchAttack(victim, _lossy_config(0))
+        assert strict.runner.is_lossless and strict._policy is None
+        assert not lossy.runner.is_lossless
+        assert lossy._policy.expected_presence \
+            == lossy.runner.target_presence == pytest.approx(0.8)
+
+    @pytest.mark.parametrize("loss, probing_round, line_words", [
+        # Every draw lands the probe before the target round.
+        (LossyChannel(jitter=ProbeJitter(offsets=(-1,), weights=(1.0,))),
+         1, 1),
+        (LossyChannel(jitter=ProbeJitter(offsets=(-3, -2),
+                                         weights=(1.0, 1.0))),
+         2, 1),
+        # 16-word lines put the whole S-box in one line; a certain
+        # co-runner eviction removes it from every window.
+        (LossyChannel(eviction_rate=1.0), 1, 16),
+    ], ids=["early", "early-round-2", "evicted"])
+    def test_blind_channel_is_rejected(self, loss, probing_round,
+                                       line_words):
+        config = AttackConfig(seed=0, loss=loss,
+                              geometry=CacheGeometry(line_words=line_words),
+                              probing_round=probing_round)
+        with pytest.raises(ValueError, match="never shows the target") \
+                as excinfo:
+            GrinchAttack(TracedGift64(master_key=0), config)
+        # The message names the settings that blind it, not the voter's
+        # internal presence.
+        assert f"jitter offsets {loss.jitter.offsets}" in str(excinfo.value)
+        assert f"eviction_rate={loss.eviction_rate}" in str(excinfo.value)
 
     def test_zero_loss_voting_matches_strict_key(self):
         # A probe that only ever lands late is a lossy channel, so the

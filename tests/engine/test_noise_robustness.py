@@ -74,3 +74,17 @@ class TestRecord:
         table = experiment.render(record)
         assert "E14" in table
         assert "1,906" in table
+
+
+class TestPlanValidation:
+    @pytest.mark.parametrize("overrides", [
+        {"runs": 0},
+        # A certain miss leaves no channel to attack through.
+        {"miss_probabilities": [0.0, 1.0]},
+        {"miss_probabilities": [-0.1]},
+    ])
+    def test_rejected_before_any_trial(self, overrides):
+        plan = get("noise_robustness").plan
+        params = {**SMALL_SWEEP, **overrides}
+        with pytest.raises(ValueError):
+            plan(params)

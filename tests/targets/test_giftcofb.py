@@ -62,7 +62,7 @@ class TestNonceChannel:
         target = get_target("giftcofb")
         planted = derive_key(128, 6)
         config = AttackConfig(seed=6)
-        victim = target.make_victim(planted, layout=config.layout)
+        victim = target.make_victim(planted)
         first = GrinchAttack(victim, config).attack_first_round()
         assert first.recovered_bits == target.bits_per_round
 
@@ -70,7 +70,7 @@ class TestNonceChannel:
         target = get_target("giftcofb")
         planted = derive_key(128, 7)
         config = AttackConfig(seed=7)
-        victim = target.make_victim(planted, layout=config.layout)
+        victim = target.make_victim(planted)
         result = GrinchAttack(victim, config).recover_master_key()
         recovered = declassify(result.master_key)
         assert recovered == planted

@@ -22,7 +22,7 @@ def _attack(seed, **config_kwargs):
     target = get_target("present80")
     planted = derive_key(80, seed)
     config = AttackConfig(seed=seed, **config_kwargs)
-    victim = target.make_victim(planted, layout=config.layout)
+    victim = target.make_victim(planted)
     return planted, GrinchAttack(victim, config)
 
 

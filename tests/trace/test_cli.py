@@ -60,22 +60,49 @@ class TestRecord:
 
 
 class TestReplay:
-    def test_check_catches_tamper(self, tmp_path, capsys):
+    def test_check_catches_tamper(self, tmp_path, capsys, monkeypatch):
+        """``--check`` and E18 apply one rule: every recorded value must
+        match, and a value the recording lacks is a mismatch."""
         import json
 
+        from repro.engine import run_experiment
         from repro.trace import dump_jsonl, load_jsonl, read_binary, \
             write_binary
 
-        trace = read_binary(CORPUS_DIR / "gift64-seed0-full.grtr")
-        lines = dump_jsonl(trace).splitlines()
-        header = json.loads(lines[0])
-        header["meta"]["total_encryptions"] = 999
-        lines[0] = json.dumps(header, sort_keys=True,
-                              separators=(",", ":"))
-        tampered = tmp_path / "tampered.grtr"
-        write_binary(load_jsonl("\n".join(lines)), tampered)
-        assert trace_main(["replay", str(tampered), "--check"]) == 1
-        assert "effort drift" in capsys.readouterr().err
+        def edit_gift_full(meta):
+            meta["total_encryptions"] = 999
+
+        def edit_gift_first(meta):
+            meta["recovered_bits"] = 31
+
+        def keep_only_scope(meta):
+            for name in list(meta):
+                if name != "scope":
+                    del meta[name]
+
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        cases = [
+            ("gift64-seed0-full.grtr", edit_gift_full, "effort drift"),
+            ("gift64-seed0-first.grtr", edit_gift_first,
+             "recovered-bits mismatch"),
+            ("gift64-seed0-full.grtr", keep_only_scope,
+             "key mismatch: recorded nothing"),
+        ]
+        for index, (name, edit, complaint) in enumerate(cases):
+            trace = read_binary(CORPUS_DIR / name)
+            lines = dump_jsonl(trace).splitlines()
+            header = json.loads(lines[0])
+            edit(header["meta"])
+            lines[0] = json.dumps(header, sort_keys=True,
+                                  separators=(",", ":"))
+            tampered = tmp_path / f"tampered-{index}.grtr"
+            write_binary(load_jsonl("\n".join(lines)), tampered)
+            assert trace_main(["replay", str(tampered), "--check"]) == 1
+            assert complaint in capsys.readouterr().err
+            record = run_experiment("trace_replay",
+                                    {"traces": str(tampered)},
+                                    use_cache=False)
+            assert record["cells"][0]["matches_recording"] is False
 
     def test_corrupt_file_is_a_clean_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.grtr"

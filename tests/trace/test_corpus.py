@@ -115,9 +115,10 @@ class TestReplayOnlyRecovery:
         assert trace.header.meta["miss_probability"] == 0.2
         config = config_from_header(trace.header)
         assert config.loss.miss_probability == 0.2
-        assert config.voting_active
         victim = ReplayVictim(trace)
-        result = GrinchAttack(victim, config).recover_master_key()
+        attack = GrinchAttack(victim, config)
+        assert not attack.runner.is_lossless
+        result = attack.recover_master_key()
         assert result.master_key == derive_key(128, 0)
         assert result.verified
         assert result.total_encryptions == 1856
