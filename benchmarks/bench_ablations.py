@@ -5,9 +5,9 @@
   choice".
 * E7: analytic effort model vs. Monte-Carlo simulation — the validation
   that licenses using the model for the >1M drop-out cells.
-* Extra: replacement-policy sensitivity (the S-box footprint is far
-  below one way per set, so the policy should not matter) and
-  micro-benchmarks of the substrate primitives.
+* Extra: replacement-policy sensitivity (PermBits loads fill and
+  evict sets, but every policy must still recover the first round)
+  and micro-benchmarks of the substrate primitives.
 """
 
 import random
@@ -47,8 +47,9 @@ def test_theory_validation(publish):
 
 
 def test_replacement_policy_insensitivity(publish):
-    """The attack's footprint never fills a 16-way set, so LRU vs. FIFO
-    vs. random must not change the outcome."""
+    """PermBits' 8-byte entries put 32 lines into each of 8 sets, so
+    the victim evicts; LRU vs. FIFO vs. random must still not change
+    the outcome."""
     key = derive_key(128, "bench-ablations", 4)
     rows = []
     for policy in ("lru", "fifo", "random"):

@@ -15,7 +15,6 @@ from .multilevel import (
 )
 from .policies import (
     FifoPolicy,
-    LruPolicy,
     RandomPolicy,
     ReplacementPolicy,
     make_policy,
@@ -33,7 +32,6 @@ __all__ = [
     "MemoryLevel",
     "TwoLevelHierarchy",
     "FifoPolicy",
-    "LruPolicy",
     "RandomPolicy",
     "ReplacementPolicy",
     "make_policy",

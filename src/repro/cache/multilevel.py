@@ -55,8 +55,10 @@ class _Level:
     ``rng`` is shared across all sets verbatim instead.  ``stats``
     points at the owning hierarchy's counters so fills report
     evictions where they happen.  Like the single-level cache, each set
-    keeps ``tag -> way`` and ``way -> tag`` indexes, and an address is
-    split into ``(set, tag)`` once per operation.
+    keeps ``tag -> way`` and ``way -> tag`` indexes, an LRU set's
+    ``tag -> way`` dict is in recency order (``policies`` holds
+    ``None`` there), and an address is split into ``(set, tag)`` once
+    per operation.
     """
 
     geometry: CacheGeometry
@@ -67,7 +69,7 @@ class _Level:
     sets: List[Dict[int, int]] = field(default_factory=list)
     way_tags: List[List[int]] = field(default_factory=list)
     occupied: List[List[bool]] = field(default_factory=list)
-    policies: List[ReplacementPolicy] = field(default_factory=list)
+    policies: List[Optional[ReplacementPolicy]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         count = self.geometry.num_sets
@@ -86,10 +88,11 @@ class _Level:
     def lookup(self, address: int) -> bool:
         set_index, tag = decompose(address, self._line_bytes,
                                    self._num_sets)
-        way = self.sets[set_index].get(tag)
+        ways = self.sets[set_index]
+        way = ways.pop(tag, None)
         if way is None:
             return False
-        self.policies[set_index].on_access(way)
+        ways[tag] = way
         return True
 
     def is_resident(self, address: int) -> bool:
@@ -102,18 +105,20 @@ class _Level:
         set_index, tag = decompose(address, self._line_bytes,
                                    self._num_sets)
         ways = self.sets[set_index]
-        policy = self.policies[set_index]
-        way = ways.get(tag)
+        way = ways.pop(tag, None)
         if way is not None:
-            policy.on_access(way)
+            ways[tag] = way
             return None
+        policy = self.policies[set_index]
         occupied = self.occupied[set_index]
         way_tags = self.way_tags[set_index]
         evicted_line = None
         if len(ways) == self._ways:
-            way = policy.victim(occupied)
-            victim_tag = way_tags[way]
-            del ways[victim_tag]
+            if policy is None:
+                victim_tag = next(iter(ways))
+            else:
+                victim_tag = way_tags[policy.victim(occupied)]
+            way = ways.pop(victim_tag)
             evicted_line = victim_tag * self._num_sets + set_index
             if self.stats is not None:
                 self.stats.evictions += 1
@@ -122,7 +127,8 @@ class _Level:
         ways[tag] = way
         way_tags[way] = tag
         occupied[way] = True
-        policy.on_access(way)
+        if policy is not None:
+            policy.on_access(way)
         return evicted_line
 
     def invalidate(self, address: int) -> bool:
@@ -133,7 +139,9 @@ class _Level:
             return False
         way = ways.pop(tag)
         self.occupied[set_index][way] = False
-        self.policies[set_index].on_invalidate(way)
+        policy = self.policies[set_index]
+        if policy is not None:
+            policy.on_invalidate(way)
         return True
 
     def resident_count(self) -> int:

@@ -1,9 +1,10 @@
 """Replacement policies for the set-associative cache simulator.
 
-The paper's RISCY L1 is LRU; FIFO and pseudo-random policies are
-provided for the ablation studies (replacement policy barely affects
-GRINCH because the S-box working set is far smaller than one way of the
-cache — the ablation benchmark demonstrates that claim).
+The paper's RISCY L1 is LRU, which the cache arrays keep themselves: an
+LRU set's ``tag -> way`` dict is in recency order, so a hit re-inserts
+its tag and an eviction takes the first key.  FIFO and pseudo-random
+policies are objects here, for the ablation studies (E8: the victim's
+PermBits loads do fill sets, yet every policy recovers the key).
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ class ReplacementPolicy(ABC):
     """Chooses a victim way within one cache set.
 
     One policy instance is created per set; the cache calls
-    :meth:`on_access` for every hit or fill and :meth:`victim` when an
-    eviction is needed.
+    :meth:`on_access` for every fill and :meth:`victim` when an
+    eviction is needed.  Hits are not reported: neither FIFO nor random
+    order depends on them, and LRU order is kept by the arrays.
     """
 
     def __init__(self, ways: int) -> None:
@@ -43,9 +45,8 @@ class ReplacementPolicy(ABC):
             raise ValueError(f"ways must be positive, got {ways}")
         self.ways = ways
 
-    @abstractmethod
     def on_access(self, way: int) -> None:
-        """Note that ``way`` was touched (hit or newly filled)."""
+        """Note that ``way`` was filled. Default: no-op."""
 
     @abstractmethod
     def victim(self, occupied: List[bool]) -> int:
@@ -53,29 +54,6 @@ class ReplacementPolicy(ABC):
 
     def on_invalidate(self, way: int) -> None:
         """Note that ``way`` was invalidated (flush). Default: no-op."""
-
-
-class LruPolicy(ReplacementPolicy):
-    """Least-recently-used, the paper platforms' policy."""
-
-    def __init__(self, ways: int) -> None:
-        super().__init__(ways)
-        self._stack: List[int] = []
-
-    def on_access(self, way: int) -> None:
-        if way in self._stack:
-            self._stack.remove(way)
-        self._stack.append(way)
-
-    def victim(self, occupied: List[bool]) -> int:
-        for way in self._stack:
-            if occupied[way]:
-                return way
-        raise RuntimeError("victim() called on a set with no occupied ways")
-
-    def on_invalidate(self, way: int) -> None:
-        if way in self._stack:
-            self._stack.remove(way)
 
 
 class FifoPolicy(ReplacementPolicy):
@@ -92,6 +70,7 @@ class FifoPolicy(ReplacementPolicy):
     def victim(self, occupied: List[bool]) -> int:
         for way in self._queue:
             if occupied[way]:
+                self._queue.remove(way)  # its refill joins the tail
                 return way
         raise RuntimeError("victim() called on a set with no occupied ways")
 
@@ -114,9 +93,6 @@ class RandomPolicy(ReplacementPolicy):
             "replacement-policy", 0
         )
 
-    def on_access(self, way: int) -> None:
-        pass
-
     def victim(self, occupied: List[bool]) -> int:
         candidates = [way for way in range(self.ways) if occupied[way]]
         if not candidates:
@@ -127,8 +103,11 @@ class RandomPolicy(ReplacementPolicy):
 def make_policy(name: str, ways: int,
                 rng: Optional[random.Random] = None, *,
                 set_index: Optional[int] = None,
-                rng_scope: Any = 0) -> ReplacementPolicy:
+                rng_scope: Any = 0) -> Optional[ReplacementPolicy]:
     """Instantiate a replacement policy by name (``lru``/``fifo``/``random``).
+
+    ``lru`` has no policy object (``None``): the cache arrays keep LRU
+    order as their sets' dict order.
 
     An explicit ``rng`` is shared verbatim (the caller owns the stream:
     every set handed the same object draws from one sequence, the
@@ -136,7 +115,7 @@ def make_policy(name: str, ways: int,
     selects the per-set derived stream from :func:`derive_set_rng`.
     """
     if name == "lru":
-        return LruPolicy(ways)
+        return None
     if name == "fifo":
         return FifoPolicy(ways)
     if name == "random":

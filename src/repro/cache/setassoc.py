@@ -52,7 +52,11 @@ class SetAssociativeCache:
     ``address // line_bytes`` and mapped to sets by modulo indexing, as
     in :class:`~repro.cache.geometry.CacheGeometry`.  Each set keeps a
     ``tag -> way`` map for lookups and a ``way -> tag`` list, so an
-    eviction finds its victim's tag without scanning the set.
+    eviction finds its victim's tag without scanning the set.  Under
+    LRU the map is in recency order (a hit re-inserts its tag) and the
+    victim is its first key; FIFO and random sets report fills and
+    invalidations to a policy object from
+    :func:`~repro.cache.policies.make_policy`.
     """
 
     def __init__(self, geometry: CacheGeometry = CacheGeometry(),
@@ -76,7 +80,7 @@ class SetAssociativeCache:
         # Without an explicit rng each set gets its own derived stream
         # (random replacement is per-set state); an explicit rng is
         # shared across sets verbatim, as before.
-        self._policies: List[ReplacementPolicy] = [
+        self._policies: List[Optional[ReplacementPolicy]] = [
             make_policy(policy, geometry.ways, rng, set_index=set_index)
             for set_index in range(geometry.num_sets)
         ]
@@ -90,28 +94,33 @@ class SetAssociativeCache:
         set_index, tag = decompose(address, self._line_bytes,
                                    self._num_sets)
         ways = self._sets[set_index]
-        policy = self._policies[set_index]
         stats = self.stats
         stats.accesses += 1
-        way = ways.get(tag)
+        # Re-inserting a hit keeps the set's dict in recency order.
+        way = ways.pop(tag, None)
         if way is not None:
+            ways[tag] = way
             stats.hits += 1
-            policy.on_access(way)
             return True
 
         stats.misses += 1
+        policy = self._policies[set_index]
         occupied = self._occupied[set_index]
         way_tags = self._way_tags[set_index]
         if len(ways) == self._ways:
-            way = policy.victim(occupied)
-            del ways[way_tags[way]]
+            if policy is None:
+                victim_tag = next(iter(ways))
+            else:
+                victim_tag = way_tags[policy.victim(occupied)]
+            way = ways.pop(victim_tag)
             stats.evictions += 1
         else:
             way = occupied.index(False)
         ways[tag] = way
         way_tags[way] = tag
         occupied[way] = True
-        policy.on_access(way)
+        if policy is not None:
+            policy.on_access(way)
         return False
 
     def is_resident(self, address: int) -> bool:
@@ -137,7 +146,9 @@ class SetAssociativeCache:
         self.stats.flush_hits += 1
         way = ways.pop(tag)
         self._occupied[set_index][way] = False
-        self._policies[set_index].on_invalidate(way)
+        policy = self._policies[set_index]
+        if policy is not None:
+            policy.on_invalidate(way)
         return True
 
     def flush_all(self) -> None:
@@ -151,8 +162,10 @@ class SetAssociativeCache:
             invalidated = len(self._sets[set_index])
             self.stats.flushes += invalidated
             self.stats.flush_hits += invalidated
-            for way in list(self._sets[set_index].values()):
-                self._policies[set_index].on_invalidate(way)
+            policy = self._policies[set_index]
+            if policy is not None:
+                for way in self._sets[set_index].values():
+                    policy.on_invalidate(way)
             self._sets[set_index].clear()
             self._occupied[set_index] = [False] * self._ways
 

@@ -35,8 +35,8 @@ Two execution paths produce the access-driven answer:
   ``sbox_indices_by_round`` as an LRU cache keeps them.  It applies to
   line-granular flush-based primitives on an LRU single-level
   transport.  On the end-to-end benchmark a GIFT-64 full-key attack
-  takes about 12x longer on the full path (``fullsim_fullkey``,
-  ~166 ms) than on this one (``fast_fullkey``, ~13.5 ms on a 1-vCPU
+  takes about 9x longer on the full path (``fullsim_fullkey``,
+  ~118 ms) than on this one (``fast_fullkey``, ~13 ms on a 2-vCPU
   x86-64 container), which the million-encryption sweeps of Table I
   need.  The suite's victim sweep (``TestPathEquivalence`` in
   ``tests/channel/test_observer.py``) proves the two paths agree
@@ -399,13 +399,14 @@ class ObservationChannel:
             plaintext, max_rounds=visible_through
         )
         self.primitive.reset(self.transport)
+        victim_access = self.transport.victim_access
         flushed = False
         for access in trace.accesses:
             if (flush_supported and not flushed
                     and access.round_index >= monitored_round):
                 self.primitive.mid_flush(self.transport)
                 flushed = True
-            self.transport.victim_access(access.address)
+            victim_access(access.address)
         if flush_supported and not flushed:
             # The visible window ended exactly at the flush point.
             self.primitive.mid_flush(self.transport)

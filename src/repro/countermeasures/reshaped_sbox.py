@@ -90,7 +90,7 @@ class ReshapedSboxGift64(TracedGiftCipher):
         result = 0
         for segment in range(self._segments):
             index = (state >> (4 * segment)) & 0xF
-            trace.append(
+            trace.accesses.append(
                 MemoryAccess(
                     address=self.sbox_row_address(index),
                     round_index=round_index,

@@ -109,7 +109,7 @@ class TracedGiftCipher(TracedLutCipher):
         addresses = self._sbox_address_table
         for segment in range(self._segments):
             index = (state >> (4 * segment)) & 0xF
-            trace.append(
+            trace.accesses.append(
                 MemoryAccess(
                     address=addresses[index],
                     round_index=round_index,

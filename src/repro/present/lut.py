@@ -98,7 +98,7 @@ class TracedPresent(TracedLutCipher):
         addresses = self._sbox_address_table
         for segment in range(self._segments):
             index = (state >> (4 * segment)) & 0xF
-            trace.append(
+            trace.accesses.append(
                 MemoryAccess(
                     address=addresses[index],
                     round_index=round_index,

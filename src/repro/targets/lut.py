@@ -298,7 +298,7 @@ class TracedLutCipher:
         addresses = self._perm_address_table
         for segment in range(self._segments):
             nibble = (state >> (4 * segment)) & 0xF
-            trace.append(
+            trace.accesses.append(
                 MemoryAccess(
                     address=addresses[segment][nibble],
                     round_index=round_index,

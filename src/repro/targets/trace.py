@@ -16,7 +16,7 @@ packages' official vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,7 @@ class TestVector:
     ciphertext: int
 
 
-@dataclass(frozen=True)
-class MemoryAccess:
+class MemoryAccess(NamedTuple):
     """One data-memory load performed by the victim.
 
     Attributes
@@ -46,10 +45,8 @@ class MemoryAccess:
         Table index that was read; ground truth for tests only.
     """
 
-    # ~900 of these are built per traced GIFT-64 block; slots keep the
-    # per-record footprint down and skip the per-instance __dict__.
-    __slots__ = ("address", "round_index", "segment", "table", "index")
-
+    # ~900 of these are built per traced GIFT-64 block, so each is a
+    # plain tuple: one allocation and no per-field attribute stores.
     address: int
     round_index: int
     segment: int
@@ -69,10 +66,6 @@ class EncryptionTrace:
     plaintext: int
     ciphertext: int
     accesses: List[MemoryAccess] = field(default_factory=list)
-
-    def append(self, access: MemoryAccess) -> None:
-        """Record one more access (used by the traced victim)."""
-        self.accesses.append(access)
 
     def __iter__(self) -> Iterator[MemoryAccess]:
         return iter(self.accesses)

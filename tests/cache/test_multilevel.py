@@ -11,6 +11,7 @@ from repro.cache.multilevel import (
     MemoryLevel,
     TwoLevelHierarchy,
 )
+from repro.cache.policies import derive_set_rng
 
 
 def _inclusive():
@@ -116,15 +117,46 @@ class TestCounterAccounting:
         assert hierarchy.stats.back_invalidates == 0
 
 
+def _two_overflows(level):
+    """Fill set 0 of one array, re-reference its first line, then
+    overflow it twice; return the two evicted lines (tags ``0..ways+1``,
+    so the lines are ``tag * num_sets``)."""
+    geometry = level.geometry
+    ways = geometry.ways
+    address = [tag * geometry.num_sets * geometry.line_bytes
+               for tag in range(ways + 2)]
+    for tag in range(ways):
+        level.fill(address[tag])
+    level.lookup(address[0])
+    return [level.fill(address[ways]) // geometry.num_sets,
+            level.fill(address[ways + 1]) // geometry.num_sets]
+
+
+def _expected_overflows(policy, ways, scope):
+    """The two evicted tags of :func:`_two_overflows` under ``policy``."""
+    if policy == "lru":
+        return [1, 2]  # tag 0 was re-referenced
+    if policy == "fifo":
+        return [0, 1]  # fill order, re-reference ignored
+    rng = derive_set_rng(0, scope)
+    way_tag = list(range(ways))
+    evicted = []
+    for tag in (ways, ways + 1):
+        way = rng.choice(range(ways))
+        evicted.append(way_tag[way])
+        way_tag[way] = tag
+    return evicted
+
+
 class TestPolicyPlumbing:
     @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
     def test_policy_reaches_both_levels(self, policy):
         hierarchy = TwoLevelHierarchy(policy=policy)
         assert hierarchy.policy_name == policy
-        assert type(hierarchy.l1[0].policies[0]).__name__.lower() \
-            .startswith(policy[:3])
-        assert type(hierarchy.l2.policies[0]).__name__.lower() \
-            .startswith(policy[:3])
+        for level, scope in ((hierarchy.l1[0], "l1-core0"),
+                             (hierarchy.l2, "l2")):
+            assert _two_overflows(level) == \
+                _expected_overflows(policy, level.geometry.ways, scope)
 
     def test_random_levels_draw_uncorrelated_streams(self):
         # Per-core L1s and the shared L2 must not evict in lockstep:

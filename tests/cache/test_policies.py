@@ -4,45 +4,67 @@ import random
 
 import pytest
 
+from repro.cache.geometry import CacheGeometry
 from repro.cache.policies import (
     FifoPolicy,
-    LruPolicy,
     RandomPolicy,
     derive_set_rng,
     make_policy,
 )
+from repro.cache.setassoc import SetAssociativeCache
+
+
+def _one_set_cache(policy, ways):
+    """A single-set cache: line ``n`` lives at byte address ``n``."""
+    return SetAssociativeCache(
+        CacheGeometry(total_lines=ways, ways=ways, line_words=1), policy
+    )
+
+
+def _touch(cache, lines):
+    for line in lines:
+        cache.access(line)
 
 
 class TestLru:
+    """LRU lives in the cache arrays (the set's dict order), so its
+    scenarios run against a one-set cache rather than a policy object."""
+
     def test_evicts_least_recently_used(self):
-        policy = LruPolicy(4)
-        for way in (0, 1, 2, 3):
-            policy.on_access(way)
-        policy.on_access(0)  # 1 is now the oldest
-        assert policy.victim([True] * 4) == 1
+        cache = _one_set_cache("lru", 4)
+        _touch(cache, (0, 1, 2, 3, 0))  # 1 is now the oldest
+        cache.access(4)
+        assert cache.resident_lines() == [0, 2, 3, 4]
 
     def test_reaccess_refreshes(self):
-        policy = LruPolicy(3)
-        for way in (0, 1, 2, 0, 1):
-            policy.on_access(way)
-        assert policy.victim([True] * 3) == 2
+        cache = _one_set_cache("lru", 4)
+        _touch(cache, (0, 1, 2, 3, 0, 1))
+        cache.access(4)
+        assert cache.resident_lines() == [0, 1, 3, 4]
 
     def test_skips_unoccupied_ways(self):
-        policy = LruPolicy(3)
-        for way in (0, 1, 2):
-            policy.on_access(way)
-        assert policy.victim([False, True, True]) == 1
+        cache = _one_set_cache("lru", 4)
+        _touch(cache, (0, 1, 2, 3))
+        cache.flush_line(0)
+        cache.access(4)  # takes the free way: nothing is evicted
+        assert cache.stats.evictions == 0
+        cache.access(5)  # 1 is the oldest resident line
+        assert cache.resident_lines() == [2, 3, 4, 5]
 
     def test_invalidate_removes_from_order(self):
-        policy = LruPolicy(3)
-        for way in (0, 1, 2):
-            policy.on_access(way)
-        policy.on_invalidate(0)
-        assert policy.victim([True, True, True]) == 1
+        cache = _one_set_cache("lru", 4)
+        _touch(cache, (0, 1, 2, 3))
+        cache.flush_line(0)
+        _touch(cache, (0, 4))  # the refilled 0 is the newest line
+        assert cache.resident_lines() == [0, 2, 3, 4]
 
     def test_victim_requires_occupied_ways(self):
-        with pytest.raises(RuntimeError):
-            LruPolicy(2).victim([True, True])
+        cache = _one_set_cache("lru", 2)
+        _touch(cache, (0, 1))
+        cache.flush_line(1)
+        cache.access(2)
+        assert cache.stats.evictions == 0
+        assert cache.resident_lines() == [0, 2]
 
 
 class TestFifo:
@@ -59,6 +81,21 @@ class TestFifo:
         policy.on_access(1)
         policy.on_invalidate(0)
         assert policy.victim([True, True]) == 1
+
+    def test_victim_leaves_the_queue(self):
+        # Regression: the evicted way used to stay at the head of the
+        # queue, so its refill (the newest line) was evicted next.
+        policy = FifoPolicy(2)
+        policy.on_access(0)
+        policy.on_access(1)
+        assert policy.victim([True, True]) == 0
+        policy.on_access(0)  # the refill joins the tail
+        assert policy.victim([True, True]) == 1
+
+    def test_cache_evicts_in_fill_order(self):
+        cache = _one_set_cache("fifo", 2)
+        _touch(cache, (0, 1, 2, 3))
+        assert cache.resident_lines() == [2, 3]
 
 
 class TestRandom:
@@ -134,10 +171,14 @@ class TestDerivedSetStreams:
 
 class TestFactory:
     @pytest.mark.parametrize("name,cls", [
-        ("lru", LruPolicy), ("fifo", FifoPolicy), ("random", RandomPolicy),
+        ("fifo", FifoPolicy), ("random", RandomPolicy),
     ])
     def test_builds_by_name(self, name, cls):
         assert isinstance(make_policy(name, 4), cls)
+
+    def test_lru_has_no_policy_object(self):
+        # The cache arrays keep LRU order themselves.
+        assert make_policy("lru", 4) is None
 
     def test_rejects_unknown_name(self):
         with pytest.raises(ValueError):
@@ -145,4 +186,4 @@ class TestFactory:
 
     def test_rejects_bad_way_count(self):
         with pytest.raises(ValueError):
-            LruPolicy(0)
+            FifoPolicy(0)

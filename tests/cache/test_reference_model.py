@@ -4,8 +4,9 @@ The arrays split each address into ``(set, tag)`` once and keep a
 ``way -> tag`` index, so an eviction never scans its set.  The
 reference below is the straightforward algorithm: ``set_of``/``tag_of``
 per call, victim tag found by scanning the set, fullness by
-``all(occupied)``.  Random operation sequences must give the same
-return values, residency, counters and replacement-policy RNG draws.
+``all(occupied)``, and its own list-based LRU and FIFO.  Random
+operation sequences must give the same return values, residency, way
+assignments, counters and replacement-policy RNG draws.
 """
 
 from dataclasses import asdict
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry, geometry_preset
 from repro.cache.multilevel import InclusionPolicy, TwoLevelHierarchy
-from repro.cache.policies import make_policy
+from repro.cache.policies import derive_set_rng
 from repro.cache.setassoc import CacheStats, SetAssociativeCache
 
 POLICIES = ("lru", "fifo", "random")
@@ -25,28 +26,49 @@ GEOMETRIES = ("paper", "paper-4word")
 
 
 class ReferenceArray:
-    """One residency-only cache array, the unindexed way."""
+    """One residency-only cache array, the unindexed way.
+
+    Replacement is brute force and shares no code with the arrays:
+    LRU and FIFO keep each set's ways in a list, oldest first (an LRU
+    hit moves its way to the end, a FIFO hit does not), and the victim
+    is the list's head.  Random draws over the occupied ways from the
+    set's own :func:`derive_set_rng` stream, because its draws must
+    match the real array's.
+    """
 
     def __init__(self, geometry: CacheGeometry, policy: str,
                  rng_scope="level", stats=None) -> None:
         self.geometry = geometry
+        self.policy = policy
         self.stats = stats
         self.sets: List[Dict[int, int]] = [
             {} for _ in range(geometry.num_sets)
         ]
         self.occupied = [[False] * geometry.ways
                          for _ in range(geometry.num_sets)]
-        self.policies = [
-            make_policy(policy, geometry.ways, None, set_index=set_index,
-                        rng_scope=rng_scope)
-            for set_index in range(geometry.num_sets)
-        ]
+        self.order: List[List[int]] = [[] for _ in
+                                       range(geometry.num_sets)]
+        self.rngs = [derive_set_rng(set_index, rng_scope)
+                     for set_index in range(geometry.num_sets)]
+
+    def _hit(self, set_index: int, way: int) -> None:
+        if self.policy == "lru":
+            self.order[set_index].remove(way)
+            self.order[set_index].append(way)
+
+    def _victim(self, set_index: int) -> int:
+        if self.policy == "random":
+            occupied = self.occupied[set_index]
+            return self.rngs[set_index].choice(
+                [way for way in range(self.geometry.ways) if occupied[way]]
+            )
+        return self.order[set_index][0]
 
     def lookup(self, address: int) -> bool:
         set_index = self.geometry.set_of(address)
         tag = self.geometry.tag_of(address)
         if tag in self.sets[set_index]:
-            self.policies[set_index].on_access(self.sets[set_index][tag])
+            self._hit(set_index, self.sets[set_index][tag])
             return True
         return False
 
@@ -59,14 +81,16 @@ class ReferenceArray:
         tag = self.geometry.tag_of(address)
         ways = self.sets[set_index]
         if tag in ways:
-            self.policies[set_index].on_access(ways[tag])
+            self._hit(set_index, ways[tag])
             return None
         occupied = self.occupied[set_index]
+        order = self.order[set_index]
         evicted_line = None
         if all(occupied):
-            victim_way = self.policies[set_index].victim(occupied)
+            victim_way = self._victim(set_index)
             victim_tag = next(t for t, w in ways.items() if w == victim_way)
             del ways[victim_tag]
+            order.remove(victim_way)
             evicted_line = victim_tag * self.geometry.num_sets + set_index
             if self.stats is not None:
                 self.stats.evictions += 1
@@ -74,7 +98,7 @@ class ReferenceArray:
             victim_way = occupied.index(False)
         ways[tag] = victim_way
         occupied[victim_way] = True
-        self.policies[set_index].on_access(victim_way)
+        order.append(victim_way)
         return evicted_line
 
     def invalidate(self, address: int) -> bool:
@@ -85,7 +109,7 @@ class ReferenceArray:
             return False
         way = ways.pop(tag)
         self.occupied[set_index][way] = False
-        self.policies[set_index].on_invalidate(way)
+        self.order[set_index].remove(way)
         return True
 
     def resident_lines(self) -> List[int]:
@@ -127,10 +151,9 @@ class ReferenceCache:
         for set_index, ways in enumerate(array.sets):
             self.stats.flushes += len(ways)
             self.stats.flush_hits += len(ways)
-            for way in list(ways.values()):
-                array.policies[set_index].on_invalidate(way)
             ways.clear()
             array.occupied[set_index] = [False] * array.geometry.ways
+            array.order[set_index].clear()
 
     def resident_lines(self) -> List[int]:
         return self.array.resident_lines()
@@ -193,6 +216,8 @@ class TestAgainstReference:
             assert cache.is_resident(address) == \
                 reference.array.is_resident(address)
         assert cache.resident_lines() == reference.resident_lines()
+        assert cache._sets == reference.array.sets
+        assert cache._occupied == reference.array.occupied
         assert asdict(cache.stats) == asdict(reference.stats)
 
     @settings(max_examples=10, deadline=None)

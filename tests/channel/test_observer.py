@@ -2,6 +2,7 @@
 seed-0 effort invariant the refactor promised to preserve."""
 
 import random
+from dataclasses import asdict
 from functools import lru_cache
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
+from repro.cache.multilevel import InclusionPolicy
 from repro.cache.setassoc import SetAssociativeCache
 from repro.channel import (
     EvictionModel,
@@ -22,6 +24,7 @@ from repro.channel import (
 )
 from repro.core.attack import GrinchAttack
 from repro.core.config import AttackConfig
+from repro.core.crosscore import make_cross_core_runner
 from repro.countermeasures import (
     HardenedKeyScheduleGift64,
     ReshapedSboxGift64,
@@ -416,6 +419,39 @@ class TestEffortInvariant:
             .recover_master_key()
         assert result.master_key == derive_key(128, 0)
         assert result.total_encryptions == 464
+
+
+class TestSimulatorCounters:
+    """End-to-end pins on the cache simulator's counters: the seed-0
+    GIFT-64 full-path first-round attack (116 encryptions) drives every
+    victim load through the cache arrays, so a change to replacement,
+    fill or flush accounting moves these numbers."""
+
+    def _first_round(self, config, inclusion=None):
+        victim = TracedGift64(derive_key(128, 0))
+        runner = None if inclusion is None else make_cross_core_runner(
+            victim, config, inclusion)
+        attack = GrinchAttack(victim, config, runner=runner)
+        assert attack.attack_first_round().encryptions == 116
+        return attack.runner.transport
+
+    def test_single_level_cache_stats(self):
+        transport = self._first_round(
+            AttackConfig(seed=0, use_fast_path=False))
+        assert asdict(transport.cache.stats) == {
+            "accesses": 9280, "hits": 4373, "misses": 4907,
+            "evictions": 1731, "flushes": 3712, "flush_hits": 3034,
+            "flush_misses": 678,
+        }
+
+    def test_cross_core_inclusive_hierarchy_stats(self):
+        transport = self._first_round(AttackConfig(seed=0),
+                                      InclusionPolicy.INCLUSIVE)
+        assert asdict(transport.hierarchy.stats) == {
+            "l1_hits": 1321, "l2_hits": 3052, "memory_fetches": 4907,
+            "flushes": 3712, "flush_hits": 3034, "flush_misses": 678,
+            "evictions": 5714, "back_invalidates": 0,
+        }
 
 
 class TestMemoryLatencies:

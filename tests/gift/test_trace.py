@@ -18,35 +18,35 @@ def _access(round_index, segment=0, table="sbox", index=0, address=None):
 class TestEncryptionTrace:
     def test_append_and_len(self):
         trace = EncryptionTrace(plaintext=0, ciphertext=0)
-        trace.append(_access(1))
-        trace.append(_access(2))
+        trace.accesses.append(_access(1))
+        trace.accesses.append(_access(2))
         assert len(trace) == 2
 
     def test_iteration_preserves_order(self):
         trace = EncryptionTrace(plaintext=0, ciphertext=0)
         accesses = [_access(1, segment=s) for s in range(5)]
         for access in accesses:
-            trace.append(access)
+            trace.accesses.append(access)
         assert list(trace) == accesses
 
     def test_rounds_traced(self):
         trace = EncryptionTrace(plaintext=0, ciphertext=0)
         assert trace.rounds_traced == 0
-        trace.append(_access(3))
-        trace.append(_access(1))
+        trace.accesses.append(_access(3))
+        trace.accesses.append(_access(1))
         assert trace.rounds_traced == 3
 
     def test_accesses_through_round(self):
         trace = EncryptionTrace(plaintext=0, ciphertext=0)
         for r in (1, 2, 3, 4):
-            trace.append(_access(r))
+            trace.accesses.append(_access(r))
         assert len(trace.accesses_through_round(2)) == 2
         assert trace.accesses_through_round(0) == []
 
     def test_accesses_in_rounds_window(self):
         trace = EncryptionTrace(plaintext=0, ciphertext=0)
         for r in (1, 2, 3, 4, 5):
-            trace.append(_access(r))
+            trace.accesses.append(_access(r))
         window = trace.accesses_in_rounds(2, 4)
         assert [a.round_index for a in window] == [2, 3, 4]
 
@@ -59,10 +59,10 @@ class TestEncryptionTrace:
 
     def test_sbox_indices_filters_tables(self):
         trace = EncryptionTrace(plaintext=0, ciphertext=0)
-        trace.append(_access(1, segment=0, table="sbox", index=5))
-        trace.append(_access(1, segment=0, table="perm", index=9))
-        trace.append(_access(1, segment=1, table="sbox", index=7))
-        trace.append(_access(2, segment=0, table="sbox", index=1))
+        trace.accesses.append(_access(1, segment=0, table="sbox", index=5))
+        trace.accesses.append(_access(1, segment=0, table="perm", index=9))
+        trace.accesses.append(_access(1, segment=1, table="sbox", index=7))
+        trace.accesses.append(_access(2, segment=0, table="sbox", index=1))
         assert trace.sbox_indices(1) == [(0, 5), (1, 7)]
         assert trace.sbox_indices(2) == [(0, 1)]
 
