@@ -16,17 +16,20 @@ Flush+Reload:
   reach L2 only as L1 *victims* — a working set small enough to live in
   L1 (like GIFT's 16-byte S-box) may never appear in the shared level
   at all.
+
+Every level is a :class:`~repro.cache.setassoc.SetAssociativeCache`
+(replacement lives in one class); the hierarchy keeps its own counters.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-from .geometry import CacheGeometry, decompose
-from .policies import ReplacementPolicy, make_policy
+from .geometry import CacheGeometry
+from .setassoc import SetAssociativeCache
 
 
 class MemoryLevel(enum.Enum):
@@ -45,116 +48,12 @@ class InclusionPolicy(enum.Enum):
 
 
 @dataclass
-class _Level:
-    """One physical cache array (residency only, like SetAssociativeCache
-    but with eviction reporting needed for exclusive spills).
-
-    ``rng_scope`` labels this array's derived replacement streams
-    (``"l1-core0"``, ``"l2"``, ...) so per-core L1s and the shared L2
-    never draw correlated random-replacement sequences; an explicit
-    ``rng`` is shared across all sets verbatim instead.  ``stats``
-    points at the owning hierarchy's counters so fills report
-    evictions where they happen.  Like the single-level cache, each set
-    keeps ``tag -> way`` and ``way -> tag`` indexes, an LRU set's
-    ``tag -> way`` dict is in recency order (``policies`` holds
-    ``None`` there), and an address is split into ``(set, tag)`` once
-    per operation.
-    """
-
-    geometry: CacheGeometry
-    policy_name: str = "lru"
-    rng: Optional[random.Random] = None
-    rng_scope: str = "level"
-    stats: Optional["HierarchyStats"] = None
-    sets: List[Dict[int, int]] = field(default_factory=list)
-    way_tags: List[List[int]] = field(default_factory=list)
-    occupied: List[List[bool]] = field(default_factory=list)
-    policies: List[Optional[ReplacementPolicy]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        count = self.geometry.num_sets
-        self._line_bytes = self.geometry.line_bytes
-        self._num_sets = count
-        self._ways = self.geometry.ways
-        self.sets = [{} for _ in range(count)]
-        self.way_tags = [[0] * self._ways for _ in range(count)]
-        self.occupied = [[False] * self._ways for _ in range(count)]
-        self.policies = [
-            make_policy(self.policy_name, self.geometry.ways, self.rng,
-                        set_index=set_index, rng_scope=self.rng_scope)
-            for set_index in range(count)
-        ]
-
-    def lookup(self, address: int) -> bool:
-        set_index, tag = decompose(address, self._line_bytes,
-                                   self._num_sets)
-        ways = self.sets[set_index]
-        way = ways.pop(tag, None)
-        if way is None:
-            return False
-        ways[tag] = way
-        return True
-
-    def is_resident(self, address: int) -> bool:
-        set_index, tag = decompose(address, self._line_bytes,
-                                   self._num_sets)
-        return tag in self.sets[set_index]
-
-    def fill(self, address: int) -> Optional[int]:
-        """Insert a line; return the evicted line number, if any."""
-        set_index, tag = decompose(address, self._line_bytes,
-                                   self._num_sets)
-        ways = self.sets[set_index]
-        way = ways.pop(tag, None)
-        if way is not None:
-            ways[tag] = way
-            return None
-        policy = self.policies[set_index]
-        occupied = self.occupied[set_index]
-        way_tags = self.way_tags[set_index]
-        evicted_line = None
-        if len(ways) == self._ways:
-            if policy is None:
-                victim_tag = next(iter(ways))
-            else:
-                victim_tag = way_tags[policy.victim(occupied)]
-            way = ways.pop(victim_tag)
-            evicted_line = victim_tag * self._num_sets + set_index
-            if self.stats is not None:
-                self.stats.evictions += 1
-        else:
-            way = occupied.index(False)
-        ways[tag] = way
-        way_tags[way] = tag
-        occupied[way] = True
-        if policy is not None:
-            policy.on_access(way)
-        return evicted_line
-
-    def invalidate(self, address: int) -> bool:
-        set_index, tag = decompose(address, self._line_bytes,
-                                   self._num_sets)
-        ways = self.sets[set_index]
-        if tag not in ways:
-            return False
-        way = ways.pop(tag)
-        self.occupied[set_index][way] = False
-        policy = self.policies[set_index]
-        if policy is not None:
-            policy.on_invalidate(way)
-        return True
-
-    def resident_count(self) -> int:
-        return sum(len(ways) for ways in self.sets)
-
-
-@dataclass
 class HierarchyStats:
     """Access counters per satisfaction level.
 
     Besides the where-was-it-satisfied split, the hierarchy tracks the
     events a performance-counter-style defender can read: capacity
-    ``evictions`` (any level, reported by the level that evicted),
+    ``evictions`` (any level, counted from each fill's victim),
     ``back_invalidates`` (L1 copies killed by an inclusive L2
     eviction), and the per-line flush split (``flush_hits`` = the
     flushed line was resident somewhere, ``flush_misses`` = it was
@@ -202,10 +101,12 @@ class TwoLevelHierarchy:
         # streams independent (ARM-style hierarchies are the use case:
         # correlated per-set streams understate random replacement).
         self.l1 = [
-            _Level(l1_geometry, policy, rng, f"l1-core{core}", self.stats)
+            SetAssociativeCache(l1_geometry, policy, rng,
+                                rng_scope=f"l1-core{core}")
             for core in range(cores)
         ]
-        self.l2 = _Level(l2_geometry, policy, rng, "l2", self.stats)
+        self.l2 = SetAssociativeCache(l2_geometry, policy, rng,
+                                      rng_scope="l2")
         self.line_bytes = l1_geometry.line_bytes
 
     def _check_core(self, core: int) -> None:
@@ -215,8 +116,7 @@ class TwoLevelHierarchy:
     def access(self, core: int, address: int) -> MemoryLevel:
         """One load by ``core``; returns the level that satisfied it."""
         self._check_core(core)
-        l1 = self.l1[core]
-        if l1.lookup(address):
+        if self.l1[core].lookup(address):
             self.stats.l1_hits += 1
             return MemoryLevel.L1
 
@@ -225,7 +125,7 @@ class TwoLevelHierarchy:
             self._fill_l1(core, address)
             if self.inclusion is InclusionPolicy.EXCLUSIVE:
                 # The line moves up; exclusive L2 gives it away.
-                self.l2.invalidate(address)
+                self.l2.flush_line(address)
             return MemoryLevel.L2
 
         self.stats.memory_fetches += 1
@@ -233,28 +133,30 @@ class TwoLevelHierarchy:
         if self.inclusion is InclusionPolicy.INCLUSIVE:
             evicted = self.l2.fill(address)
             if evicted is not None:
-                self._back_invalidate(evicted)
+                self.stats.evictions += 1
+                evicted_address = evicted * self.line_bytes
+                for other in self.l1:
+                    if other.flush_line(evicted_address):
+                        self.stats.back_invalidates += 1
         return MemoryLevel.MEMORY
 
     def _fill_l1(self, core: int, address: int) -> None:
         evicted = self.l1[core].fill(address)
-        if (evicted is not None
-                and self.inclusion is InclusionPolicy.EXCLUSIVE):
-            # Exclusive hierarchies receive L1 victims into L2 — but
-            # only if no *other* core still caches the line privately:
-            # spilling a line another L1 holds would put it in an L1
-            # and the L2 at once, breaking exclusivity (a real design
-            # drops the clean victim; the sharer keeps serving it).
+        if evicted is None:
+            return
+        self.stats.evictions += 1
+        if self.inclusion is InclusionPolicy.EXCLUSIVE:
+            # Exclusive hierarchies receive L1 victims (never in L2
+            # already) into L2 — but only if no *other* core still
+            # caches the line privately: spilling a line another L1
+            # holds would put it in an L1 and the L2 at once, breaking
+            # exclusivity (a real design drops the clean victim; the
+            # sharer keeps serving it).
             evicted_address = evicted * self.line_bytes
-            if not any(l1.is_resident(evicted_address)
-                       for l1 in self.l1):
-                self.l2.fill(evicted_address)
-
-    def _back_invalidate(self, line: int) -> None:
-        address = line * self.line_bytes
-        for l1 in self.l1:
-            if l1.invalidate(address):
-                self.stats.back_invalidates += 1
+            if (not any(l1.is_resident(evicted_address)
+                        for l1 in self.l1)
+                    and self.l2.fill(evicted_address) is not None):
+                self.stats.evictions += 1
 
     def flush_line(self, address: int) -> None:
         """clflush: remove the line from every level and core.
@@ -265,9 +167,9 @@ class TwoLevelHierarchy:
         timing signal Flush+Flush reads).
         """
         self.stats.flushes += 1
-        present = self.l2.invalidate(address)
+        present = self.l2.flush_line(address)
         for l1 in self.l1:
-            present = l1.invalidate(address) or present
+            present = l1.flush_line(address) or present
         if present:
             self.stats.flush_hits += 1
         else:
@@ -288,16 +190,9 @@ class TwoLevelHierarchy:
         Inclusive: every L1-resident line is L2-resident.  Exclusive:
         no line is resident in both an L1 and the L2.
         """
+        inclusive = self.inclusion is InclusionPolicy.INCLUSIVE
         for l1 in self.l1:
-            for set_index, ways in enumerate(l1.sets):
-                for tag in ways:
-                    line = tag * l1.geometry.num_sets + set_index
-                    address = line * self.line_bytes
-                    in_l2 = self.l2.is_resident(address)
-                    if self.inclusion is InclusionPolicy.INCLUSIVE:
-                        if not in_l2:
-                            return False
-                    else:
-                        if in_l2:
-                            return False
+            for line in l1.resident_lines():
+                if self.l2.is_resident(line * self.line_bytes) != inclusive:
+                    return False
         return True

@@ -5,13 +5,17 @@ The simulator tracks residency only (no data): the attacker's channel is
 fully determined by its address stream.  This is the same abstraction
 the paper uses for its "clean data" RTL experiments — timing is handled
 separately by :mod:`repro.soc`.
+
+It is the only cache array: the single-level cache and every level of
+:class:`~repro.cache.multilevel.TwoLevelHierarchy`, which drives it
+through the uncounted :meth:`~SetAssociativeCache.lookup`/``fill`` pair.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .geometry import CacheGeometry, decompose
 from .policies import ReplacementPolicy, make_policy
@@ -61,7 +65,8 @@ class SetAssociativeCache:
 
     def __init__(self, geometry: CacheGeometry = CacheGeometry(),
                  policy: str = "lru",
-                 rng: Optional[random.Random] = None) -> None:
+                 rng: Optional[random.Random] = None,
+                 rng_scope: Any = 0) -> None:
         self.geometry = geometry
         self.policy_name = policy
         self.stats = CacheStats()
@@ -77,11 +82,12 @@ class SetAssociativeCache:
         self._occupied: List[List[bool]] = [
             [False] * geometry.ways for _ in range(geometry.num_sets)
         ]
-        # Without an explicit rng each set gets its own derived stream
-        # (random replacement is per-set state); an explicit rng is
-        # shared across sets verbatim, as before.
+        # Without an explicit rng each set gets its own stream, derived
+        # from ``rng_scope`` (one per hierarchy level) and the set index;
+        # an explicit rng is shared across sets verbatim.
         self._policies: List[Optional[ReplacementPolicy]] = [
-            make_policy(policy, geometry.ways, rng, set_index=set_index)
+            make_policy(policy, geometry.ways, rng, set_index=set_index,
+                        rng_scope=rng_scope)
             for set_index in range(geometry.num_sets)
         ]
 
@@ -104,16 +110,41 @@ class SetAssociativeCache:
             return True
 
         stats.misses += 1
+        if self._insert(set_index, tag, ways) is not None:
+            stats.evictions += 1
+        return False
+
+    def lookup(self, address: int) -> bool:
+        """Uncounted probe; a hit refreshes the line."""
+        set_index, tag = decompose(address, self._line_bytes,
+                                   self._num_sets)
+        ways = self._sets[set_index]
+        way = ways.pop(tag, None)
+        if way is not None:
+            ways[tag] = way
+        return way is not None
+
+    def fill(self, address: int) -> Optional[int]:
+        """Uncounted fill of a line known absent (after a :meth:`lookup`
+        miss, say); return the evicted line number, if any."""
+        set_index, tag = decompose(address, self._line_bytes,
+                                   self._num_sets)
+        return self._insert(set_index, tag, self._sets[set_index])
+
+    def _insert(self, set_index: int, tag: int,
+                ways: Dict[int, int]) -> Optional[int]:
+        """Place an absent ``tag``; return the evicted line, if any."""
         policy = self._policies[set_index]
         occupied = self._occupied[set_index]
         way_tags = self._way_tags[set_index]
+        evicted = None
         if len(ways) == self._ways:
             if policy is None:
                 victim_tag = next(iter(ways))
             else:
                 victim_tag = way_tags[policy.victim(occupied)]
             way = ways.pop(victim_tag)
-            stats.evictions += 1
+            evicted = victim_tag * self._num_sets + set_index
         else:
             way = occupied.index(False)
         ways[tag] = way
@@ -121,7 +152,7 @@ class SetAssociativeCache:
         occupied[way] = True
         if policy is not None:
             policy.on_access(way)
-        return False
+        return evicted
 
     def is_resident(self, address: int) -> bool:
         """Non-perturbing residency check (simulator-only observability).
@@ -138,13 +169,13 @@ class SetAssociativeCache:
         """Invalidate the line holding ``address``; return whether present."""
         set_index, tag = decompose(address, self._line_bytes,
                                    self._num_sets)
-        ways = self._sets[set_index]
-        self.stats.flushes += 1
-        if tag not in ways:
-            self.stats.flush_misses += 1
+        stats = self.stats
+        stats.flushes += 1
+        way = self._sets[set_index].pop(tag, None)
+        if way is None:
+            stats.flush_misses += 1
             return False
-        self.stats.flush_hits += 1
-        way = ways.pop(tag)
+        stats.flush_hits += 1
         self._occupied[set_index][way] = False
         policy = self._policies[set_index]
         if policy is not None:

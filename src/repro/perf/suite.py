@@ -74,6 +74,11 @@ MIN_FAST_OBSERVATION_OVER_UNTRACED: float = 7.0
 #: relative to the untraced anchor).
 REGRESSION_HEADROOM: float = 2.0
 
+#: Timed turns per bench.  The benches take turns and each keeps its
+#: fastest, so a burst of host load either hits both sides of a gated
+#: ratio or is dropped with a slow turn.
+SLICES: int = 5
+
 #: Plaintexts cycled through the cipher/observer benches.
 _PLAINTEXT_POOL: int = 256
 
@@ -287,19 +292,24 @@ def run_suite(*, quick: bool = False, seed: int = 0,
               ) -> PerfReport:
     """Run the full microbenchmark suite and return its report.
 
-    ``--quick`` shrinks the per-bench timing floor and drops the
+    ``min_seconds`` is the timing floor of each of a bench's
+    :data:`SLICES` turns.  ``--quick`` shrinks it and drops the
     GIFT-128 cipher pair; the gates are ratio-based, so the quick run
     is still authoritative for CI.
     """
     if min_seconds is None:
-        min_seconds = 0.05 if quick else 0.4
+        min_seconds = 0.01 if quick else 0.08
     benches = _cipher_benches(seed, quick)
     benches.append(_observer_bench(seed))
     benches.append(_voting_bench(seed))
     benches.append(_engine_trial_bench(seed))
-    results = [
-        measure(bench["name"], bench["fn"],  # type: ignore[arg-type]
-                min_seconds=min_seconds, clock=clock)
-        for bench in benches
-    ]
-    return PerfReport(quick=quick, seed=seed, results=results)
+    best: Dict[str, BenchResult] = {}
+    for _ in range(SLICES):
+        for bench in benches:
+            result = measure(bench["name"],
+                             bench["fn"],  # type: ignore[arg-type]
+                             min_seconds=min_seconds, clock=clock)
+            kept = best.get(result.name)
+            if kept is None or result.ops_per_s > kept.ops_per_s:
+                best[result.name] = result
+    return PerfReport(quick=quick, seed=seed, results=list(best.values()))

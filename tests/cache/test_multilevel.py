@@ -163,9 +163,9 @@ class TestPolicyPlumbing:
         # each array's sets get scope-derived streams.
         hierarchy = TwoLevelHierarchy(policy="random")
         occupied = [True] * 4
-        l1a = [hierarchy.l1[0].policies[0].victim(occupied)
+        l1a = [hierarchy.l1[0]._policies[0].victim(occupied)
                for _ in range(12)]
-        l1b = [hierarchy.l1[1].policies[0].victim(occupied)
+        l1b = [hierarchy.l1[1]._policies[0].victim(occupied)
                for _ in range(12)]
         assert l1a != l1b
 

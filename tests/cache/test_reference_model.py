@@ -1,12 +1,16 @@
-"""Both cache arrays against a brute-force reference model.
+"""The cache array against a brute-force reference model.
 
-The arrays split each address into ``(set, tag)`` once and keep a
-``way -> tag`` index, so an eviction never scans its set.  The
-reference below is the straightforward algorithm: ``set_of``/``tag_of``
-per call, victim tag found by scanning the set, fullness by
-``all(occupied)``, and its own list-based LRU and FIFO.  Random
-operation sequences must give the same return values, residency, way
-assignments, counters and replacement-policy RNG draws.
+:class:`SetAssociativeCache` is the one array: the single-level cache
+and every L1 and the L2 of :class:`TwoLevelHierarchy`.  It splits each
+address into ``(set, tag)`` once and keeps a ``way -> tag`` index, so
+an eviction never scans its set, and an LRU set's ``tag -> way`` dict
+is its recency order.  The reference below is the straightforward
+algorithm: ``set_of``/``tag_of`` per call, victim tag found by scanning
+the set, fullness by ``all(occupied)``, and its own list-based LRU and
+FIFO.  Random operation sequences, driven through the single-level
+cache and through the hierarchy, must give the same return values,
+residency, way assignments, LRU recency order, counters and
+replacement-policy RNG draws.
 """
 
 from dataclasses import asdict
@@ -37,10 +41,9 @@ class ReferenceArray:
     """
 
     def __init__(self, geometry: CacheGeometry, policy: str,
-                 rng_scope="level", stats=None) -> None:
+                 rng_scope) -> None:
         self.geometry = geometry
         self.policy = policy
-        self.stats = stats
         self.sets: List[Dict[int, int]] = [
             {} for _ in range(geometry.num_sets)
         ]
@@ -92,8 +95,6 @@ class ReferenceArray:
             del ways[victim_tag]
             order.remove(victim_way)
             evicted_line = victim_tag * self.geometry.num_sets + set_index
-            if self.stats is not None:
-                self.stats.evictions += 1
         else:
             victim_way = occupied.index(False)
         ways[tag] = victim_way
@@ -101,7 +102,7 @@ class ReferenceArray:
         order.append(victim_way)
         return evicted_line
 
-    def invalidate(self, address: int) -> bool:
+    def flush_line(self, address: int) -> bool:
         set_index = self.geometry.set_of(address)
         tag = self.geometry.tag_of(address)
         ways = self.sets[set_index]
@@ -126,8 +127,7 @@ class ReferenceCache:
     def __init__(self, geometry: CacheGeometry, policy: str) -> None:
         self.stats = CacheStats()
         # The single-level cache derives its per-set streams at scope 0.
-        self.array = ReferenceArray(geometry, policy, rng_scope=0,
-                                    stats=self.stats)
+        self.array = ReferenceArray(geometry, policy, rng_scope=0)
 
     def access(self, address: int) -> bool:
         self.stats.accesses += 1
@@ -135,12 +135,13 @@ class ReferenceCache:
             self.stats.hits += 1
             return True
         self.stats.misses += 1
-        self.array.fill(address)
+        if self.array.fill(address) is not None:
+            self.stats.evictions += 1
         return False
 
     def flush_line(self, address: int) -> bool:
         self.stats.flushes += 1
-        if self.array.invalidate(address):
+        if self.array.flush_line(address):
             self.stats.flush_hits += 1
             return True
         self.stats.flush_misses += 1
@@ -167,11 +168,20 @@ class ReferenceHierarchy(TwoLevelHierarchy):
                          l2_geometry=l2_geometry, inclusion=inclusion,
                          policy=policy)
         self.l1 = [
-            ReferenceArray(l1_geometry, policy, f"l1-core{core}",
-                           self.stats)
+            ReferenceArray(l1_geometry, policy, f"l1-core{core}")
             for core in range(self.cores)
         ]
-        self.l2 = ReferenceArray(l2_geometry, policy, "l2", self.stats)
+        self.l2 = ReferenceArray(l2_geometry, policy, "l2")
+
+
+def _assert_same_array(real: SetAssociativeCache,
+                       model: ReferenceArray) -> None:
+    """Same residency and way numbers in every set; under LRU also the
+    same recency order (dict ``==`` ignores the order it is kept in)."""
+    assert real._sets == model.sets
+    assert real._occupied == model.occupied
+    if model.policy == "lru":
+        assert [list(ways.values()) for ways in real._sets] == model.order
 
 
 def _address(geometry: CacheGeometry, set_index: int, tag: int,
@@ -216,8 +226,7 @@ class TestAgainstReference:
             assert cache.is_resident(address) == \
                 reference.array.is_resident(address)
         assert cache.resident_lines() == reference.resident_lines()
-        assert cache._sets == reference.array.sets
-        assert cache._occupied == reference.array.occupied
+        _assert_same_array(cache, reference.array)
         assert asdict(cache.stats) == asdict(reference.stats)
 
     @settings(max_examples=10, deadline=None)
@@ -246,8 +255,7 @@ class TestAgainstReference:
         assert asdict(hierarchy.stats) == asdict(reference.stats)
         for real, model in zip(hierarchy.l1 + [hierarchy.l2],
                                reference.l1 + [reference.l2]):
-            assert real.sets == model.sets
-            assert real.occupied == model.occupied
+            _assert_same_array(real, model)
         assert hierarchy.inclusion_holds()
 
 

@@ -427,10 +427,10 @@ class TestSimulatorCounters:
     victim load through the cache arrays, so a change to replacement,
     fill or flush accounting moves these numbers."""
 
-    def _first_round(self, config, inclusion=None):
+    def _first_round(self, config, inclusion=None, policy="lru"):
         victim = TracedGift64(derive_key(128, 0))
         runner = None if inclusion is None else make_cross_core_runner(
-            victim, config, inclusion)
+            victim, config, inclusion, policy)
         attack = GrinchAttack(victim, config, runner=runner)
         assert attack.attack_first_round().encryptions == 116
         return attack.runner.transport
@@ -451,6 +451,39 @@ class TestSimulatorCounters:
             "l1_hits": 1321, "l2_hits": 3052, "memory_fetches": 4907,
             "flushes": 3712, "flush_hits": 3034, "flush_misses": 678,
             "evictions": 5714, "back_invalidates": 0,
+        }
+
+    def test_cross_core_random_replacement_hierarchy_stats(self):
+        # The E20 mobile-SoC substrate: every array draws its victims
+        # from its own scope-derived per-set streams.
+        transport = self._first_round(AttackConfig(seed=0),
+                                      InclusionPolicy.INCLUSIVE, "random")
+        assert asdict(transport.hierarchy.stats) == {
+            "l1_hits": 1351, "l2_hits": 2960, "memory_fetches": 4969,
+            "flushes": 3712, "flush_hits": 3026, "flush_misses": 686,
+            "evictions": 5638, "back_invalidates": 83,
+        }
+
+    @pytest.mark.parametrize("policy, expected", [
+        ("lru", {"l1_hits": 446, "l2_hits": 633, "memory_fetches": 2121,
+                 "flush_hits": 1044, "flush_misses": 236,
+                 "evictions": 1938}),
+        ("random", {"l1_hits": 454, "l2_hits": 643, "memory_fetches": 2103,
+                    "flush_hits": 1042, "flush_misses": 238,
+                    "evictions": 1909}),
+    ])
+    def test_exclusive_hierarchy_stats(self, policy, expected):
+        # The exclusive attack fails by design, so a fixed run of
+        # first-round windows pins the spill path instead: its L2 hits
+        # are lines that reached L2 only as L1 victims.
+        victim = TracedGift64(derive_key(128, 0))
+        runner = make_cross_core_runner(victim, AttackConfig(seed=0),
+                                        InclusionPolicy.EXCLUSIVE, policy)
+        rng = random.Random(3)
+        for _ in range(40):
+            runner.observe(rng.getrandbits(64), 1)
+        assert asdict(runner.transport.hierarchy.stats) == {
+            **expected, "flushes": 1280, "back_invalidates": 0,
         }
 
 

@@ -6,6 +6,7 @@ from repro.perf.suite import (
     MIN_BATCH_OVER_UNTRACED,
     MIN_FAST_OBSERVATION_OVER_UNTRACED,
     MIN_UNTRACED_OVER_TRACED,
+    SLICES,
     PerfReport,
     check_gates,
     run_suite,
@@ -74,6 +75,39 @@ class TestPerfReport:
             BenchResult("gift64_encrypt_untraced", ops=10, seconds=1.0),
         ])
         assert report.ratios == {}
+
+
+class TurnClock:
+    """Read twice per turn of a slow bench (one call a turn); each turn
+    spans the next duration, the cycle repeating for every bench."""
+
+    def __init__(self, durations):
+        self.durations = durations
+        self.now = 0.0
+        self.reads = 0
+
+    def __call__(self):
+        self.reads += 1
+        if self.reads % 2 == 0:
+            turn = self.reads // 2 - 1
+            self.now += self.durations[turn % len(self.durations)]
+        return self.now
+
+
+class TestAlternatingTurns:
+    def test_benches_alternate_and_keep_their_fastest_turn(self):
+        # Six quick benches, one turn each per round: the fourth
+        # bench's turns take 0.5, 0.1, 0.3, 0.4, 0.2 s, all others
+        # 0.6 s.  Bench after bench, it would keep 0.3 s instead.
+        assert SLICES == 5
+        durations = [duration
+                     for fourth in (0.5, 0.1, 0.3, 0.4, 0.2)
+                     for duration in [0.6] * 3 + [fourth] + [0.6] * 2]
+        report = run_suite(quick=True, seed=0, min_seconds=0.01,
+                           clock=TurnClock(durations))
+        seconds = [result.seconds for result in report.results]
+        assert [result.ops for result in report.results] == [1] * 6
+        assert seconds == pytest.approx([0.6] * 3 + [0.1] + [0.6] * 2)
 
 
 class TestRunSuite:
