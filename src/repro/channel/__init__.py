@@ -19,8 +19,8 @@ from four layers:
   :class:`ObservationChannel`;
 * **L4 defender** (:mod:`repro.channel.defender`) — the *other*
   first-class consumer of the stack: a performance-counter-style
-  :class:`DefenderObserver` fed per-operation counter deltas through
-  an :class:`ObservedTransport` tap (it sits just below the observer
+  :class:`DefenderObserver` fed per-phase counter deltas through an
+  :class:`ObservedTransport` tap (it sits just below the observer
   in the import order, since the observer composes it in).
 
 Lower layers never import higher ones, and nothing in this package

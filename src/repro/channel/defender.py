@@ -16,8 +16,13 @@ measured number instead of a citation:
   it sees, a real PMU exposes.
 * :class:`ObservedTransport` is the tap: a delegating
   :class:`~repro.channel.transport.CacheTransport` that attributes
-  each operation's counter delta to the role that issued it (the
-  per-core PMCs of a real system).  It advertises
+  counter deltas to the role that issued the operations (the per-core
+  PMCs of a real system).  Like a PMU read per interval rather than
+  per load, it snapshots the counters once per *phase* — a run of
+  operations by one role on one substrate — and at window edges, not
+  around every load.  The defender only sums deltas, so the per-role
+  totals are exactly what per-operation snapshots would give.  It
+  advertises
   ``supports_fast_path = False`` so the observer runs the full
   simulation — the analytic fast path never touches the substrate, so
   there would be no events to count.  The two paths are
@@ -130,12 +135,12 @@ _ZERO = CounterDelta()
 def read_counters(transport: Any) -> CounterDelta:
     """Normalised counter snapshot of a transport's substrate.
 
-    Duck-typed on the substrate attribute, never on concrete classes,
-    so recording/replay wrappers and future transports participate by
-    exposing either a ``cache`` (:class:`CacheStats`) or a
-    ``hierarchy`` (:class:`HierarchyStats`); a wrapper that holds an
-    ``inner`` transport is unwrapped.  Only aggregate counters are
-    read — no addresses, tags, or victim state.
+    Duck-typed on the substrate attribute, never on concrete classes:
+    a transport participates by exposing either a ``cache``
+    (:class:`CacheStats`) or a ``hierarchy`` (:class:`HierarchyStats`),
+    and a wrapper that holds an ``inner`` transport (the defender's own
+    :class:`ObservedTransport`) is unwrapped.  Only aggregate counters
+    are read — no addresses, tags, or victim state.
     """
     inner = getattr(transport, "inner", None)
     if inner is not None:
@@ -318,15 +323,30 @@ class DefenderObserver:
     it only subtracts counter snapshots the substrate maintains
     anyway, which is what keeps a watched attack bit-identical to an
     unwatched one.
+
+    Counters are settled per phase: the running phase (one role on one
+    tapped substrate) is read out when a tap changes role or
+    substrate, at :meth:`begin_window`/:meth:`end_window`, and before
+    :attr:`ambient` or :meth:`report` is read.
     """
 
     def __init__(self, policy: Optional[DetectionPolicy] = None) -> None:
         self.policy = policy if policy is not None else DetectionPolicy()
         self.windows: List[WindowCounters] = []
-        self.ambient: Dict[str, CounterDelta] = {
+        self._ambient: Dict[str, CounterDelta] = {
             "attacker": _ZERO, "victim": _ZERO,
         }
         self._current: Optional[WindowCounters] = None
+        # The running phase, (substrate, role), and its counters when
+        # it was last settled.
+        self._phase: Optional[Tuple[CacheTransport, str]] = None
+        self._since: CounterDelta = _ZERO
+
+    @property
+    def ambient(self) -> Dict[str, CounterDelta]:
+        """Per-role counters of the traffic outside any window."""
+        self._settle()
+        return self._ambient
 
     # ------------------------------------------------------------------
     # Tap
@@ -337,16 +357,32 @@ class DefenderObserver:
         return ObservedTransport(transport, self)
 
     def record(self, role: str, delta: CounterDelta) -> None:
-        """One operation's counter delta, attributed to ``role``."""
-        if role not in self.ambient:
+        """A counter delta, attributed to ``role``."""
+        if role not in self._ambient:
             raise ValueError(f"unknown role {role!r}")
         window = self._current
         if window is None:
-            self.ambient[role] = self.ambient[role] + delta
+            self._ambient[role] = self._ambient[role] + delta
         elif role == "attacker":
             window.attacker = window.attacker + delta
         else:
             window.victim = window.victim + delta
+
+    def _enter(self, phase: Tuple[CacheTransport, str]) -> None:
+        """Settle the running phase and start ``phase``."""
+        self._settle()
+        self._phase = phase
+        self._since = read_counters(phase[0])
+
+    def _settle(self) -> None:
+        """Attribute the running phase's counters since the last
+        settlement to its role."""
+        if self._phase is None:
+            return
+        substrate, role = self._phase
+        now = read_counters(substrate)
+        self.record(role, now - self._since)
+        self._since = now
 
     # ------------------------------------------------------------------
     # Windows
@@ -354,6 +390,7 @@ class DefenderObserver:
 
     def begin_window(self, primitive: str = "") -> None:
         """Open a probe window (closing any window left open)."""
+        self._settle()
         if self._current is not None:
             self.end_window()
         self._current = WindowCounters(index=len(self.windows),
@@ -361,6 +398,7 @@ class DefenderObserver:
 
     def end_window(self) -> Optional[WindowCounters]:
         """Close the open window, run detection, and archive it."""
+        self._settle()
         window = self._current
         if window is None:
             return None
@@ -375,6 +413,7 @@ class DefenderObserver:
 
     def report(self) -> DefenderReport:
         """Aggregate everything seen so far into one report."""
+        self._settle()
         count = len(self.windows)
         flagged = sum(1 for w in self.windows if w.flagged)
         reasons: Dict[str, int] = {}
@@ -407,7 +446,7 @@ class DefenderObserver:
 
 
 class ObservedTransport(CacheTransport):
-    """A transport with a defender's counter tap on every operation.
+    """A transport with a defender's counter tap.
 
     Delegates every operation and capability to ``inner`` except
     ``supports_fast_path``, which is forced off: the analytic fast
@@ -427,21 +466,25 @@ class ObservedTransport(CacheTransport):
         self.supports_fast_path = False
         self.noise_via_victim = inner.noise_via_victim
         self.probe_on_empty_window = inner.probe_on_empty_window
-
-    def _recorded(self, role: str, operation: Any, address: int) -> Any:
-        before = read_counters(self.inner)
-        result = operation(address)
-        self.defender.record(role, read_counters(self.inner) - before)
-        return result
+        # This substrate's phases; an operation whose phase is not the
+        # defender's running one settles it (identity check only).
+        self._attacker = (inner, "attacker")
+        self._victim = (inner, "victim")
 
     def access(self, address: int) -> bool:
-        return self._recorded("attacker", self.inner.access, address)
+        if self.defender._phase is not self._attacker:
+            self.defender._enter(self._attacker)
+        return self.inner.access(address)
 
     def flush_line(self, address: int) -> bool:
-        return self._recorded("attacker", self.inner.flush_line, address)
+        if self.defender._phase is not self._attacker:
+            self.defender._enter(self._attacker)
+        return self.inner.flush_line(address)
 
     def victim_access(self, address: int) -> bool:
-        return self._recorded("victim", self.inner.victim_access, address)
+        if self.defender._phase is not self._victim:
+            self.defender._enter(self._victim)
+        return self.inner.victim_access(address)
 
     def cold(self) -> "ObservedTransport":
         """A cold inner substrate under the *same* defender's tap."""

@@ -1,9 +1,10 @@
 """L0: trace record/replay — below the whole channel stack.
 
 This package defines the on-disk trace formats (binary + JSONL), the
-recording wrappers that capture a live run without perturbing it, the
-replay objects that feed a recording back through the unchanged L1–L4
-observer stack, and a parser for foreign malloc/free + access logs.
+recording wrapper that captures a live victim without perturbing it,
+the replay victim that feeds a recording back through the unchanged
+L1–L4 observer stack, :func:`play` to push a record's addresses into
+any transport, and a parser for foreign malloc/free + access logs.
 
 Layering: L0 sits *below* the four channel layers and the attack core.
 It may import only ``repro.targets`` (the victim-facing data model),
@@ -48,8 +49,8 @@ from .jsonio import (
     read_jsonl,
     write_jsonl,
 )
-from .recorder import RecordingTransport, RecordingVictim, TraceRecorder
-from .replay import ReplayTransport, ReplayVictim
+from .recorder import RecordingVictim, TraceRecorder
+from .replay import ReplayVictim, play
 
 __all__ = [
     "BINARY_SUFFIX",
@@ -80,9 +81,8 @@ __all__ = [
     "write_jsonl",
     "TraceRecorder",
     "RecordingVictim",
-    "RecordingTransport",
     "ReplayVictim",
-    "ReplayTransport",
+    "play",
     "ExternalTraceParser",
     "ParseStats",
     "parse_external_log",

@@ -19,19 +19,17 @@ past the end raises
 skips plaintext comparison and tolerates interleaving drift (for
 foreign traces that carry no plaintexts at all).
 
-:class:`ReplayTransport` is the substrate-level counterpart: a
-transport-shaped object over a private set-associative cache whose
-:meth:`~ReplayTransport.play` feeds a record's raw address stream in
-as victim traffic — the way to push *foreign* traces through an L1
-probe primitive without any victim object at all.
+:func:`play` is the substrate-level counterpart: it feeds one record's
+address stream into any transport's ``victim_access`` (a
+``SingleLevelTransport`` of the header's geometry, say) — the way to
+push *foreign* traces through an L1 probe primitive without any victim
+object at all.
 """
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, List, Optional
+from typing import Any, FrozenSet, List, Optional, Tuple
 
-from ..cache.geometry import CacheGeometry
-from ..cache.setassoc import SetAssociativeCache
 from ..staticcheck.secrets import secret_attributes
 from ..targets.lut import index_mask
 from ..targets.registry import get_target
@@ -43,10 +41,34 @@ from .format import (
     KIND_PAIR,
     EncryptionRecord,
     TraceFile,
+    TraceHeader,
 )
 
 #: Kinds an observation-window request may consume.
 _WINDOW_KINDS: FrozenSet[str] = frozenset({KIND_ACCESSES, KIND_INDICES})
+
+
+def header_load_addresses(header: TraceHeader
+                          ) -> Tuple[Tuple[int, ...],
+                                     Tuple[Tuple[int, ...], ...]]:
+    """The S-box and PermBits load addresses a header implies.
+
+    Derived from the header's target S-box and layout, in the shape of
+    a victim's ``sbox_load_addresses`` (index order) and
+    ``perm_load_addresses`` (segment then index order).  Replay serves
+    exactly these; recording refuses a victim that loads elsewhere.
+    """
+    layout = header.layout
+    sbox = get_target(header.target).sbox
+    return (
+        tuple(layout.sbox_addresses()),
+        tuple(
+            tuple(layout.perm_address(segment, sbox[index],
+                                      header.segments)
+                  for index in range(len(sbox)))
+            for segment in range(header.segments)
+        ),
+    )
 
 
 @secret_attributes("trace")
@@ -70,14 +92,8 @@ class ReplayVictim:
         self.width = header.width
         self.rounds = header.rounds
         self.layout = header.layout
-        self.sbox_load_addresses = tuple(header.layout.sbox_addresses())
-        sbox = get_target(header.target).sbox
-        self.perm_load_addresses = tuple(
-            tuple(header.layout.perm_address(segment, sbox[index],
-                                             header.segments)
-                  for index in range(len(sbox)))
-            for segment in range(header.segments)
-        )
+        self.sbox_load_addresses, self.perm_load_addresses = \
+            header_load_addresses(header)
         self.probe_round_offset = header.probe_round_offset
         self._cursor = 0
         self.windows_served = 0
@@ -174,81 +190,31 @@ class ReplayVictim:
         return index_mask(rows[first_round - 1:])
 
 
-class ReplayTransport:
-    """A transport-shaped substrate for feeding traces to a probe.
+def play(transport: Any, record: EncryptionRecord,
+         header: Optional[TraceHeader] = None,
+         through_round: Optional[int] = None) -> int:
+    """Feed one record's address stream into ``transport`` as victim
+    traffic.
 
-    Duck-types the L2 ``CacheTransport`` surface over its own
-    set-associative cache (the single-level shape of the paper's threat
-    model) and adds :meth:`play`: replay one record's raw address
-    stream as victim traffic.  An L1 primitive can then ``reset`` /
-    ``play`` / ``observe`` against foreign traces with no victim
-    object anywhere.
+    ``transport`` is anything with a ``victim_access(address)`` — an L2
+    transport such as ``SingleLevelTransport(trace.header.geometry)``.
+    ``header`` is required for ``indices`` records (their addresses
+    are reconstructed from the header's layout).  ``through_round``
+    truncates the stream after that round (untagged accesses, round 0,
+    always play).  Returns the number of accesses played.
     """
-
-    supports_prime_probe = True
-    supports_fast_path = True
-    noise_via_victim = False
-    probe_on_empty_window = False
-
-    def __init__(self, geometry: CacheGeometry) -> None:
-        self.geometry = geometry
-        self.cache = SetAssociativeCache(geometry)
-
-    @classmethod
-    def for_trace(cls, trace: TraceFile) -> "ReplayTransport":
-        """A transport of the trace's recorded geometry."""
-        return cls(trace.header.geometry)
-
-    # -- transport surface ---------------------------------------------
-
-    def access(self, address: int) -> bool:
-        return self.cache.access(address)
-
-    def flush_line(self, address: int) -> bool:
-        return self.cache.flush_line(address)
-
-    def victim_access(self, address: int) -> bool:
-        return self.cache.access(address)
-
-    def cold(self) -> "ReplayTransport":
-        return ReplayTransport(self.geometry)
-
-    def check_geometry(self, geometry: Any) -> None:
-        if self.line_bytes != geometry.line_bytes:
-            raise ValueError(
-                "hierarchy line size must match the attack geometry"
-            )
-
-    @property
-    def line_bytes(self) -> int:
-        return self.geometry.line_bytes
-
-    # -- trace feeding -------------------------------------------------
-
-    def play(self, record: EncryptionRecord,
-             header: Optional[Any] = None,
-             through_round: Optional[int] = None) -> int:
-        """Feed one record's address stream in as victim traffic.
-
-        ``header`` is required for ``indices`` records (their addresses
-        are reconstructed from the header's layout).  ``through_round``
-        truncates the stream after that round (untagged accesses, round
-        0, always play).  Returns the number of accesses played.
-        """
-        if record.kind == KIND_PAIR:
-            return 0
-        if header is None and record.kind == KIND_INDICES:
-            raise TraceMismatchError(
-                "playing an indices record needs the trace header "
-                "(addresses are a function of its layout)"
-            )
-        accesses = (record.accesses if record.kind == KIND_ACCESSES
-                    else tuple(record.to_trace(header).accesses))
-        played = 0
-        for access in accesses:
-            if (through_round is not None
-                    and access.round_index > through_round):
-                continue
-            self.victim_access(access.address)
+    if record.kind == KIND_PAIR:
+        return 0
+    if header is None and record.kind == KIND_INDICES:
+        raise TraceMismatchError(
+            "playing an indices record needs the trace header "
+            "(addresses are a function of its layout)"
+        )
+    accesses = (record.accesses if record.kind == KIND_ACCESSES
+                else record.to_trace(header).accesses)
+    played = 0
+    for access in accesses:
+        if through_round is None or access.round_index <= through_round:
+            transport.victim_access(access.address)
             played += 1
-        return played
+    return played

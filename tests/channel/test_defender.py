@@ -3,6 +3,8 @@ detection policy, and — the load-bearing invariant — transparency:
 watching an attack must not change what the attacker sees or spends."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.multilevel import InclusionPolicy, TwoLevelHierarchy
@@ -132,6 +134,74 @@ class TestAttributionAndWindows:
         assert isinstance(chilled, ObservedTransport)
         assert chilled.defender is defender
         assert chilled.inner.policy_name == observed.inner.policy_name
+
+
+#: Small substrates, so short operation sequences evict and
+#: back-invalidate: 8 sets of 2 ways (L1s of 4 lines under an
+#: inclusive L2).
+_SMALL = CacheGeometry(total_lines=16, ways=2)
+_TRANSPORTS = {
+    "single-lru": lambda: SingleLevelTransport(_SMALL),
+    "single-random": lambda: SingleLevelTransport(_SMALL,
+                                                  policy="random"),
+    "shared-l2-inclusive": lambda: SharedL2Transport(TwoLevelHierarchy(
+        l1_geometry=CacheGeometry(total_lines=4, ways=2),
+        l2_geometry=_SMALL, inclusion=InclusionPolicy.INCLUSIVE,
+    )),
+}
+
+_addresses = st.integers(0, 47)
+_operations = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["access", "flush_line", "victim_access"]),
+              _addresses),
+    st.tuples(st.sampled_from(["begin", "end", "cold", "ambient"])),
+), max_size=60)
+
+
+class TestPhaseSnapshots:
+    """The tap reads counters once per phase; each window's and the
+    ambient bucket's per-role deltas must still equal the sum of
+    per-operation counter differences."""
+
+    @pytest.mark.parametrize("name", sorted(_TRANSPORTS))
+    @settings(max_examples=60, deadline=None)
+    @given(operations=_operations)
+    def test_equals_per_operation_sums(self, name, operations):
+        defender = DefenderObserver()
+        tap = defender.watch(_TRANSPORTS[name]())
+        ambient = {"attacker": CounterDelta(), "victim": CounterDelta()}
+        windows = []
+        current = None
+        for operation in operations:
+            kind = operation[0]
+            if kind == "begin":
+                if current is not None:
+                    windows.append(current)
+                current = {"attacker": CounterDelta(),
+                           "victim": CounterDelta()}
+                defender.begin_window()
+            elif kind == "end":
+                if current is not None:
+                    windows.append(current)
+                current = None
+                defender.end_window()
+            elif kind == "cold":
+                tap = tap.cold()
+            elif kind == "ambient":
+                assert defender.ambient == ambient
+            else:
+                before = read_counters(tap.inner)
+                getattr(tap, kind)(operation[1])
+                delta = read_counters(tap.inner) - before
+                role = "victim" if kind == "victim_access" else "attacker"
+                bucket = ambient if current is None else current
+                bucket[role] = bucket[role] + delta
+        if current is not None:
+            windows.append(current)
+            defender.end_window()
+        assert [{"attacker": w.attacker, "victim": w.victim}
+                for w in defender.windows] == windows
+        assert defender.ambient == ambient
 
 
 class TestDetectionPolicy:

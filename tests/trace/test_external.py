@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.channel.transport import SingleLevelTransport
 from repro.targets.layout import SBOX_ENTRIES, TableLayout
-from repro.trace import ExternalTraceParser, ExternalTraceError
+from repro.trace import ExternalTraceParser, ExternalTraceError, play
 
 #: A well-formed two-round log against the canonical default layout:
 #: a 16-byte S-box allocation and a 16*16*8-byte perm allocation.
@@ -44,12 +45,11 @@ class TestHappyPath:
         assert first.address == layout.sbox_address(0)
 
     def test_feeds_through_replay_transport(self):
-        from repro.trace import ReplayTransport
-
         trace, _ = ExternalTraceParser().parse(GOOD_LOG)
-        transport = ReplayTransport.for_trace(trace)
-        played = transport.play(trace.records[0])
+        transport = SingleLevelTransport(trace.header.geometry)
+        played = play(transport, trace.records[0])
         assert played == 33
+        assert transport.cache.stats.accesses == 33
 
     def test_implicit_block_without_markers(self):
         log = "alloc 0x55a0 16\nread 0x55a1\nread 0x55a2\n"

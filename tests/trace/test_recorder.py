@@ -1,4 +1,4 @@
-"""Recording wrappers: capture without perturbation.
+"""The recording victim: capture without perturbation.
 
 The load-bearing property is RNG transparency — the pinned seed-0
 GIFT-64 full-key recovery must still take exactly 464 encryptions
@@ -7,17 +7,15 @@ with a recorder in the loop, on both observer paths.
 
 import pytest
 
-from repro.channel.observer import ObservationChannel
-from repro.channel.transport import SingleLevelTransport
 from repro.core.attack import GrinchAttack
 from repro.core.config import AttackConfig
+from repro.countermeasures.reshaped_sbox import (
+    RECOMMENDED_GEOMETRY,
+    ReshapedSboxGift64,
+)
 from repro.seeding import derive_key
-from repro.targets.registry import get_target
-from repro.targets.trace import MemoryAccess
+from repro.targets.registry import get_target, target_names
 from repro.trace import (
-    KIND_PAIR,
-    EncryptionRecord,
-    RecordingTransport,
     RecordingVictim,
     TraceError,
     TraceHeader,
@@ -35,35 +33,6 @@ def _gift64_setup(config):
     header = TraceHeader.for_victim("gift64", victim, config,
                                     scope="full-key")
     return key, victim, header
-
-
-class TestTraceRecorder:
-    def test_single_capture_point(self, header):
-        recorder = TraceRecorder(header)
-        recorder.attach("victim")
-        recorder.attach("victim")  # same point twice is fine
-        with pytest.raises(TraceError):
-            recorder.attach("transport")
-
-    def test_unknown_capture_point(self, header):
-        with pytest.raises(TraceError):
-            TraceRecorder(header).attach("oscilloscope")
-
-    def test_open_window_closed_by_record(self, header):
-        recorder = TraceRecorder(header)
-        recorder.append_raw_access(MemoryAccess(
-            address=0x1000, round_index=0, segment=-1, table="sbox",
-            index=0,
-        ))
-        assert recorder.windows == 1
-        recorder.record(EncryptionRecord(kind=KIND_PAIR, plaintext=1,
-                                         ciphertext=2))
-        trace = recorder.to_trace_file()
-        assert trace.windows == 1
-        assert trace.pairs == 1
-        # The raw window must precede the pair that closed it.
-        assert trace.records[0].is_window
-        assert trace.records[1].kind == KIND_PAIR
 
 
 class TestRecordingVictimTransparency:
@@ -116,53 +85,21 @@ class TestRecordingVictimTransparency:
         assert recorded.records[0].plaintext == plaintext
 
 
-class TestRecordingTransport:
-    def test_transport_level_capture(self):
-        config = AttackConfig(seed=0, use_fast_path=False)
-        key, victim, header = _gift64_setup(config)
-        recorder = TraceRecorder(header)
-        transport = RecordingTransport(
-            SingleLevelTransport(config.geometry), recorder
-        )
-        runner = ObservationChannel(victim, config, transport=transport)
-        result = GrinchAttack(victim, config, runner=runner) \
-            .recover_master_key()
-        assert result.master_key == key
-        assert result.total_encryptions == PINNED_GIFT64_SEED0
-        trace = recorder.to_trace_file()
-        # The known pair bypasses the transport, so windows only.
-        assert trace.windows == PINNED_GIFT64_SEED0
-        assert trace.pairs == 0
-        window = next(r for r in trace.records if r.is_window)
-        assert all(a.table in ("sbox", "perm", "other")
-                   for a in window.accesses)
+class TestLoadAddressCheck:
+    """Replay derives the load addresses from the header, so a victim
+    that loads elsewhere cannot be recorded."""
 
-    def test_capability_flags_delegate(self, header):
-        inner = SingleLevelTransport(AttackConfig().geometry)
-        wrapped = RecordingTransport(inner, TraceRecorder(header))
-        assert wrapped.supports_fast_path == inner.supports_fast_path
-        assert wrapped.supports_prime_probe == inner.supports_prime_probe
-        assert wrapped.line_bytes == inner.line_bytes
+    @pytest.mark.parametrize("name", target_names())
+    def test_registered_targets_record(self, name):
+        target = get_target(name)
+        victim = target.make_victim(derive_key(target.key_bits, 0))
+        header = TraceHeader.for_victim(name, victim, AttackConfig())
+        RecordingVictim(victim, TraceRecorder(header))
 
-    def test_attacker_traffic_not_recorded(self, header):
-        recorder = TraceRecorder(header)
-        wrapped = RecordingTransport(
-            SingleLevelTransport(AttackConfig().geometry), recorder
-        )
-        wrapped.access(0x1000)
-        wrapped.flush_line(0x1000)
-        assert recorder.to_trace_file().windows == 0
-
-    def test_probe_then_victim_splits_windows(self, header):
-        recorder = TraceRecorder(header)
-        wrapped = RecordingTransport(
-            SingleLevelTransport(AttackConfig().geometry), recorder
-        )
-        wrapped.victim_access(0x1000)
-        wrapped.victim_access(0x1001)
-        wrapped.access(0x1000)        # attacker reload: probe ran
-        wrapped.victim_access(0x1002)  # next victim access = new window
-        trace = recorder.to_trace_file()
-        assert trace.windows == 2
-        assert len(trace.records[0].accesses) == 2
-        assert len(trace.records[1].accesses) == 1
+    def test_reshaped_sbox_victim_is_refused(self):
+        victim = ReshapedSboxGift64(derive_key(128, 0))
+        config = AttackConfig(geometry=RECOMMENDED_GEOMETRY)
+        header = TraceHeader.for_victim("gift64", victim, config)
+        assert victim.sbox_load_addresses[:3] == (4096, 4096, 4097)
+        with pytest.raises(TraceError, match="ReshapedSboxGift64"):
+            RecordingVictim(victim, TraceRecorder(header))

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.channel.transport import SingleLevelTransport
 from repro.core.attack import GrinchAttack
 from repro.core.config import AttackConfig
 from repro.seeding import derive_key
@@ -12,13 +13,13 @@ from repro.trace import (
     KIND_PAIR,
     EncryptionRecord,
     RecordingVictim,
-    ReplayTransport,
     ReplayVictim,
     TraceExhaustedError,
     TraceFile,
     TraceHeader,
     TraceMismatchError,
     TraceRecorder,
+    play,
 )
 
 
@@ -124,43 +125,47 @@ class TestReplayVictim:
 
 
 class TestReplayTransport:
+    """``play`` replays a record into a transport of the trace's
+    geometry."""
+
     def test_play_feeds_victim_traffic(self):
         _, _, _, trace = _record_full_key("gift64",
                                           use_fast_path=False)
-        transport = ReplayTransport.for_trace(trace)
+        transport = SingleLevelTransport(trace.header.geometry)
         window = next(r for r in trace.records if r.is_window)
-        played = transport.play(window, header=trace.header)
+        played = play(transport, window, header=trace.header)
         assert played == len(window.accesses)
         # A played S-box line is now resident: reload hits.
         assert transport.access(window.accesses[0].address)
 
     def test_play_indices_needs_header(self):
         _, _, _, trace = _record_full_key("gift64")  # fast path: indices
-        transport = ReplayTransport.for_trace(trace)
+        transport = SingleLevelTransport(trace.header.geometry)
         window = next(r for r in trace.records if r.is_window)
         with pytest.raises(TraceMismatchError):
-            transport.play(window)
-        assert transport.play(window, header=trace.header) > 0
+            play(transport, window)
+        assert play(transport, window, header=trace.header) > 0
 
     def test_play_respects_round_limit(self):
         _, _, _, trace = _record_full_key("gift64")
-        transport = ReplayTransport.for_trace(trace)
+        transport = SingleLevelTransport(trace.header.geometry)
         window = next(r for r in trace.records if r.is_window)
-        all_rounds = transport.cold().play(window, header=trace.header)
-        one_round = transport.cold().play(window, header=trace.header,
-                                          through_round=1)
+        all_rounds = play(transport.cold(), window, header=trace.header)
+        one_round = play(transport.cold(), window, header=trace.header,
+                         through_round=1)
         assert one_round == trace.header.segments
         assert all_rounds > one_round
 
     def test_pair_plays_nothing(self):
         _, _, _, trace = _record_full_key("gift64")
-        transport = ReplayTransport.for_trace(trace)
+        transport = SingleLevelTransport(trace.header.geometry)
         pair = next(r for r in trace.records if r.kind == KIND_PAIR)
-        assert transport.play(pair) == 0
+        assert play(transport, pair) == 0
+        assert transport.cache.stats.accesses == 0
 
     def test_geometry_check(self):
         _, _, _, trace = _record_full_key("gift64")
-        transport = ReplayTransport.for_trace(trace)
+        transport = SingleLevelTransport(trace.header.geometry)
         transport.check_geometry(trace.header.geometry)
         wide = dataclasses.replace(trace.header.geometry, line_words=8)
         with pytest.raises(ValueError):

@@ -45,7 +45,6 @@ class TestSecretAnnotations:
 
         assert "records" in declared(recorder.TraceRecorder)
         assert "inner" in declared(recorder.RecordingVictim)
-        assert "recorder" in declared(recorder.RecordingTransport)
         assert "trace" in declared(replay.ReplayVictim)
 
 
