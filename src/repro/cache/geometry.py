@@ -11,7 +11,7 @@ uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 #: Word size of the paper's platforms: "a single word consisting of 8 bits".
 WORD_BYTES: int = 1
@@ -19,21 +19,6 @@ WORD_BYTES: int = 1
 
 def _is_power_of_two(value: int) -> bool:
     return value > 0 and value & (value - 1) == 0
-
-
-def decompose(address: int, line_bytes: int,
-              num_sets: int) -> Tuple[int, int]:
-    """``(set, tag)`` of a byte address from one line-number split.
-
-    The cache arrays call this on every operation with their
-    geometry's ``line_bytes`` and ``num_sets`` read once at
-    construction; it agrees with :meth:`CacheGeometry.set_of` and
-    :meth:`CacheGeometry.tag_of`, which each recompute the line number.
-    """
-    if address < 0:
-        raise ValueError(f"address must be non-negative, got {address}")
-    tag, set_index = divmod(address // line_bytes, num_sets)
-    return set_index, tag
 
 
 @dataclass(frozen=True)

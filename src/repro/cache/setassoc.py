@@ -15,10 +15,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
-from .geometry import CacheGeometry, decompose
+from .geometry import CacheGeometry
 from .policies import ReplacementPolicy, make_policy
+
+
+def _negative(address: int) -> ValueError:
+    return ValueError(f"address must be non-negative, got {address}")
 
 
 @dataclass
@@ -54,7 +58,9 @@ class SetAssociativeCache:
 
     Addresses are byte addresses; lines are identified by
     ``address // line_bytes`` and mapped to sets by modulo indexing, as
-    in :class:`~repro.cache.geometry.CacheGeometry`.  Each set keeps a
+    in :class:`~repro.cache.geometry.CacheGeometry`, whose power-of-two
+    sizes let every operation split an address with two shifts and a
+    mask.  Each set keeps a
     ``tag -> way`` map for lookups and a ``way -> tag`` list, so an
     eviction finds its victim's tag without scanning the set.  Under
     LRU the map is in recency order (a hit re-inserts its tag) and the
@@ -70,8 +76,12 @@ class SetAssociativeCache:
         self.geometry = geometry
         self.policy_name = policy
         self.stats = CacheStats()
-        self._line_bytes = geometry.line_bytes
         self._num_sets = geometry.num_sets
+        # line = address >> offset_bits; set = line & set_mask;
+        # tag = line >> set_bits.
+        self._offset_bits = geometry.line_bytes.bit_length() - 1
+        self._set_bits = geometry.num_sets.bit_length() - 1
+        self._set_mask = geometry.num_sets - 1
         self._ways = geometry.ways
         self._sets: List[Dict[int, int]] = [
             {} for _ in range(geometry.num_sets)
@@ -97,8 +107,11 @@ class SetAssociativeCache:
 
     def access(self, address: int) -> bool:
         """Load ``address``; return ``True`` on hit, filling on miss."""
-        set_index, tag = decompose(address, self._line_bytes,
-                                   self._num_sets)
+        if address < 0:
+            raise _negative(address)
+        line = address >> self._offset_bits
+        set_index = line & self._set_mask
+        tag = line >> self._set_bits
         ways = self._sets[set_index]
         stats = self.stats
         stats.accesses += 1
@@ -116,8 +129,11 @@ class SetAssociativeCache:
 
     def lookup(self, address: int) -> bool:
         """Uncounted probe; a hit refreshes the line."""
-        set_index, tag = decompose(address, self._line_bytes,
-                                   self._num_sets)
+        if address < 0:
+            raise _negative(address)
+        line = address >> self._offset_bits
+        set_index = line & self._set_mask
+        tag = line >> self._set_bits
         ways = self._sets[set_index]
         way = ways.pop(tag, None)
         if way is not None:
@@ -127,8 +143,11 @@ class SetAssociativeCache:
     def fill(self, address: int) -> Optional[int]:
         """Uncounted fill of a line known absent (after a :meth:`lookup`
         miss, say); return the evicted line number, if any."""
-        set_index, tag = decompose(address, self._line_bytes,
-                                   self._num_sets)
+        if address < 0:
+            raise _negative(address)
+        line = address >> self._offset_bits
+        set_index = line & self._set_mask
+        tag = line >> self._set_bits
         return self._insert(set_index, tag, self._sets[set_index])
 
     def _insert(self, set_index: int, tag: int,
@@ -161,14 +180,20 @@ class SetAssociativeCache:
         primitives in :mod:`repro.channel.primitive` decide whether to use this
         (idealised) or :meth:`access` (Flush+Reload's perturbing reload).
         """
-        set_index, tag = decompose(address, self._line_bytes,
-                                   self._num_sets)
+        if address < 0:
+            raise _negative(address)
+        line = address >> self._offset_bits
+        set_index = line & self._set_mask
+        tag = line >> self._set_bits
         return tag in self._sets[set_index]
 
     def flush_line(self, address: int) -> bool:
         """Invalidate the line holding ``address``; return whether present."""
-        set_index, tag = decompose(address, self._line_bytes,
-                                   self._num_sets)
+        if address < 0:
+            raise _negative(address)
+        line = address >> self._offset_bits
+        set_index = line & self._set_mask
+        tag = line >> self._set_bits
         stats = self.stats
         stats.flushes += 1
         way = self._sets[set_index].pop(tag, None)
@@ -225,6 +250,40 @@ class SetAssociativeCache:
             )
         return len(self._sets[set_index])
 
-    def replay(self, addresses) -> int:
-        """Access a sequence of addresses; return the number of hits."""
-        return sum(1 for address in addresses if self.access(address))
+    def replay(self, addresses: Iterable[int]) -> int:
+        """Access a sequence of addresses; return the number of hits.
+
+        The same as calling :meth:`access` on each address in turn, in
+        one loop: the counters are kept in locals and written back even
+        when an address raises, so ``stats`` then reads as the
+        per-access loop would have left it.
+        """
+        offset_bits = self._offset_bits
+        set_mask = self._set_mask
+        set_bits = self._set_bits
+        sets = self._sets
+        insert = self._insert
+        hits = misses = evictions = 0
+        try:
+            for address in addresses:
+                if address < 0:
+                    raise _negative(address)
+                line = address >> offset_bits
+                set_index = line & set_mask
+                tag = line >> set_bits
+                ways = sets[set_index]
+                way = ways.pop(tag, None)
+                if way is not None:
+                    ways[tag] = way
+                    hits += 1
+                    continue
+                misses += 1
+                if insert(set_index, tag, ways) is not None:
+                    evictions += 1
+        finally:
+            stats = self.stats
+            stats.accesses += hits + misses
+            stats.hits += hits
+            stats.misses += misses
+            stats.evictions += evictions
+        return hits

@@ -58,7 +58,7 @@ frontier; ``docs/stealth.md`` defines the detectability metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .transport import CacheTransport
 
@@ -481,10 +481,10 @@ class ObservedTransport(CacheTransport):
             self.defender._enter(self._attacker)
         return self.inner.flush_line(address)
 
-    def victim_access(self, address: int) -> bool:
+    def victim_loads(self, addresses: Iterable[int]) -> int:
         if self.defender._phase is not self._victim:
             self.defender._enter(self._victim)
-        return self.inner.victim_access(address)
+        return self.inner.victim_loads(addresses)
 
     def cold(self) -> "ObservedTransport":
         """A cold inner substrate under the *same* defender's tap."""

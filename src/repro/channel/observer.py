@@ -22,7 +22,8 @@ Two execution paths produce the access-driven answer:
 * the **full path** replays the victim's complete address stream
   through the transport and runs the probe primitive on it — used for
   Prime+Probe, cross-core transports, ablations, and as ground truth
-  in tests;
+  in tests.  It hands the transport two runs of loads per window (one
+  ``victim_loads`` call before the mid-encryption flush, one after);
 * the **fast path** asks the victim for one 16-bit S-box index mask of
   the visible round window (``sbox_index_mask``) and turns it into
   lines with two table lookups on the monitor, which maps each index
@@ -35,10 +36,12 @@ Two execution paths produce the access-driven answer:
   ``sbox_indices_by_round`` as an LRU cache keeps them.  It applies to
   line-granular flush-based primitives on an LRU single-level
   transport.  On the end-to-end benchmark a GIFT-64 full-key attack
-  takes about 9x longer on the full path (``fullsim_fullkey``,
-  ~118 ms) than on this one (``fast_fullkey``, ~13 ms on a 2-vCPU
-  x86-64 container), which the million-encryption sweeps of Table I
-  need.  The suite's victim sweep (``TestPathEquivalence`` in
+  takes about 8x longer on the full path (``fullsim_fullkey``,
+  ~105 ms) than on this one (``fast_fullkey``, ~14 ms on a 2-vCPU
+  x86-64 container), and one first-round observation about 30x
+  (``observer_fast_over_full`` in ``repro.perf``), a speed the
+  million-encryption sweeps of Table I need.  The suite's victim
+  sweep (``TestPathEquivalence`` in
   ``tests/channel/test_observer.py``) proves the two paths agree
   observation-for-observation for GIFT-64, GIFT-128, PRESENT-80, both
   countermeasure victims and the COFB nonce victim at line sizes of 1
@@ -60,6 +63,7 @@ the pre-stack runner did (seed-0 full-key recovery still takes exactly
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy
@@ -395,29 +399,30 @@ class ObservationChannel:
     def _full_observation(self, plaintext: int, monitored_round: int,
                           visible_through: int,
                           flush_supported: bool) -> FrozenSet[int]:
-        trace = self.victim.encrypt_traced(
+        accesses = self.victim.encrypt_traced(
             plaintext, max_rounds=visible_through
-        )
-        self.primitive.reset(self.transport)
-        victim_access = self.transport.victim_access
-        flushed = False
-        for access in trace.accesses:
-            if (flush_supported and not flushed
-                    and access.round_index >= monitored_round):
-                self.primitive.mid_flush(self.transport)
-                flushed = True
-            victim_access(access.address)
-        if flush_supported and not flushed:
-            # The visible window ended exactly at the flush point.
-            self.primitive.mid_flush(self.transport)
-        if self.transport.noise_via_victim:
+        ).accesses
+        transport = self.transport
+        self.primitive.reset(transport)
+        loads = (access.address for access in accesses)
+        if flush_supported:
+            # The flush lands right before the first load of the
+            # monitored round, or after the last load when the visible
+            # window ends exactly at the flush point.
+            before = next((position for position, access
+                           in enumerate(accesses)
+                           if access.round_index >= monitored_round),
+                          len(accesses))
+            transport.victim_loads(islice(loads, before))
+            self.primitive.mid_flush(transport)
+        transport.victim_loads(loads)
+        if transport.noise_via_victim:
             # Cross-core noise is other-tenant traffic on the victim's
             # side of the hierarchy: the probe then observes it
             # naturally instead of having it unioned in afterwards.
-            for address in self.config.noise.sample(
-                    self._monitored_addresses, self._noise_rng):
-                self.transport.victim_access(address)
-        return self.primitive.observe(self.transport)
+            transport.victim_loads(self.config.noise.sample(
+                self._monitored_addresses, self._noise_rng))
+        return self.primitive.observe(transport)
 
     def _empty_window_observation(self) -> FrozenSet[int]:
         if not self.transport.probe_on_empty_window:
@@ -436,8 +441,7 @@ class ObservationChannel:
         if not addresses:
             return frozenset()
         if not self._fast_path:
-            for address in addresses:
-                self.transport.victim_access(address)
+            self.transport.victim_loads(addresses)
         return frozenset(
             self.monitor.geometry.line_of(address) for address in addresses
         )

@@ -4,7 +4,8 @@ A :class:`CacheTransport` adapts one memory substrate to the two roles
 an observation needs: the attacker's probe surface (the
 :class:`~repro.channel.primitive.ProbeSurface` protocol — ``access`` /
 ``flush_line`` as the attacker core sees them) and the victim's
-execution substrate (``victim_access``).  The same-core and cross-core
+execution substrate (``victim_loads``, which takes a run of victim
+loads in one call).  The same-core and cross-core
 attacks differ *only* in which transport they run on:
 
 * :class:`SingleLevelTransport` — attacker and victim share one
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..cache.geometry import CacheGeometry
 from ..cache.multilevel import MemoryLevel, TwoLevelHierarchy
@@ -68,8 +69,13 @@ class CacheTransport(ABC):
         attacker-visibly present."""
 
     @abstractmethod
+    def victim_loads(self, addresses: Iterable[int]) -> int:
+        """The victim's loads, in order; returns how many hit in any
+        cache level."""
+
     def victim_access(self, address: int) -> bool:
         """One victim load; returns whether it hit in any cache level."""
+        return self.victim_loads((address,)) == 1
 
     @abstractmethod
     def cold(self) -> "CacheTransport":
@@ -117,8 +123,8 @@ class SingleLevelTransport(CacheTransport):
     def flush_line(self, address: int) -> bool:
         return self.cache.flush_line(address)
 
-    def victim_access(self, address: int) -> bool:
-        return self.cache.access(address)
+    def victim_loads(self, addresses: Iterable[int]) -> int:
+        return self.cache.replay(addresses)
 
     def cold(self) -> "SingleLevelTransport":
         # The replacement policy is part of the substrate's shape: a
@@ -174,9 +180,15 @@ class SharedL2Transport(CacheTransport):
         self.hierarchy.flush_line(address)
         return present
 
-    def victim_access(self, address: int) -> bool:
-        level = self.hierarchy.access(self.victim_core, address)
-        return level is not MemoryLevel.MEMORY
+    def victim_loads(self, addresses: Iterable[int]) -> int:
+        access = self.hierarchy.access
+        core = self.victim_core
+        memory = MemoryLevel.MEMORY
+        hits = 0
+        for address in addresses:
+            if access(core, address) is not memory:
+                hits += 1
+        return hits
 
     def cold(self) -> "SharedL2Transport":
         hierarchy = self.hierarchy

@@ -26,7 +26,7 @@ from .artifact import (
     results_dir,
     write_artifact,
 )
-from .suite import PerfReport, run_suite
+from .suite import UNGATED_RATIOS, PerfReport, run_suite
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,7 +65,8 @@ def _render(report: PerfReport, record: dict) -> str:
             f"({result.ops} ops / {result.seconds:.3f} s)"
         )
     for name, ratio in sorted(record["ratios"].items()):
-        lines.append(f"  {name:<28} {ratio:>11.2f}x")
+        note = "  (not gated)" if name in UNGATED_RATIOS else ""
+        lines.append(f"  {name:<28} {ratio:>11.2f}x{note}")
     gates = record["gates"]
     baseline = gates["baseline_untraced_over_traced"]
     lines.append(

@@ -20,7 +20,7 @@ skips plaintext comparison and tolerates interleaving drift (for
 foreign traces that carry no plaintexts at all).
 
 :func:`play` is the substrate-level counterpart: it feeds one record's
-address stream into any transport's ``victim_access`` (a
+address stream into any transport's ``victim_loads`` (a
 ``SingleLevelTransport`` of the header's geometry, say) — the way to
 push *foreign* traces through an L1 probe primitive without any victim
 object at all.
@@ -34,7 +34,7 @@ from ..staticcheck.secrets import secret_attributes
 from ..targets.lut import index_mask
 from ..targets.registry import get_target
 from ..targets.trace import EncryptionTrace
-from .errors import TraceExhaustedError, TraceMismatchError
+from .errors import TraceError, TraceExhaustedError, TraceMismatchError
 from .format import (
     KIND_ACCESSES,
     KIND_INDICES,
@@ -57,9 +57,19 @@ def header_load_addresses(header: TraceHeader
     a victim's ``sbox_load_addresses`` (index order) and
     ``perm_load_addresses`` (segment then index order).  Replay serves
     exactly these; recording refuses a victim that loads elsewhere.
+    Raises :class:`~repro.trace.errors.TraceError` when the header
+    names no registered target (a foreign log parsed under its default
+    ``"external"`` target, say).
     """
     layout = header.layout
-    sbox = get_target(header.target).sbox
+    try:
+        sbox = get_target(header.target).sbox
+    except KeyError as error:
+        raise TraceError(
+            f"cannot derive the trace's load addresses: {error.args[0]} "
+            f"(a foreign log replays when parsed with the victim's "
+            f"target name)"
+        ) from None
     return (
         tuple(layout.sbox_addresses()),
         tuple(
@@ -196,7 +206,7 @@ def play(transport: Any, record: EncryptionRecord,
     """Feed one record's address stream into ``transport`` as victim
     traffic.
 
-    ``transport`` is anything with a ``victim_access(address)`` — an L2
+    ``transport`` is anything with a ``victim_loads(addresses)`` — an L2
     transport such as ``SingleLevelTransport(trace.header.geometry)``.
     ``header`` is required for ``indices`` records (their addresses
     are reconstructed from the header's layout).  ``through_round``
@@ -212,9 +222,8 @@ def play(transport: Any, record: EncryptionRecord,
         )
     accesses = (record.accesses if record.kind == KIND_ACCESSES
                 else record.to_trace(header).accesses)
-    played = 0
-    for access in accesses:
-        if through_round is None or access.round_index <= through_round:
-            transport.victim_access(access.address)
-            played += 1
-    return played
+    addresses = [access.address for access in accesses
+                 if through_round is None
+                 or access.round_index <= through_round]
+    transport.victim_loads(addresses)
+    return len(addresses)

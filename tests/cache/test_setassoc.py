@@ -1,5 +1,6 @@
 """Tests for the set-associative cache simulator."""
 
+import dataclasses
 import random
 
 import pytest
@@ -184,6 +185,57 @@ class TestReplayDetail:
         cache = SetAssociativeCache()
         hits = cache.replay([0, 0, 0, 64, 64])
         assert hits == 3
+
+
+#: Two shapes for the replay equivalence: 4 sets of 4 one-byte ways,
+#: and 8 sets of 2 four-byte ways (the shift split at a non-zero
+#: offset width).
+_REPLAY_GEOMETRIES = {
+    "1-byte-lines": small_geometry,
+    "4-byte-lines": CacheGeometry(total_lines=16, ways=2, line_words=4),
+}
+
+
+def _array_state(cache):
+    """Everything a load can change: counters, each set's dict order,
+    way bookkeeping and the FIFO queues / random streams."""
+    policies = []
+    for policy in cache._policies:
+        state = None if policy is None else dict(vars(policy))
+        if state is not None and "_rng" in state:
+            state["_rng"] = state["_rng"].getstate()
+        policies.append(state)
+    return (dataclasses.astuple(cache.stats),
+            [list(ways.items()) for ways in cache._sets],
+            cache._occupied, cache._way_tags, policies)
+
+
+class TestReplayEquivalence:
+    """``replay`` is the per-access loop in one call, down to the
+    counters a raising address leaves behind."""
+
+    @pytest.mark.parametrize("geometry", sorted(_REPLAY_GEOMETRIES))
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
+    @settings(max_examples=40, deadline=None)
+    @given(addresses=st.lists(st.integers(0, 255), max_size=120),
+           negative_at=st.none() | st.integers(0, 120))
+    def test_matches_access_loop(self, geometry, policy, addresses,
+                                 negative_at):
+        shape = _REPLAY_GEOMETRIES[geometry]
+        batched = SetAssociativeCache(shape, policy=policy)
+        looped = SetAssociativeCache(shape, policy=policy)
+        if negative_at is None:
+            assert batched.replay(addresses) == sum(
+                looped.access(address) for address in addresses)
+        else:
+            addresses = (addresses[:negative_at] + [-1]
+                         + addresses[negative_at:])
+            with pytest.raises(ValueError, match="non-negative"):
+                batched.replay(addresses)
+            with pytest.raises(ValueError, match="non-negative"):
+                for address in addresses:
+                    looped.access(address)
+        assert _array_state(batched) == _array_state(looped)
 
 
 class TestInvariantsPropertyBased:

@@ -154,6 +154,7 @@ _addresses = st.integers(0, 47)
 _operations = st.lists(st.one_of(
     st.tuples(st.sampled_from(["access", "flush_line", "victim_access"]),
               _addresses),
+    st.tuples(st.just("victim_loads"), st.lists(_addresses, max_size=8)),
     st.tuples(st.sampled_from(["begin", "end", "cold", "ambient"])),
 ), max_size=60)
 
@@ -193,7 +194,7 @@ class TestPhaseSnapshots:
                 before = read_counters(tap.inner)
                 getattr(tap, kind)(operation[1])
                 delta = read_counters(tap.inner) - before
-                role = "victim" if kind == "victim_access" else "attacker"
+                role = "victim" if kind.startswith("victim") else "attacker"
                 bucket = ambient if current is None else current
                 bucket[role] = bucket[role] + delta
         if current is not None:

@@ -1,9 +1,17 @@
 """L2 tests: the same-core and cross-core cache transports."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.multilevel import TwoLevelHierarchy
+from repro.cache.multilevel import (
+    InclusionPolicy,
+    MemoryLevel,
+    TwoLevelHierarchy,
+)
 from repro.channel import SharedL2Transport, SingleLevelTransport
 
 
@@ -81,3 +89,61 @@ class TestSharedL2:
         assert not fresh.access(0)
         assert fresh.hierarchy.cores == transport.hierarchy.cores
         assert fresh.line_bytes == transport.line_bytes
+
+
+def _small_hierarchy(inclusion):
+    return TwoLevelHierarchy(
+        l1_geometry=CacheGeometry(total_lines=4, ways=2),
+        l2_geometry=CacheGeometry(total_lines=16, ways=2),
+        inclusion=inclusion,
+    )
+
+
+_TWINS = {
+    "single": lambda: SingleLevelTransport(
+        CacheGeometry(total_lines=16, ways=2)),
+    "shared-l2-inclusive": lambda: SharedL2Transport(
+        _small_hierarchy(InclusionPolicy.INCLUSIVE)),
+    "shared-l2-exclusive": lambda: SharedL2Transport(
+        _small_hierarchy(InclusionPolicy.EXCLUSIVE)),
+}
+
+
+def _substrate_state(transport):
+    if isinstance(transport, SingleLevelTransport):
+        cache = transport.cache
+        return (dataclasses.astuple(cache.stats), cache.resident_lines())
+    hierarchy = transport.hierarchy
+    return (dataclasses.astuple(hierarchy.stats),
+            [l1.resident_lines() for l1 in hierarchy.l1],
+            hierarchy.l2.resident_lines())
+
+
+def _substrate_load(transport, address):
+    """One victim load straight on the substrate: did it hit anywhere?"""
+    if isinstance(transport, SingleLevelTransport):
+        return transport.cache.access(address)
+    level = transport.hierarchy.access(transport.victim_core, address)
+    return level is not MemoryLevel.MEMORY
+
+
+class TestVictimLoads:
+    """One ``victim_loads`` call is the per-address ``victim_access``
+    loop, and both are the substrate's own per-load answers, however
+    the stream is cut into calls."""
+
+    @pytest.mark.parametrize("name", sorted(_TWINS))
+    @settings(max_examples=60, deadline=None)
+    @given(addresses=st.lists(st.integers(0, 63), max_size=80),
+           cut=st.integers(0, 80))
+    def test_matches_per_address_loop(self, name, addresses, cut):
+        batched, looped, reference = (_TWINS[name]() for _ in range(3))
+        hits = (batched.victim_loads(addresses[:cut])
+                + batched.victim_loads(iter(addresses[cut:])))
+        expected = [_substrate_load(reference, address)
+                    for address in addresses]
+        assert [looped.victim_access(address)
+                for address in addresses] == expected
+        assert hits == sum(expected)
+        assert (_substrate_state(batched) == _substrate_state(looped)
+                == _substrate_state(reference))

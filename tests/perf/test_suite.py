@@ -7,6 +7,7 @@ from repro.perf.suite import (
     MIN_FAST_OBSERVATION_OVER_UNTRACED,
     MIN_UNTRACED_OVER_TRACED,
     SLICES,
+    UNGATED_RATIOS,
     PerfReport,
     check_gates,
     run_suite,
@@ -60,6 +61,10 @@ class TestCheckGates:
                 MIN_FAST_OBSERVATION_OVER_UNTRACED,
         }) == []
 
+    def test_fast_over_full_is_reported_not_gated(self):
+        assert UNGATED_RATIOS == {"observer_fast_over_full"}
+        assert check_gates({"observer_fast_over_full": 0.5}) == []
+
 
 class TestPerfReport:
     def test_result_lookup(self):
@@ -96,18 +101,18 @@ class TurnClock:
 
 class TestAlternatingTurns:
     def test_benches_alternate_and_keep_their_fastest_turn(self):
-        # Six quick benches, one turn each per round: the fourth
+        # Seven quick benches, one turn each per round: the fourth
         # bench's turns take 0.5, 0.1, 0.3, 0.4, 0.2 s, all others
         # 0.6 s.  Bench after bench, it would keep 0.3 s instead.
         assert SLICES == 5
         durations = [duration
                      for fourth in (0.5, 0.1, 0.3, 0.4, 0.2)
-                     for duration in [0.6] * 3 + [fourth] + [0.6] * 2]
+                     for duration in [0.6] * 3 + [fourth] + [0.6] * 3]
         report = run_suite(quick=True, seed=0, min_seconds=0.01,
                            clock=TurnClock(durations))
         seconds = [result.seconds for result in report.results]
-        assert [result.ops for result in report.results] == [1] * 6
-        assert seconds == pytest.approx([0.6] * 3 + [0.1] + [0.6] * 2)
+        assert [result.ops for result in report.results] == [1] * 7
+        assert seconds == pytest.approx([0.6] * 3 + [0.1] + [0.6] * 3)
 
 
 class TestRunSuite:
@@ -123,6 +128,7 @@ class TestRunSuite:
             "gift64_encrypt_traced",
             "gift64_encrypt_batch",
             "observer_fast_observations",
+            "observer_full_observations",
             "voting_updates",
             "engine_first_round_trial",
         ]
@@ -146,6 +152,9 @@ class TestRunSuite:
         as often as one untraced encryption."""
         ratio = report.ratios["observer_fast_over_untraced"]
         assert ratio >= MIN_FAST_OBSERVATION_OVER_UNTRACED
+
+    def test_fast_over_full_is_reported(self, report):
+        assert report.ratios["observer_fast_over_full"] > 1.0
 
     def test_gates_pass_on_real_run(self, report):
         assert check_gates(report.ratios) == []

@@ -4,7 +4,13 @@ import pytest
 
 from repro.channel.transport import SingleLevelTransport
 from repro.targets.layout import SBOX_ENTRIES, TableLayout
-from repro.trace import ExternalTraceParser, ExternalTraceError, play
+from repro.trace import (
+    ExternalTraceError,
+    ExternalTraceParser,
+    ReplayVictim,
+    TraceError,
+    play,
+)
 
 #: A well-formed two-round log against the canonical default layout:
 #: a 16-byte S-box allocation and a 16*16*8-byte perm allocation.
@@ -167,3 +173,20 @@ class TestParserConfig:
         trace, stats = ExternalTraceParser().parse_file(path)
         assert stats.accesses == 33
         assert trace.windows == 1
+
+
+class TestForeignReplay:
+    """A parsed log replays only under a registered target name."""
+
+    LOG = "alloc 0x55a0 16\nenc 01\nread 0x55a1\n"
+
+    def test_unregistered_target_is_a_typed_refusal(self):
+        trace, _ = ExternalTraceParser().parse(self.LOG)
+        with pytest.raises(TraceError, match="'external'"):
+            ReplayVictim(trace, strict=False)
+
+    def test_registered_target_replays(self):
+        trace, _ = ExternalTraceParser(target="gift64").parse(self.LOG)
+        victim = ReplayVictim(trace, strict=False)
+        assert victim.sbox_load_addresses == tuple(
+            trace.header.layout.sbox_addresses())
