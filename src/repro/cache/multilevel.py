@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .geometry import CacheGeometry
 from .setassoc import SetAssociativeCache
@@ -116,6 +116,24 @@ class TwoLevelHierarchy:
     def access(self, core: int, address: int) -> MemoryLevel:
         """One load by ``core``; returns the level that satisfied it."""
         self._check_core(core)
+        return self._access(core, address)
+
+    def replay(self, core: int, addresses: Iterable[int]) -> int:
+        """Loads by ``core``, in order; returns how many hit in L1 or L2.
+
+        The same as calling :meth:`access` on each address in turn,
+        with the core checked once.
+        """
+        self._check_core(core)
+        access = self._access
+        memory = MemoryLevel.MEMORY
+        hits = 0
+        for address in addresses:
+            if access(core, address) is not memory:
+                hits += 1
+        return hits
+
+    def _access(self, core: int, address: int) -> MemoryLevel:
         if self.l1[core].lookup(address):
             self.stats.l1_hits += 1
             return MemoryLevel.L1

@@ -22,8 +22,10 @@ Two execution paths produce the access-driven answer:
 * the **full path** replays the victim's complete address stream
   through the transport and runs the probe primitive on it — used for
   Prime+Probe, cross-core transports, ablations, and as ground truth
-  in tests.  It hands the transport two runs of loads per window (one
-  ``victim_loads`` call before the mid-encryption flush, one after);
+  in tests.  The victim hands it the window's load addresses as one
+  run per round (``load_addresses_by_round``), and the transport gets
+  two runs of loads per window (one ``victim_loads`` call with the
+  rounds before the mid-encryption flush, one with the rest);
 * the **fast path** asks the victim for one 16-bit S-box index mask of
   the visible round window (``sbox_index_mask``) and turns it into
   lines with two table lookups on the monitor, which maps each index
@@ -36,9 +38,9 @@ Two execution paths produce the access-driven answer:
   ``sbox_indices_by_round`` as an LRU cache keeps them.  It applies to
   line-granular flush-based primitives on an LRU single-level
   transport.  On the end-to-end benchmark a GIFT-64 full-key attack
-  takes about 8x longer on the full path (``fullsim_fullkey``,
-  ~105 ms) than on this one (``fast_fullkey``, ~14 ms on a 2-vCPU
-  x86-64 container), and one first-round observation about 30x
+  takes about 4x longer on the full path (``fullsim_fullkey``,
+  ~52 ms) than on this one (``fast_fullkey``, ~14 ms on a 2-vCPU
+  x86-64 container), and one first-round observation about 16x
   (``observer_fast_over_full`` in ``repro.perf``), a speed the
   million-encryption sweeps of Table I need.  The suite's victim
   sweep (``TestPathEquivalence`` in
@@ -63,7 +65,7 @@ the pre-stack runner did (seed-0 full-key recovery still takes exactly
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 from typing import Any, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy
@@ -399,23 +401,18 @@ class ObservationChannel:
     def _full_observation(self, plaintext: int, monitored_round: int,
                           visible_through: int,
                           flush_supported: bool) -> FrozenSet[int]:
-        accesses = self.victim.encrypt_traced(
-            plaintext, max_rounds=visible_through
-        ).accesses
+        runs = self.victim.load_addresses_by_round(plaintext,
+                                                   visible_through)
         transport = self.transport
         self.primitive.reset(transport)
-        loads = (access.address for access in accesses)
         if flush_supported:
-            # The flush lands right before the first load of the
-            # monitored round, or after the last load when the visible
-            # window ends exactly at the flush point.
-            before = next((position for position, access
-                           in enumerate(accesses)
-                           if access.round_index >= monitored_round),
-                          len(accesses))
-            transport.victim_loads(islice(loads, before))
+            # The flush lands right before the monitored round's first
+            # load.
+            transport.victim_loads(chain.from_iterable(
+                runs[:monitored_round - 1]))
             self.primitive.mid_flush(transport)
-        transport.victim_loads(loads)
+            runs = runs[monitored_round - 1:]
+        transport.victim_loads(chain.from_iterable(runs))
         if transport.noise_via_victim:
             # Cross-core noise is other-tenant traffic on the victim's
             # side of the hierarchy: the probe then observes it

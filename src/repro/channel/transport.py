@@ -30,7 +30,7 @@ from abc import ABC, abstractmethod
 from typing import Iterable, Optional
 
 from ..cache.geometry import CacheGeometry
-from ..cache.multilevel import MemoryLevel, TwoLevelHierarchy
+from ..cache.multilevel import TwoLevelHierarchy
 from ..cache.setassoc import SetAssociativeCache
 
 #: Core indices of the two parties on a shared-L2 transport.
@@ -181,14 +181,7 @@ class SharedL2Transport(CacheTransport):
         return present
 
     def victim_loads(self, addresses: Iterable[int]) -> int:
-        access = self.hierarchy.access
-        core = self.victim_core
-        memory = MemoryLevel.MEMORY
-        hits = 0
-        for address in addresses:
-            if access(core, address) is not memory:
-                hits += 1
-        return hits
+        return self.hierarchy.replay(self.victim_core, addresses)
 
     def cold(self) -> "SharedL2Transport":
         hierarchy = self.hierarchy

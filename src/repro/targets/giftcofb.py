@@ -73,6 +73,10 @@ class CofbNonceVictim:
                               max_rounds: int) -> List[List[int]]:
         return self._core.sbox_indices_by_round(nonce, max_rounds)
 
+    def load_addresses_by_round(self, nonce: int,
+                                max_rounds: int) -> List[List[int]]:
+        return self._core.load_addresses_by_round(nonce, max_rounds)
+
     def sbox_index_mask(self, nonce: int, first_round: int,
                         last_round: int) -> int:
         return self._core.sbox_index_mask(nonce, first_round, last_round)

@@ -16,8 +16,10 @@ engine and differ only in data:
   ``K_{rounds+1}`` at the end.
 
 Every load of :meth:`TracedLutCipher.encrypt_traced` is recorded as a
-:class:`~repro.targets.trace.MemoryAccess`, so the cache simulator can
-replay the exact address stream a shared cache would see.  The S-box
+tagged :class:`~repro.targets.trace.MemoryAccess`;
+:meth:`TracedLutCipher.load_addresses_by_round` gives the same address
+stream untagged, one run per round, which is what the cache simulator
+replays: a shared cache sees addresses only.  The S-box
 load address is ``sbox_base + entry_bytes * index`` — the key-dependent
 address GRINCH observes.  The scatter table lives at a disjoint address
 range, as in the real binary, so it only interferes through cache-set
@@ -122,9 +124,10 @@ class TracedLutCipher:
     sets and pass them here, and implement :meth:`_sub_cells_traced`
     and ``decrypt``.  :meth:`encrypt` and :meth:`sbox_indices_by_round`
     are the trace-free fast paths (one fused S-box/scatter load per
-    segment); :meth:`encrypt_traced` is the address-stream path.  All
-    three are proven equal by the official vectors and the hypothesis
-    sweeps of the test suite.
+    segment), and :meth:`load_addresses_by_round` maps the latter's
+    indices to load addresses; :meth:`encrypt_traced` is the tagged
+    address-stream path.  All are proven equal by the official vectors
+    and the hypothesis sweeps of the test suite.
     """
 
     def __init__(self, width: int, rounds: int, layout: TableLayout,
@@ -249,6 +252,24 @@ class TracedLutCipher:
                 permuted |= fused[segment][index]
             state = permuted ^ post[round_index]
         return indices_by_round
+
+    def load_addresses_by_round(self, plaintext: int, max_rounds: int
+                                ) -> List[List[int]]:
+        """Per-round load addresses, without trace-object overhead.
+
+        Round ``r``'s list holds its S-box loads and then its PermBits
+        loads, in the order :meth:`encrypt_traced` issues them, so the
+        rounds chained are that trace's address stream (asserted by the
+        test suite).  A cache sees addresses only: this is the
+        observer's full-path victim call.
+        """
+        sbox = self._sbox_address_table
+        perm = self._perm_load_table
+        return [
+            [sbox[index] for index in indices]
+            + [row[index] for row, index in zip(perm, indices)]
+            for indices in self.sbox_indices_by_round(plaintext, max_rounds)
+        ]
 
     def sbox_index_mask(self, plaintext: int, first_round: int,
                         last_round: int) -> int:

@@ -77,6 +77,9 @@ class TracedVictim(Protocol):
     def sbox_indices_by_round(self, plaintext: int,
                               max_rounds: int) -> List[List[int]]: ...
 
+    def load_addresses_by_round(self, plaintext: int,
+                                max_rounds: int) -> List[List[int]]: ...
+
     def sbox_index_mask(self, plaintext: int, first_round: int,
                         last_round: int) -> int: ...
 

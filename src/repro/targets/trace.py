@@ -96,6 +96,24 @@ class EncryptionTrace:
             if first_round <= a.round_index <= last_round
         ]
 
+    def address_runs(self, rounds: int) -> List[List[int]]:
+        """The load addresses as ``rounds`` per-round runs.
+
+        Run ``r`` starts at the first access whose ``round_index`` is
+        ``r`` or more (run 1 at the first access), so chaining the runs
+        gives the whole address stream, and the runs before round ``r``
+        are exactly the loads a flush before round ``r`` follows.
+        """
+        if rounds < 1:
+            raise ValueError(f"rounds must be positive, got {rounds}")
+        runs: List[List[int]] = [[] for _ in range(rounds)]
+        run = 0
+        for access in self.accesses:
+            while run + 1 < rounds and access.round_index > run + 1:
+                run += 1
+            runs[run].append(access.address)
+        return runs
+
     def sbox_indices(self, round_index: int) -> List[Tuple[int, int]]:
         """Return ``(segment, index)`` of the S-box loads in one round."""
         return [

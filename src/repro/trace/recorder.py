@@ -3,9 +3,10 @@
 There is one capture point, the victim itself.
 :class:`RecordingVictim` wraps it and records every protocol call:
 ``sbox_indices_by_round`` and ``sbox_index_mask`` (the fast path's
-signal, stored packed as the window's index rows), ``encrypt_traced``
-(the full path's tagged address stream), and ``encrypt`` (the
-known-pair verification channel).  It covers both observer paths, and
+signal, stored packed as the window's index rows),
+``load_addresses_by_round`` and ``encrypt_traced`` (the full path's
+address stream, stored tagged), and ``encrypt`` (the known-pair
+verification channel).  It covers both observer paths, and
 every record carries its plaintext, which replay checks.
 
 The wrapper is a pure pass-through: it consumes **no randomness** and
@@ -69,7 +70,7 @@ class RecordingVictim:
 
     Implements the same duck-typed surface as the victim it wraps
     (width/rounds/layout, the S-box and PermBits load addresses, plus
-    the four observation methods, each implemented here so none
+    the five observation methods, each implemented here so none
     bypasses the recorder); every other attribute (``attack_target``,
     ``probe_round_offset``, countermeasure knobs, ...) is delegated
     untouched, so target resolution and the observer's capability
@@ -133,6 +134,13 @@ class RecordingVictim:
             accesses=tuple(trace.accesses),
         ))
         return trace
+
+    def load_addresses_by_round(self, plaintext: int,
+                                max_rounds: int) -> List[List[int]]:
+        # Recorded as the tagged stream encrypt_traced records, so a
+        # full-path recording keeps its accesses records.
+        return self.encrypt_traced(plaintext, max_rounds).address_runs(
+            max_rounds)
 
     def sbox_indices_by_round(self, plaintext: int,
                               max_rounds: int) -> Any:

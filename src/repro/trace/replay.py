@@ -3,7 +3,8 @@
 :class:`ReplayVictim` implements the duck-typed ``TracedVictim``
 surface from a :class:`~repro.trace.format.TraceFile` instead of a
 cipher: ``sbox_indices_by_round`` / ``sbox_index_mask`` /
-``encrypt_traced`` pop the next recorded observation window and
+``load_addresses_by_round`` / ``encrypt_traced`` pop the next recorded
+observation window and
 ``encrypt`` pops the next known pair.
 Plugged into the unchanged observer + attack, a deterministic
 recording replays bit-identically — the full-key attack re-derives the
@@ -180,6 +181,11 @@ class ReplayVictim:
             ciphertext=trace.ciphertext,
             accesses=trace.accesses_through_round(limit),
         )
+
+    def load_addresses_by_round(self, plaintext: int,
+                                max_rounds: int) -> List[List[int]]:
+        return self.encrypt_traced(plaintext, max_rounds).address_runs(
+            max_rounds)
 
     def sbox_indices_by_round(self, plaintext: int,
                               max_rounds: int) -> List[List[int]]:

@@ -246,6 +246,49 @@ class TestInclusionInvariants:
         assert not hierarchy.is_resident_l1(0, 0)  # back-invalidated
 
 
+class TestReplay:
+    """``replay`` is ``access`` in a loop, with the core checked once."""
+
+    @pytest.mark.parametrize("policy", ["lru", "random"])
+    @pytest.mark.parametrize("inclusion", list(InclusionPolicy))
+    @settings(max_examples=15, deadline=None)
+    @given(runs=st.lists(
+        st.tuples(st.integers(0, 1),
+                  st.lists(st.integers(0, 255), max_size=40)),
+        max_size=8,
+    ))
+    def test_replay_equals_access_loop(self, inclusion, policy, runs):
+        def hierarchy():
+            return TwoLevelHierarchy(
+                l1_geometry=CacheGeometry(total_lines=4, ways=2,
+                                          line_words=1),
+                l2_geometry=CacheGeometry(total_lines=16, ways=4,
+                                          line_words=1),
+                inclusion=inclusion,
+                policy=policy,
+            )
+
+        replayed, looped = hierarchy(), hierarchy()
+        for core, addresses in runs:
+            hits = replayed.replay(core, iter(addresses))
+            assert hits == sum(
+                looped.access(core, address) is not MemoryLevel.MEMORY
+                for address in addresses
+            )
+        assert replayed.stats == looped.stats
+        for ours, theirs in zip(replayed.l1 + [replayed.l2],
+                                looped.l1 + [looped.l2]):
+            assert ours.resident_lines() == theirs.resident_lines()
+
+    def test_rejects_bad_core_before_any_load(self):
+        hierarchy = _inclusive()
+        with pytest.raises(ValueError):
+            hierarchy.replay(5, [0])
+        with pytest.raises(ValueError):
+            hierarchy.replay(-1, [])
+        assert hierarchy.stats == TwoLevelHierarchy().stats
+
+
 class TestValidation:
     def test_rejects_mismatched_line_sizes(self):
         with pytest.raises(ValueError):

@@ -408,6 +408,21 @@ class TestComposition:
             ObservationChannel(victim, config,
                                transport=SharedL2Transport())
 
+    @pytest.mark.parametrize("probe", ["flush_reload", "prime_probe"])
+    def test_full_path_builds_no_trace_records(self, probe, monkeypatch):
+        """The full path reads the victim's per-round address runs; the
+        tagged ``encrypt_traced`` stream is never built."""
+        victim = TracedGift64(0x123)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the full path called encrypt_traced")
+
+        monkeypatch.setattr(victim, "encrypt_traced", refuse)
+        channel = ObservationChannel(victim, AttackConfig(
+            seed=3, use_fast_path=False, probe_strategy=probe))
+        assert not channel.fast_path_active
+        assert channel.observe(0x456, 1)
+
 
 class TestEffortInvariant:
     def test_seed0_full_key_takes_exactly_464_encryptions(self):

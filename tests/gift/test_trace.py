@@ -66,6 +66,21 @@ class TestEncryptionTrace:
         assert trace.sbox_indices(1) == [(0, 5), (1, 7)]
         assert trace.sbox_indices(2) == [(0, 1)]
 
+    def test_address_runs_split_at_first_load_of_each_round(self):
+        """Run ``r`` starts at the first access of round ``r`` or later:
+        untagged (round-0) loads stay in the run they follow, a skipped
+        round leaves its run empty, and loads past the last run stay in
+        it."""
+        trace = EncryptionTrace(plaintext=0, ciphertext=0)
+        for position, round_index in enumerate((0, 1, 0, 3, 2, 5)):
+            trace.accesses.append(_access(round_index, address=position))
+        assert trace.address_runs(1) == [[0, 1, 2, 3, 4, 5]]
+        assert trace.address_runs(2) == [[0, 1, 2], [3, 4, 5]]
+        assert trace.address_runs(4) == [[0, 1, 2], [], [3, 4], [5]]
+        assert trace.address_runs(6) == [[0, 1, 2], [], [3, 4], [], [5], []]
+        with pytest.raises(ValueError):
+            trace.address_runs(0)
+
     def test_memory_access_is_immutable(self):
         access = _access(1)
         with pytest.raises(AttributeError):

@@ -2,6 +2,7 @@
 crafting surface agree with its reference cipher."""
 
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -28,10 +29,16 @@ BOUNDED_TRACE_KAT = {
 }
 
 
+#: ... plus the reshaped S-box, whose loads leave the 16-entry layout.
+ADDRESS_VICTIMS = LUT_VICTIMS + ["reshaped-gift64"]
+
+
 def _lut_victim(name):
     """``(make_victim, key_bits, width)`` of one LUT-victim id."""
     if name == "hardened-gift64":
         return HardenedKeyScheduleGift64, 128, 64
+    if name == "reshaped-gift64":
+        return ReshapedSboxGift64, 128, 64
     target = get_target(name)
     return target.make_victim, target.key_bits, target.width
 
@@ -121,6 +128,37 @@ class TestTracedVsUntraced:
         trace = target.make_victim(key).encrypt_traced(plaintext,
                                                        max_rounds=2)
         assert trace.ciphertext == BOUNDED_TRACE_KAT[name]
+
+
+class TestLoadAddressesByRound:
+    """The full path's per-round address runs are the traced address
+    stream, split where the observer's mid-encryption flush lands."""
+
+    @pytest.mark.parametrize("name", ADDRESS_VICTIMS)
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data())
+    def test_runs_are_the_traced_stream(self, name, data):
+        make_victim, key_bits, width = _lut_victim(name)
+        victim = make_victim(data.draw(st.integers(0, (1 << key_bits) - 1)))
+        plaintext = data.draw(st.integers(0, (1 << width) - 1))
+        for max_rounds in range(1, victim.rounds + 1):
+            runs = victim.load_addresses_by_round(plaintext, max_rounds)
+            trace = victim.encrypt_traced(plaintext, max_rounds=max_rounds)
+            assert list(chain(*runs)) == \
+                [access.address for access in trace.accesses]
+            assert runs == trace.address_runs(max_rounds)
+
+    @pytest.mark.parametrize("name", ADDRESS_VICTIMS)
+    def test_out_of_range_raises_as_indices(self, name):
+        make_victim, _, width = _lut_victim(name)
+        victim = make_victim(0x1)
+        for plaintext, max_rounds in ((1 << width, 1), (-1, 1),
+                                      (0, 0), (0, victim.rounds + 1)):
+            with pytest.raises(ValueError) as expected:
+                victim.sbox_indices_by_round(plaintext, max_rounds)
+            with pytest.raises(ValueError) as raised:
+                victim.load_addresses_by_round(plaintext, max_rounds)
+            assert str(raised.value) == str(expected.value)
 
 
 class TestKeyAlgebra:

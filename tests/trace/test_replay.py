@@ -1,8 +1,11 @@
 """Replay: recorded traces drive the unchanged pipeline, no cipher."""
 
 import dataclasses
+from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.channel.transport import SingleLevelTransport
 from repro.core.attack import GrinchAttack
@@ -122,6 +125,63 @@ class TestReplayVictim:
         assert victim.pairs_served == 1
         assert victim.windows_served == trace.windows
         assert victim.remaining == 0
+
+
+class TestAddressRuns:
+    """Both wrappers serve the full path's per-round address runs as
+    the address stream of their ``encrypt_traced``, every round bound
+    covered."""
+
+    @staticmethod
+    def _recording(key):
+        victim = get_target("gift64").make_victim(key)
+        header = TraceHeader.for_victim("gift64", victim, AttackConfig(),
+                                        scope="runs")
+        recorder = TraceRecorder(header)
+        return RecordingVictim(victim, recorder), recorder
+
+    @staticmethod
+    def _assert_runs_match(runs, trace, max_rounds):
+        assert list(chain(*runs)) == \
+            [access.address for access in trace.accesses]
+        assert runs == trace.address_runs(max_rounds)
+
+    @settings(max_examples=3, deadline=None)
+    @given(key=st.integers(0, (1 << 128) - 1),
+           plaintext=st.integers(0, (1 << 64) - 1))
+    def test_recording_and_replay_runs(self, key, plaintext):
+        recording, recorder = self._recording(key)
+        rounds = range(1, recording.rounds + 1)
+        for max_rounds in rounds:
+            runs = recording.load_addresses_by_round(plaintext, max_rounds)
+            trace = recording.encrypt_traced(plaintext, max_rounds)
+            self._assert_runs_match(runs, trace, max_rounds)
+            recording.sbox_indices_by_round(plaintext, max_rounds)
+            recording.sbox_indices_by_round(plaintext, max_rounds)
+        records = recorder.records
+        # A full-path window records what encrypt_traced records.
+        assert records[0::4] == records[1::4]
+        trace_file = recorder.to_trace_file()
+        for kept in ((0, 1), (2, 3)):  # accesses, then indices records
+            replay = ReplayVictim(dataclasses.replace(
+                trace_file, records=tuple(
+                    record for position, record in enumerate(records)
+                    if position % 4 in kept)))
+            for max_rounds in rounds:
+                runs = replay.load_addresses_by_round(plaintext, max_rounds)
+                trace = replay.encrypt_traced(plaintext, max_rounds)
+                self._assert_runs_match(runs, trace, max_rounds)
+            assert replay.remaining == 0
+
+    def test_recording_out_of_range_raises_as_indices(self):
+        recording, recorder = self._recording(0x1)
+        for plaintext, max_rounds in ((1 << 64, 1), (0, 0), (0, 29)):
+            with pytest.raises(ValueError) as expected:
+                recording.sbox_indices_by_round(plaintext, max_rounds)
+            with pytest.raises(ValueError) as raised:
+                recording.load_addresses_by_round(plaintext, max_rounds)
+            assert str(raised.value) == str(expected.value)
+        assert recorder.records == []
 
 
 class TestReplayTransport:
