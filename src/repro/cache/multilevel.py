@@ -19,6 +19,11 @@ Flush+Reload:
 
 Every level is a :class:`~repro.cache.setassoc.SetAssociativeCache`
 (replacement lives in one class); the hierarchy keeps its own counters.
+:meth:`TwoLevelHierarchy.replay` is the one loop over a run of loads,
+and so the one place the fill, back-invalidation and spill rules of
+both inclusion modes live; :meth:`~TwoLevelHierarchy.access` is a
+one-load run.  A run of ``clflush``es (``flush_lines``) goes to each
+array whole.
 """
 
 from __future__ import annotations
@@ -26,10 +31,11 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from operator import or_
+from typing import Iterable, List, Optional
 
 from .geometry import CacheGeometry
-from .setassoc import SetAssociativeCache
+from .setassoc import SetAssociativeCache, _negative
 
 
 class MemoryLevel(enum.Enum):
@@ -115,83 +121,144 @@ class TwoLevelHierarchy:
 
     def access(self, core: int, address: int) -> MemoryLevel:
         """One load by ``core``; returns the level that satisfied it."""
-        self._check_core(core)
-        return self._access(core, address)
+        levels: List[MemoryLevel] = []
+        self.replay(core, (address,), levels)
+        return levels[0]
 
-    def replay(self, core: int, addresses: Iterable[int]) -> int:
+    def replay(self, core: int, addresses: Iterable[int],
+               levels: Optional[List[MemoryLevel]] = None) -> int:
         """Loads by ``core``, in order; returns how many hit in L1 or L2.
 
-        The same as calling :meth:`access` on each address in turn,
-        with the core checked once.
+        This is the hierarchy's one loop over loads, and so the one
+        place its fill and eviction rules live.  When ``levels`` is
+        given, the level that satisfied each load is appended to it.
+        The core is checked once; the counters are kept in locals and
+        written back even when an address raises, so ``stats`` then
+        reads as it would after the loads before it.
         """
         self._check_core(core)
-        access = self._access
-        memory = MemoryLevel.MEMORY
-        hits = 0
-        for address in addresses:
-            if access(core, address) is not memory:
-                hits += 1
-        return hits
+        l1, l2 = self.l1[core], self.l2
+        inclusive = self.inclusion is InclusionPolicy.INCLUSIVE
+        # One line size, so one shift; each array has its own set split.
+        offset_bits = l1._offset_bits
+        l1_mask, l1_bits = l1._set_mask, l1._set_bits
+        l2_mask, l2_bits = l2._set_mask, l2._set_bits
+        l1_sets, l2_sets = l1._sets, l2._sets
+        l1_insert, l2_insert = l1._insert, l2._insert
+        l2_invalidate = l2._invalidate
+        # Every L1 shares one geometry, so one split serves them all.
+        every_l1_sets = [other._sets for other in self.l1]
+        every_l1_invalidate = [other._invalidate for other in self.l1]
+        l1_level, l2_level, memory = (MemoryLevel.L1, MemoryLevel.L2,
+                                      MemoryLevel.MEMORY)
+        l1_hits = l2_hits = fetches = evictions = back_invalidates = 0
+        try:
+            for address in addresses:
+                if address < 0:
+                    raise _negative(address)
+                line = address >> offset_bits
+                set_index = line & l1_mask
+                tag = line >> l1_bits
+                ways = l1_sets[set_index]
+                way = ways.pop(tag, None)
+                if way is not None:
+                    ways[tag] = way
+                    l1_hits += 1
+                    if levels is not None:
+                        levels.append(l1_level)
+                    continue
 
-    def _access(self, core: int, address: int) -> MemoryLevel:
-        if self.l1[core].lookup(address):
-            self.stats.l1_hits += 1
-            return MemoryLevel.L1
+                l2_set = line & l2_mask
+                l2_tag = line >> l2_bits
+                l2_ways = l2_sets[l2_set]
+                way = l2_ways.pop(l2_tag, None)
+                if way is not None:
+                    l2_ways[l2_tag] = way
+                    l2_hits += 1
+                else:
+                    fetches += 1
 
-        if self.l2.lookup(address):
-            self.stats.l2_hits += 1
-            self._fill_l1(core, address)
-            if self.inclusion is InclusionPolicy.EXCLUSIVE:
-                # The line moves up; exclusive L2 gives it away.
-                self.l2.flush_line(address)
-            return MemoryLevel.L2
+                # Fill the requesting L1.
+                evicted = l1_insert(set_index, tag, ways)
+                if evicted is not None:
+                    evictions += 1
+                    # Exclusive hierarchies receive L1 victims (never in
+                    # L2 already) into L2 — but only if no *other* core
+                    # still caches the line privately: spilling a line
+                    # another L1 holds would put it in an L1 and the L2
+                    # at once, breaking exclusivity (a real design drops
+                    # the clean victim; the sharer keeps serving it).
+                    if not inclusive and not any(
+                            evicted >> l1_bits in sets[evicted & l1_mask]
+                            for sets in every_l1_sets):
+                        spill_set = evicted & l2_mask
+                        if l2_insert(spill_set, evicted >> l2_bits,
+                                     l2_sets[spill_set]) is not None:
+                            evictions += 1
 
-        self.stats.memory_fetches += 1
-        self._fill_l1(core, address)
-        if self.inclusion is InclusionPolicy.INCLUSIVE:
-            evicted = self.l2.fill(address)
-            if evicted is not None:
-                self.stats.evictions += 1
-                evicted_address = evicted * self.line_bytes
-                for other in self.l1:
-                    if other.flush_line(evicted_address):
-                        self.stats.back_invalidates += 1
-        return MemoryLevel.MEMORY
+                if way is not None:
+                    if not inclusive:
+                        # The line moves up; exclusive L2 gives it away.
+                        l2_invalidate(l2_set, l2_tag)
+                    if levels is not None:
+                        levels.append(l2_level)
+                    continue
 
-    def _fill_l1(self, core: int, address: int) -> None:
-        evicted = self.l1[core].fill(address)
-        if evicted is None:
-            return
-        self.stats.evictions += 1
-        if self.inclusion is InclusionPolicy.EXCLUSIVE:
-            # Exclusive hierarchies receive L1 victims (never in L2
-            # already) into L2 — but only if no *other* core still
-            # caches the line privately: spilling a line another L1
-            # holds would put it in an L1 and the L2 at once, breaking
-            # exclusivity (a real design drops the clean victim; the
-            # sharer keeps serving it).
-            evicted_address = evicted * self.line_bytes
-            if (not any(l1.is_resident(evicted_address)
-                        for l1 in self.l1)
-                    and self.l2.fill(evicted_address) is not None):
-                self.stats.evictions += 1
+                if inclusive:
+                    evicted = l2_insert(l2_set, l2_tag, l2_ways)
+                    if evicted is not None:
+                        # An L2 eviction back-invalidates every L1 copy.
+                        evictions += 1
+                        for invalidate in every_l1_invalidate:
+                            if invalidate(evicted & l1_mask,
+                                          evicted >> l1_bits):
+                                back_invalidates += 1
+                if levels is not None:
+                    levels.append(memory)
+        finally:
+            stats = self.stats
+            stats.l1_hits += l1_hits
+            stats.l2_hits += l2_hits
+            stats.memory_fetches += fetches
+            stats.evictions += evictions
+            stats.back_invalidates += back_invalidates
+        return l1_hits + l2_hits
 
     def flush_line(self, address: int) -> None:
-        """clflush: remove the line from every level and core.
+        """clflush: remove the line from every level and core."""
+        self.flush_lines((address,))
+
+    def flush_lines(self, addresses: Iterable[int]) -> List[bool]:
+        """clflush each address's line from every level and core, in
+        order; return whether the L2 held each one.
 
         One instruction flushes one line, so ``flushes`` advances by
-        one; whether any level actually held the line is the same
-        resident/absent split :class:`CacheStats` tracks (and the
-        timing signal Flush+Flush reads).
+        one per address; whether any level actually held the line is
+        the same resident/absent split :class:`CacheStats` tracks (and
+        the timing signal Flush+Flush reads).  Flushes on different
+        arrays commute, so the L2 and then each L1 take the whole run:
+        every array's counters and contents end as a per-line loop
+        leaves them.
         """
-        self.stats.flushes += 1
-        present = self.l2.flush_line(address)
+        addresses = tuple(addresses)
+        if addresses and min(addresses) < 0:
+            # Flush up to the bad address, count its flush, then raise
+            # as the per-line loop would.
+            cut = next(index for index, address in enumerate(addresses)
+                       if address < 0)
+            self.flush_lines(addresses[:cut])
+            self.stats.flushes += 1
+            raise _negative(addresses[cut])
+        shared = self.l2.flush_lines(addresses)
+        present = shared
         for l1 in self.l1:
-            present = l1.flush_line(address) or present
-        if present:
-            self.stats.flush_hits += 1
-        else:
-            self.stats.flush_misses += 1
+            present = list(map(or_, present, l1.flush_lines(addresses)))
+        resident = present.count(True)
+        stats = self.stats
+        stats.flushes += len(addresses)
+        stats.flush_hits += resident
+        stats.flush_misses += len(addresses) - resident
+        return shared
 
     def is_resident_l2(self, address: int) -> bool:
         """Shared-level residency (what a cross-core probe can sense)."""

@@ -7,8 +7,11 @@ the paper uses for its "clean data" RTL experiments — timing is handled
 separately by :mod:`repro.soc`.
 
 It is the only cache array: the single-level cache and every level of
-:class:`~repro.cache.multilevel.TwoLevelHierarchy`, which drives it
-through the uncounted :meth:`~SetAssociativeCache.lookup`/``fill`` pair.
+:class:`~repro.cache.multilevel.TwoLevelHierarchy`, whose one loop over
+loads probes the arrays' sets itself and places lines through
+:meth:`~SetAssociativeCache._insert`.  Every operation has a run form
+(:meth:`~SetAssociativeCache.replay`, ``access_lines``,
+``flush_lines``) that takes a whole sequence of addresses in one call.
 """
 
 from __future__ import annotations
@@ -107,48 +110,50 @@ class SetAssociativeCache:
 
     def access(self, address: int) -> bool:
         """Load ``address``; return ``True`` on hit, filling on miss."""
-        if address < 0:
-            raise _negative(address)
-        line = address >> self._offset_bits
-        set_index = line & self._set_mask
-        tag = line >> self._set_bits
-        ways = self._sets[set_index]
-        stats = self.stats
-        stats.accesses += 1
-        # Re-inserting a hit keeps the set's dict in recency order.
-        way = ways.pop(tag, None)
-        if way is not None:
-            ways[tag] = way
-            stats.hits += 1
-            return True
+        return self.access_lines((address,))[0]
 
-        stats.misses += 1
-        if self._insert(set_index, tag, ways) is not None:
-            stats.evictions += 1
-        return False
+    def access_lines(self, addresses: Iterable[int]) -> List[bool]:
+        """Load each address in turn; return whether each one hit.
 
-    def lookup(self, address: int) -> bool:
-        """Uncounted probe; a hit refreshes the line."""
-        if address < 0:
-            raise _negative(address)
-        line = address >> self._offset_bits
-        set_index = line & self._set_mask
-        tag = line >> self._set_bits
-        ways = self._sets[set_index]
-        way = ways.pop(tag, None)
-        if way is not None:
-            ways[tag] = way
-        return way is not None
-
-    def fill(self, address: int) -> Optional[int]:
-        """Uncounted fill of a line known absent (after a :meth:`lookup`
-        miss, say); return the evicted line number, if any."""
-        if address < 0:
-            raise _negative(address)
-        line = address >> self._offset_bits
-        set_index = line & self._set_mask
-        tag = line >> self._set_bits
-        return self._insert(set_index, tag, self._sets[set_index])
+        The run form of :meth:`access`, in one loop like :meth:`replay`:
+        the counters are kept in locals and written back even when an
+        address raises, so ``stats`` then reads as the per-access loop
+        would have left it.
+        """
+        offset_bits = self._offset_bits
+        set_mask = self._set_mask
+        set_bits = self._set_bits
+        sets = self._sets
+        insert = self._insert
+        results: List[bool] = []
+        append = results.append
+        evictions = 0
+        try:
+            for address in addresses:
+                if address < 0:
+                    raise _negative(address)
+                line = address >> offset_bits
+                set_index = line & set_mask
+                tag = line >> set_bits
+                ways = sets[set_index]
+                # Re-inserting a hit keeps the set's dict in recency
+                # order.
+                way = ways.pop(tag, None)
+                if way is not None:
+                    ways[tag] = way
+                    append(True)
+                    continue
+                append(False)
+                if insert(set_index, tag, ways) is not None:
+                    evictions += 1
+        finally:
+            hits = results.count(True)
+            stats = self.stats
+            stats.accesses += len(results)
+            stats.hits += hits
+            stats.misses += len(results) - hits
+            stats.evictions += evictions
+        return results
 
     def _insert(self, set_index: int, tag: int,
                 ways: Dict[int, int]) -> Optional[int]:
@@ -192,8 +197,11 @@ class SetAssociativeCache:
         if address < 0:
             raise _negative(address)
         line = address >> self._offset_bits
-        set_index = line & self._set_mask
-        tag = line >> self._set_bits
+        return self._invalidate(line & self._set_mask, line >> self._set_bits)
+
+    def _invalidate(self, set_index: int, tag: int) -> bool:
+        """Counted flush of one line, already split; return whether it
+        was present (the per-line form of :meth:`flush_lines`)."""
         stats = self.stats
         stats.flushes += 1
         way = self._sets[set_index].pop(tag, None)
@@ -206,6 +214,44 @@ class SetAssociativeCache:
         if policy is not None:
             policy.on_invalidate(way)
         return True
+
+    def flush_lines(self, addresses: Iterable[int]) -> List[bool]:
+        """Invalidate each address's line in turn; return whether each
+        was present.
+
+        The run form of :meth:`flush_line`, in one loop: the counters
+        are written back even when an address raises.
+        """
+        offset_bits = self._offset_bits
+        set_mask = self._set_mask
+        set_bits = self._set_bits
+        sets = self._sets
+        occupied = self._occupied
+        policies = self._policies
+        results: List[bool] = []
+        append = results.append
+        try:
+            for address in addresses:
+                if address < 0:
+                    raise _negative(address)
+                line = address >> offset_bits
+                set_index = line & set_mask
+                way = sets[set_index].pop(line >> set_bits, None)
+                if way is None:
+                    append(False)
+                    continue
+                append(True)
+                occupied[set_index][way] = False
+                policy = policies[set_index]
+                if policy is not None:
+                    policy.on_invalidate(way)
+        finally:
+            hits = results.count(True)
+            stats = self.stats
+            stats.flushes += len(results)
+            stats.flush_hits += hits
+            stats.flush_misses += len(results) - hits
+        return results
 
     def flush_all(self) -> None:
         """Invalidate the entire cache (the paper's optional flush step).

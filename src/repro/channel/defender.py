@@ -471,15 +471,15 @@ class ObservedTransport(CacheTransport):
         self._attacker = (inner, "attacker")
         self._victim = (inner, "victim")
 
-    def access(self, address: int) -> bool:
+    def access_lines(self, addresses: Iterable[int]) -> List[bool]:
         if self.defender._phase is not self._attacker:
             self.defender._enter(self._attacker)
-        return self.inner.access(address)
+        return self.inner.access_lines(addresses)
 
-    def flush_line(self, address: int) -> bool:
+    def flush_lines(self, addresses: Iterable[int]) -> List[bool]:
         if self.defender._phase is not self._attacker:
             self.defender._enter(self._attacker)
-        return self.inner.flush_line(address)
+        return self.inner.flush_lines(addresses)
 
     def victim_loads(self, addresses: Iterable[int]) -> int:
         if self.defender._phase is not self._victim:

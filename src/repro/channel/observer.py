@@ -25,7 +25,12 @@ Two execution paths produce the access-driven answer:
   in tests.  The victim hands it the window's load addresses as one
   run per round (``load_addresses_by_round``), and the transport gets
   two runs of loads per window (one ``victim_loads`` call with the
-  rounds before the mid-encryption flush, one with the rest);
+  rounds before the mid-encryption flush, one with the rest).  The
+  attacker's side is runs too: each phase of the primitive (reset,
+  mid-encryption flush, readout) is one transport call.  On the
+  end-to-end benchmark a GIFT-64 first-round attack across cores
+  through an inclusive two-level hierarchy (``crosscore_firstround``)
+  takes ~19 ms on a 2-vCPU x86-64 container;
 * the **fast path** asks the victim for one 16-bit S-box index mask of
   the visible round window (``sbox_index_mask``) and turns it into
   lines with two table lookups on the monitor, which maps each index
@@ -39,8 +44,8 @@ Two execution paths produce the access-driven answer:
   line-granular flush-based primitives on an LRU single-level
   transport.  On the end-to-end benchmark a GIFT-64 full-key attack
   takes about 4x longer on the full path (``fullsim_fullkey``,
-  ~52 ms) than on this one (``fast_fullkey``, ~14 ms on a 2-vCPU
-  x86-64 container), and one first-round observation about 16x
+  ~50 ms) than on this one (``fast_fullkey``, ~14 ms on the same
+  container), and one first-round observation about 16x
   (``observer_fast_over_full`` in ``repro.perf``), a speed the
   million-encryption sweeps of Table I need.  The suite's victim
   sweep (``TestPathEquivalence`` in

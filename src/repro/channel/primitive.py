@@ -2,11 +2,13 @@
 
 The bottom layer of the observation-channel stack: a
 :class:`ProbePrimitive` knows how to *prepare*, *reset mid-run* and
-*read out* the monitored lines on any substrate that exposes per-line
-``access``/``flush_line`` operations (the :class:`ProbeSurface`
-protocol — satisfied natively by
+*read out* the monitored lines on any substrate that takes attacker
+loads and flushes as runs (the run-based :class:`ProbeSurface`
+protocol, ``access_lines``/``flush_lines`` — satisfied natively by
 :class:`~repro.cache.setassoc.SetAssociativeCache` and by every
-:class:`~repro.channel.transport.CacheTransport`).
+:class:`~repro.channel.transport.CacheTransport`).  Every phase of a
+window — reset, mid-encryption flush, readout — is one call on the
+surface.
 
 Three classical access-driven primitives are provided:
 
@@ -40,7 +42,8 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from itertools import chain, compress
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 try:  # Python 3.8+: typing.Protocol
     from typing import Protocol
@@ -56,18 +59,22 @@ PRIMITIVE_NAMES = ("flush_reload", "prime_probe", "flush_flush")
 class ProbeSurface(Protocol):
     """What a primitive needs from the substrate it probes.
 
-    ``access`` performs one attacker load and reports whether it hit;
-    ``flush_line`` models ``clflush`` and reports whether the line was
-    present anywhere the flush could see it.  A bare
-    :class:`~repro.cache.setassoc.SetAssociativeCache` satisfies this
-    protocol directly; cross-core substrates adapt it through a
-    :class:`~repro.channel.transport.CacheTransport`.
+    The surface is run-based: each call takes a whole sequence of
+    addresses and returns one result per address, in order, exactly as
+    a per-line loop would.  ``access_lines`` performs attacker loads
+    and reports whether each hit; ``flush_lines`` models ``clflush``
+    and reports whether each line was present anywhere the flush could
+    see it.  A bare :class:`~repro.cache.setassoc.SetAssociativeCache`
+    satisfies this protocol directly; cross-core substrates adapt it
+    through a :class:`~repro.channel.transport.CacheTransport`.
     """
 
-    def access(self, address: int) -> bool:  # pragma: no cover - protocol
+    def access_lines(self, addresses: Iterable[int]
+                     ) -> List[bool]:  # pragma: no cover - protocol
         ...
 
-    def flush_line(self, address: int) -> bool:  # pragma: no cover
+    def flush_lines(self, addresses: Iterable[int]
+                    ) -> List[bool]:  # pragma: no cover - protocol
         ...
 
 
@@ -91,10 +98,10 @@ class ProbePrimitive(ABC):
 
     def __init__(self, monitor: SboxMonitor) -> None:
         self.monitor = monitor
-        #: ``(line, representative address)`` of every monitored line.
-        self._probes: Tuple[Tuple[int, int], ...] = tuple(
-            zip(monitor.lines, monitor.line_addresses())
-        )
+        #: Every monitored line and its representative address, in one
+        #: order: a primitive probes the addresses as one run.
+        self._lines: Tuple[int, ...] = tuple(monitor.lines)
+        self._addresses: Tuple[int, ...] = tuple(monitor.line_addresses())
 
     @abstractmethod
     def reset(self, surface: ProbeSurface) -> None:
@@ -140,18 +147,15 @@ class FlushReload(ProbePrimitive):
     line_granular = True
 
     def reset(self, surface: ProbeSurface) -> None:
-        for _, address in self._probes:
-            surface.flush_line(address)
+        surface.flush_lines(self._addresses)
 
     def mid_flush(self, surface: ProbeSurface) -> None:
         self.reset(surface)
 
     def observe(self, surface: ProbeSurface) -> FrozenSet[int]:
-        observed = set()
-        for line, address in self._probes:
-            if surface.access(address):  # the "reload": hit == was resident
-                observed.add(line)
-        return frozenset(observed)
+        # The "reload": a hit means the line was resident.
+        return frozenset(compress(self._lines,
+                                  surface.access_lines(self._addresses)))
 
 
 class PrimeProbe(ProbePrimitive):
@@ -174,35 +178,34 @@ class PrimeProbe(ProbePrimitive):
     def __init__(self, monitor: SboxMonitor) -> None:
         super().__init__(monitor)
         geometry = monitor.geometry
-        self._lines_by_set: Dict[int, List[int]] = {}
-        for line, address in self._probes:
-            self._lines_by_set.setdefault(
-                geometry.set_of(address), []
-            ).append(line)
-        self._prime_addresses: Dict[int, List[int]] = {
-            set_index: [
-                (self.ATTACKER_TAG_BASE + way) * geometry.num_sets
-                * geometry.line_bytes
-                + set_index * geometry.line_bytes
-                for way in range(geometry.ways)
-            ]
-            for set_index in self._lines_by_set
-        }
+        lines_by_set: Dict[int, List[int]] = {}
+        for line, address in zip(self._lines, self._addresses):
+            lines_by_set.setdefault(geometry.set_of(address), []).append(line)
+        #: The monitored lines of each primed set, in priming order.
+        self._set_lines: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(lines) for lines in lines_by_set.values()
+        )
+        #: One run of ``ways`` attacker lines per monitored set.
+        self._prime_run: Tuple[int, ...] = tuple(
+            (self.ATTACKER_TAG_BASE + way) * geometry.num_sets
+            * geometry.line_bytes
+            + set_index * geometry.line_bytes
+            for set_index in lines_by_set
+            for way in range(geometry.ways)
+        )
 
     def reset(self, surface: ProbeSurface) -> None:
-        for addresses in self._prime_addresses.values():
-            for address in addresses:
-                surface.access(address)
+        surface.access_lines(self._prime_run)
 
     def observe(self, surface: ProbeSurface) -> FrozenSet[int]:
-        observed = set()
-        for set_index, addresses in self._prime_addresses.items():
-            evictions = sum(
-                0 if surface.access(address) else 1 for address in addresses
-            )
-            if evictions:
-                observed.update(self._lines_by_set[set_index])
-        return frozenset(observed)
+        hits = surface.access_lines(self._prime_run)
+        ways = self.monitor.geometry.ways
+        # A set shows an eviction when any of its attacker lines missed.
+        return frozenset(chain.from_iterable(
+            lines for start, lines in zip(range(0, len(hits), ways),
+                                          self._set_lines)
+            if not all(hits[start:start + ways])
+        ))
 
 
 class FlushFlush(ProbePrimitive):
@@ -255,24 +258,20 @@ class FlushFlush(ProbePrimitive):
                 signal_miss_probability
                 * profile[geometry.set_of(address) % len(profile)],
             )
-            for line, address in self._probes
+            for line, address in zip(self._lines, self._addresses)
         }
 
     def reset(self, surface: ProbeSurface) -> None:
-        for _, address in self._probes:
-            surface.flush_line(address)
+        surface.flush_lines(self._addresses)
 
     def mid_flush(self, surface: ProbeSurface) -> None:
         self.reset(surface)
 
     def observe(self, surface: ProbeSurface) -> FrozenSet[int]:
-        observed = set()
-        for line, address in self._probes:
-            # The flush is the probe: a long (== hit) flush reveals the
-            # victim's touch and leaves the line reset in one step.
-            if surface.flush_line(address):
-                observed.add(line)
-        return frozenset(observed)
+        # The flush is the probe: a long (== hit) flush reveals the
+        # victim's touch and leaves the line reset in one step.
+        return frozenset(compress(self._lines,
+                                  surface.flush_lines(self._addresses)))
 
     def filter_observation(self, observed: FrozenSet[int]
                            ) -> FrozenSet[int]:

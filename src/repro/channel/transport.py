@@ -1,12 +1,14 @@
 """L2 — cache transports: *where* the probe and the victim meet.
 
 A :class:`CacheTransport` adapts one memory substrate to the two roles
-an observation needs: the attacker's probe surface (the
-:class:`~repro.channel.primitive.ProbeSurface` protocol — ``access`` /
-``flush_line`` as the attacker core sees them) and the victim's
-execution substrate (``victim_loads``, which takes a run of victim
-loads in one call).  The same-core and cross-core
-attacks differ *only* in which transport they run on:
+an observation needs: the attacker's probe surface (the run-based
+:class:`~repro.channel.primitive.ProbeSurface` protocol —
+``access_lines`` / ``flush_lines`` as the attacker core sees them) and
+the victim's execution substrate (``victim_loads``).  Each side hands
+the substrate a whole run of operations in one call; the one-address
+``access`` / ``flush_line`` / ``victim_access`` are one-element runs.
+The same-core and cross-core attacks differ *only* in which transport
+they run on:
 
 * :class:`SingleLevelTransport` — attacker and victim share one
   set-associative cache (the paper's threat model, Section III-B);
@@ -27,10 +29,10 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional
 
 from ..cache.geometry import CacheGeometry
-from ..cache.multilevel import TwoLevelHierarchy
+from ..cache.multilevel import InclusionPolicy, MemoryLevel, TwoLevelHierarchy
 from ..cache.setassoc import SetAssociativeCache
 
 #: Core indices of the two parties on a shared-L2 transport.
@@ -59,14 +61,22 @@ class CacheTransport(ABC):
     probe_on_empty_window: bool = False
 
     @abstractmethod
-    def access(self, address: int) -> bool:
-        """One attacker load; returns whether it hit in attacker-visible
-        cache state."""
+    def access_lines(self, addresses: Iterable[int]) -> List[bool]:
+        """Attacker loads, in order; returns whether each hit in
+        attacker-visible cache state."""
 
     @abstractmethod
+    def flush_lines(self, addresses: Iterable[int]) -> List[bool]:
+        """``clflush`` each line everywhere, in order; returns whether
+        each was attacker-visibly present."""
+
+    def access(self, address: int) -> bool:
+        """One attacker load (see :meth:`access_lines`)."""
+        return self.access_lines((address,))[0]
+
     def flush_line(self, address: int) -> bool:
-        """``clflush`` one line everywhere; returns whether it was
-        attacker-visibly present."""
+        """``clflush`` one line (see :meth:`flush_lines`)."""
+        return self.flush_lines((address,))[0]
 
     @abstractmethod
     def victim_loads(self, addresses: Iterable[int]) -> int:
@@ -117,11 +127,11 @@ class SingleLevelTransport(CacheTransport):
         the set held before the window."""
         return self.policy_name == "lru"
 
-    def access(self, address: int) -> bool:
-        return self.cache.access(address)
+    def access_lines(self, addresses: Iterable[int]) -> List[bool]:
+        return self.cache.access_lines(addresses)
 
-    def flush_line(self, address: int) -> bool:
-        return self.cache.flush_line(address)
+    def flush_lines(self, addresses: Iterable[int]) -> List[bool]:
+        return self.cache.flush_lines(addresses)
 
     def victim_loads(self, addresses: Iterable[int]) -> int:
         return self.cache.replay(addresses)
@@ -168,17 +178,21 @@ class SharedL2Transport(CacheTransport):
         self.victim_core = victim_core
         self.attacker_core = attacker_core
 
-    def access(self, address: int) -> bool:
-        # Sense shared-level residency first, then touch the line from
-        # the attacker core, as a real reload would.
-        resident = self.hierarchy.is_resident_l2(address)
-        self.hierarchy.access(self.attacker_core, address)
-        return resident
+    def access_lines(self, addresses: Iterable[int]) -> List[bool]:
+        # A reload senses whether the shared level held the line, then
+        # touches it from the attacker core.  The L2 held it iff the
+        # load hit there, or hit in the attacker's L1 of an inclusive
+        # hierarchy (an exclusive one keeps L1 lines out of L2).
+        levels: List[MemoryLevel] = []
+        self.hierarchy.replay(self.attacker_core, addresses, levels)
+        if self.hierarchy.inclusion is InclusionPolicy.INCLUSIVE:
+            memory = MemoryLevel.MEMORY
+            return [level is not memory for level in levels]
+        shared = MemoryLevel.L2
+        return [level is shared for level in levels]
 
-    def flush_line(self, address: int) -> bool:
-        present = self.hierarchy.is_resident_l2(address)
-        self.hierarchy.flush_line(address)
-        return present
+    def flush_lines(self, addresses: Iterable[int]) -> List[bool]:
+        return self.hierarchy.flush_lines(addresses)
 
     def victim_loads(self, addresses: Iterable[int]) -> int:
         return self.hierarchy.replay(self.victim_core, addresses)

@@ -485,25 +485,22 @@ def _hierarchy_trial(params: Mapping[str, Any], cell: Dict[str, Any],
     victim = TracedGift64(planted)
     configuration = cell["configuration"]
 
-    if configuration == "baseline":
-        result = GrinchAttack(victim, AttackConfig(seed=seed)) \
-            .recover_master_key()
+    if configuration in ("baseline", "inclusive"):
+        if configuration == "baseline":
+            attack = GrinchAttack(victim, AttackConfig(seed=seed))
+        else:
+            config = AttackConfig(seed=seed, max_total_encryptions=None)
+            attack = GrinchAttack(
+                victim, config,
+                runner=make_cross_core_runner(victim, config,
+                                              InclusionPolicy.INCLUSIVE),
+            )
+        result = attack.recover_master_key()
+        recovered = declassify(result.master_key == planted)
         return {
             "encryptions": result.total_encryptions,
-            "recovered": declassify(result.master_key == planted),
-            "outcome": "key recovered",
-        }
-    if configuration == "inclusive":
-        config = AttackConfig(seed=seed, max_total_encryptions=None)
-        result = GrinchAttack(
-            victim, config,
-            runner=make_cross_core_runner(victim, config,
-                                          InclusionPolicy.INCLUSIVE),
-        ).recover_master_key()
-        return {
-            "encryptions": result.total_encryptions,
-            "recovered": declassify(result.master_key == planted),
-            "outcome": "key recovered",
+            "recovered": recovered,
+            "outcome": "key recovered" if recovered else "WRONG KEY",
         }
     blind_config = AttackConfig(
         seed=seed,

@@ -125,11 +125,14 @@ def _two_overflows(level):
     ways = geometry.ways
     address = [tag * geometry.num_sets * geometry.line_bytes
                for tag in range(ways + 2)]
-    for tag in range(ways):
-        level.fill(address[tag])
-    level.lookup(address[0])
-    return [level.fill(address[ways]) // geometry.num_sets,
-            level.fill(address[ways + 1]) // geometry.num_sets]
+    level.access_lines(address[:ways] + [address[0]])
+    evicted = []
+    for overflow in address[ways:]:
+        before = set(level.resident_lines())
+        assert not level.access(overflow)
+        (line,) = before - set(level.resident_lines())
+        evicted.append(line // geometry.num_sets)
+    return evicted
 
 
 def _expected_overflows(policy, ways, scope):

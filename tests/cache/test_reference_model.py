@@ -21,7 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry, geometry_preset
-from repro.cache.multilevel import InclusionPolicy, TwoLevelHierarchy
+from repro.cache.multilevel import (
+    HierarchyStats,
+    InclusionPolicy,
+    MemoryLevel,
+    TwoLevelHierarchy,
+)
 from repro.cache.policies import derive_set_rng
 from repro.cache.setassoc import CacheStats, SetAssociativeCache
 
@@ -44,6 +49,9 @@ class ReferenceArray:
                  rng_scope) -> None:
         self.geometry = geometry
         self.policy = policy
+        #: Counted operations only: flushes here, loads in
+        #: :class:`ReferenceCache`.
+        self.stats = CacheStats()
         self.sets: List[Dict[int, int]] = [
             {} for _ in range(geometry.num_sets)
         ]
@@ -106,8 +114,11 @@ class ReferenceArray:
         set_index = self.geometry.set_of(address)
         tag = self.geometry.tag_of(address)
         ways = self.sets[set_index]
+        self.stats.flushes += 1
         if tag not in ways:
+            self.stats.flush_misses += 1
             return False
+        self.stats.flush_hits += 1
         way = ways.pop(tag)
         self.occupied[set_index][way] = False
         self.order[set_index].remove(way)
@@ -125,9 +136,9 @@ class ReferenceCache:
     """:class:`SetAssociativeCache` semantics over one reference array."""
 
     def __init__(self, geometry: CacheGeometry, policy: str) -> None:
-        self.stats = CacheStats()
         # The single-level cache derives its per-set streams at scope 0.
         self.array = ReferenceArray(geometry, policy, rng_scope=0)
+        self.stats = self.array.stats
 
     def access(self, address: int) -> bool:
         self.stats.accesses += 1
@@ -140,12 +151,7 @@ class ReferenceCache:
         return False
 
     def flush_line(self, address: int) -> bool:
-        self.stats.flushes += 1
-        if self.array.flush_line(address):
-            self.stats.flush_hits += 1
-            return True
-        self.stats.flush_misses += 1
-        return False
+        return self.array.flush_line(address)
 
     def flush_all(self) -> None:
         array = self.array
@@ -160,26 +166,78 @@ class ReferenceCache:
         return self.array.resident_lines()
 
 
-class ReferenceHierarchy(TwoLevelHierarchy):
-    """The real hierarchy logic over reference arrays."""
+class ReferenceHierarchy:
+    """The two-level rules one load at a time, over reference arrays.
+
+    Shares no code with :meth:`TwoLevelHierarchy.replay`, the real
+    hierarchy's one loop over loads.  A load that misses its own L1
+    looks in L2, then fills the L1; an inclusive L2 also takes every
+    memory fill and back-invalidates the L1 copies of what it evicts,
+    while an exclusive L2 hands a hit line up to the L1 and takes L1
+    victims that no L1 still holds.  Every eviction counts.
+    """
 
     def __init__(self, l1_geometry, l2_geometry, inclusion, policy):
-        super().__init__(cores=2, l1_geometry=l1_geometry,
-                         l2_geometry=l2_geometry, inclusion=inclusion,
-                         policy=policy)
-        self.l1 = [
-            ReferenceArray(l1_geometry, policy, f"l1-core{core}")
-            for core in range(self.cores)
-        ]
+        self.inclusive = inclusion is InclusionPolicy.INCLUSIVE
+        self.line_bytes = l1_geometry.line_bytes
+        self.stats = HierarchyStats()
+        self.l1 = [ReferenceArray(l1_geometry, policy, f"l1-core{core}")
+                   for core in range(2)]
         self.l2 = ReferenceArray(l2_geometry, policy, "l2")
+
+    def access(self, core: int, address: int) -> MemoryLevel:
+        stats = self.stats
+        if self.l1[core].lookup(address):
+            stats.l1_hits += 1
+            return MemoryLevel.L1
+        in_l2 = self.l2.lookup(address)
+        evicted = self.l1[core].fill(address)
+        if evicted is not None:
+            stats.evictions += 1
+            victim = evicted * self.line_bytes
+            if (not self.inclusive
+                    and not any(l1.is_resident(victim) for l1 in self.l1)
+                    and self.l2.fill(victim) is not None):
+                stats.evictions += 1
+        if in_l2:
+            stats.l2_hits += 1
+            if not self.inclusive:
+                self.l2.flush_line(address)
+            return MemoryLevel.L2
+        stats.memory_fetches += 1
+        if self.inclusive:
+            evicted = self.l2.fill(address)
+            if evicted is not None:
+                stats.evictions += 1
+                for l1 in self.l1:
+                    if l1.flush_line(evicted * self.line_bytes):
+                        stats.back_invalidates += 1
+        return MemoryLevel.MEMORY
+
+    def flush_line(self, address: int) -> None:
+        present = [array.flush_line(address)
+                   for array in [self.l2] + self.l1]
+        self.stats.flushes += 1
+        if any(present):
+            self.stats.flush_hits += 1
+        else:
+            self.stats.flush_misses += 1
+
+    def is_resident_l2(self, address: int) -> bool:
+        return self.l2.is_resident(address)
 
 
 def _assert_same_array(real: SetAssociativeCache,
                        model: ReferenceArray) -> None:
-    """Same residency and way numbers in every set; under LRU also the
-    same recency order (dict ``==`` ignores the order it is kept in)."""
+    """Same residency, way numbers and ``way -> tag`` index in every
+    set; under LRU also the same recency order (dict ``==`` ignores the
+    order it is kept in)."""
     assert real._sets == model.sets
     assert real._occupied == model.occupied
+    assert [
+        {way: tags[way] for way, taken in enumerate(occupied) if taken}
+        for tags, occupied in zip(real._way_tags, real._occupied)
+    ] == [{way: tag for tag, way in ways.items()} for ways in model.sets]
     if model.policy == "lru":
         assert [list(ways.values()) for ways in real._sets] == model.order
 
@@ -252,11 +310,83 @@ class TestAgainstReference:
                 reference.flush_line(address)
             assert (hierarchy.is_resident_l2(address)
                     == reference.is_resident_l2(address))
-        assert asdict(hierarchy.stats) == asdict(reference.stats)
-        for real, model in zip(hierarchy.l1 + [hierarchy.l2],
-                               reference.l1 + [reference.l2]):
-            _assert_same_array(real, model)
-        assert hierarchy.inclusion_holds()
+        _assert_same_hierarchy(hierarchy, reference)
+
+
+def _assert_same_hierarchy(hierarchy: TwoLevelHierarchy,
+                           reference: ReferenceHierarchy) -> None:
+    assert asdict(hierarchy.stats) == asdict(reference.stats)
+    for real, model in zip(hierarchy.l1 + [hierarchy.l2],
+                           reference.l1 + [reference.l2]):
+        _assert_same_array(real, model)
+        assert asdict(real.stats) == asdict(model.stats)
+    assert hierarchy.inclusion_holds()
+
+
+#: A hierarchy small enough that short runs overflow everything: L1s
+#: of 2 sets x 2 ways under an L2 of 4 sets x 2 ways, so inclusive L2
+#: evictions back-invalidate and exclusive L1 victims spill.
+_TINY_L1 = CacheGeometry(total_lines=4, ways=2)
+_TINY_L2 = CacheGeometry(total_lines=8, ways=2)
+
+#: ``(kind, core, line numbers)``: runs of loads by one core and runs
+#: of clflushes, over 24 lines (three times the L2).
+runs = st.lists(
+    st.tuples(st.sampled_from(["replay"] * 3 + ["flush_lines"]),
+              st.integers(0, 1),
+              st.lists(st.integers(0, 23), max_size=12)),
+    min_size=4, max_size=30,
+)
+
+
+@pytest.mark.parametrize("policy", ["lru", "random"])
+@pytest.mark.parametrize("inclusion", list(InclusionPolicy))
+class TestHierarchyRunsAgainstReference:
+    """The fused :meth:`TwoLevelHierarchy.replay` loop and the run
+    flush, against the reference's one load or flush at a time."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(ops=runs, negative_at=st.none() | st.integers(0, 12))
+    def test_runs_match_one_at_a_time(self, inclusion, policy, ops,
+                                      negative_at):
+        hierarchy = TwoLevelHierarchy(
+            cores=2, l1_geometry=_TINY_L1, l2_geometry=_TINY_L2,
+            inclusion=inclusion, policy=policy,
+        )
+        reference = ReferenceHierarchy(_TINY_L1, _TINY_L2, inclusion,
+                                       policy)
+        line_bytes = _TINY_L1.line_bytes
+        for kind, core, lines in ops:
+            addresses = [line * line_bytes for line in lines]
+            if kind == "flush_lines":
+                before = []
+                for address in addresses:
+                    before.append(reference.is_resident_l2(address))
+                    reference.flush_line(address)
+                assert hierarchy.flush_lines(addresses) == before
+                continue
+            levels = []
+            hits = hierarchy.replay(core, addresses, levels)
+            expected = [reference.access(core, address)
+                        for address in addresses]
+            assert levels == expected
+            assert hits == sum(level is not MemoryLevel.MEMORY
+                               for level in expected)
+        _assert_same_hierarchy(hierarchy, reference)
+        if negative_at is not None:
+            # A bad address mid-run raises and leaves the state its
+            # predecessors made, in a load run and in a flush run.
+            addresses = [line * line_bytes for line in range(negative_at)]
+            for address in addresses:
+                reference.access(0, address)
+            reference.stats.flushes += 1
+            for address in addresses:
+                reference.flush_line(address)
+            with pytest.raises(ValueError, match="non-negative"):
+                hierarchy.replay(0, addresses + [-1, 0])
+            with pytest.raises(ValueError, match="non-negative"):
+                hierarchy.flush_lines(addresses + [-1, 0])
+            _assert_same_hierarchy(hierarchy, reference)
 
 
 class TestNegativeAddresses:

@@ -282,3 +282,43 @@ class TestValidation:
         assert cache.policy_name == "fifo"
         with pytest.raises(ValueError):
             SetAssociativeCache(small_geometry, policy="bogus")
+
+
+class TestRunKernels:
+    """``access_lines``/``flush_lines`` are the per-line ``access`` /
+    ``flush_line`` loops in one call each, down to the counters a
+    raising address leaves behind."""
+
+    @pytest.mark.parametrize("geometry", sorted(_REPLAY_GEOMETRIES))
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
+    @settings(max_examples=40, deadline=None)
+    @given(runs=st.lists(st.tuples(st.sampled_from(["access", "flush"]),
+                                   st.lists(st.integers(0, 255),
+                                            max_size=40)),
+                         max_size=8),
+           negative_at=st.none() | st.integers(0, 40))
+    def test_matches_per_line_loop(self, geometry, policy, runs,
+                                   negative_at):
+        shape = _REPLAY_GEOMETRIES[geometry]
+        batched = SetAssociativeCache(shape, policy=policy)
+        looped = SetAssociativeCache(shape, policy=policy)
+        kernels = {
+            "access": (batched.access_lines, looped.access),
+            "flush": (batched.flush_lines, looped.flush_line),
+        }
+        for kind, addresses in runs:
+            run, per_line = kernels[kind]
+            assert run(addresses) == [per_line(address)
+                                      for address in addresses]
+            assert _array_state(batched) == _array_state(looped)
+        if negative_at is None:
+            return
+        addresses = [(37 * index) % 256 for index in range(negative_at)]
+        addresses += [-1, 0]
+        for run, per_line in kernels.values():
+            with pytest.raises(ValueError, match="non-negative"):
+                run(iter(addresses))
+            with pytest.raises(ValueError, match="non-negative"):
+                for address in addresses:
+                    per_line(address)
+            assert _array_state(batched) == _array_state(looped)

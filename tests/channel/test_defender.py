@@ -154,7 +154,9 @@ _addresses = st.integers(0, 47)
 _operations = st.lists(st.one_of(
     st.tuples(st.sampled_from(["access", "flush_line", "victim_access"]),
               _addresses),
-    st.tuples(st.just("victim_loads"), st.lists(_addresses, max_size=8)),
+    st.tuples(st.sampled_from(["victim_loads", "access_lines",
+                               "flush_lines"]),
+              st.lists(_addresses, max_size=8)),
     st.tuples(st.sampled_from(["begin", "end", "cold", "ambient"])),
 ), max_size=60)
 

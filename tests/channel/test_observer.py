@@ -13,6 +13,7 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.multilevel import InclusionPolicy
 from repro.cache.setassoc import SetAssociativeCache
 from repro.channel import (
+    CacheTransport,
     EvictionModel,
     FlushReload,
     LossyChannel,
@@ -384,6 +385,41 @@ class TestEvictionModel:
         assert replayed.observe(146, 1) == seen
 
 
+class _CountingTransport(CacheTransport):
+    """Delegates to a transport and logs every attacker call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+        self.supports_prime_probe = inner.supports_prime_probe
+
+    def access_lines(self, addresses):
+        self.calls.append("access_lines")
+        return self.inner.access_lines(addresses)
+
+    def flush_lines(self, addresses):
+        self.calls.append("flush_lines")
+        return self.inner.flush_lines(addresses)
+
+    def access(self, address):
+        self.calls.append("access")
+        return self.inner.access(address)
+
+    def flush_line(self, address):
+        self.calls.append("flush_line")
+        return self.inner.flush_line(address)
+
+    def victim_loads(self, addresses):
+        return self.inner.victim_loads(addresses)
+
+    def cold(self):
+        return _CountingTransport(self.inner.cold())
+
+    @property
+    def line_bytes(self):
+        return self.inner.line_bytes
+
+
 class TestComposition:
     def test_default_stack(self, victim):
         channel = ObservationChannel(victim, AttackConfig(seed=1))
@@ -422,6 +458,26 @@ class TestComposition:
             seed=3, use_fast_path=False, probe_strategy=probe))
         assert not channel.fast_path_active
         assert channel.observe(0x456, 1)
+
+    @pytest.mark.parametrize("probe, expected", [
+        ("flush_reload", ["flush_lines", "flush_lines", "access_lines"]),
+        ("flush_flush", ["flush_lines", "flush_lines", "flush_lines"]),
+        ("prime_probe", ["access_lines", "access_lines"]),
+    ])
+    def test_full_path_probes_one_run_per_phase(self, victim, probe,
+                                                 expected):
+        """A full-path window hands the substrate one attacker run per
+        primitive phase (reset, mid-encryption flush, readout) and never
+        a single line."""
+        config = AttackConfig(seed=3, probe_strategy=probe)
+        transport = _CountingTransport(
+            SingleLevelTransport(config.geometry))
+        channel = ObservationChannel(victim, config, transport=transport)
+        assert not channel.fast_path_active
+        for window in range(3):
+            transport.calls.clear()
+            channel.observe(0x456 + window, 1)
+            assert transport.calls == expected
 
 
 class TestEffortInvariant:

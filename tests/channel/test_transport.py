@@ -147,3 +147,46 @@ class TestVictimLoads:
         assert hits == sum(expected)
         assert (_substrate_state(batched) == _substrate_state(looped)
                 == _substrate_state(reference))
+
+
+def _substrate_probe(transport, kind, address):
+    """One attacker operation straight on the substrate, answered as
+    the attacker senses it."""
+    if isinstance(transport, SingleLevelTransport):
+        operation = (transport.cache.access if kind == "access"
+                     else transport.cache.flush_line)
+        return operation(address)
+    hierarchy = transport.hierarchy
+    resident = hierarchy.is_resident_l2(address)
+    if kind == "access":
+        hierarchy.access(transport.attacker_core, address)
+    else:
+        hierarchy.flush_line(address)
+    return resident
+
+
+class TestAttackerRuns:
+    """``access_lines``/``flush_lines`` give the substrate's own
+    per-line answers, one per address in order, and leave the same
+    state, between victim runs that refill the lines."""
+
+    @pytest.mark.parametrize("name", sorted(_TWINS))
+    @settings(max_examples=60, deadline=None)
+    @given(runs=st.lists(
+        st.tuples(st.sampled_from(["access", "flush", "victim"]),
+                  st.lists(st.integers(0, 63), max_size=24)),
+        max_size=10))
+    def test_matches_substrate_per_line(self, name, runs):
+        batched, reference = _TWINS[name](), _TWINS[name]()
+        for kind, addresses in runs:
+            if kind == "victim":
+                batched.victim_loads(addresses)
+                for address in addresses:
+                    _substrate_load(reference, address)
+                continue
+            run = (batched.access_lines if kind == "access"
+                   else batched.flush_lines)
+            assert run(iter(addresses)) == [
+                _substrate_probe(reference, kind, address)
+                for address in addresses]
+            assert _substrate_state(batched) == _substrate_state(reference)
