@@ -22,8 +22,9 @@ Every level is a :class:`~repro.cache.setassoc.SetAssociativeCache`
 :meth:`TwoLevelHierarchy.replay` is the one loop over a run of loads,
 and so the one place the fill, back-invalidation and spill rules of
 both inclusion modes live; :meth:`~TwoLevelHierarchy.access` is a
-one-load run.  A run of ``clflush``es (``flush_lines``) goes to each
-array whole.
+one-load run, and ``access_lines`` maps a run's levels to what the
+shared level held, as ``flush_lines`` (a run of ``clflush``es, which
+goes to each array whole) does for flushes.
 """
 
 from __future__ import annotations
@@ -228,6 +229,23 @@ class TwoLevelHierarchy:
         """clflush: remove the line from every level and core."""
         self.flush_lines((address,))
 
+    def access_lines(self, core: int,
+                     addresses: Iterable[int]) -> List[bool]:
+        """Loads by ``core``, in order; return whether the L2 held each
+        line before its load (what a cross-core reload senses).
+
+        The L2 held the line iff the load hit there, or hit in the
+        core's L1 of an inclusive hierarchy (an exclusive one keeps L1
+        lines out of the L2).
+        """
+        levels: List[MemoryLevel] = []
+        self.replay(core, addresses, levels)
+        if self.inclusion is InclusionPolicy.INCLUSIVE:
+            memory = MemoryLevel.MEMORY
+            return [level is not memory for level in levels]
+        shared = MemoryLevel.L2
+        return [level is shared for level in levels]
+
     def flush_lines(self, addresses: Iterable[int]) -> List[bool]:
         """clflush each address's line from every level and core, in
         order; return whether the L2 held each one.
@@ -238,17 +256,12 @@ class TwoLevelHierarchy:
         the timing signal Flush+Flush reads).  Flushes on different
         arrays commute, so the L2 and then each L1 take the whole run:
         every array's counters and contents end as a per-line loop
-        leaves them.
+        leaves them.  A run holding a negative address raises before
+        anything is flushed.
         """
         addresses = tuple(addresses)
         if addresses and min(addresses) < 0:
-            # Flush up to the bad address, count its flush, then raise
-            # as the per-line loop would.
-            cut = next(index for index, address in enumerate(addresses)
-                       if address < 0)
-            self.flush_lines(addresses[:cut])
-            self.stats.flushes += 1
-            raise _negative(addresses[cut])
+            raise _negative(next(a for a in addresses if a < 0))
         shared = self.l2.flush_lines(addresses)
         present = shared
         for l1 in self.l1:

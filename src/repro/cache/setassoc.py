@@ -9,9 +9,10 @@ separately by :mod:`repro.soc`.
 It is the only cache array: the single-level cache and every level of
 :class:`~repro.cache.multilevel.TwoLevelHierarchy`, whose one loop over
 loads probes the arrays' sets itself and places lines through
-:meth:`~SetAssociativeCache._insert`.  Every operation has a run form
-(:meth:`~SetAssociativeCache.replay`, ``access_lines``,
-``flush_lines``) that takes a whole sequence of addresses in one call.
+:meth:`~SetAssociativeCache._insert`.  Loads and flushes have run
+forms (:meth:`~SetAssociativeCache.replay`, the array's one loop over
+loads, and ``access_lines`` and ``flush_lines``) that take a whole
+sequence of addresses in one call.
 """
 
 from __future__ import annotations
@@ -113,47 +114,11 @@ class SetAssociativeCache:
         return self.access_lines((address,))[0]
 
     def access_lines(self, addresses: Iterable[int]) -> List[bool]:
-        """Load each address in turn; return whether each one hit.
-
-        The run form of :meth:`access`, in one loop like :meth:`replay`:
-        the counters are kept in locals and written back even when an
-        address raises, so ``stats`` then reads as the per-access loop
-        would have left it.
-        """
-        offset_bits = self._offset_bits
-        set_mask = self._set_mask
-        set_bits = self._set_bits
-        sets = self._sets
-        insert = self._insert
-        results: List[bool] = []
-        append = results.append
-        evictions = 0
-        try:
-            for address in addresses:
-                if address < 0:
-                    raise _negative(address)
-                line = address >> offset_bits
-                set_index = line & set_mask
-                tag = line >> set_bits
-                ways = sets[set_index]
-                # Re-inserting a hit keeps the set's dict in recency
-                # order.
-                way = ways.pop(tag, None)
-                if way is not None:
-                    ways[tag] = way
-                    append(True)
-                    continue
-                append(False)
-                if insert(set_index, tag, ways) is not None:
-                    evictions += 1
-        finally:
-            hits = results.count(True)
-            stats = self.stats
-            stats.accesses += len(results)
-            stats.hits += hits
-            stats.misses += len(results) - hits
-            stats.evictions += evictions
-        return results
+        """Load each address in turn; return whether each one hit (the
+        run form of :meth:`access`, through :meth:`replay`)."""
+        outcomes: List[bool] = []
+        self.replay(addresses, outcomes)
+        return outcomes
 
     def _insert(self, set_index: int, tag: int,
                 ways: Dict[int, int]) -> Optional[int]:
@@ -220,7 +185,11 @@ class SetAssociativeCache:
         was present.
 
         The run form of :meth:`flush_line`, in one loop: the counters
-        are written back even when an address raises.
+        are written back even when an address raises.  The loop inlines
+        :meth:`_invalidate` because attackers flush a run per window
+        phase: a call per line made a full-path attack 2.6% and a
+        cross-core one 4.7% slower on a 2-vCPU x86-64 container
+        (``docs/performance.md`` §15).
         """
         offset_bits = self._offset_bits
         set_mask = self._set_mask
@@ -296,13 +265,16 @@ class SetAssociativeCache:
             )
         return len(self._sets[set_index])
 
-    def replay(self, addresses: Iterable[int]) -> int:
+    def replay(self, addresses: Iterable[int],
+               outcomes: Optional[List[bool]] = None) -> int:
         """Access a sequence of addresses; return the number of hits.
 
-        The same as calling :meth:`access` on each address in turn, in
-        one loop: the counters are kept in locals and written back even
-        when an address raises, so ``stats`` then reads as the
-        per-access loop would have left it.
+        The array's one loop over loads, the same as calling
+        :meth:`access` on each address in turn.  When ``outcomes`` is
+        given, whether each load hit is appended to it.  The counters
+        are kept in locals and written back even when an address
+        raises, so ``stats`` then reads as the per-access loop would
+        have left it.
         """
         offset_bits = self._offset_bits
         set_mask = self._set_mask
@@ -318,12 +290,18 @@ class SetAssociativeCache:
                 set_index = line & set_mask
                 tag = line >> set_bits
                 ways = sets[set_index]
+                # Re-inserting a hit keeps the set's dict in recency
+                # order.
                 way = ways.pop(tag, None)
                 if way is not None:
                     ways[tag] = way
                     hits += 1
+                    if outcomes is not None:
+                        outcomes.append(True)
                     continue
                 misses += 1
+                if outcomes is not None:
+                    outcomes.append(False)
                 if insert(set_index, tag, ways) is not None:
                     evictions += 1
         finally:

@@ -32,7 +32,7 @@ from abc import ABC, abstractmethod
 from typing import Iterable, List, Optional
 
 from ..cache.geometry import CacheGeometry
-from ..cache.multilevel import InclusionPolicy, MemoryLevel, TwoLevelHierarchy
+from ..cache.multilevel import TwoLevelHierarchy
 from ..cache.setassoc import SetAssociativeCache
 
 #: Core indices of the two parties on a shared-L2 transport.
@@ -179,17 +179,7 @@ class SharedL2Transport(CacheTransport):
         self.attacker_core = attacker_core
 
     def access_lines(self, addresses: Iterable[int]) -> List[bool]:
-        # A reload senses whether the shared level held the line, then
-        # touches it from the attacker core.  The L2 held it iff the
-        # load hit there, or hit in the attacker's L1 of an inclusive
-        # hierarchy (an exclusive one keeps L1 lines out of L2).
-        levels: List[MemoryLevel] = []
-        self.hierarchy.replay(self.attacker_core, addresses, levels)
-        if self.hierarchy.inclusion is InclusionPolicy.INCLUSIVE:
-            memory = MemoryLevel.MEMORY
-            return [level is not memory for level in levels]
-        shared = MemoryLevel.L2
-        return [level is shared for level in levels]
+        return self.hierarchy.access_lines(self.attacker_core, addresses)
 
     def flush_lines(self, addresses: Iterable[int]) -> List[bool]:
         return self.hierarchy.flush_lines(addresses)

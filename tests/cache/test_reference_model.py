@@ -329,10 +329,12 @@ def _assert_same_hierarchy(hierarchy: TwoLevelHierarchy,
 _TINY_L1 = CacheGeometry(total_lines=4, ways=2)
 _TINY_L2 = CacheGeometry(total_lines=8, ways=2)
 
-#: ``(kind, core, line numbers)``: runs of loads by one core and runs
-#: of clflushes, over 24 lines (three times the L2).
+#: ``(kind, core, line numbers)``: runs of loads by one core (counted,
+#: or sensed at the shared level) and runs of clflushes, over 24 lines
+#: (three times the L2).
 runs = st.lists(
-    st.tuples(st.sampled_from(["replay"] * 3 + ["flush_lines"]),
+    st.tuples(st.sampled_from(["replay"] * 3 + ["access_lines",
+                                                "flush_lines"]),
               st.integers(0, 1),
               st.lists(st.integers(0, 23), max_size=12)),
     min_size=4, max_size=30,
@@ -342,8 +344,9 @@ runs = st.lists(
 @pytest.mark.parametrize("policy", ["lru", "random"])
 @pytest.mark.parametrize("inclusion", list(InclusionPolicy))
 class TestHierarchyRunsAgainstReference:
-    """The fused :meth:`TwoLevelHierarchy.replay` loop and the run
-    flush, against the reference's one load or flush at a time."""
+    """The fused :meth:`TwoLevelHierarchy.replay` loop, the attacker's
+    ``access_lines`` and the run flush, against the reference's one
+    load or flush at a time."""
 
     @settings(max_examples=40, deadline=None)
     @given(ops=runs, negative_at=st.none() | st.integers(0, 12))
@@ -365,6 +368,13 @@ class TestHierarchyRunsAgainstReference:
                     reference.flush_line(address)
                 assert hierarchy.flush_lines(addresses) == before
                 continue
+            if kind == "access_lines":
+                before = []
+                for address in addresses:
+                    before.append(reference.is_resident_l2(address))
+                    reference.access(core, address)
+                assert hierarchy.access_lines(core, addresses) == before
+                continue
             levels = []
             hits = hierarchy.replay(core, addresses, levels)
             expected = [reference.access(core, address)
@@ -374,14 +384,11 @@ class TestHierarchyRunsAgainstReference:
                                for level in expected)
         _assert_same_hierarchy(hierarchy, reference)
         if negative_at is not None:
-            # A bad address mid-run raises and leaves the state its
-            # predecessors made, in a load run and in a flush run.
+            # A bad address mid-run raises: a load run leaves the state
+            # its predecessors made, a flush run flushes nothing.
             addresses = [line * line_bytes for line in range(negative_at)]
             for address in addresses:
                 reference.access(0, address)
-            reference.stats.flushes += 1
-            for address in addresses:
-                reference.flush_line(address)
             with pytest.raises(ValueError, match="non-negative"):
                 hierarchy.replay(0, addresses + [-1, 0])
             with pytest.raises(ValueError, match="non-negative"):
@@ -406,3 +413,7 @@ class TestNegativeAddresses:
             hierarchy.flush_line(-1)
         with pytest.raises(ValueError, match="non-negative"):
             hierarchy.is_resident_l2(-1)
+        # Rejected before any counter moves, at every level.
+        assert asdict(hierarchy.stats) == asdict(HierarchyStats())
+        for array in hierarchy.l1 + [hierarchy.l2]:
+            assert asdict(array.stats) == asdict(CacheStats())
