@@ -481,10 +481,11 @@ class ObservedTransport(CacheTransport):
             self.defender._enter(self._attacker)
         return self.inner.flush_lines(addresses)
 
-    def victim_loads(self, addresses: Iterable[int]) -> int:
+    def victim_loads(self, addresses: Iterable[int],
+                     hits: Optional[List[bool]] = None) -> int:
         if self.defender._phase is not self._victim:
             self.defender._enter(self._victim)
-        return self.inner.victim_loads(addresses)
+        return self.inner.victim_loads(addresses, hits)
 
     def cold(self) -> "ObservedTransport":
         """A cold inner substrate under the *same* defender's tap."""

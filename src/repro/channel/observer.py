@@ -495,7 +495,8 @@ def observe_window(victim: TracedVictim, plaintext: int,
     Only the S-box loads of rounds ``first_round..last_round`` are
     observed (the PermBits table lives in its own region and, for the
     variants' purposes, contributes a constant offset).  The substrate
-    starts cold, as after a flush.
+    starts cold, as after a flush, and takes the window's S-box loads
+    as one run.
     """
     if first_round > last_round:
         raise ValueError(
@@ -505,19 +506,16 @@ def observe_window(victim: TracedVictim, plaintext: int,
     if surface is None:
         surface = SingleLevelTransport(geometry)
     hit_miss: List[bool] = []
-    latency = 0
-    for access in trace.accesses:
-        if access.table != "sbox":
-            continue
-        if not first_round <= access.round_index <= last_round:
-            continue
-        hit = surface.victim_access(access.address)
-        hit_miss.append(hit)
-        latency += (latencies.l1_hit_cycles if hit
-                    else latencies.l1_miss_cycles)
+    hits = surface.victim_loads(
+        (access.address for access in trace.accesses
+         if access.table == "sbox"
+         and first_round <= access.round_index <= last_round),
+        hit_miss,
+    )
     return WindowObservation(
         hit_miss=tuple(hit_miss),
-        latency_cycles=latency,
+        latency_cycles=(hits * latencies.l1_hit_cycles
+                        + (len(hit_miss) - hits) * latencies.l1_miss_cycles),
         accesses=len(hit_miss),
     )
 

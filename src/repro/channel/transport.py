@@ -7,6 +7,8 @@ an observation needs: the attacker's probe surface (the run-based
 the victim's execution substrate (``victim_loads``).  Each side hands
 the substrate a whole run of operations in one call; the one-address
 ``access`` / ``flush_line`` / ``victim_access`` are one-element runs.
+A victim run can also report whether each of its loads hit, for the
+observers that read the per-load signal.
 The same-core and cross-core attacks differ *only* in which transport
 they run on:
 
@@ -32,7 +34,7 @@ from abc import ABC, abstractmethod
 from typing import Iterable, List, Optional
 
 from ..cache.geometry import CacheGeometry
-from ..cache.multilevel import TwoLevelHierarchy
+from ..cache.multilevel import MemoryLevel, TwoLevelHierarchy
 from ..cache.setassoc import SetAssociativeCache
 
 #: Core indices of the two parties on a shared-L2 transport.
@@ -79,9 +81,11 @@ class CacheTransport(ABC):
         return self.flush_lines((address,))[0]
 
     @abstractmethod
-    def victim_loads(self, addresses: Iterable[int]) -> int:
+    def victim_loads(self, addresses: Iterable[int],
+                     hits: Optional[List[bool]] = None) -> int:
         """The victim's loads, in order; returns how many hit in any
-        cache level."""
+        cache level.  When ``hits`` is given, whether each load hit is
+        appended to it."""
 
     def victim_access(self, address: int) -> bool:
         """One victim load; returns whether it hit in any cache level."""
@@ -133,8 +137,9 @@ class SingleLevelTransport(CacheTransport):
     def flush_lines(self, addresses: Iterable[int]) -> List[bool]:
         return self.cache.flush_lines(addresses)
 
-    def victim_loads(self, addresses: Iterable[int]) -> int:
-        return self.cache.replay(addresses)
+    def victim_loads(self, addresses: Iterable[int],
+                     hits: Optional[List[bool]] = None) -> int:
+        return self.cache.replay(addresses, hits)
 
     def cold(self) -> "SingleLevelTransport":
         # The replacement policy is part of the substrate's shape: a
@@ -184,8 +189,15 @@ class SharedL2Transport(CacheTransport):
     def flush_lines(self, addresses: Iterable[int]) -> List[bool]:
         return self.hierarchy.flush_lines(addresses)
 
-    def victim_loads(self, addresses: Iterable[int]) -> int:
-        return self.hierarchy.replay(self.victim_core, addresses)
+    def victim_loads(self, addresses: Iterable[int],
+                     hits: Optional[List[bool]] = None) -> int:
+        if hits is None:
+            return self.hierarchy.replay(self.victim_core, addresses)
+        levels: List[MemoryLevel] = []
+        count = self.hierarchy.replay(self.victim_core, addresses, levels)
+        memory = MemoryLevel.MEMORY
+        hits.extend(level is not memory for level in levels)
+        return count
 
     def cold(self) -> "SharedL2Transport":
         hierarchy = self.hierarchy

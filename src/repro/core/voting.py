@@ -38,12 +38,22 @@ Decision rules (all binomial, no scipy — the container has none):
 A true target line is therefore never hard-eliminated by a run of bad
 luck — it can only be deprioritised in the ranking until more windows
 restore its lead.
+
+A decision read costs about a table lookup.  Every voter in the process
+reads its lower tails from one table of rows keyed by the number of
+observations and the expected presence, built once and bounded in the
+floats it holds; each voter sorts its ranking once per update and keeps
+a running vote total for the posterior's background.  The floats are
+those of :func:`binom_tail_le` and of a re-summed background, so the
+decisions are those of a voter that recomputes everything per read.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 
@@ -80,6 +90,76 @@ def binom_tail_le(n: int, k: int, p: float) -> float:
     for i in range(0, k + 1):
         total += math.exp(log_binom_pmf(n, i, p))
     return min(1.0, total)
+
+
+class _TailTable:
+    """Lower binomial tail rows shared by every voter in the process.
+
+    The row for ``(n, p)`` holds ``binom_tail_le(n, k, p)`` before its
+    ``min(1.0, ...)`` for every ``k`` in ``[0, n)``, bit for bit: each
+    term is the expression :func:`log_binom_pmf` evaluates, with the
+    same operands in the same order, and the terms are added from
+    ``i = 0`` into ``0.0``, the order :func:`binom_tail_le` adds them.
+    Only ``lgamma(n + 1)``, ``log(p)`` and ``log1p(-p)`` are hoisted,
+    and they are pure functions.  At ``p >= 1`` every term below ``n``
+    is ``exp(-inf)``, so the row is zeros.
+
+    Every hypothesis run walks the same ``n = 1, 2, 3, ...`` at the
+    channel's one presence, so a row is built once per process and
+    then read by every voter that reaches its ``n``.  The table keeps
+    at most ``max_terms`` floats in all: rows are evicted least
+    recently read first, and a row longer than the whole budget is
+    handed out without being stored.  The rows of a run grow as the
+    square of its length, and ``max_encryptions_per_segment`` allows
+    runs of 100,000 windows; the bound keeps such a run from holding
+    them all.
+    """
+
+    def __init__(self, max_terms: int) -> None:
+        self.max_terms = max_terms
+        #: Floats held in all rows.
+        self.terms = 0
+        #: ``(n, p) -> row``, least recently read first.
+        self._rows: Dict[Tuple[int, float], array] = {}
+
+    def row(self, n: int, p: float) -> array:
+        """The running sums of ``P[Bin(n, p) = i]`` for ``i < n``."""
+        rows = self._rows
+        key = (n, p)
+        row = rows.pop(key, None)
+        if row is None:
+            row = self._build(n, p)
+            if n > self.max_terms:
+                return row
+            while self.terms + n > self.max_terms:
+                self.terms -= len(rows.pop(next(iter(rows))))
+            self.terms += n
+        rows[key] = row
+        return row
+
+    @staticmethod
+    def _build(n: int, p: float) -> array:
+        if p >= 1.0:
+            return array("d", bytes(8 * n))
+        lgamma = math.lgamma
+        exp = math.exp
+        lg_n = lgamma(n + 1)
+        log_p = math.log(p)
+        log_q = math.log1p(-p)
+        row = array("d")
+        append = row.append
+        total = 0.0
+        for i in range(n):
+            total += exp((lg_n - lgamma(i + 1) - lgamma(n - i + 1))
+                         + i * log_p + (n - i) * log_q)
+            append(total)
+        return row
+
+
+#: The process-wide table.  2**18 floats are 2 MiB: every row up to
+#: ``n = 723`` at one presence, while a lossy full-key attack's longest
+#: voting runs are a few hundred windows.
+_TAILS = _TailTable(max_terms=1 << 18)
 
 
 @dataclass(frozen=True)
@@ -158,6 +238,11 @@ class VotingEliminator:
     :attr:`decided` / :meth:`rejects`; :attr:`resolved_line` is the
     accepted target.  :attr:`progress` and :attr:`may_stall` drive the
     loop's re-crafts.
+
+    An update bumps the counts and the running vote total and drops
+    the ranking, the posterior and the tail row, which the next read
+    rebuilds once.  The row is shared: every voter at the same number
+    of observations and presence reads the same one.
     """
 
     def __init__(self, universe: FrozenSet[int],
@@ -168,12 +253,14 @@ class VotingEliminator:
         self.policy = policy
         self._counts: Dict[int, int] = {line: 0 for line in sorted(universe)}
         self.observations = 0
-        # Decision state derived from the counts, rebuilt lazily after
-        # each update: the sorted ranking, the posterior, and the
-        # running sums of ``binom_tail_le(observations, k, e)``.
+        #: Votes cast over all lines (the sum of the counts).
+        self._votes = 0
+        # Decision state derived from the counts, looked up lazily
+        # after each update: the sorted ranking, the posterior, and the
+        # shared tail row for the current number of observations.
         self._ranked: Optional[List[Tuple[int, int]]] = None
         self._confidence: Optional[float] = None
-        self._tail: List[float] = []
+        self._row: Optional[array] = None
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -183,11 +270,14 @@ class VotingEliminator:
         """Record one probe observation (lines outside the universe are
         ignored — a co-runner cannot vote)."""
         self.observations += 1
-        for line in set(observed) & self.universe:
-            self._counts[line] += 1
+        voted = set(observed) & self.universe
+        counts = self._counts
+        for line in voted:
+            counts[line] += 1
+        self._votes += len(voted)
         self._ranked = None
         self._confidence = None
-        self._tail = []
+        self._row = None
 
     def update_batch(self,
                      observations: Iterable[Iterable[int]]) -> None:
@@ -217,8 +307,9 @@ class VotingEliminator:
     def _ranking(self) -> List[Tuple[int, int]]:
         """The shared ranking, sorted once per update (do not mutate)."""
         if self._ranked is None:
-            self._ranked = sorted(self._counts.items(),
-                                  key=lambda kv: (-kv[1], kv[0]))
+            # Stable: tied lines keep the counts' ascending line order.
+            self._ranked = sorted(self._counts.items(), key=itemgetter(1),
+                                  reverse=True)
         return self._ranked
 
     @property
@@ -237,38 +328,20 @@ class VotingEliminator:
 
     def _lower_tail(self, k: int) -> float:
         """``binom_tail_le(observations, k, expected_presence)``, bit for
-        bit, read from running sums built once per update.
+        bit, read from the process-wide tail table.
 
-        The sums are extended only as far as the largest ``k`` asked
-        since the last update.  Each term is the expression
-        :func:`log_binom_pmf` evaluates, with the same operands in the
-        same order, and the terms are added in the order
-        :func:`binom_tail_le` adds them, so every prefix sum is the
-        float that function returns before its ``min(1.0, ...)``.
+        The voter looks its row up once per update; every voter at the
+        same number of observations and presence reads the same row.
         """
         n = self.observations
         if k >= n:
             return 1.0
         if k < 0:
             return 0.0
-        sums = self._tail
-        if k >= len(sums):
-            p = self.policy.expected_presence
-            if p >= 1.0:
-                # log_binom_pmf's degenerate rate: no mass below n.
-                sums.extend([0.0] * (k + 1 - len(sums)))
-            else:
-                lgamma = math.lgamma
-                exp = math.exp
-                lg_n = lgamma(n + 1)
-                log_p = math.log(p)
-                log_q = math.log1p(-p)
-                total = sums[-1] if sums else 0.0
-                for i in range(len(sums), k + 1):
-                    total += exp((lg_n - lgamma(i + 1) - lgamma(n - i + 1))
-                                 + i * log_p + (n - i) * log_q)
-                    sums.append(total)
-        return min(1.0, sums[k])
+        row = self._row
+        if row is None:
+            row = self._row = _TAILS.row(n, self.policy.expected_presence)
+        return min(1.0, row[k])
 
     def is_viable(self, line: int) -> bool:
         """Whether ``line``'s count is consistent with the target rate."""
@@ -317,7 +390,7 @@ class VotingEliminator:
         if len(ranked) == 1:
             return 1.0
         e = self.policy.expected_presence
-        background = ((sum(count for _, count in ranked[1:]) + 1.0)
+        background = ((self._votes - ranked[0][1] + 1.0)
                       / (n * (len(ranked) - 1) + 2.0))
         if background >= e:
             return 0.0

@@ -409,8 +409,8 @@ class _CountingTransport(CacheTransport):
         self.calls.append("flush_line")
         return self.inner.flush_line(address)
 
-    def victim_loads(self, addresses):
-        return self.inner.victim_loads(addresses)
+    def victim_loads(self, addresses, hits=None):
+        return self.inner.victim_loads(addresses, hits)
 
     def cold(self):
         return _CountingTransport(self.inner.cold())

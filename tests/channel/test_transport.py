@@ -130,22 +130,29 @@ def _substrate_load(transport, address):
 class TestVictimLoads:
     """One ``victim_loads`` call is the per-address ``victim_access``
     loop, and both are the substrate's own per-load answers, however
-    the stream is cut into calls."""
+    the stream is cut into calls, with or without the per-load hits."""
 
     @pytest.mark.parametrize("name", sorted(_TWINS))
     @settings(max_examples=60, deadline=None)
     @given(addresses=st.lists(st.integers(0, 63), max_size=80),
            cut=st.integers(0, 80))
     def test_matches_per_address_loop(self, name, addresses, cut):
-        batched, looped, reference = (_TWINS[name]() for _ in range(3))
+        batched, listed, looped, reference = (_TWINS[name]()
+                                              for _ in range(4))
         hits = (batched.victim_loads(addresses[:cut])
                 + batched.victim_loads(iter(addresses[cut:])))
+        per_load = []
+        listed_hits = (listed.victim_loads(addresses[:cut], per_load)
+                       + listed.victim_loads(iter(addresses[cut:]),
+                                             per_load))
         expected = [_substrate_load(reference, address)
                     for address in addresses]
         assert [looped.victim_access(address)
                 for address in addresses] == expected
-        assert hits == sum(expected)
-        assert (_substrate_state(batched) == _substrate_state(looped)
+        assert per_load == expected
+        assert hits == listed_hits == sum(expected)
+        assert (_substrate_state(batched) == _substrate_state(listed)
+                == _substrate_state(looped)
                 == _substrate_state(reference))
 
 

@@ -141,6 +141,28 @@ class TestVotingRecovery:
         assert f"the {excinfo.value.blocked_by} guard" \
             in str(excinfo.value)
 
+    def test_benchmark_channel_effort_is_pinned(self):
+        # The lossy_fullkey benchmark's channel: 15% per-probe false
+        # negatives, default budget.  Voters share one process-wide
+        # table of binomial tail rows, so the count must not depend on
+        # which rows earlier attacks left behind: it is asked again
+        # after an attack at 20% miss has added rows at presence 0.8.
+        planted = derive_key(128, 0)
+
+        def encryptions():
+            result = GrinchAttack(
+                TracedGift64(master_key=planted),
+                AttackConfig(seed=0,
+                             loss=LossyChannel(miss_probability=0.15)),
+            ).recover_master_key()
+            assert result.master_key == planted
+            return result.total_encryptions
+
+        assert encryptions() == 1484
+        GrinchAttack(TracedGift64(master_key=derive_key(128, 100)),
+                     _lossy_config(0)).recover_master_key()
+        assert encryptions() == 1484
+
     @pytest.mark.parametrize("seed, encryptions, segment, sightings", [
         (0, 1199, "round 4 segment 12", "202/219 windows"),
         (2, 1142, "round 4 segment 10", "183/192 windows"),

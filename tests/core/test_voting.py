@@ -12,7 +12,9 @@ The lossy-channel tentpole rests on four claims, each pinned here:
   threshold, the full attack's recovered key matches the planted one
   (checked end-to-end in ``test_lossy_attack.py``).
 
-The voter keeps its binomial tails, ranking and posterior per update
+The voter reads its binomial tails from one process-wide table of
+rows, shared by every voter at the same number of observations and
+presence, and keeps its ranking, posterior and vote total per update
 instead of recomputing them per query; the last two classes hold that
 arithmetic to :func:`binom_tail_le` and to a voter that recomputes
 everything on every call, float for float.
@@ -24,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import voting
 from repro.core.eliminate import CandidateEliminator
 from repro.core.voting import (
     VotingEliminator,
@@ -237,7 +240,8 @@ class TestBlockingGuard:
 
 
 class TestTailTable:
-    """The voter's running tail sums are ``binom_tail_le``, bit for bit."""
+    """The shared tail rows are ``binom_tail_le``, bit for bit, however
+    voters share them and however the bound evicts them."""
 
     @pytest.mark.parametrize("n_max", [
         120,
@@ -257,11 +261,72 @@ class TestTailTable:
                 assert voter._lower_tail(k) == binom_tail_le(n, k, p), (n, k)
             voter.update(())
 
+    @staticmethod
+    def _table(monkeypatch, max_terms):
+        table = voting._TailTable(max_terms)
+        monkeypatch.setattr(voting, "_TAILS", table)
+        return table
+
+    def test_voters_at_the_same_point_read_one_row(self, monkeypatch):
+        table = self._table(monkeypatch, 1 << 12)
+        policy = VotingPolicy(expected_presence=0.85)
+        first, second = (VotingEliminator(frozenset({0, 1}), policy)
+                         for _ in range(2))
+        for voter, observed in ((first, {0}), (second, {0, 1})):
+            for _ in range(30):
+                voter.update(observed)
+        for k in range(-1, 32):
+            assert (first._lower_tail(k) == second._lower_tail(k)
+                    == binom_tail_le(30, k, 0.85)), k
+        assert first._row is second._row
+        assert len(table._rows) == 1 and table.terms == 30
+
+    def test_reads_interleaved_across_two_presences(self, monkeypatch):
+        table = self._table(monkeypatch, 1 << 12)
+        voters = [VotingEliminator(frozenset({0}),
+                                   VotingPolicy(expected_presence=p))
+                  for p in (0.85, 0.5)]
+        for n in range(60):
+            for k in range(-1, n + 2):
+                for voter in voters:
+                    p = voter.policy.expected_presence
+                    assert voter._lower_tail(k) == binom_tail_le(n, k, p), \
+                        (n, k, p)
+            for voter in voters:
+                voter.update({0})
+        assert len(table._rows) == 2 * 59
+
+    def test_reads_after_eviction_stay_within_the_budget(self,
+                                                         monkeypatch):
+        budget = 100
+        table = self._table(monkeypatch, budget)
+        rng = random.Random(5)
+        # The second 0.85 voter re-walks rows the others evicted; rows
+        # longer than the budget are read without being stored.
+        for p in (0.85, 0.5, 0.85):
+            voter = VotingEliminator(frozenset({0}),
+                                     VotingPolicy(expected_presence=p))
+            for n in range(120):
+                ks = list(range(-1, n + 2))
+                rng.shuffle(ks)
+                for k in ks:
+                    assert voter._lower_tail(k) == binom_tail_le(n, k, p), \
+                        (n, k, p)
+                    assert table.terms <= budget
+                voter.update(())
+        assert table.terms == sum(len(row)
+                                  for row in table._rows.values())
+
 
 class PerCallVoter(VotingEliminator):
     """The reference: the voter with every per-update cache bypassed.
     Each read re-sorts the counts, re-sums its binomial tail from zero
-    with :func:`binom_tail_le` and recomputes the posterior."""
+    with :func:`binom_tail_le` and recomputes the posterior, whose
+    background is re-summed from the counts."""
+
+    def update(self, observed):
+        super().update(observed)
+        self._votes = sum(self._counts.values())
 
     def _ranking(self):
         return sorted(self._counts.items(), key=lambda kv: (-kv[1], kv[0]))
