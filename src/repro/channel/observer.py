@@ -494,22 +494,23 @@ def observe_window(victim: TracedVictim, plaintext: int,
 
     Only the S-box loads of rounds ``first_round..last_round`` are
     observed (the PermBits table lives in its own region and, for the
-    variants' purposes, contributes a constant offset).  The substrate
-    starts cold, as after a flush, and takes the window's S-box loads
-    as one run.
+    variants' purposes, contributes a constant offset).  They are the
+    first half of each of those rounds' runs of
+    ``load_addresses_by_round``: a round loads one S-box entry and then
+    one PermBits row per segment.  The substrate starts cold, as after
+    a flush, and takes the window's S-box loads as one run.
     """
     if first_round > last_round:
         raise ValueError(
             f"empty round window [{first_round}, {last_round}]"
         )
-    trace = victim.encrypt_traced(plaintext, max_rounds=last_round)
+    runs = victim.load_addresses_by_round(plaintext, last_round)
     if surface is None:
         surface = SingleLevelTransport(geometry)
     hit_miss: List[bool] = []
     hits = surface.victim_loads(
-        (access.address for access in trace.accesses
-         if access.table == "sbox"
-         and first_round <= access.round_index <= last_round),
+        [address for run in runs[first_round - 1:]
+         for address in run[:len(run) // 2]],
         hit_miss,
     )
     return WindowObservation(

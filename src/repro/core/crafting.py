@@ -13,13 +13,17 @@ earlier rounds using the round keys recovered so far; for GIFT:
     input_r = S⁻¹(P⁻¹(input_{r+1} XOR RK_r XOR C_r))
 
 The inversion is the cipher target's
-:meth:`~repro.targets.CipherTarget.invert_rounds` — each registered
+:meth:`~repro.targets.CipherTarget.bind_inversion` — each registered
 cipher knows how its own rounds unwind (PRESENT, for instance, XORs
 its key *before* the S-box layer and has no state-side constants).
+A :class:`PlaintextCrafter` binds it once to its prior round keys, so
+the key-dependent work (GIFT folds every round's key and constant mask
+through P⁻¹) is paid per crafter, not per plaintext.
 
-Each :class:`PlaintextCrafter` turns its spec into a per-segment draw
-table once, so crafting a plaintext is one rejection-sampled draw per
-segment plus the inversion.  The draws consume the attacker's RNG
+Crafting a plaintext is then one rejection-sampled draw per segment,
+from the spec's draw table
+(:attr:`~repro.core.target_bits.TargetSpec.draw_plan`, built once per
+spec), plus the bound inversion.  The draws consume the attacker's RNG
 exactly as ``rng.choice``/``rng.randrange(16)`` would, which keeps
 every seeded attack (and the recorded trace corpus) unchanged.
 
@@ -32,32 +36,13 @@ only needs to enumerate the candidates of the four source segments.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
-from .target_bits import TargetSpec
-
-#: One segment's draw: ``(shift, values, n, n.bit_length())``.
-SegmentDraw = Tuple[int, Sequence[int], int, int]
-
-_ANY_NIBBLE = tuple(range(16))
-
-
-def _draw_plan(spec: TargetSpec) -> Tuple[SegmentDraw, ...]:
-    """Per-segment draw table of ``spec``, in segment order.
-
-    A pinned source segment draws from its valid-input list, every
-    other segment from all sixteen nibbles.
-    """
-    plan = []
-    for segment in range(spec.width // 4):
-        values = spec.valid_inputs.get(segment, _ANY_NIBBLE)
-        count = len(values)
-        plan.append((4 * segment, values, count, count.bit_length()))
-    return tuple(plan)
+from .target_bits import SegmentDraw, TargetSpec
 
 
 def _draw_state(plan: Sequence[SegmentDraw], rng: random.Random) -> int:
-    """Draw one state from a :func:`_draw_plan`.
+    """Draw one state from a :attr:`TargetSpec.draw_plan`.
 
     Each segment takes ``getrandbits(k)`` until the draw is below
     ``n``: the rejection loop CPython's ``Random._randbelow`` runs for
@@ -81,7 +66,7 @@ def build_target_round_input(spec: TargetSpec, rng: random.Random) -> int:
     valid-input list; the remaining segments take uniform random
     nibbles (Algorithm 2 lines 3-10).
     """
-    return _draw_state(_draw_plan(spec), rng)
+    return _draw_state(spec.draw_plan, rng)
 
 
 class PlaintextCrafter:
@@ -94,7 +79,8 @@ class PlaintextCrafter:
     prior_round_keys:
         Keys of rounds ``1 .. t-1`` as known/hypothesised by the
         attacker (empty for a round-1 target), in the target's native
-        round-key representation.
+        round-key representation.  Kept as a tuple: the crafter binds
+        its inversion to these keys at construction.
     rng:
         Attacker randomness for segment choices.
     """
@@ -109,15 +95,14 @@ class PlaintextCrafter:
                 f"got {len(prior_round_keys)}"
             )
         self.spec = spec
-        self.prior_round_keys = list(prior_round_keys)
+        self.prior_round_keys = tuple(prior_round_keys)
         self._rng = rng
-        self._plan = _draw_plan(spec)
-        self._invert_rounds = spec.target.invert_rounds
+        self._plan = spec.draw_plan
+        self._invert = spec.target.bind_inversion(self.prior_round_keys)
 
     def craft(self) -> int:
         """Return one crafted plaintext."""
-        return self._invert_rounds(_draw_state(self._plan, self._rng),
-                                   self.prior_round_keys)
+        return self._invert(_draw_state(self._plan, self._rng))
 
     def craft_many(self, count: int) -> List[int]:
         """Return ``count`` crafted plaintexts."""

@@ -22,15 +22,31 @@ the round-constant mask.  Ciphers whose round-1 S-box indices are
 already key-dependent (PRESENT, ``probe_round_offset = 0`` with
 ``first_round_direct``) skip the walk for ``t = 1`` — the crafted
 plaintext nibble *is* the constrained value.
+
+A spec depends only on its target, round, segment and forced bits, so
+:func:`set_target_bits` builds each one once per process and hands the
+same object to every later caller.  Shared specs are immutable: the
+dataclass is frozen and ``valid_inputs`` is a read-only mapping.  The
+per-segment draw table the crafter samples from
+(:attr:`TargetSpec.draw_plan`) is built on first use and kept on the
+spec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..targets.protocol import CipherTarget
 from ..targets.registry import get_target
+
+
+#: One segment's draw: ``(shift, values, n, n.bit_length())``.
+SegmentDraw = Tuple[int, Sequence[int], int, int]
+
+_ANY_NIBBLE = tuple(range(16))
 
 
 @dataclass(frozen=True)
@@ -72,7 +88,9 @@ class TargetSpec:
     that force its constrained output bit(s) — the paper's
     ``List_A``/``List_B``, extended to all four sources.  (For a
     ``first_round_direct`` round-1 target it maps the target segment
-    itself to the single fully pinned plaintext nibble.)
+    itself to the single fully pinned plaintext nibble.)  It is a
+    read-only mapping, because :func:`set_target_bits` shares one spec
+    between all its callers.
     ``free_bit_predictions`` gives, per key-free index bit offset, the
     value the attacker *predicts* for the monitored access (forced value
     XORed with the key-independent round constant).
@@ -82,11 +100,26 @@ class TargetSpec:
     segment: int
     width: int
     sources: Tuple[SourceBit, ...]
-    valid_inputs: Dict[int, Tuple[int, ...]]
+    valid_inputs: Mapping[int, Tuple[int, ...]]
     key_offsets: Tuple[int, ...]
     free_bit_predictions: Tuple[Tuple[int, int], ...]
     key_bit_positions: Tuple[int, ...]
     target: CipherTarget = field(compare=False, repr=False)
+
+    @cached_property
+    def draw_plan(self) -> Tuple[SegmentDraw, ...]:
+        """Per-segment draw table of Algorithm 2, in segment order.
+
+        Each entry is ``(shift, values, n, n.bit_length())``: a pinned
+        source segment draws from its valid-input list, every other
+        segment from all sixteen nibbles.  Built once per spec.
+        """
+        plan = []
+        for segment in range(self.width // 4):
+            values = self.valid_inputs.get(segment, _ANY_NIBBLE)
+            count = len(values)
+            plan.append((4 * segment, values, count, count.bit_length()))
+        return tuple(plan)
 
     @property
     def source_segments(self) -> Tuple[int, ...]:
@@ -122,7 +155,8 @@ class TargetSpec:
 def set_target_bits(round_index: int, segment: int, width: int = 64,
                     forced_high_bits: Optional[Tuple[int, ...]] = None,
                     target: Optional[CipherTarget] = None) -> TargetSpec:
-    """Algorithm 1 (extended per Section III-C): build a :class:`TargetSpec`.
+    """Algorithm 1 (extended per Section III-C): the :class:`TargetSpec`
+    of one target, built on the first call and shared afterwards.
 
     Parameters
     ----------
@@ -151,13 +185,26 @@ def set_target_bits(round_index: int, segment: int, width: int = 64,
                 f"GIFT only defines 64- and 128-bit states, got {width}"
             )
         target = get_target(f"gift{width}")
+    if forced_high_bits is None:
+        forced_high_bits = (1,) * len(target.free_offsets)
+    return _build_spec(target, round_index, segment, tuple(forced_high_bits))
+
+
+@lru_cache(maxsize=None)
+def _build_spec(target: CipherTarget, round_index: int, segment: int,
+                forced_high_bits: Tuple[int, ...]) -> TargetSpec:
+    """Run Algorithm 1 for :func:`set_target_bits`.
+
+    Memoised without a bound: an attack asks only for its full-key
+    rounds and its verification round, so a process holds a few
+    hundred specs per target (GIFT-64: 5 rounds of 16 segments per
+    forced-bit choice).  A call that raises stores nothing.
+    """
     width = target.width
     if not 0 <= segment < target.segments:
         raise ValueError(
             f"segment must be in [0, {target.segments}), got {segment}"
         )
-    if forced_high_bits is None:
-        forced_high_bits = (1,) * len(target.free_offsets)
     if len(forced_high_bits) != len(target.free_offsets) or any(
             bit not in (0, 1) for bit in forced_high_bits):
         raise ValueError(
@@ -198,7 +245,7 @@ def set_target_bits(round_index: int, segment: int, width: int = 64,
             segment=segment,
             width=width,
             sources=(),
-            valid_inputs={segment: (pinned,)},
+            valid_inputs=MappingProxyType({segment: (pinned,)}),
             key_offsets=target.key_offsets,
             free_bit_predictions=free_bit_predictions,
             key_bit_positions=key_positions,
@@ -253,7 +300,7 @@ def set_target_bits(round_index: int, segment: int, width: int = 64,
         segment=segment,
         width=width,
         sources=tuple(sources),
-        valid_inputs=valid_inputs,
+        valid_inputs=MappingProxyType(valid_inputs),
         key_offsets=target.key_offsets,
         free_bit_predictions=free_bit_predictions,
         key_bit_positions=key_positions,

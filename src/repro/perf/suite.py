@@ -4,11 +4,11 @@ Every Monte-Carlo trial the engine runs bottoms out in four hot paths,
 each benchmarked here:
 
 * the **cipher** — trace-free ``encrypt()`` vs. the traced LUT path
-  that backs full-path recording, ``observe_window`` and the
-  countermeasure evaluation (``gift64_encrypt_untraced`` /
-  ``gift64_encrypt_traced``, plus the GIFT-128 pair outside ``--quick``),
-  and the bitsliced **batch path** (``gift64_encrypt_batch``, one op =
-  :data:`_BATCH_BLOCKS` blocks through ``encrypt_batch``);
+  that backs full-path recording and the countermeasure evaluation
+  (``gift64_encrypt_untraced`` / ``gift64_encrypt_traced``, plus the
+  GIFT-128 pair outside ``--quick``), and the bitsliced **batch path**
+  (``gift64_encrypt_batch``, one op = :data:`_BATCH_BLOCKS` blocks
+  through ``encrypt_batch``);
 * the **observer** — crafted-encryption line observations on the fast
   path (``observer_fast_observations``) and, for the same victim and
   plaintexts, on the full cache simulation
@@ -74,9 +74,9 @@ MIN_FAST_OBSERVATION_OVER_UNTRACED: float = 7.0
 
 #: Soft anchor: the untraced/traced ratio may not exceed the recorded
 #: trajectory baseline by more than this factor (a growing ratio means
-#: the traced path — which backs full-path recording, ``observe_window``
-#: and the countermeasure evaluation — got slower relative to the
-#: untraced anchor).
+#: the traced path — which backs full-path recording and the
+#: countermeasure evaluation — got slower relative to the untraced
+#: anchor).
 REGRESSION_HEADROOM: float = 2.0
 
 #: Ratios the artifact and the CLI report without a floor:

@@ -24,7 +24,7 @@ The port is exercised end-to-end by experiment E16
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..present.bitsliced import BitslicedPresent  # noqa: F401  (re-exported)
 from ..present.cipher import (
@@ -81,9 +81,10 @@ class PresentTarget(CipherTarget):
 
     # -- crafting ------------------------------------------------------
 
-    def invert_rounds(self, state: int,
-                      prior_round_keys: Sequence[int]) -> int:
-        """Invert a constrained state back to a plaintext.
+    def bind_inversion(self, prior_round_keys: Sequence[int]
+                       ) -> Callable[[int], int]:
+        """Invert a constrained state back to a plaintext, bound to the
+        prior round keys.
 
         For a round-``t`` target with ``t >= 2`` the constrained state
         is the round-``t-1`` *S-layer input* (already key-XORed): its
@@ -91,14 +92,18 @@ class PresentTarget(CipherTarget):
         round-``t`` nibble.  For ``t = 1`` (``first_round_direct``) the
         state is the plaintext itself and there is nothing to invert.
         """
-        if not prior_round_keys:
-            return state
-        for round_index in range(len(prior_round_keys), 0, -1):
-            state ^= prior_round_keys[round_index - 1]
-            if round_index == 1:
-                return state
-            state = _sbox_layer(_p_layer(state, inverse=True), inverse=True)
-        raise AssertionError("unreachable")  # pragma: no cover
+        # Last round first: the order the inversion peels them off.
+        keys = tuple(reversed(prior_round_keys))
+        inner = keys[:-1]
+        first = keys[-1] if keys else 0
+
+        def invert(state: int) -> int:
+            for key in inner:
+                state = _sbox_layer(_p_layer(state ^ key, inverse=True),
+                                    inverse=True)
+            return state ^ first
+
+        return invert
 
     # -- key-relation algebra -----------------------------------------
 

@@ -15,7 +15,7 @@ PRESENT-80 port).
 
 Round-key values are opaque to the pipeline: GIFT uses ``(U, V)``
 half-pairs, PRESENT a full 64-bit word.  The pipeline only ever moves
-them between target methods (:meth:`CipherTarget.invert_rounds`,
+them between target methods (:meth:`CipherTarget.bind_inversion`,
 :meth:`CipherTarget.assemble_master_key`, ...) or assembles them from
 per-segment bit tuples via
 :meth:`CipherTarget.round_key_from_segment_bits`.
@@ -33,7 +33,7 @@ offset 0).
 from __future__ import annotations
 
 import abc
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - Protocol import is version-dependent sugar
     from typing import Protocol
@@ -182,16 +182,25 @@ class CipherTarget(abc.ABC):
     # ------------------------------------------------------------------
 
     @abc.abstractmethod
+    def bind_inversion(self, prior_round_keys: Sequence[RoundKey]
+                       ) -> Callable[[int], int]:
+        """The inversion of rounds ``1 .. len(prior_round_keys)`` under
+        fixed keys, as a function of the constrained state.
+
+        The returned function maps the constrained state of a round-``t``
+        target with ``t = len(prior_round_keys) + 1`` (the state
+        :func:`~repro.core.crafting.build_target_round_input` built from
+        the spec's valid-input lists) to the plaintext that reaches it
+        under ``prior_round_keys``.  Everything that depends on the keys
+        alone is done here, once; a crafter calls the result once per
+        plaintext.
+        """
+
     def invert_rounds(self, state: int,
                       prior_round_keys: Sequence[RoundKey]) -> int:
-        """Invert the crafted constrained state back to a plaintext.
-
-        ``state`` is the constrained state of a round-``t`` target with
-        ``t = len(prior_round_keys) + 1`` (the state
-        :func:`~repro.core.crafting.build_target_round_input` built from
-        the spec's valid-input lists); the return value is the
-        plaintext that reaches it under ``prior_round_keys``.
-        """
+        """Invert one crafted constrained state back to a plaintext:
+        :meth:`bind_inversion` applied once."""
+        return self.bind_inversion(prior_round_keys)(state)
 
     # ------------------------------------------------------------------
     # Key-relation algebra

@@ -22,6 +22,7 @@ from repro.channel import (
     SboxMonitor,
     SharedL2Transport,
     SingleLevelTransport,
+    observe_window,
 )
 from repro.core.attack import GrinchAttack
 from repro.core.config import AttackConfig
@@ -40,6 +41,7 @@ from repro.trace import (
     ReplayVictim,
     TraceHeader,
     TraceRecorder,
+    dumps,
 )
 
 plaintexts = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -257,6 +259,92 @@ class TestIndexMask:
             victim.sbox_index_mask(0, 1, victim.rounds + 1)
         with pytest.raises(ValueError, match="first_round"):
             victim.sbox_index_mask(0, 3, 2)
+
+
+def _filtered_window(victim, plaintext, first, last):
+    """The window's S-box addresses as ``observe_window`` once took
+    them: the ``encrypt_traced`` records, filtered by table and round."""
+    trace = victim.encrypt_traced(plaintext, max_rounds=last)
+    return [access.address for access in trace.accesses
+            if access.table == "sbox"
+            and first <= access.round_index <= last]
+
+
+class _AddressLog:
+    """A window surface that logs the loads it is handed."""
+
+    def __init__(self):
+        self.addresses = []
+
+    def victim_loads(self, addresses, hits=None):
+        addresses = list(addresses)
+        self.addresses.extend(addresses)
+        hits.extend(False for _ in addresses)
+        return 0
+
+
+class TestObserveWindow:
+    """``observe_window`` reads the window's S-box loads off
+    ``load_addresses_by_round`` (each run's first half); they equal the
+    ``encrypt_traced`` records filtered by table and round."""
+
+    @staticmethod
+    def _window(data, victim):
+        plaintext = data.draw(st.integers(0, (1 << victim.width) - 1))
+        last = data.draw(st.integers(1, min(victim.rounds, 8)))
+        first = data.draw(st.integers(1, last))
+        return plaintext, first, last
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data(), st.sampled_from(sorted(VICTIMS)))
+    def test_live_victims_load_the_filtered_addresses(self, data, name):
+        victim = _victim(name)
+        plaintext, first, last = self._window(data, victim)
+        log = _AddressLog()
+        observe_window(victim, plaintext, CacheGeometry(), first, last,
+                       surface=log)
+        assert log.addresses == _filtered_window(victim, plaintext,
+                                                 first, last)
+        assert len(log.addresses) == (last - first + 1) * victim.width // 4
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data(), st.sampled_from(["gift64", "gift128", "present80"]))
+    def test_recording_and_replay_wrappers(self, data, name):
+        """A recording made through ``observe_window`` is the one
+        ``encrypt_traced`` made, byte for byte, and its replay loads the
+        same addresses."""
+        victim = _victim(name)
+        windows = [self._window(data, victim) for _ in range(3)]
+        header = TraceHeader.for_victim(name, victim, AttackConfig())
+        by_window = TraceRecorder(header)
+        by_trace = TraceRecorder(header)
+        recording = RecordingVictim(victim, by_window)
+        reference = RecordingVictim(victim, by_trace)
+        live = []
+        for plaintext, first, last in windows:
+            log = _AddressLog()
+            live.append(observe_window(recording, plaintext,
+                                       CacheGeometry(), first, last))
+            observe_window(victim, plaintext, CacheGeometry(), first,
+                           last, surface=log)
+            assert log.addresses == _filtered_window(reference, plaintext,
+                                                     first, last)
+        assert (dumps(by_window.to_trace_file())
+                == dumps(by_trace.to_trace_file()))
+        replay = ReplayVictim(by_window.to_trace_file())
+        filtered = ReplayVictim(by_window.to_trace_file())
+        for (plaintext, first, last), seen in zip(windows, live):
+            log = _AddressLog()
+            observe_window(replay, plaintext, CacheGeometry(), first, last,
+                           surface=log)
+            assert log.addresses == _filtered_window(filtered, plaintext,
+                                                     first, last)
+        replay = ReplayVictim(by_window.to_trace_file())
+        assert [observe_window(replay, plaintext, CacheGeometry(), first,
+                               last)
+                for plaintext, first, last in windows] == live
 
 
 class TestEvictionModel:

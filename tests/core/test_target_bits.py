@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.core.attack import GrinchAttack
+from repro.core.config import AttackConfig
+from repro.core.target_bits import set_target_bits
 from repro.gift.constants import constant_mask
 from repro.gift.permutation import PERM64_INV
 from repro.gift.sbox import GIFT_SBOX
-from repro.core.target_bits import set_target_bits
+from repro.seeding import derive_key
+from repro.targets import get_target
 
 
 class TestSourceTracing:
@@ -155,3 +159,55 @@ class TestValidation:
     def test_rejects_bad_forced_bits(self):
         with pytest.raises(ValueError):
             set_target_bits(1, 0, forced_high_bits=(2, 0))
+
+
+class TestSharedSpecs:
+    """``set_target_bits`` builds each spec once per process."""
+
+    def test_same_arguments_return_the_same_spec(self):
+        gift64 = get_target("gift64")
+        spec = set_target_bits(2, 7)
+        assert set_target_bits(2, 7) is spec
+        assert set_target_bits(2, 7, width=64, target=gift64) is spec
+        assert set_target_bits(2, 7, forced_high_bits=[1, 1]) is spec
+
+    def test_valid_inputs_cannot_be_mutated(self):
+        spec = set_target_bits(1, 3)
+        source = spec.source_segments[0]
+        with pytest.raises(TypeError):
+            spec.valid_inputs[source] = (0,)
+        with pytest.raises(TypeError):
+            del spec.valid_inputs[source]
+        with pytest.raises(AttributeError):
+            spec.valid_inputs.clear()
+
+    def test_forced_bits_and_targets_give_distinct_specs(self):
+        specs = [
+            set_target_bits(1, 0),
+            set_target_bits(1, 0, forced_high_bits=(0, 1)),
+            set_target_bits(1, 0, forced_high_bits=(1, 0)),
+            set_target_bits(1, 0, width=128),
+            set_target_bits(1, 0, target=get_target("giftcofb")),
+            set_target_bits(1, 0, target=get_target("present80")),
+        ]
+        assert len({id(spec) for spec in specs}) == len(specs)
+        assert [spec.target.name for spec in specs[3:]] == \
+            ["gift128", "giftcofb", "present80"]
+        assert specs[1].free_bit_predictions != specs[0].free_bit_predictions
+
+    def test_draw_plan_is_built_once(self):
+        spec = set_target_bits(3, 9)
+        assert spec.draw_plan is spec.draw_plan
+        assert [shift for shift, _, _, _ in spec.draw_plan] == \
+            list(range(0, 64, 4))
+
+    def test_warm_specs_keep_the_464_pin(self):
+        """GIFT-128 and PRESENT-80 attacks share the process-wide
+        specs; the seed-0 GIFT-64 full key still takes 464."""
+        for name in ("gift128", "present80", "gift64", "gift64"):
+            target = get_target(name)
+            key = derive_key(target.key_bits, 0)
+            result = GrinchAttack(target.make_victim(key),
+                                  AttackConfig(seed=0)).recover_master_key()
+            assert result.master_key == key
+        assert result.total_encryptions == 464
