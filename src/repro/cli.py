@@ -130,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     trace = commands.add_parser(
         "trace",
-        help="record, replay, convert and inspect attack traces (L0)",
+        help="record, replay and inspect attack traces (L0)",
     )
     trace.add_argument(
         "trace_args", nargs=argparse.REMAINDER,

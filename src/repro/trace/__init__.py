@@ -1,10 +1,10 @@
 """L0: trace record/replay — below the whole channel stack.
 
-This package defines the on-disk trace formats (binary + JSONL), the
-recording wrapper that captures a live victim without perturbing it,
-the replay victim that feeds a recording back through the unchanged
-L1–L4 observer stack, :func:`play` to push a record's addresses into
-any transport, and a parser for foreign malloc/free + access logs.
+This package defines the on-disk binary trace format, the recording
+wrapper that captures a live victim without perturbing it, the replay
+victim that feeds a recording back through the unchanged L1–L4
+observer stack, and :func:`play` to push a record's addresses into
+any transport.
 
 Layering: L0 sits *below* the four channel layers and the attack core.
 It may import only ``repro.targets`` (the victim-facing data model),
@@ -23,16 +23,13 @@ from .binio import (
     write_binary,
 )
 from .errors import (
-    ExternalTraceError,
     TraceError,
     TraceExhaustedError,
     TraceFormatError,
     TraceMismatchError,
     TraceVersionError,
 )
-from .external import ExternalTraceParser, ParseStats, parse_external_log
 from .format import (
-    FORMAT_NAME,
     FORMAT_VERSION,
     KIND_ACCESSES,
     KIND_INDICES,
@@ -40,14 +37,6 @@ from .format import (
     EncryptionRecord,
     TraceFile,
     TraceHeader,
-    classify_address,
-)
-from .jsonio import (
-    JSONL_SUFFIX,
-    dump_jsonl,
-    load_jsonl,
-    read_jsonl,
-    write_jsonl,
 )
 from .recorder import RecordingVictim, TraceRecorder
 from .replay import ReplayVictim, play
@@ -55,8 +44,6 @@ from .replay import ReplayVictim, play
 __all__ = [
     "BINARY_SUFFIX",
     "MAGIC",
-    "JSONL_SUFFIX",
-    "FORMAT_NAME",
     "FORMAT_VERSION",
     "KIND_PAIR",
     "KIND_ACCESSES",
@@ -66,24 +53,15 @@ __all__ = [
     "TraceVersionError",
     "TraceMismatchError",
     "TraceExhaustedError",
-    "ExternalTraceError",
     "TraceHeader",
     "EncryptionRecord",
     "TraceFile",
-    "classify_address",
     "dumps",
     "loads",
     "read_binary",
     "write_binary",
-    "dump_jsonl",
-    "load_jsonl",
-    "read_jsonl",
-    "write_jsonl",
     "TraceRecorder",
     "RecordingVictim",
     "ReplayVictim",
     "play",
-    "ExternalTraceParser",
-    "ParseStats",
-    "parse_external_log",
 ]

@@ -4,9 +4,8 @@ Every failure mode of the trace subsystem raises a subclass of
 :class:`TraceError`, so callers can distinguish *format* problems (a
 truncated or corrupt file, a version we cannot read) from *replay*
 problems (the attack asked for something the recording does not
-contain) and from *ingestion* problems (a malformed external log).
-A short stream is never silently returned: decoding stops with a
-:class:`TraceFormatError` the moment the byte stream ends early.
+contain).  A short stream is never silently returned: decoding stops
+with a :class:`TraceFormatError` the moment the byte stream ends early.
 """
 
 from __future__ import annotations
@@ -40,15 +39,3 @@ class TraceMismatchError(TraceError):
 class TraceExhaustedError(TraceError):
     """The replay consumer asked for more records than were recorded."""
 
-
-class ExternalTraceError(TraceError):
-    """An external memory-trace log could not be parsed in strict mode.
-
-    Carries the 1-based line number of the offending input line.
-    """
-
-    def __init__(self, message: str, lineno: int = 0) -> None:
-        if lineno:
-            message = f"line {lineno}: {message}"
-        super().__init__(message)
-        self.lineno = lineno

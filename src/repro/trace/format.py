@@ -16,10 +16,9 @@ cover every observation path of the L1–L4 stack:
 ``"accesses"``
     The full-path signal: the complete tagged
     :class:`~repro.targets.trace.MemoryAccess` stream of the visible
-    window (S-box *and* PermBits loads, or whatever a foreign trace
-    contains).  ``round_index == 0`` / ``segment == -1`` mark accesses
-    whose provenance the producer could not tag (substrate-level
-    recordings, external logs).
+    window (S-box *and* PermBits loads), as the full path asks for it.
+    ``round_index == 0`` / ``segment == -1`` mark accesses whose
+    provenance the producer could not tag.
 ``"pair"``
     One known plaintext/ciphertext pair — the verification channel the
     attack consumes through ``known_pair``.
@@ -30,8 +29,7 @@ windows*; ``rounds_visible`` bounds the window (the recorded victim ran
 record boundaries themselves.
 
 This module is pure data + validation; serialization lives in
-:mod:`repro.trace.binio` (compact binary) and
-:mod:`repro.trace.jsonio` (the JSONL twin).
+:mod:`repro.trace.binio`.
 """
 
 from __future__ import annotations
@@ -44,8 +42,7 @@ from ..targets.layout import SBOX_ENTRIES, TableLayout
 from ..targets.trace import EncryptionTrace, MemoryAccess
 from .errors import TraceError
 
-#: Format identity, shared by the binary and JSONL encodings.
-FORMAT_NAME = "grinch-trace"
+#: Format version of the encoding.
 FORMAT_VERSION = 1
 
 #: Record kinds (see module docstring).
@@ -112,8 +109,8 @@ class TraceHeader:
 
     @property
     def geometry_preset(self) -> Optional[str]:
-        """Name of the matching geometry preset, if any (recorded in
-        both encodings so reports can say "paper geometry")."""
+        """Name of the matching geometry preset, if any (so reports
+        can say "paper geometry")."""
         return preset_name_of(self.geometry)
 
     def table_index(self, table: str) -> int:
@@ -303,24 +300,3 @@ class TraceFile:
         """Known plaintext/ciphertext pairs in the file."""
         return sum(1 for record in self.records if not record.is_window)
 
-
-def classify_address(layout: TableLayout, address: int,
-                     segments: int) -> Tuple[str, int, int]:
-    """Map a raw byte address onto ``(table, segment, index)``.
-
-    The inverse of the layout's address arithmetic, used by
-    substrate-level recorders and the external-log parser: addresses in
-    the S-box region resolve to their entry index (segment unknown,
-    ``-1``), addresses in the PermBits region to their
-    ``(segment, nibble)`` slot, and anything else to ``("other", -1,
-    -1)``.
-    """
-    sbox_offset = address - layout.sbox_base
-    if 0 <= sbox_offset < SBOX_ENTRIES * layout.sbox_entry_bytes:
-        return "sbox", -1, sbox_offset // layout.sbox_entry_bytes
-    perm_offset = address - layout.perm_base
-    perm_extent = SBOX_ENTRIES * segments * layout.perm_entry_bytes
-    if 0 <= perm_offset < perm_extent:
-        slot = perm_offset // layout.perm_entry_bytes
-        return "perm", slot // SBOX_ENTRIES, slot
-    return "other", -1, -1

@@ -1,4 +1,4 @@
-"""Replay: serve a recorded (or foreign) trace to the L1–L4 stack.
+"""Replay: serve a recorded trace to the L1–L4 stack.
 
 :class:`ReplayVictim` implements the duck-typed ``TracedVictim``
 surface from a :class:`~repro.trace.format.TraceFile` instead of a
@@ -12,18 +12,16 @@ same crafting stream from the header's seed, asks for the same
 plaintexts in the same order, and receives the recorded answers, so
 the whole 128-bit key falls **with no cipher in the loop**.
 
-In ``strict`` mode (the default) any drift — a plaintext the recording
-did not answer, a wrong record kind, a shorter visible window — raises
+Any drift — a plaintext the recording did not answer, a wrong record
+kind, a shorter visible window — raises
 :class:`~repro.trace.errors.TraceMismatchError` immediately; running
 past the end raises
-:class:`~repro.trace.errors.TraceExhaustedError`.  ``strict=False``
-skips plaintext comparison and tolerates interleaving drift (for
-foreign traces that carry no plaintexts at all).
+:class:`~repro.trace.errors.TraceExhaustedError`.
 
 :func:`play` is the substrate-level counterpart: it feeds one record's
 address stream into any transport's ``victim_loads`` (a
 ``SingleLevelTransport`` of the header's geometry, say) — the way to
-push *foreign* traces through an L1 probe primitive without any victim
+push a recording through an L1 probe primitive without any victim
 object at all.
 """
 
@@ -33,7 +31,7 @@ from typing import Any, FrozenSet, List, Optional, Tuple
 
 from ..staticcheck.secrets import secret_attributes
 from ..targets.lut import index_mask
-from ..targets.registry import get_target
+from ..targets.registry import get_target, target_names
 from ..targets.trace import EncryptionTrace
 from .errors import TraceError, TraceExhaustedError, TraceMismatchError
 from .format import (
@@ -59,17 +57,16 @@ def header_load_addresses(header: TraceHeader
     ``perm_load_addresses`` (segment then index order).  Replay serves
     exactly these; recording refuses a victim that loads elsewhere.
     Raises :class:`~repro.trace.errors.TraceError` when the header
-    names no registered target (a foreign log parsed under its default
-    ``"external"`` target, say).
+    names no registered target.
     """
     layout = header.layout
     try:
         sbox = get_target(header.target).sbox
-    except KeyError as error:
+    except KeyError:
         raise TraceError(
-            f"cannot derive the trace's load addresses: {error.args[0]} "
-            f"(a foreign log replays when parsed with the victim's "
-            f"target name)"
+            f"cannot derive the trace's load addresses: target "
+            f"{header.target!r} is not registered (registered: "
+            f"{', '.join(target_names())})"
         ) from None
     return (
         tuple(layout.sbox_addresses()),
@@ -95,9 +92,8 @@ class ReplayVictim:
     the trace attribute is declared secret accordingly.
     """
 
-    def __init__(self, trace: TraceFile, *, strict: bool = True) -> None:
+    def __init__(self, trace: TraceFile) -> None:
         self.trace = trace
-        self.strict = strict
         header = trace.header
         self.attack_target = header.target
         self.width = header.width
@@ -124,27 +120,25 @@ class ReplayVictim:
 
     def _next(self, kinds: FrozenSet[str], what: str) -> EncryptionRecord:
         records = self.trace.records
-        while self._cursor < len(records):
-            record = records[self._cursor]
-            self._cursor += 1
-            if record.kind in kinds:
-                return record
-            if self.strict:
-                raise TraceMismatchError(
-                    f"replay drift: expected a {what} record at position "
-                    f"{self._cursor - 1}, found kind {record.kind!r} "
-                    f"(config or seed differs from record time?)"
-                )
-            # Loose mode: skip interleaved records of other kinds.
-        raise TraceExhaustedError(
-            f"trace exhausted after {self.windows_served} windows and "
-            f"{self.pairs_served} pairs: no {what} record left "
-            f"(recorded scope too small for this replay?)"
+        if self._cursor >= len(records):
+            raise TraceExhaustedError(
+                f"trace exhausted after {self.windows_served} windows and "
+                f"{self.pairs_served} pairs: no {what} record left "
+                f"(recorded scope too small for this replay?)"
+            )
+        record = records[self._cursor]
+        self._cursor += 1
+        if record.kind in kinds:
+            return record
+        raise TraceMismatchError(
+            f"replay drift: expected a {what} record at position "
+            f"{self._cursor - 1}, found kind {record.kind!r} "
+            f"(config or seed differs from record time?)"
         )
 
     def _check_plaintext(self, record: EncryptionRecord,
                          plaintext: int) -> None:
-        if not self.strict or record.plaintext is None:
+        if record.plaintext is None:
             return
         if record.plaintext != plaintext:
             raise TraceMismatchError(

@@ -6,8 +6,6 @@
          --scope full-key --out tests/corpus/gift64-seed0-full.grtr
    $ python -m repro trace replay tests/corpus/gift64-seed0-full.grtr \\
          --check
-   $ python -m repro trace convert run.grtr run.jsonl
-   $ python -m repro trace convert victim.log run.grtr --segments 16
    $ python -m repro trace info tests/corpus/gift64-seed0-full.grtr
 
 ``record`` runs the real attack against a registered target with a
@@ -15,8 +13,7 @@
 writes the captured trace; ``replay`` reruns the attack with a
 :class:`~repro.trace.ReplayVictim` — same recovery, **no cipher in
 the loop** — and ``--check`` pins the outcome against the metadata the
-recording stored.  ``convert`` moves between the binary encoding, the
-JSONL twin, and foreign malloc/free access logs.
+recording stored; ``info`` prints a file's header and record counts.
 
 This module lives *outside* the L0 package on purpose: it wires traces
 into the attack core and so may import ``repro.core`` — which
@@ -39,67 +36,18 @@ from .seeding import derive_key
 from .targets.registry import get_target, target_names
 from .trace import (
     BINARY_SUFFIX,
-    MAGIC,
-    ExternalTraceParser,
     RecordingVictim,
     ReplayVictim,
     TraceError,
     TraceFile,
     TraceHeader,
     TraceRecorder,
-    dump_jsonl,
-    dumps,
-    load_jsonl,
-    loads,
+    read_binary,
+    write_binary,
 )
 
 #: Recording scopes the CLI understands.
 SCOPES = ("full-key", "first-round")
-
-
-def _detect_format(data: bytes) -> str:
-    """``"binary"``, ``"jsonl"`` or ``"external"`` from content."""
-    if data[:len(MAGIC)] == MAGIC:
-        return "binary"
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        return "binary"  # not ours; let the binary reader complain
-    for line in text.splitlines():
-        if line.strip():
-            return "jsonl" if line.lstrip().startswith("{") else "external"
-    return "external"
-
-
-def _read_trace(path: Path, args: argparse.Namespace) -> TraceFile:
-    data = path.read_bytes()
-    kind = getattr(args, "input_format", None) or _detect_format(data)
-    if kind == "binary":
-        return loads(data)
-    if kind == "jsonl":
-        return load_jsonl(data.decode("utf-8"))
-    parser = ExternalTraceParser(
-        segments=getattr(args, "segments", 16),
-        target=getattr(args, "external_target", "external"),
-        strict=not getattr(args, "lenient", False),
-    )
-    trace, stats = parser.parse(data.decode("utf-8").splitlines())
-    if stats.skipped:
-        print(f"external log: skipped {stats.skipped} lines "
-              f"({stats.as_dict()})", file=sys.stderr)
-    return trace
-
-
-def _write_trace(trace: TraceFile, path: Path,
-                 jsonl: Optional[bool] = None) -> int:
-    as_jsonl = (path.suffix == ".jsonl" if jsonl is None else jsonl)
-    if as_jsonl:
-        data = dump_jsonl(trace).encode("utf-8")
-    else:
-        data = dumps(trace)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
-    return len(data)
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +106,8 @@ def _cmd_record(args: argparse.Namespace) -> int:
         records=captured.records,
     )
     out = Path(args.out)
-    size = _write_trace(trace, out, jsonl=args.jsonl or None)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    size = write_binary(trace, out)
     print(f"recorded {args.target} {args.scope} (seed {args.seed}): "
           f"{summary}")
     print(f"wrote {out} ({size} bytes, {trace.windows} windows, "
@@ -167,11 +116,11 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    trace = _read_trace(Path(args.trace), args)
+    trace = read_binary(args.trace)
     header = trace.header
     meta = header.meta
     scope = args.scope or meta.get("scope") or "full-key"
-    victim = ReplayVictim(trace, strict=not args.lenient)
+    victim = ReplayVictim(trace)
     attack = GrinchAttack(victim, config_from_header(header))
     print(f"replaying {args.trace}: target {header.target}, "
           f"scope {scope}, seed {header.seed}, "
@@ -195,17 +144,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
-    trace = _read_trace(Path(args.input), args)
-    out = Path(args.output)
-    size = _write_trace(trace, out, jsonl=args.jsonl or None)
-    print(f"wrote {out} ({size} bytes, {len(trace.records)} records)")
-    return 0
-
-
 def _cmd_info(args: argparse.Namespace) -> int:
     path = Path(args.trace)
-    trace = _read_trace(path, args)
+    trace = read_binary(path)
     header = trace.header
     geometry = header.geometry
     print(f"{path} ({path.stat().st_size} bytes)")
@@ -233,25 +174,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
 # Argument parsing
 # ----------------------------------------------------------------------
 
-def _add_input_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--input-format",
-                     choices=("binary", "jsonl", "external"),
-                     default=None,
-                     help="input encoding (default: sniff the content)")
-    sub.add_argument("--segments", type=int, default=16,
-                     help="state segments for external logs "
-                          "(default: 16)")
-    sub.add_argument("--external-target", default="external",
-                     help="target name stamped on parsed external logs")
-    sub.add_argument("--lenient", action="store_true",
-                     help="skip-and-count malformed external lines / "
-                          "tolerate replay drift instead of failing")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro trace",
-        description="record, replay, convert and inspect attack traces",
+        description="record, replay and inspect attack traces",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -269,10 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
     record.add_argument("--key", type=lambda v: int(v, 16), default=None,
                         help="victim master key (hex)")
     record.add_argument("--out", required=True,
-                        help=f"output path ({BINARY_SUFFIX} binary "
-                             f"unless it ends in .jsonl)")
-    record.add_argument("--jsonl", action="store_true",
-                        help="force the JSONL encoding")
+                        help=f"output path (binary, conventionally "
+                             f"{BINARY_SUFFIX})")
     record.add_argument("--probing-round", type=int, default=1)
     record.add_argument("--no-flush", action="store_true")
     record.add_argument("--probe",
@@ -299,29 +223,17 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--check", action="store_true",
                         help="verify the replay against the recording's "
                              "metadata (exit 1 on drift)")
-    _add_input_options(replay)
-
-    convert = commands.add_parser(
-        "convert", help="convert between binary / JSONL / external logs"
-    )
-    convert.add_argument("input")
-    convert.add_argument("output")
-    convert.add_argument("--jsonl", action="store_true",
-                         help="force JSONL output regardless of suffix")
-    _add_input_options(convert)
 
     info = commands.add_parser(
         "info", help="print a trace file's header and record counts"
     )
     info.add_argument("trace")
-    _add_input_options(info)
     return parser
 
 
 _HANDLERS = {
     "record": _cmd_record,
     "replay": _cmd_replay,
-    "convert": _cmd_convert,
     "info": _cmd_info,
 }
 

@@ -1,12 +1,13 @@
 """The ``python -m repro trace`` front-end."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main as repro_main
 from repro.seeding import derive_key
-from repro.trace import read_binary, read_jsonl
+from repro.trace import read_binary, write_binary
 from repro.tracecli import main as trace_main
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -40,15 +41,6 @@ class TestRecord:
         committed = (CORPUS_DIR / "gift64-seed0-full.grtr").read_bytes()
         assert out.read_bytes() == committed
 
-    def test_record_jsonl_output(self, tmp_path):
-        out = tmp_path / "run.jsonl"
-        assert trace_main(["record", "--target", "gift64", "--seed", "0",
-                           "--scope", "first-round",
-                           "--out", str(out)]) == 0
-        trace = read_jsonl(out)
-        assert trace.header.target == "gift64"
-        assert trace.windows == 116
-
     def test_record_stamps_meta(self, tmp_path):
         out = tmp_path / "run.grtr"
         trace_main(["record", "--target", "gift64", "--seed", "0",
@@ -63,11 +55,7 @@ class TestReplay:
     def test_check_catches_tamper(self, tmp_path, capsys, monkeypatch):
         """``--check`` and E18 apply one rule: every recorded value must
         match, and a value the recording lacks is a mismatch."""
-        import json
-
         from repro.engine import run_experiment
-        from repro.trace import dump_jsonl, load_jsonl, read_binary, \
-            write_binary
 
         def edit_gift_full(meta):
             meta["total_encryptions"] = 999
@@ -90,13 +78,12 @@ class TestReplay:
         ]
         for index, (name, edit, complaint) in enumerate(cases):
             trace = read_binary(CORPUS_DIR / name)
-            lines = dump_jsonl(trace).splitlines()
-            header = json.loads(lines[0])
-            edit(header["meta"])
-            lines[0] = json.dumps(header, sort_keys=True,
-                                  separators=(",", ":"))
+            meta = dict(trace.header.meta)
+            edit(meta)
+            header = dataclasses.replace(trace.header, meta=meta)
             tampered = tmp_path / f"tampered-{index}.grtr"
-            write_binary(load_jsonl("\n".join(lines)), tampered)
+            write_binary(dataclasses.replace(trace, header=header),
+                         tampered)
             assert trace_main(["replay", str(tampered), "--check"]) == 1
             assert complaint in capsys.readouterr().err
             record = run_experiment("trace_replay",
@@ -115,37 +102,7 @@ class TestReplay:
         assert "trace error" in capsys.readouterr().err
 
 
-class TestConvertAndInfo:
-    def test_binary_jsonl_binary_is_byte_identical(self, tmp_path):
-        source = CORPUS_DIR / "gift64-seed0-first.grtr"
-        middle = tmp_path / "mid.jsonl"
-        back = tmp_path / "back.grtr"
-        assert trace_main(["convert", str(source), str(middle)]) == 0
-        assert trace_main(["convert", str(middle), str(back)]) == 0
-        assert back.read_bytes() == source.read_bytes()
-
-    def test_external_log_conversion(self, tmp_path):
-        log = tmp_path / "victim.log"
-        log.write_text(
-            "alloc 0x55a0 16\nenc 0123\nread 0x55a3\nend\n",
-            encoding="utf-8",
-        )
-        out = tmp_path / "ext.grtr"
-        assert trace_main(["convert", str(log), str(out)]) == 0
-        trace = read_binary(out)
-        assert trace.header.target == "external"
-        assert trace.records[0].accesses[0].index == 3
-
-    def test_lenient_flag_reaches_parser(self, tmp_path, capsys):
-        log = tmp_path / "victim.log"
-        log.write_text("alloc 0x55a0 16\nbogus\nread 0x55a1\n",
-                       encoding="utf-8")
-        out = tmp_path / "ext.grtr"
-        assert trace_main(["convert", str(log), str(out)]) == 2
-        assert trace_main(["convert", str(log), str(out),
-                           "--lenient"]) == 0
-        assert "skipped 1 lines" in capsys.readouterr().err
-
+class TestInfo:
     def test_info(self, capsys):
         assert trace_main(
             ["info", str(CORPUS_DIR / "gift64-seed0-full.grtr")]
@@ -154,6 +111,13 @@ class TestConvertAndInfo:
         assert "gift64" in out
         assert "464 windows" in out
         assert "full-key" in out
+
+    @pytest.mark.parametrize("command", ["info", "replay"])
+    def test_text_file_is_a_clean_error(self, tmp_path, capsys, command):
+        log = tmp_path / "victim.log"
+        log.write_text("alloc 0x55a0 16\nenc 0123\n", encoding="utf-8")
+        assert trace_main([command, str(log)]) == 2
+        assert "trace error: bad magic" in capsys.readouterr().err
 
 
 class TestTopLevelWiring:

@@ -15,8 +15,7 @@ import pytest
 from repro.core.attack import GrinchAttack
 from repro.engine.replay import DEFAULT_TRACES, config_from_header
 from repro.seeding import derive_key
-from repro.trace import ReplayVictim, dump_jsonl, dumps, load_jsonl, \
-    read_binary
+from repro.trace import ReplayVictim, dumps, read_binary
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -47,12 +46,10 @@ class TestCorpusIntegrity:
         assert trace.header.meta["total_encryptions"] == PINNED[name]
 
     @pytest.mark.parametrize("name", sorted(PINNED))
-    def test_jsonl_twin_round_trips(self, name):
-        blob = (CORPUS_DIR / name).read_bytes()
-        trace = _read(name)
-        text = dump_jsonl(trace)
-        assert load_jsonl(text) == trace
-        assert dumps(load_jsonl(text)) == blob
+    def test_binary_is_canonical(self, name):
+        """Decoding and re-encoding gives the committed bytes back."""
+        path = CORPUS_DIR / name
+        assert dumps(read_binary(path)) == path.read_bytes()
 
     def test_corpus_stays_small(self):
         total = sum((CORPUS_DIR / name).stat().st_size

@@ -1,11 +1,10 @@
-"""The trace data model: headers, records, classification."""
+"""The trace data model: headers, records, files."""
 
 import dataclasses
 
 import pytest
 
 from repro.cache.geometry import GEOMETRY_PRESETS, CacheGeometry
-from repro.targets.layout import TableLayout
 from repro.targets.trace import MemoryAccess
 from repro.trace import (
     KIND_ACCESSES,
@@ -15,7 +14,6 @@ from repro.trace import (
     TraceError,
     TraceFile,
     TraceHeader,
-    classify_address,
 )
 
 
@@ -142,30 +140,6 @@ class TestTraceFile:
                                indices=((0,) * 15,))
         with pytest.raises(ValueError):
             TraceFile(header=header, records=(bad,))
-
-
-class TestClassifyAddress:
-    def test_sbox_and_perm_regions(self):
-        layout = TableLayout()
-        assert classify_address(layout, layout.sbox_address(5), 16) \
-            == ("sbox", -1, 5)
-        table, segment, slot = classify_address(
-            layout, layout.perm_base + 17 * layout.perm_entry_bytes, 16
-        )
-        assert (table, segment, slot) == ("perm", 1, 17)
-
-    def test_other_region(self):
-        layout = TableLayout()
-        assert classify_address(layout, 0xDEAD_0000, 16) \
-            == ("other", -1, -1)
-
-    def test_roundtrips_all_sbox_entries(self):
-        layout = TableLayout(sbox_entry_bytes=4)
-        for index in range(16):
-            table, _, got = classify_address(
-                layout, layout.sbox_address(index), 16
-            )
-            assert (table, got) == ("sbox", index)
 
 
 class TestHeaderEquality:

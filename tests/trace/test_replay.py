@@ -17,13 +17,16 @@ from repro.trace import (
     EncryptionRecord,
     RecordingVictim,
     ReplayVictim,
+    TraceError,
     TraceExhaustedError,
     TraceFile,
     TraceHeader,
     TraceMismatchError,
     TraceRecorder,
     play,
+    write_binary,
 )
+from repro.tracecli import main as trace_main
 
 
 def _record_full_key(target_name, seed=0, **config_overrides):
@@ -91,12 +94,21 @@ class TestReplayVictim:
         with pytest.raises(TraceMismatchError):
             victim.encrypt(first.plaintext)
 
-    def test_loose_mode_skips_interleaved_kinds(self):
-        _, _, _, trace = _record_full_key("gift64")
-        victim = ReplayVictim(trace, strict=False)
-        pair = next(r for r in trace.records if r.kind == KIND_PAIR)
-        # Skips every window on the way to the single known pair.
-        assert victim.encrypt(pair.plaintext) == pair.ciphertext
+    def test_unregistered_target_is_a_typed_refusal(self, tmp_path,
+                                                    capsys):
+        header = TraceHeader(target="nosuch", width=64, rounds=28)
+        trace = TraceFile(header=header)
+        with pytest.raises(TraceError, match="'nosuch'"):
+            ReplayVictim(trace)
+        path = tmp_path / "nosuch.grtr"
+        write_binary(trace, path)
+        assert trace_main(["replay", str(path)]) == 2
+        assert "'nosuch' is not registered" in capsys.readouterr().err
+
+    def test_registered_target_replays(self, header):
+        victim = ReplayVictim(TraceFile(header=header))
+        assert victim.sbox_load_addresses == tuple(
+            header.layout.sbox_addresses())
 
     def test_exhaustion_is_typed(self, header):
         trace = TraceFile(header=header, records=(

@@ -1,12 +1,9 @@
 """Property tests: serialization round-trips and corruption handling.
 
-The binary codec and its JSONL twin must be mutually lossless — any
-in-memory trace survives ``memory -> binary -> memory`` and
-``binary <-> JSONL`` byte-for-byte — and every malformed input must
-raise a *typed* error, never silently yield a short stream.
+The binary codec must be lossless — any in-memory trace survives
+``memory -> binary -> memory`` — and every malformed input must raise
+a *typed* error, never silently yield a short stream.
 """
-
-import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,9 +22,7 @@ from repro.trace import (
     TraceFormatError,
     TraceHeader,
     TraceVersionError,
-    dump_jsonl,
     dumps,
-    load_jsonl,
     loads,
 )
 
@@ -135,19 +130,6 @@ class TestRoundTrips:
     def test_binary_roundtrip(self, trace):
         assert loads(dumps(trace)) == trace
 
-    @settings(max_examples=60, deadline=None)
-    @given(trace_files())
-    def test_jsonl_roundtrip(self, trace):
-        assert load_jsonl(dump_jsonl(trace)) == trace
-
-    @settings(max_examples=60, deadline=None)
-    @given(trace_files())
-    def test_cross_format_byte_stability(self, trace):
-        blob = dumps(trace)
-        text = dump_jsonl(trace)
-        assert dumps(load_jsonl(text)) == blob
-        assert dump_jsonl(loads(blob)) == text
-
     @settings(max_examples=30, deadline=None)
     @given(trace_files())
     def test_binary_encoding_deterministic(self, trace):
@@ -203,58 +185,3 @@ class TestBinaryCorruption:
         with pytest.raises(TraceFormatError):
             loads(b"")
 
-
-class TestJsonlCorruption:
-    def test_empty_text(self):
-        with pytest.raises(TraceFormatError):
-            load_jsonl("")
-
-    def test_not_json(self):
-        with pytest.raises(TraceFormatError):
-            load_jsonl("this is not json\n")
-
-    def test_wrong_format_tag(self, small_trace):
-        lines = dump_jsonl(small_trace).splitlines()
-        header = json.loads(lines[0])
-        header["format"] = "something-else"
-        lines[0] = json.dumps(header)
-        with pytest.raises(TraceFormatError):
-            load_jsonl("\n".join(lines))
-
-    def test_version_skew_is_typed(self, small_trace):
-        lines = dump_jsonl(small_trace).splitlines()
-        header = json.loads(lines[0])
-        header["version"] = FORMAT_VERSION + 1
-        lines[0] = json.dumps(header)
-        with pytest.raises(TraceVersionError):
-            load_jsonl("\n".join(lines))
-
-    def test_missing_header_field(self, small_trace):
-        lines = dump_jsonl(small_trace).splitlines()
-        header = json.loads(lines[0])
-        del header["tables"]
-        lines[0] = json.dumps(header)
-        with pytest.raises(TraceFormatError):
-            load_jsonl("\n".join(lines))
-
-    def test_malformed_record_line(self, small_trace):
-        text = dump_jsonl(small_trace) + '{"kind": "bogus"}\n'
-        with pytest.raises(TraceFormatError):
-            load_jsonl(text)
-
-    def test_bad_access_row(self, small_trace):
-        lines = dump_jsonl(small_trace).splitlines()
-        record = json.loads(lines[2])
-        assert record["kind"] == KIND_ACCESSES
-        record["accesses"][0] = [1, 2, 3]  # not 5 elements
-        lines[2] = json.dumps(record)
-        with pytest.raises(TraceFormatError):
-            load_jsonl("\n".join(lines))
-
-    def test_table_index_out_of_range(self, small_trace):
-        lines = dump_jsonl(small_trace).splitlines()
-        record = json.loads(lines[2])
-        record["accesses"][0][3] = 99
-        lines[2] = json.dumps(record)
-        with pytest.raises(TraceFormatError):
-            load_jsonl("\n".join(lines))
