@@ -17,14 +17,16 @@ Flush+Reload:
   L1 (like GIFT's 16-byte S-box) may never appear in the shared level
   at all.
 
-Every level is a :class:`~repro.cache.setassoc.SetAssociativeCache`
-(replacement lives in one class); the hierarchy keeps its own counters.
+Every level is a :class:`~repro.cache.setassoc.SetAssociativeCache`;
+the hierarchy keeps its own counters.
 :meth:`TwoLevelHierarchy.replay` is the one loop over a run of loads,
 and so the one place the fill, back-invalidation and spill rules of
-both inclusion modes live; :meth:`~TwoLevelHierarchy.access` is a
-one-load run, and ``access_lines`` maps a run's levels to what the
-shared level held, as ``flush_lines`` (a run of ``clflush``es, which
-goes to each array whole) does for flushes.
+both inclusion modes live.  An LRU fill is written inline there, as
+in the array's own loop; FIFO and random fills go through the array.
+:meth:`~TwoLevelHierarchy.access` is a one-load run, and
+``access_lines`` maps a run's levels to what the shared level held, as
+``flush_lines`` (a run of ``clflush``es, which goes to each array
+whole) does for flushes.
 """
 
 from __future__ import annotations
@@ -145,6 +147,11 @@ class TwoLevelHierarchy:
         l1_mask, l1_bits = l1._set_mask, l1._set_bits
         l2_mask, l2_bits = l2._set_mask, l2._set_bits
         l1_sets, l2_sets = l1._sets, l2._sets
+        # Every array shares one policy.  LRU misses are written inline
+        # (the victim is the set's first tag); FIFO and random ones go
+        # through the arrays' way maps.
+        lru = l2._lru
+        l1_assoc, l2_assoc = l1._ways, l2._ways
         l1_insert, l2_insert = l1._insert, l2._insert
         l2_invalidate = l2._invalidate
         # Every L1 shares one geometry, so one split serves them all.
@@ -180,7 +187,15 @@ class TwoLevelHierarchy:
                     fetches += 1
 
                 # Fill the requesting L1.
-                evicted = l1_insert(set_index, tag, ways)
+                if lru:
+                    evicted = None
+                    if len(ways) == l1_assoc:
+                        evicted_tag = next(iter(ways))
+                        del ways[evicted_tag]
+                        evicted = evicted_tag << l1_bits | set_index
+                    ways[tag] = True
+                else:
+                    evicted = l1_insert(set_index, tag, ways)
                 if evicted is not None:
                     evictions += 1
                     # Exclusive hierarchies receive L1 victims (never in
@@ -193,8 +208,14 @@ class TwoLevelHierarchy:
                             evicted >> l1_bits in sets[evicted & l1_mask]
                             for sets in every_l1_sets):
                         spill_set = evicted & l2_mask
-                        if l2_insert(spill_set, evicted >> l2_bits,
-                                     l2_sets[spill_set]) is not None:
+                        spill_ways = l2_sets[spill_set]
+                        if lru:
+                            if len(spill_ways) == l2_assoc:
+                                del spill_ways[next(iter(spill_ways))]
+                                evictions += 1
+                            spill_ways[evicted >> l2_bits] = True
+                        elif l2_insert(spill_set, evicted >> l2_bits,
+                                       spill_ways) is not None:
                             evictions += 1
 
                 if way is not None:
@@ -206,7 +227,15 @@ class TwoLevelHierarchy:
                     continue
 
                 if inclusive:
-                    evicted = l2_insert(l2_set, l2_tag, l2_ways)
+                    if lru:
+                        evicted = None
+                        if len(l2_ways) == l2_assoc:
+                            evicted_tag = next(iter(l2_ways))
+                            del l2_ways[evicted_tag]
+                            evicted = evicted_tag << l2_bits | l2_set
+                        l2_ways[l2_tag] = True
+                    else:
+                        evicted = l2_insert(l2_set, l2_tag, l2_ways)
                     if evicted is not None:
                         # An L2 eviction back-invalidates every L1 copy.
                         evictions += 1

@@ -1,10 +1,12 @@
 """Replacement policies for the set-associative cache simulator.
 
 The paper's RISCY L1 is LRU, which the cache arrays keep themselves: an
-LRU set's ``tag -> way`` dict is in recency order, so a hit re-inserts
-its tag and an eviction takes the first key.  FIFO and pseudo-random
-policies are objects here, for the ablation studies (E8: the victim's
-PermBits loads do fill sets, yet every policy recovers the key).
+LRU set is a dict of its resident tags in recency order, so a hit
+re-inserts its tag and an eviction takes the first key, with no way
+numbers at all.  FIFO and pseudo-random policies are objects here, for
+the ablation studies (E8: the victim's PermBits loads do fill sets, yet
+every policy recovers the key); only their sets keep ``tag -> way`` and
+``way -> tag`` maps, because a policy names its victim by way.
 """
 
 from __future__ import annotations
@@ -107,7 +109,8 @@ def make_policy(name: str, ways: int,
     """Instantiate a replacement policy by name (``lru``/``fifo``/``random``).
 
     ``lru`` has no policy object (``None``): the cache arrays keep LRU
-    order as their sets' dict order.
+    order as their sets' dict order, and allocate no per-set policy
+    slots for it.
 
     An explicit ``rng`` is shared verbatim (the caller owns the stream:
     every set handed the same object draws from one sequence, the

@@ -8,11 +8,11 @@ separately by :mod:`repro.soc`.
 
 It is the only cache array: the single-level cache and every level of
 :class:`~repro.cache.multilevel.TwoLevelHierarchy`, whose one loop over
-loads probes the arrays' sets itself and places lines through
-:meth:`~SetAssociativeCache._insert`.  Loads and flushes have run
-forms (:meth:`~SetAssociativeCache.replay`, the array's one loop over
-loads, and ``access_lines`` and ``flush_lines``) that take a whole
-sequence of addresses in one call.
+loads probes and fills the arrays' sets itself (LRU inline, FIFO and
+random through :meth:`~SetAssociativeCache._insert`).  Loads and
+flushes have run forms (:meth:`~SetAssociativeCache.replay`, the
+array's one loop over loads, and ``access_lines`` and ``flush_lines``)
+that take a whole sequence of addresses in one call.
 """
 
 from __future__ import annotations
@@ -64,13 +64,16 @@ class SetAssociativeCache:
     ``address // line_bytes`` and mapped to sets by modulo indexing, as
     in :class:`~repro.cache.geometry.CacheGeometry`, whose power-of-two
     sizes let every operation split an address with two shifts and a
-    mask.  Each set keeps a
-    ``tag -> way`` map for lookups and a ``way -> tag`` list, so an
-    eviction finds its victim's tag without scanning the set.  Under
-    LRU the map is in recency order (a hit re-inserts its tag) and the
-    victim is its first key; FIFO and random sets report fills and
-    invalidations to a policy object from
-    :func:`~repro.cache.policies.make_policy`.
+    mask.
+
+    An LRU set (the paper's RISCY L1) is a dict of its resident tags
+    in recency order: a hit re-inserts its tag, a miss in a full set
+    evicts the first key, and the dict values go unused.  LRU arrays
+    keep no way numbers and no policy objects, and their loops write
+    the miss inline.  A FIFO or random set keeps a ``tag -> way`` map
+    and a ``way -> tag`` list, so an eviction finds its victim's tag
+    without scanning the set, and reports fills and invalidations to a
+    policy object from :func:`~repro.cache.policies.make_policy`.
     """
 
     def __init__(self, geometry: CacheGeometry = CacheGeometry(),
@@ -87,19 +90,28 @@ class SetAssociativeCache:
         self._set_bits = geometry.num_sets.bit_length() - 1
         self._set_mask = geometry.num_sets - 1
         self._ways = geometry.ways
-        self._sets: List[Dict[int, int]] = [
+        self._sets: List[Dict[int, Any]] = [
             {} for _ in range(geometry.num_sets)
-        ]  # tag -> way
-        self._way_tags: List[List[int]] = [
+        ]
+        # LRU sets are their dicts' key order alone (class docstring).
+        self._lru = policy == "lru"
+        self._way_tags: Optional[List[List[int]]] = None
+        self._occupied: Optional[List[List[bool]]] = None
+        self._policies: Optional[List[ReplacementPolicy]] = None
+        if self._lru:
+            return
+        # FIFO and random sets map tag -> way, and way -> tag (meaningful
+        # for occupied ways only) for the way a policy names.
+        self._way_tags = [
             [0] * geometry.ways for _ in range(geometry.num_sets)
-        ]  # way -> tag, meaningful for occupied ways only
-        self._occupied: List[List[bool]] = [
+        ]
+        self._occupied = [
             [False] * geometry.ways for _ in range(geometry.num_sets)
         ]
         # Without an explicit rng each set gets its own stream, derived
         # from ``rng_scope`` (one per hierarchy level) and the set index;
         # an explicit rng is shared across sets verbatim.
-        self._policies: List[Optional[ReplacementPolicy]] = [
+        self._policies = [
             make_policy(policy, geometry.ways, rng, set_index=set_index,
                         rng_scope=rng_scope)
             for set_index in range(geometry.num_sets)
@@ -121,17 +133,15 @@ class SetAssociativeCache:
         return outcomes
 
     def _insert(self, set_index: int, tag: int,
-                ways: Dict[int, int]) -> Optional[int]:
-        """Place an absent ``tag``; return the evicted line, if any."""
+                ways: Dict[int, Any]) -> Optional[int]:
+        """Place an absent ``tag`` in a FIFO or random set; return the
+        evicted line, if any.  (The loops write the LRU miss inline.)"""
         policy = self._policies[set_index]
         occupied = self._occupied[set_index]
         way_tags = self._way_tags[set_index]
         evicted = None
         if len(ways) == self._ways:
-            if policy is None:
-                victim_tag = next(iter(ways))
-            else:
-                victim_tag = way_tags[policy.victim(occupied)]
+            victim_tag = way_tags[policy.victim(occupied)]
             way = ways.pop(victim_tag)
             evicted = victim_tag * self._num_sets + set_index
         else:
@@ -139,8 +149,7 @@ class SetAssociativeCache:
         ways[tag] = way
         way_tags[way] = tag
         occupied[way] = True
-        if policy is not None:
-            policy.on_access(way)
+        policy.on_access(way)
         return evicted
 
     def is_resident(self, address: int) -> bool:
@@ -174,10 +183,9 @@ class SetAssociativeCache:
             stats.flush_misses += 1
             return False
         stats.flush_hits += 1
-        self._occupied[set_index][way] = False
-        policy = self._policies[set_index]
-        if policy is not None:
-            policy.on_invalidate(way)
+        if not self._lru:
+            self._occupied[set_index][way] = False
+            self._policies[set_index].on_invalidate(way)
         return True
 
     def flush_lines(self, addresses: Iterable[int]) -> List[bool]:
@@ -195,6 +203,7 @@ class SetAssociativeCache:
         set_mask = self._set_mask
         set_bits = self._set_bits
         sets = self._sets
+        lru = self._lru
         occupied = self._occupied
         policies = self._policies
         results: List[bool] = []
@@ -210,10 +219,9 @@ class SetAssociativeCache:
                     append(False)
                     continue
                 append(True)
-                occupied[set_index][way] = False
-                policy = policies[set_index]
-                if policy is not None:
-                    policy.on_invalidate(way)
+                if not lru:
+                    occupied[set_index][way] = False
+                    policies[set_index].on_invalidate(way)
         finally:
             hits = results.count(True)
             stats = self.stats
@@ -233,12 +241,12 @@ class SetAssociativeCache:
             invalidated = len(self._sets[set_index])
             self.stats.flushes += invalidated
             self.stats.flush_hits += invalidated
-            policy = self._policies[set_index]
-            if policy is not None:
+            if not self._lru:
+                policy = self._policies[set_index]
                 for way in self._sets[set_index].values():
                     policy.on_invalidate(way)
+                self._occupied[set_index] = [False] * self._ways
             self._sets[set_index].clear()
-            self._occupied[set_index] = [False] * self._ways
 
     # ------------------------------------------------------------------
     # Introspection
@@ -280,6 +288,8 @@ class SetAssociativeCache:
         set_mask = self._set_mask
         set_bits = self._set_bits
         sets = self._sets
+        lru = self._lru
+        num_ways = self._ways
         insert = self._insert
         hits = misses = evictions = 0
         try:
@@ -302,7 +312,14 @@ class SetAssociativeCache:
                 misses += 1
                 if outcomes is not None:
                     outcomes.append(False)
-                if insert(set_index, tag, ways) is not None:
+                if lru:
+                    # The LRU miss: evict the least recent (first) tag
+                    # of a full set, then append the new one.
+                    if len(ways) == num_ways:
+                        del ways[next(iter(ways))]
+                        evictions += 1
+                    ways[tag] = True
+                elif insert(set_index, tag, ways) is not None:
                     evictions += 1
         finally:
             stats = self.stats

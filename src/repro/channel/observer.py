@@ -30,7 +30,7 @@ Two execution paths produce the access-driven answer:
   mid-encryption flush, readout) is one transport call.  On the
   end-to-end benchmark a GIFT-64 first-round attack across cores
   through an inclusive two-level hierarchy (``crosscore_firstround``)
-  takes ~19 ms on a 2-vCPU x86-64 container;
+  takes ~14 ms on a 2-vCPU x86-64 container;
 * the **fast path** asks the victim for one 16-bit S-box index mask of
   the visible round window (``sbox_index_mask``) and turns it into
   lines with two table lookups on the monitor, which maps each index
@@ -43,9 +43,9 @@ Two execution paths produce the access-driven answer:
   ``sbox_indices_by_round`` as an LRU cache keeps them.  It applies to
   line-granular flush-based primitives on an LRU single-level
   transport.  On the end-to-end benchmark a GIFT-64 full-key attack
-  takes about 4x longer on the full path (``fullsim_fullkey``,
-  ~50 ms) than on this one (``fast_fullkey``, ~14 ms on the same
-  container), and one first-round observation about 16x
+  takes about 3.4x longer on the full path (``fullsim_fullkey``,
+  ~35 ms) than on this one (``fast_fullkey``, ~10 ms on the same
+  container), and one first-round observation about 9x
   (``observer_fast_over_full`` in ``repro.perf``), a speed the
   million-encryption sweeps of Table I need.  The suite's victim
   sweep (``TestPathEquivalence`` in

@@ -35,6 +35,7 @@ generic ``self._sbox[index]`` would hide the 4-bit S-box site.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import getitem
 from typing import List, Optional, Sequence, Tuple
 
 from ..staticcheck.secrets import secret_attributes, secret_params
@@ -105,6 +106,38 @@ def _byte_pair_tables(sbox: Tuple[int, ...],
     )
 
 
+#: One state byte's entry of the full path's load tables:
+#: ``(byte-pair word, S-box load pair, PermBits load pair)``.
+LoadEntry = Tuple[int, Tuple[int, int], Tuple[int, int]]
+
+
+@lru_cache(maxsize=16)
+def _byte_load_tables(pair_tables: Tuple[Tuple[int, ...], ...],
+                      sbox_addresses: Tuple[int, ...],
+                      perm_loads: Tuple[Tuple[int, ...], ...]
+                      ) -> Tuple[Tuple[LoadEntry, ...], ...]:
+    """Extend the byte-pair tables with the loads each byte issues.
+
+    ``tables[b][x]`` is ``(pair_tables[b][x], (s_lo, s_hi),
+    (p_lo, p_hi))``: the byte-pair word (next state and index bits),
+    then the S-box load address and the PermBits load address of
+    segments ``2b`` (low nibble of ``x``) and ``2b + 1`` (high nibble).
+    The key never enters, so one table serves every victim with the
+    same tables and load addresses.  There is one per target and table
+    layout in use, so a few entries cover every victim of a run.
+    """
+    return tuple(
+        tuple(
+            (word,
+             (sbox_addresses[x & 0xF], sbox_addresses[x >> 4]),
+             (low_perm[x & 0xF], high_perm[x >> 4]))
+            for x, word in enumerate(table)
+        )
+        for table, low_perm, high_perm in zip(
+            pair_tables, perm_loads[0::2], perm_loads[1::2])
+    )
+
+
 def index_mask(indices_by_round: Sequence[Sequence[int]]) -> int:
     """The 16-bit S-box index mask of per-round index rows: bit ``i``
     is set iff some row holds index ``i`` (the reference form of
@@ -160,6 +193,10 @@ class TracedLutCipher:
         self._pre_masks: Tuple[int, ...] = tuple(pre_masks)
         self._post_masks: Tuple[int, ...] = tuple(post_masks)
         self._final_mask = final_mask
+        # Built on the first full-path call, from the address tables as
+        # they stand then: a subclass may replace them after this
+        # constructor (the reshaped S-box does).
+        self._load_tables: Optional[Tuple[Tuple[LoadEntry, ...], ...]] = None
 
     @property
     def sbox_load_addresses(self) -> Tuple[int, ...]:
@@ -262,14 +299,43 @@ class TracedLutCipher:
         rounds chained are that trace's address stream (asserted by the
         test suite).  A cache sees addresses only: this is the
         observer's full-path victim call.
+
+        A round is one load-table entry per state byte, as in
+        :meth:`sbox_index_mask`: the entry gives the byte's share of
+        the next state and its two segments' S-box and PermBits
+        addresses.  The tables are built from this victim's address
+        tables on its first call and shared with every victim whose
+        tables are equal.
         """
-        sbox = self._sbox_address_table
-        perm = self._perm_load_table
-        return [
-            [sbox[index] for index in indices]
-            + [row[index] for row, index in zip(perm, indices)]
-            for indices in self.sbox_indices_by_round(plaintext, max_rounds)
-        ]
+        if not 0 <= plaintext < (1 << self.width):
+            raise ValueError(f"block must be a {self.width}-bit integer")
+        if not 1 <= max_rounds <= self.rounds:
+            raise ValueError(f"max_rounds must be in [1, {self.rounds}]")
+        tables = self._load_tables
+        if tables is None:
+            tables = self._load_tables = _byte_load_tables(
+                self._byte_pair_tables, self._sbox_address_table,
+                self._perm_load_table)
+        pre = self._pre_masks
+        post = self._post_masks
+        state_bits = (1 << self.width) - 1
+        state_bytes = self.width // 8
+        runs: List[List[int]] = []
+        state = plaintext
+        for round_index in range(max_rounds):
+            state ^= pre[round_index]
+            loaded = 0
+            sbox_loads: List[int] = []
+            perm_loads: List[int] = []
+            for word, sbox_pair, perm_pair in map(
+                    getitem, tables, state.to_bytes(state_bytes, "little")):
+                loaded |= word
+                sbox_loads += sbox_pair
+                perm_loads += perm_pair
+            sbox_loads += perm_loads
+            runs.append(sbox_loads)
+            state = (loaded & state_bits) ^ post[round_index]
+        return runs
 
     def sbox_index_mask(self, plaintext: int, first_round: int,
                         last_round: int) -> int:

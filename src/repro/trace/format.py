@@ -1,7 +1,7 @@
 """The in-memory trace model: header, per-encryption records, file.
 
 A trace is a :class:`TraceFile`: one :class:`TraceHeader` (who was
-recorded, under which geometry/layout/config, with which seed scope)
+recorded, under which geometry/layout/config and seed)
 followed by an ordered sequence of :class:`EncryptionRecord` — one per
 encryption the victim ran, in execution order.  Three record kinds
 cover every observation path of the L1–L4 stack:
@@ -64,10 +64,15 @@ class TraceHeader:
     The header pins the attacked target's name and shape, the cache
     geometry (plus, derived, its preset name when one matches), the
     table layout addresses the access stream is expressed against, the
-    observation-relevant attack config knobs, and the seed + RNG scope
-    so a replayed attack derives bit-identical crafting/noise streams.
+    observation-relevant attack config knobs and the config's seed.
     ``meta`` is a free-form JSON-able mapping (the recording CLI stores
     the expected outcome there, which is what the corpus tests pin).
+
+    ``scope`` is informational only: the encoder writes it and
+    ``trace info`` prints it, but nothing reads it back, and replay
+    derives no RNG stream from it.  (The recording CLI also stores the
+    recording scope in ``meta["scope"]``.)  It stays in the header
+    because removing it would change the encoded header bytes.
     """
 
     target: str

@@ -108,7 +108,7 @@ class ReplayVictim:
 
     @property
     def header(self):
-        """The recording's header (config, geometry, seed scope)."""
+        """The recording's header (config, geometry, seed)."""
         return self.trace.header
 
     @property

@@ -2,14 +2,15 @@
 
 :class:`SetAssociativeCache` is the one array: the single-level cache
 and every L1 and the L2 of :class:`TwoLevelHierarchy`.  It splits each
-address into ``(set, tag)`` once and keeps a ``way -> tag`` index, so
-an eviction never scans its set, and an LRU set's ``tag -> way`` dict
-is its recency order.  The reference below is the straightforward
-algorithm: ``set_of``/``tag_of`` per call, victim tag found by scanning
-the set, fullness by ``all(occupied)``, and its own list-based LRU and
-FIFO.  Random operation sequences, driven through the single-level
-cache and through the hierarchy, must give the same return values,
-residency, way assignments, LRU recency order, counters and
+address into ``(set, tag)`` once.  An LRU set is a dict of its
+resident tags in recency order, with no way numbers; FIFO and random
+sets keep a ``way -> tag`` index, so an eviction never scans its set.
+The reference below is the straightforward algorithm:
+``set_of``/``tag_of`` per call, victim tag found by scanning the set,
+fullness by ``all(occupied)``, and its own list-based LRU and FIFO.
+Random operation sequences, driven through the single-level cache and
+through the hierarchy, must give the same return values, residency,
+LRU recency order, FIFO and random way assignments, counters and
 replacement-policy RNG draws.
 """
 
@@ -229,17 +230,22 @@ class ReferenceHierarchy:
 
 def _assert_same_array(real: SetAssociativeCache,
                        model: ReferenceArray) -> None:
-    """Same residency, way numbers and ``way -> tag`` index in every
-    set; under LRU also the same recency order (dict ``==`` ignores the
-    order it is kept in)."""
+    """Same resident tags in every set.  An LRU set keeps no way
+    numbers: its dict holds the resident tags in recency order, which
+    must be the reference's way order read as tags.  FIFO and random
+    sets must also agree on way numbers and the ``way -> tag`` index."""
+    if model.policy == "lru":
+        assert [list(ways) for ways in real._sets] == [
+            [{way: tag for tag, way in ways.items()}[way] for way in order]
+            for ways, order in zip(model.sets, model.order)
+        ]
+        return
     assert real._sets == model.sets
     assert real._occupied == model.occupied
     assert [
         {way: tags[way] for way, taken in enumerate(occupied) if taken}
         for tags, occupied in zip(real._way_tags, real._occupied)
     ] == [{way: tag for tag, way in ways.items()} for ways in model.sets]
-    if model.policy == "lru":
-        assert [list(ways.values()) for ways in real._sets] == model.order
 
 
 def _address(geometry: CacheGeometry, set_index: int, tag: int,

@@ -197,16 +197,20 @@ _REPLAY_GEOMETRIES = {
 
 
 def _array_state(cache):
-    """Everything a load can change: counters, each set's dict order,
-    way bookkeeping and the FIFO queues / random streams."""
+    """Everything a load can change: counters, each set's resident tags
+    in dict order (an LRU set's recency order), and for FIFO and random
+    sets the way bookkeeping and the FIFO queues / random streams.  An
+    LRU set keeps no way numbers, so its tags are all there is."""
+    stats = dataclasses.astuple(cache.stats)
+    if cache.policy_name == "lru":
+        return stats, [list(ways) for ways in cache._sets]
     policies = []
     for policy in cache._policies:
-        state = None if policy is None else dict(vars(policy))
-        if state is not None and "_rng" in state:
+        state = dict(vars(policy))
+        if "_rng" in state:
             state["_rng"] = state["_rng"].getstate()
         policies.append(state)
-    return (dataclasses.astuple(cache.stats),
-            [list(ways.items()) for ways in cache._sets],
+    return (stats, [list(ways.items()) for ways in cache._sets],
             cache._occupied, cache._way_tags, policies)
 
 

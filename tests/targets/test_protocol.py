@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.countermeasures import HardenedKeyScheduleGift64, ReshapedSboxGift64
 from repro.targets import get_target, registered_targets
+from repro.targets.lut import _byte_load_tables
 
 TARGETS = sorted(registered_targets())
 
@@ -41,6 +42,11 @@ def _lut_victim(name):
         return ReshapedSboxGift64, 128, 64
     target = get_target(name)
     return target.make_victim, target.key_bits, target.width
+
+
+def _lut_core(victim):
+    """The :class:`TracedLutCipher` behind a victim (COFB wraps one)."""
+    return getattr(victim, "_core", victim)
 
 
 def _planted_key(target, rng):
@@ -147,6 +153,39 @@ class TestLoadAddressesByRound:
             assert list(chain(*runs)) == \
                 [access.address for access in trace.accesses]
             assert runs == trace.address_runs(max_rounds)
+
+    @pytest.mark.parametrize("name", ADDRESS_VICTIMS)
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data())
+    def test_runs_are_the_per_segment_form(self, name, data):
+        """The byte-table walk gives what mapping each round's S-box
+        indices through the victim's address tables gives."""
+        make_victim, key_bits, width = _lut_victim(name)
+        victim = make_victim(data.draw(st.integers(0, (1 << key_bits) - 1)))
+        plaintext = data.draw(st.integers(0, (1 << width) - 1))
+        sbox = victim.sbox_load_addresses
+        perm = victim.perm_load_addresses
+        for max_rounds in range(1, victim.rounds + 1):
+            assert victim.load_addresses_by_round(plaintext, max_rounds) == [
+                [sbox[i] for i in idx]
+                + [row[i] for row, i in zip(perm, idx)]
+                for idx in victim.sbox_indices_by_round(plaintext,
+                                                        max_rounds)
+            ]
+
+    @pytest.mark.parametrize("name", ADDRESS_VICTIMS)
+    def test_load_tables_are_built_lazily_and_shared(self, name):
+        """A victim builds no load table when constructed, and two
+        victims of one target share the one built on first use."""
+        make_victim, _, _ = _lut_victim(name)
+        before = _byte_load_tables.cache_info()
+        first, second = (_lut_core(make_victim(key)) for key in (1, 2))
+        assert _byte_load_tables.cache_info() == before
+        assert first._load_tables is None and second._load_tables is None
+        first.load_addresses_by_round(0, 1)
+        second.load_addresses_by_round(0, 1)
+        assert first._load_tables is second._load_tables
+        assert first._load_tables is not None
 
     @pytest.mark.parametrize("name", ADDRESS_VICTIMS)
     def test_out_of_range_raises_as_indices(self, name):
