@@ -9,7 +9,7 @@ engine record (``repro.engine/result/v1``) directly.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 
 def format_table(title: str, headers: Sequence[str],
@@ -37,8 +37,11 @@ def format_table(title: str, headers: Sequence[str],
     return "\n".join(lines)
 
 
-def format_count(value: float) -> str:
-    """Format an encryption count the way the paper prints them."""
+def format_count(value: Optional[float]) -> str:
+    """Format an encryption count the way the paper prints them (``-``
+    for a cell with no count)."""
+    if value is None:
+        return "-"
     if value >= 1_000_000:
         return ">1M"
     return f"{value:,.0f}"
@@ -88,6 +91,8 @@ def _table1_text(cell: Mapping[str, Any]) -> str:
     """Paper-style Table I cell text (``>1M`` for drop-outs)."""
     if cell["dropped_out"]:
         return ">1M"
+    if cell["encryptions"] is None:
+        return "-"
     value = f"{cell['encryptions']:,.0f}"
     return value if cell["simulated"] else f"~{value}"
 
@@ -143,7 +148,7 @@ def render_table2(record: Mapping[str, Any]) -> str:
 
 
 def render_series(title: str, labels: Sequence[str],
-                  values: Sequence[float]) -> str:
+                  values: Sequence[Optional[float]]) -> str:
     """Simple labelled numeric series (used by ablation reports)."""
     if len(labels) != len(values):
         raise ValueError("labels and values must align")
@@ -152,3 +157,12 @@ def render_series(title: str, labels: Sequence[str],
     for label, value in zip(labels, values):
         lines.append(f"  {label.ljust(width)} : {format_count(value)}")
     return "\n".join(lines)
+
+
+def render_effort_series(title: str,
+                         summary: Optional[Mapping[str, float]]) -> str:
+    """A full-key sweep's mean/min/max encryptions over its recovered
+    trials (``-`` when none recovered)."""
+    summary = summary or {}
+    return render_series(title, ["mean encryptions", "min", "max"],
+                         [summary.get(k) for k in ("mean", "min", "max")])

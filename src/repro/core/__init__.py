@@ -38,6 +38,7 @@ from .errors import (
     KeyVerificationFailed,
     LowConfidenceError,
 )
+from .outcome import OUTCOMES, TrialOutcome, run_attack
 from .recover import (
     KeyBitPair,
     expected_index,
@@ -70,6 +71,9 @@ __all__ = [
     "InconsistentObservation",
     "KeyVerificationFailed",
     "LowConfidenceError",
+    "OUTCOMES",
+    "TrialOutcome",
+    "run_attack",
     "SboxMonitor",
     "LOSSLESS",
     "NO_JITTER",

@@ -27,7 +27,8 @@ from typing import Optional
 from ..cache.geometry import CacheGeometry
 from ..core.attack import GrinchAttack
 from ..core.config import AttackConfig
-from ..core.errors import AttackError
+from ..core.outcome import run_attack
+from ..staticcheck import declassify
 from ..targets.gift import TracedGift64, TracedGiftCipher
 from ..seeding import derive_rng
 from .hardened_schedule import HardenedKeyScheduleGift64
@@ -109,18 +110,22 @@ def profile_leakage(victim: TracedGiftCipher,
     )
 
 
-def _attack_and_classify(victim: TracedGiftCipher, config: AttackConfig
-                         ) -> "tuple[bool, Optional[str], bool]":
-    """Run GRINCH against a (possibly protected) victim.
-
-    Returns ``(defeated, failure_mode, key_matches)``.
-    """
-    try:
-        result = GrinchAttack(victim, config).recover_master_key()
-    except AttackError as error:
-        return True, type(error).__name__, False
-    matches = result.master_key == victim.master_key
-    return (not matches), None, matches
+def _report(name: str, baseline: LeakageSummary,
+            protected: LeakageSummary, victim: TracedGiftCipher,
+            config: AttackConfig) -> CountermeasureReport:
+    """Run GRINCH against the protected victim and report how it ended:
+    a typed failure names its error type as the failure mode."""
+    # The verdict is the report's public output.
+    ended = declassify(run_attack(GrinchAttack(victim, config), "full_key",
+                                  victim.master_key))
+    return CountermeasureReport(
+        name=name,
+        baseline_leakage=baseline,
+        protected_leakage=protected,
+        attack_defeated=not ended.recovered,
+        failure_mode=type(ended.error).__name__ if ended.error else None,
+        recovered_key_matches=ended.recovered,
+    )
 
 
 def evaluate_reshaped_sbox(master_key: int, seed: int = 0,
@@ -143,15 +148,8 @@ def evaluate_reshaped_sbox(master_key: int, seed: int = 0,
         max_encryptions_per_segment=5_000,
         max_total_encryptions=200_000,
     )
-    defeated, mode, matches = _attack_and_classify(protected_victim, config)
-    return CountermeasureReport(
-        name="reshaped S-box (8 rows x 8 bits, 8-byte line)",
-        baseline_leakage=baseline,
-        protected_leakage=protected,
-        attack_defeated=defeated,
-        failure_mode=mode,
-        recovered_key_matches=matches,
-    )
+    return _report("reshaped S-box (8 rows x 8 bits, 8-byte line)",
+                   baseline, protected, protected_victim, config)
 
 
 def evaluate_hardened_schedule(master_key: int, seed: int = 0,
@@ -167,13 +165,6 @@ def evaluate_hardened_schedule(master_key: int, seed: int = 0,
     protected = profile_leakage(
         protected_victim, geometry, encryptions=encryptions, seed=seed
     )
-    config = AttackConfig(geometry=geometry, seed=seed)
-    defeated, mode, matches = _attack_and_classify(protected_victim, config)
-    return CountermeasureReport(
-        name="hardened UpdateKey (whitening with unused key bits)",
-        baseline_leakage=baseline,
-        protected_leakage=protected,
-        attack_defeated=defeated,
-        failure_mode=mode,
-        recovered_key_matches=matches,
-    )
+    return _report("hardened UpdateKey (whitening with unused key bits)",
+                   baseline, protected, protected_victim,
+                   AttackConfig(geometry=geometry, seed=seed))

@@ -5,19 +5,29 @@ the DESIGN.md ablation index — probing primitive (E6), analytic-model
 validation (E7), replacement policy (E8), co-runner noise (E9), the
 observation-channel taxonomy (E10), GIFT-128 (E11), the shared-L2
 memory hierarchy (E12), and NoC contention (E13).
+
+Every GRINCH trial runs through :func:`repro.core.run_attack`, so a
+typed attack failure is a trial outcome.  E10's trace- and time-driven
+variants are not GRINCH attacks, and their errors are not typed the
+same way (a contradicted model raises ``RuntimeError``), so they run
+directly and their trials carry no outcome.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, List, Mapping
 
 from ..cache.geometry import CacheGeometry
 from ..core.attack import GrinchAttack
 from ..core.config import AttackConfig
-from ..channel import NoiseModel, ObservationChannel, SingleLevelTransport
+from ..core.outcome import FAILURE_OUTCOMES, run_attack
+from ..channel import NoiseModel, SingleLevelTransport
 from ..targets.gift import TracedGift64
+from ..targets.registry import get_target
 from ..staticcheck import declassify
-from .artifact import trial_summary
+from .artifact import key_recovery_finalize, outcome_tally, trial_summary
+from .experiments import first_round_trial
 from .params import Param, spec
 from .registry import CellPlan, Experiment, register
 from ..seeding import derive_key
@@ -26,12 +36,30 @@ from ..seeding import derive_key
 def _passthrough_finalize(params: Mapping[str, Any],
                           cell: Dict[str, Any],
                           trials: List[Any]) -> Dict[str, Any]:
-    """Single-trial cells: hoist the trial dict into the cell record."""
+    """Single-trial cells: hoist the trial dict into the cell record.
+    The summary covers a trial that did not fail."""
     (payload,) = trials
-    encryptions = payload.get("encryptions")
-    summary = (trial_summary([float(encryptions)])
-               if encryptions is not None else None)
+    summary = (trial_summary([float(payload["encryptions"])])
+               if payload.get("recovered", True) else None)
     return {"cell": cell, "trials": trials, "summary": summary, **payload}
+
+
+def _round_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
+                    trials: List[Any]) -> Dict[str, Any]:
+    """First-round GIFT-64 cells (E6, E8, E9): the outcome tally, the
+    mean effort of the recovered trials, and whether every trial
+    recovered a whole round key."""
+    tally = outcome_tally(trials)
+    round_bits = get_target("gift64").bits_per_round
+    return {
+        "cell": cell,
+        "trials": trials,
+        **tally,
+        "encryptions": tally["summary"]["mean"] if tally["summary"]
+        else None,
+        "recovered": all(t["recovered_bits"] == round_bits
+                         for t in trials),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -56,31 +84,16 @@ def _probe_trial(params: Mapping[str, Any], cell: Dict[str, Any],
         seed=seed,
         max_total_encryptions=None,
     )
-    victim = TracedGift64(derive_key(128, seed))
-    outcome = GrinchAttack(victim, config).attack_first_round()
-    return {"encryptions": float(outcome.encryptions),
-            "recovered_bits": outcome.recovered_bits}
-
-
-def _probe_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
-                    trials: List[Any]) -> Dict[str, Any]:
-    summary = trial_summary([t["encryptions"] for t in trials])
-    return {
-        "cell": cell,
-        "trials": trials,
-        "summary": summary,
-        "encryptions": summary["mean"],
-        "recovered": all(t["recovered_bits"] >= 16 for t in trials),
-    }
+    return first_round_trial(seed, config)
 
 
 def _probe_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import format_table
+    from ..analysis.reporting import format_count, format_table
 
     return format_table(
         "E6 — Probing primitive ablation (first-round attack)",
         ["Strategy", "Mean encryptions", "Key bits recovered"],
-        [[c["cell"]["strategy"], f"{c['encryptions']:,.0f}",
+        [[c["cell"]["strategy"], format_count(c["encryptions"]),
           "yes" if c["recovered"] else "no"] for c in record["cells"]],
     )
 
@@ -92,7 +105,7 @@ register(Experiment(
     spec=_PROBE_SPEC,
     plan=_probe_plan,
     trial=_probe_trial,
-    finalize=_probe_finalize,
+    finalize=_round_finalize,
     render=_probe_render,
 ))
 
@@ -119,47 +132,47 @@ def _theory_plan(params: Mapping[str, Any]) -> List[CellPlan]:
 
 
 def _theory_trial(params: Mapping[str, Any], cell: Dict[str, Any],
-                  trial_index: int, seed: int) -> float:
+                  trial_index: int, seed: int) -> Dict[str, Any]:
     config = AttackConfig(
         geometry=CacheGeometry(line_words=cell["line_words"]),
         probing_round=cell["probing_round"],
         seed=seed,
         max_total_encryptions=None,
     )
-    victim = TracedGift64(derive_key(128, seed))
-    return float(GrinchAttack(victim, config).attack_first_round()
-                 .encryptions)
+    return first_round_trial(seed, config)
 
 
 def _theory_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
                      trials: List[Any]) -> Dict[str, Any]:
     from ..analysis.theory import expected_first_round_effort
 
-    summary = trial_summary(trials)
+    summary = outcome_tally(trials)["summary"]
     predicted = expected_first_round_effort(
         cell["line_words"], cell["probing_round"], use_flush=True
     )
-    measured = summary["mean"]
+    measured = summary["mean"] if summary else None
     return {
         "cell": cell,
         "trials": trials,
         "summary": summary,
         "predicted": predicted,
         "measured": measured,
-        "relative_error": abs(predicted - measured) / measured,
+        "relative_error": abs(predicted - measured) / measured
+        if summary else None,
     }
 
 
 def _theory_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import format_table
+    from ..analysis.reporting import format_count, format_table
 
     return format_table(
         "E7 — Analytic effort model vs. Monte-Carlo simulation",
         ["Line words", "Probing round", "Predicted", "Measured",
          "Rel. error"],
         [[str(c["cell"]["line_words"]), str(c["cell"]["probing_round"]),
-          f"{c['predicted']:,.0f}", f"{c['measured']:,.0f}",
-          f"{c['relative_error']:.0%}"] for c in record["cells"]],
+          f"{c['predicted']:,.0f}", format_count(c["measured"]),
+          "-" if c["relative_error"] is None
+          else f"{c['relative_error']:.0%}"] for c in record["cells"]],
     )
 
 
@@ -200,25 +213,26 @@ def _policy_trial(params: Mapping[str, Any], cell: Dict[str, Any],
     # lru/fifo/random cells were silently all measuring LRU.
     config = AttackConfig(seed=seed, use_fast_path=False,
                           max_total_encryptions=None)
-    victim = TracedGift64(derive_key(128, seed))
-    runner = ObservationChannel(
-        victim, config,
-        transport=SingleLevelTransport(config.geometry,
-                                       policy=cell["policy"]),
+    return first_round_trial(
+        seed, config,
+        SingleLevelTransport(config.geometry, policy=cell["policy"]),
     )
-    attack = GrinchAttack(victim, config, runner=runner)
-    outcome = attack.attack_first_round()
-    return {"encryptions": float(outcome.encryptions),
-            "recovered_bits": outcome.recovered_bits}
+
+
+def _policy_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
+                     trials: List[Any]) -> Dict[str, Any]:
+    (trial,) = trials
+    return {**_round_finalize(params, cell, trials),
+            "recovered_bits": trial["recovered_bits"]}
 
 
 def _policy_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import format_table
+    from ..analysis.reporting import format_count, format_table
 
     return format_table(
         "E8 — replacement policy sensitivity",
         ["Policy", "Encryptions", "Bits recovered"],
-        [[c["cell"]["policy"], f"{c['encryptions']:,.0f}",
+        [[c["cell"]["policy"], format_count(c["encryptions"]),
           str(c["recovered_bits"])] for c in record["cells"]],
     )
 
@@ -230,7 +244,7 @@ register(Experiment(
     spec=_POLICY_SPEC,
     plan=_policy_plan,
     trial=_policy_trial,
-    finalize=_passthrough_finalize,
+    finalize=_policy_finalize,
     render=_policy_render,
 ))
 
@@ -266,26 +280,11 @@ def _noise_trial(params: Mapping[str, Any], cell: Dict[str, Any],
         ),
         max_total_encryptions=None,
     )
-    victim = TracedGift64(derive_key(128, seed))
-    outcome = GrinchAttack(victim, config).attack_first_round()
-    return {"encryptions": float(outcome.encryptions),
-            "recovered_bits": outcome.recovered_bits}
-
-
-def _noise_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
-                    trials: List[Any]) -> Dict[str, Any]:
-    summary = trial_summary([t["encryptions"] for t in trials])
-    return {
-        "cell": cell,
-        "trials": trials,
-        "summary": summary,
-        "encryptions": summary["mean"],
-        "recovered": all(t["recovered_bits"] == 32 for t in trials),
-    }
+    return first_round_trial(seed, config)
 
 
 def _noise_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import format_table
+    from ..analysis.reporting import format_count, format_table
 
     return format_table(
         "E9 — co-runner noise sensitivity (first-round attack)",
@@ -293,7 +292,7 @@ def _noise_render(record: Dict[str, Any]) -> str:
          "Recovered"],
         [[f"{c['cell']['touch_probability']:.1f}",
           str(c["cell"]["monitored_touches"]),
-          f"{c['encryptions']:,.0f}",
+          format_count(c["encryptions"]),
           "yes" if c["recovered"] else "no"] for c in record["cells"]],
     )
 
@@ -305,7 +304,7 @@ register(Experiment(
     spec=_NOISE_SPEC,
     plan=_noise_plan,
     trial=_noise_trial,
-    finalize=_noise_finalize,
+    finalize=_round_finalize,
     render=_noise_render,
 ))
 
@@ -344,24 +343,29 @@ def _taxonomy_trial(params: Mapping[str, Any], cell: Dict[str, Any],
 
     channel = cell["channel"]
     if channel == "access":
-        outcome = GrinchAttack(victim, AttackConfig(seed=seed)) \
-            .attack_first_round().outcome.segments[segment]
-        pairs = outcome.key_pairs
         observes = "resident cache lines"
-    elif channel == "trace":
+        ended = run_attack(GrinchAttack(victim, AttackConfig(seed=seed)),
+                           "first_round")
+        if not ended.recovered:
+            return ended.trial(observes=observes, correct=False)
+        # Like the two variants, report the segment's own encryptions.
+        outcome = ended.result.outcome.segments[segment]
+        return ended.trial(
+            encryptions=outcome.encryptions, observes=observes,
+            correct=declassify(truth in tuple(outcome.key_pairs)),
+        )
+    if channel == "trace":
         outcome = TraceDrivenAttack(victim, seed=seed) \
             .recover_segment(segment)
-        pairs = outcome.key_pairs
         observes = "victim hit/miss sequence"
     else:
         outcome = TimeDrivenAttack(victim, seed=seed) \
             .recover_segment(segment, samples=params["timing_samples"])
-        pairs = outcome.key_pairs
         observes = "window latency only"
     return {
         "encryptions": outcome.encryptions,
         "observes": observes,
-        "correct": declassify(truth in tuple(pairs)),
+        "correct": declassify(truth in tuple(outcome.key_pairs)),
     }
 
 
@@ -412,34 +416,17 @@ def _gift128_trial(params: Mapping[str, Any], cell: Dict[str, Any],
     from ..targets.gift import TracedGift128
 
     planted = derive_key(128, seed)
-    victim = TracedGift128(planted)
-    result = GrinchAttack(victim, AttackConfig(seed=seed)) \
-        .recover_master_key()
-    return {
-        "encryptions": result.total_encryptions,
-        "recovered": declassify(result.master_key == planted),
-    }
-
-
-def _gift128_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
-                      trials: List[Any]) -> Dict[str, Any]:
-    return {
-        "cell": cell,
-        "trials": trials,
-        "summary": trial_summary([t["encryptions"] for t in trials]),
-        "all_recovered": all(t["recovered"] for t in trials),
-    }
+    attack = GrinchAttack(TracedGift128(planted), AttackConfig(seed=seed))
+    return run_attack(attack, "full_key", planted).trial()
 
 
 def _gift128_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import render_series
+    from ..analysis.reporting import render_effort_series
 
-    summary = record["cells"][0]["summary"]
-    return render_series(
+    return render_effort_series(
         f"E11 — GRINCH on GIFT-128 ({record['params']['runs']} random "
         f"keys, all recovered: {record['cells'][0]['all_recovered']})",
-        ["mean encryptions", "min", "max"],
-        [summary["mean"], summary["min"], summary["max"]],
+        record["cells"][0]["summary"],
     )
 
 
@@ -450,7 +437,7 @@ register(Experiment(
     spec=_GIFT128_SPEC,
     plan=_gift128_plan,
     trial=_gift128_trial,
-    finalize=_gift128_finalize,
+    finalize=key_recovery_finalize,
     render=_gift128_render,
 ))
 
@@ -477,53 +464,26 @@ def _hierarchy_trial(params: Mapping[str, Any], cell: Dict[str, Any],
                      trial_index: int, seed: int) -> Dict[str, Any]:
     from ..cache.multilevel import InclusionPolicy
     from ..core.crosscore import make_cross_core_runner
-    from ..core.errors import AttackError
 
     # One planted key per sweep: the three configurations must answer
     # for the same victim.
     planted = derive_key(128, "hierarchy", params["seed"])
     victim = TracedGift64(planted)
     configuration = cell["configuration"]
-
-    if configuration in ("baseline", "inclusive"):
-        if configuration == "baseline":
-            attack = GrinchAttack(victim, AttackConfig(seed=seed))
-        else:
-            config = AttackConfig(seed=seed, max_total_encryptions=None)
-            attack = GrinchAttack(
-                victim, config,
-                runner=make_cross_core_runner(victim, config,
-                                              InclusionPolicy.INCLUSIVE),
-            )
-        result = attack.recover_master_key()
-        recovered = declassify(result.master_key == planted)
-        return {
-            "encryptions": result.total_encryptions,
-            "recovered": recovered,
-            "outcome": "key recovered" if recovered else "WRONG KEY",
-        }
-    blind_config = AttackConfig(
-        seed=seed,
-        max_encryptions_per_segment=params["blind_segment_budget"],
-        max_total_encryptions=None,
-    )
-    try:
-        GrinchAttack(
-            victim, blind_config,
-            runner=make_cross_core_runner(victim, blind_config,
-                                          InclusionPolicy.EXCLUSIVE),
-        ).recover_master_key()
-    except AttackError as error:
-        return {
-            "encryptions": None,
-            "recovered": False,
-            "outcome": f"attack fails ({type(error).__name__})",
-        }
-    return {
-        "encryptions": None,
-        "recovered": True,
-        "outcome": "KEY RECOVERED (unexpected)",
-    }
+    if configuration == "baseline":
+        attack = GrinchAttack(victim, AttackConfig(seed=seed))
+    else:
+        config = AttackConfig(seed=seed, max_total_encryptions=None)
+        if configuration == "exclusive":
+            # Expected to fail: a small per-segment budget keeps it quick.
+            config = replace(config, max_encryptions_per_segment=params[
+                "blind_segment_budget"])
+        attack = GrinchAttack(
+            victim, config,
+            runner=make_cross_core_runner(victim, config,
+                                          InclusionPolicy(configuration)),
+        )
+    return run_attack(attack, "full_key", planted).trial()
 
 
 def _hierarchy_render(record: Dict[str, Any]) -> str:
@@ -534,12 +494,17 @@ def _hierarchy_render(record: Dict[str, Any]) -> str:
         "inclusive": "cross-core, inclusive shared L2",
         "exclusive": "cross-core, exclusive shared L2",
     }
+    failures = {outcome: error.__name__
+                for error, outcome in FAILURE_OUTCOMES.items()}
     rows = []
     for cell in record["cells"]:
         outcome = cell["outcome"]
-        if cell["encryptions"] is not None:
-            outcome = f"{outcome}, {cell['encryptions']} encryptions"
-        rows.append([labels[cell["cell"]["configuration"]], outcome])
+        if outcome in failures:
+            text = f"attack fails ({failures[outcome]})"
+        else:
+            label = "key recovered" if cell["recovered"] else "WRONG KEY"
+            text = f"{label}, {cell['encryptions']} encryptions"
+        rows.append([labels[cell["cell"]["configuration"]], text])
     return format_table(
         "E12 — memory hierarchy (paper future work)",
         ["Configuration", "Outcome"],

@@ -34,7 +34,6 @@ Record shape (``repro.engine/result/v1``)::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -43,11 +42,6 @@ SCHEMA_ID = "repro.engine/result/v1"
 
 #: Telemetry ``cache`` states.
 CACHE_STATES = ("hit", "miss", "disabled")
-
-#: The closed set of ways one seeded attack trial can end.
-OUTCOMES = ("recovered", "wrong_key", "low_confidence", "budget_exceeded",
-            "inconsistent", "verify_failed")
-
 
 class ArtifactSchemaError(ValueError):
     """A record does not conform to :data:`SCHEMA_ID`."""
@@ -131,69 +125,11 @@ def trial_summary(samples: List[float]) -> Optional[Dict[str, float]]:
     }
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """How one attack trial ended: an :data:`OUTCOMES` label, the
-    encryptions it spent, and the attack result (on success) or the
-    typed error (on failure)."""
-
-    outcome: str
-    encryptions: int
-    result: Any = None
-    error: Optional[Exception] = None
-
-    @property
-    def recovered(self) -> bool:
-        """Whether the planted key (or round-1 bits) came back."""
-        return self.outcome == "recovered"
-
-    def trial(self, **extra: Any) -> Dict[str, Any]:
-        """The JSON trial record, with experiment-specific ``extra``
-        keys appended."""
-        return {"outcome": self.outcome, "recovered": self.recovered,
-                "encryptions": self.encryptions, **extra}
-
-
-def run_attack(attack: Any, scope: str, planted: int) -> TrialOutcome:
-    """Run ``attack`` at ``scope`` and classify how it ended.
-
-    ``scope`` is ``"first_round"`` (:meth:`attack_first_round`; success
-    is reaching the end of round 1) or ``"full_key"``
-    (:meth:`recover_master_key`, checked against ``planted``).  Typed
-    attack failures map onto :data:`OUTCOMES`; anything else propagates.
-    """
-    from ..core.errors import (
-        BudgetExceeded,
-        InconsistentObservation,
-        KeyVerificationFailed,
-        LowConfidenceError,
-    )
-    from ..staticcheck import declassify
-
-    try:
-        if scope == "first_round":
-            outcome = attack.attack_first_round()
-            return TrialOutcome("recovered", outcome.encryptions, outcome)
-        result = attack.recover_master_key()
-    except LowConfidenceError as exc:
-        return TrialOutcome("low_confidence", exc.encryptions, error=exc)
-    except BudgetExceeded as exc:
-        return TrialOutcome("budget_exceeded", exc.encryptions, error=exc)
-    except InconsistentObservation as exc:
-        return TrialOutcome("inconsistent", attack.total_encryptions,
-                            error=exc)
-    except KeyVerificationFailed as exc:
-        return TrialOutcome("verify_failed", attack.total_encryptions,
-                            error=exc)
-    recovered = declassify(result.master_key == planted)
-    return TrialOutcome("recovered" if recovered else "wrong_key",
-                        result.total_encryptions, result)
-
-
 def outcome_tally(trials: List[Mapping[str, Any]]) -> Dict[str, Any]:
     """The per-cell fields every outcome-classified sweep shares: the
     ``summary`` of recovered trials' encryptions, the ``success_rate``
-    and the ``outcomes`` histogram."""
+    and the ``outcomes`` histogram.  Trials are
+    :meth:`~repro.core.outcome.TrialOutcome.trial` records."""
     successes = [t for t in trials if t["recovered"]]
     outcomes: Dict[str, int] = {}
     for trial in trials:
@@ -205,6 +141,15 @@ def outcome_tally(trials: List[Mapping[str, Any]]) -> Dict[str, Any]:
         "success_rate": len(successes) / len(trials) if trials else 0.0,
         "outcomes": outcomes,
     }
+
+
+def key_recovery_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
+                          trials: List[Mapping[str, Any]]
+                          ) -> Dict[str, Any]:
+    """The cell of a full-key sweep (E4, E11, E16): the outcome tally
+    plus whether every trial recovered its planted key."""
+    return {"cell": cell, "trials": trials, **outcome_tally(trials),
+            "all_recovered": all(t["recovered"] for t in trials)}
 
 
 def confidence_summary(confidences: List[float]

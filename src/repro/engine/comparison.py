@@ -30,9 +30,10 @@ from ..cache.geometry import CacheGeometry
 from ..channel.primitive import PRIMITIVE_NAMES
 from ..core.attack import GrinchAttack
 from ..core.config import AttackConfig
+from ..core.outcome import run_attack
 from ..targets.gift import TracedGift64
 from ..seeding import derive_key
-from .artifact import outcome_tally, run_attack
+from .artifact import outcome_tally
 from .budget import effort_budget
 from .params import Param, name_list, spec
 from .registry import CellPlan, Experiment, register

@@ -18,18 +18,19 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional
 
 from ..cache.geometry import CacheGeometry
+from ..channel import CacheTransport, ObservationChannel
 from ..core.attack import GrinchAttack
 from ..core.config import AttackConfig
-from ..core.errors import BudgetExceeded
+from ..core.outcome import run_attack
 from ..countermeasures import (
     evaluate_hardened_schedule,
     evaluate_reshaped_sbox,
 )
 from ..targets.gift import TracedGift64
+from ..targets.registry import get_target
 from ..soc.clock import PAPER_FREQUENCIES_HZ, ClockDomain
 from ..soc.platform import MPSoC, SingleCoreSoC
-from ..staticcheck import declassify
-from .artifact import trial_summary
+from .artifact import key_recovery_finalize, outcome_tally, trial_summary
 from .budget import QUICK_EFFORT
 from .params import Param, spec
 from .registry import CellPlan, Experiment, register
@@ -49,11 +50,20 @@ def _expected_effort(line_words: int, probing_round: int,
     )
 
 
-def _first_round_encryptions(seed: int, config: AttackConfig) -> float:
-    """One Monte-Carlo sample: encryptions to attack round 1."""
-    victim = TracedGift64(derive_key(128, seed))
-    return float(GrinchAttack(victim, config).attack_first_round()
-                 .encryptions)
+def first_round_trial(seed: int, config: AttackConfig,
+                      transport: Optional[CacheTransport] = None,
+                      target: str = "gift64") -> Dict[str, Any]:
+    """One Monte-Carlo sample: attack round 1 of a seeded ``target``
+    victim, through ``transport`` when given.  A failed trial recovered
+    no bits."""
+    cipher = get_target(target)
+    victim = cipher.make_victim(derive_key(cipher.key_bits, seed))
+    runner = ObservationChannel(victim, config, transport=transport)
+    ended = run_attack(GrinchAttack(victim, config, runner=runner),
+                       "first_round")
+    return ended.trial(
+        recovered_bits=ended.result.recovered_bits if ended.recovered else 0
+    )
 
 
 # ----------------------------------------------------------------------
@@ -87,26 +97,27 @@ def _figure3_plan(params: Mapping[str, Any]) -> List[CellPlan]:
 
 
 def _figure3_trial(params: Mapping[str, Any], cell: Dict[str, Any],
-                   trial_index: int, seed: int) -> float:
+                   trial_index: int, seed: int) -> Dict[str, Any]:
     config = AttackConfig(
         probing_round=cell["probing_round"],
         use_flush=cell["use_flush"],
         seed=seed,
         max_total_encryptions=None,
     )
-    return _first_round_encryptions(seed, config)
+    return first_round_trial(seed, config)
 
 
 def _figure3_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
                       trials: List[Any]) -> Dict[str, Any]:
     expected = _expected_effort(1, cell["probing_round"],
                                 cell["use_flush"])
-    summary = trial_summary(trials)
+    # A cell whose trials all failed falls back to the analytic model.
+    summary = outcome_tally(trials)["summary"]
     return {
         "cell": cell,
         "trials": trials,
         "summary": summary,
-        "simulated": bool(trials),
+        "simulated": summary is not None,
         "encryptions": summary["mean"] if summary else expected,
         "expected_effort": expected,
     }
@@ -177,7 +188,7 @@ def _table1_plan(params: Mapping[str, Any]) -> List[CellPlan]:
 
 
 def _table1_trial(params: Mapping[str, Any], cell: Dict[str, Any],
-                  trial_index: int, seed: int) -> Optional[float]:
+                  trial_index: int, seed: int) -> Dict[str, Any]:
     config = AttackConfig(
         geometry=CacheGeometry(line_words=cell["line_words"]),
         probing_round=cell["probing_round"],
@@ -185,11 +196,7 @@ def _table1_trial(params: Mapping[str, Any], cell: Dict[str, Any],
         seed=seed,
         max_total_encryptions=params["dropout_threshold"],
     )
-    try:
-        return _first_round_encryptions(seed, config)
-    except BudgetExceeded:
-        # The sample crossed the >1M rule: the cell drops out.
-        return None
+    return first_round_trial(seed, config)
 
 
 def _table1_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
@@ -197,16 +204,17 @@ def _table1_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
     expected = _expected_effort(cell["line_words"],
                                 cell["probing_round"], True)
     simulated = bool(trials)
-    samples = [t for t in trials if t is not None]
+    tally = outcome_tally(trials)
     if simulated:
-        dropped_out = len(samples) < len(trials)
+        # A sample that crossed the >1M rule drops the cell out.
+        dropped_out = "budget_exceeded" in tally["outcomes"]
     else:
         dropped_out = expected > params["dropout_threshold"]
-    summary = trial_summary(samples) if not dropped_out else None
+    summary = tally["summary"] if not dropped_out else None
     if dropped_out:
         encryptions = None
-    elif summary is not None:
-        encryptions = summary["mean"]
+    elif simulated:
+        encryptions = summary["mean"] if summary else None
     else:
         encryptions = expected
     return {
@@ -358,13 +366,8 @@ def _full_key_trial(params: Mapping[str, Any], cell: Dict[str, Any],
 
     victim_cls = TracedGift64 if params["width"] == 64 else TracedGift128
     planted = derive_key(128, seed)
-    victim = victim_cls(planted)
-    result = GrinchAttack(victim, _full_key_config(params, seed)) \
-        .recover_master_key()
-    return {
-        "encryptions": result.total_encryptions,
-        "recovered": declassify(result.master_key == planted),
-    }
+    attack = GrinchAttack(victim_cls(planted), _full_key_config(params, seed))
+    return run_attack(attack, "full_key", planted).trial()
 
 
 def _full_key_plan(params: Mapping[str, Any]) -> List[CellPlan]:
@@ -373,36 +376,24 @@ def _full_key_plan(params: Mapping[str, Any]) -> List[CellPlan]:
     return [CellPlan(cell={}, trials=params["runs"])]
 
 
-def _full_key_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
-                       trials: List[Any]) -> Dict[str, Any]:
-    return {
-        "cell": cell,
-        "trials": trials,
-        "summary": trial_summary([t["encryptions"] for t in trials]),
-        "all_recovered": all(t["recovered"] for t in trials),
-    }
-
-
 def _full_key_summarize(params: Mapping[str, Any],
                         cells: List[Dict[str, Any]]) -> Dict[str, Any]:
     (cell,) = cells
     return {
         "runs": params["runs"],
         "all_recovered": cell["all_recovered"],
-        "mean_encryptions": cell["summary"]["mean"],
+        "mean_encryptions": (cell["summary"] or {}).get("mean"),
     }
 
 
 def _full_key_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import render_series
+    from ..analysis.reporting import render_effort_series
 
-    summary = record["cells"][0]["summary"]
-    return render_series(
+    return render_effort_series(
         f"E4 — Full 128-bit key recovery (paper: < 400 encryptions; "
         f"{record['params']['runs']} random keys, all recovered: "
         f"{record['summary']['all_recovered']})",
-        ["mean encryptions", "min", "max"],
-        [summary["mean"], summary["min"], summary["max"]],
+        record["cells"][0]["summary"],
     )
 
 
@@ -413,7 +404,7 @@ register(Experiment(
     spec=_FULL_KEY_SPEC,
     plan=_full_key_plan,
     trial=_full_key_trial,
-    finalize=_full_key_finalize,
+    finalize=key_recovery_finalize,
     summarize=_full_key_summarize,
     render=_full_key_render,
     aliases=("fullkey",),

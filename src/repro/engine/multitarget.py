@@ -30,9 +30,10 @@ from typing import Any, Dict, List, Mapping
 from ..cache.geometry import CacheGeometry
 from ..core.attack import GrinchAttack
 from ..core.config import AttackConfig
-from ..staticcheck import declassify
+from ..core.outcome import run_attack
 from ..targets.registry import get_target, target_names
-from .artifact import trial_summary
+from .artifact import key_recovery_finalize, outcome_tally
+from .experiments import first_round_trial
 from .params import Param, spec
 from .registry import CellPlan, Experiment, register
 from ..seeding import derive_key
@@ -69,24 +70,8 @@ def _present_trial(params: Mapping[str, Any], cell: Dict[str, Any],
         seed=seed,
     )
     planted = derive_key(target.key_bits, seed)
-    victim = target.make_victim(planted)
-    result = GrinchAttack(victim, config).recover_master_key()
-    return {
-        "recovered": declassify(result.master_key == planted),
-        "encryptions": result.total_encryptions,
-    }
-
-
-def _present_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
-                      trials: List[Any]) -> Dict[str, Any]:
-    return {
-        "cell": cell,
-        "trials": trials,
-        "all_recovered": all(t["recovered"] for t in trials),
-        "summary": trial_summary(
-            [float(t["encryptions"]) for t in trials if t["recovered"]]
-        ),
-    }
+    attack = GrinchAttack(target.make_victim(planted), config)
+    return run_attack(attack, "full_key", planted).trial()
 
 
 def _present_summarize(params: Mapping[str, Any],
@@ -127,7 +112,7 @@ register(Experiment(
     spec=_PRESENT_SPEC,
     plan=_present_plan,
     trial=_present_trial,
-    finalize=_present_finalize,
+    finalize=key_recovery_finalize,
     summarize=_present_summarize,
     render=_present_render,
     aliases=("present-recovery", "e16"),
@@ -161,14 +146,8 @@ def _matrix_trial(params: Mapping[str, Any], cell: Dict[str, Any],
         geometry=CacheGeometry(line_words=params["line_words"]),
         seed=seed,
     )
-    planted = derive_key(target.key_bits, seed)
-    victim = target.make_victim(planted)
-    first = GrinchAttack(victim, config).attack_first_round()
-    return {
-        "encryptions": first.encryptions,
-        "recovered_bits": first.recovered_bits,
-        "bits_per_round": target.bits_per_round,
-    }
+    return {**first_round_trial(seed, config, target=cell["target"]),
+            "bits_per_round": target.bits_per_round}
 
 
 def _matrix_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
@@ -179,9 +158,7 @@ def _matrix_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
         "all_full_rounds": all(
             t["recovered_bits"] == t["bits_per_round"] for t in trials
         ),
-        "summary": trial_summary(
-            [float(t["encryptions"]) for t in trials]
-        ),
+        "summary": outcome_tally(trials)["summary"],
     }
 
 

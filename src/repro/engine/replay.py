@@ -25,10 +25,11 @@ from typing import Any, Dict, List, Mapping, Union
 from ..channel.degradation import LossyChannel
 from ..core.attack import GrinchAttack
 from ..core.config import AttackConfig
+from ..core.outcome import run_attack
 from ..core.results import AttackResult, FirstRoundResult
 from ..staticcheck import declassify
 from ..trace import ReplayVictim, TraceHeader, read_binary
-from .artifact import trial_summary
+from .artifact import outcome_tally
 from .params import Param, spec
 from .registry import CellPlan, Experiment, register
 
@@ -150,32 +151,21 @@ def _replay_trial(params: Mapping[str, Any], cell: Dict[str, Any],
     meta = header.meta
     victim = ReplayVictim(trace)
     attack = GrinchAttack(victim, config_from_header(header))
-    if cell["scope"] == "full-key":
-        result = attack.recover_master_key()
-        recorded_key = meta.get("master_key")
-        key_matches = (recorded_key is not None
-                       and int(recorded_key, 16) == result.master_key)
-        return {
-            "recovered": declassify(key_matches),
-            "verified": result.verified,
-            "encryptions": result.total_encryptions,
-            "matches_recording": declassify(
-                not replay_mismatches(meta, result)
-            ),
-            "windows_left": victim.remaining,
-        }
-    result = attack.attack_first_round()
-    return {
-        "recovered": declassify(
-            result.recovered_bits == meta.get("recovered_bits")
+    full_key = cell["scope"] == "full-key"
+    recorded_key = meta.get("master_key")
+    # A full-key replay recovers when it reproduces the recorded key.
+    ended = run_attack(
+        attack, "full_key" if full_key else "first_round",
+        None if recorded_key is None else int(recorded_key, 16),
+    )
+    result = ended.result
+    return ended.trial(
+        verified=result.verified if full_key and result else None,
+        matches_recording=declassify(
+            result is not None and not replay_mismatches(meta, result)
         ),
-        "verified": None,
-        "encryptions": result.encryptions,
-        "matches_recording": declassify(
-            not replay_mismatches(meta, result)
-        ),
-        "windows_left": victim.remaining,
-    }
+        windows_left=victim.remaining,
+    )
 
 
 def _replay_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
@@ -184,8 +174,7 @@ def _replay_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
     return {
         "cell": cell,
         "trials": trials,
-        "summary": trial_summary([float(t["encryptions"])
-                                  for t in trials]),
+        "summary": outcome_tally(trials)["summary"],
         **trial,
     }
 

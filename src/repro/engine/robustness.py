@@ -28,9 +28,10 @@ from typing import Any, Dict, List, Mapping
 from ..cache.geometry import CacheGeometry
 from ..core.attack import GrinchAttack
 from ..core.config import AttackConfig
+from ..core.outcome import run_attack
 from ..channel import LossyChannel
 from ..targets.gift import TracedGift64
-from .artifact import confidence_summary, outcome_tally, run_attack
+from .artifact import confidence_summary, outcome_tally
 from .budget import effort_budget
 from .params import Param, spec
 from .registry import CellPlan, Experiment, register

@@ -23,6 +23,7 @@ Propagation
 
 Sinks
     * tainted subscript index           -> ``table-lookup``
+    * ``map(getitem, tables, <tainted>)`` -> ``table-lookup``
     * tainted ``if``/ternary/``assert`` -> ``branch``
     * tainted ``while``/``for`` bound   -> ``loop-bound``
     * tainted ``MemoryAccess(address=)``-> ``memory-address``
@@ -299,7 +300,7 @@ class ModuleAnalysis:
             value_tainted = self._eval(node.value, ctx)
             index_tainted = self._eval(node.slice, ctx)
             if index_tainted and isinstance(node.ctx, ast.Load):
-                self._table_sink(node, ctx)
+                self._table_sink(node, node.value, ctx)
             return value_tainted or index_tainted
         if isinstance(node, ast.Slice):
             return any(
@@ -362,6 +363,11 @@ class ModuleAnalysis:
             kw.arg: self._eval(kw.value, ctx) for kw in node.keywords
         }
         callee = _callee_simple_name(node.func)
+        # ``map(getitem, tables, indices)`` is ``tables[i][indices[i]]``.
+        if (callee == "map" and len(node.args) >= 3
+                and _callee_simple_name(node.args[0]) == "getitem"
+                and any(arg_taint[2:])):
+            self._table_sink(node, node.args[1], ctx)
         if callee in _ADDRESS_SINK_CALLEES:
             address_tainted = kw_taint.get("address", False) or (
                 bool(arg_taint) and arg_taint[0]
@@ -422,10 +428,12 @@ class ModuleAnalysis:
         listed = {k.strip() for k in kinds.split(",") if k.strip()}
         return kind.value in listed
 
-    def _table_sink(self, node: ast.Subscript, ctx: _FunctionContext) -> None:
+    def _table_sink(self, node: ast.expr, table: ast.expr,
+                    ctx: _FunctionContext) -> None:
+        """Record a lookup into ``table`` at a secret index."""
         if self._suppressed(node, SinkKind.TABLE_LOOKUP):
             return
-        info = self._resolve_table_expr(node.value, ctx)
+        info = self._resolve_table_expr(table, ctx)
         finding = Finding(
             path=self.path,
             line=node.lineno,

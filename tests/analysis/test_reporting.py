@@ -33,6 +33,10 @@ class TestFormatCount:
     def test_dropout_threshold(self):
         assert format_count(2_000_000) == ">1M"
 
+    def test_cell_without_a_count(self):
+        # A cell in which no trial recovered has no mean effort.
+        assert format_count(None) == "-"
+
 
 def _figure3_cell(probing_round, use_flush, encryptions, simulated):
     return {"cell": {"probing_round": probing_round,

@@ -191,7 +191,7 @@ class TestPathEquivalence:
         last round reads out through that round on every path, and the
         attack ends in a typed outcome instead of the victim's own
         ``ValueError``."""
-        from repro.engine.artifact import run_attack
+        from repro.core import run_attack
 
         key = derive_key(128, 0)
         victim = TracedGift64(key, rounds=8)

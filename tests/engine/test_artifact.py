@@ -6,13 +6,12 @@ import pytest
 
 from repro.core.attack import GrinchAttack
 from repro.core.config import AttackConfig
+from repro.core import OUTCOMES, run_attack
 from repro.engine import run_experiment
 from repro.engine.artifact import (
-    OUTCOMES,
     SCHEMA_ID,
     ArtifactSchemaError,
     outcome_tally,
-    run_attack,
     trial_summary,
     validate_record,
 )
@@ -88,7 +87,7 @@ class TestTrialSummary:
 
 
 class TestRunAttack:
-    """The one outcome classifier behind E14, E15 and E20."""
+    """The one outcome classifier behind every experiment attack."""
 
     @staticmethod
     def _attack(**config):

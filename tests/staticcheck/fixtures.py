@@ -128,3 +128,20 @@ class KeyState:
     def leak(self):
         return SBOX[self.register & 0xF]
 '''
+
+
+LEAKY_MAP_GETITEM = '''
+from operator import getitem
+
+SBOX = tuple(range(16))
+
+def sub_bytes(master_key):
+    return list(map(getitem, (SBOX, SBOX), master_key.to_bytes(2, "little")))
+'''
+
+SAFE_MAP_GETITEM_PUBLIC_INDICES = '''
+from operator import getitem
+
+def read(master_key, data):
+    return list(map(getitem, (master_key, master_key), data))
+'''

@@ -42,6 +42,17 @@ class TestTableLookupSink:
         assert len(lookups) == 1
         assert lookups[0].function == "helper"
 
+    def test_secret_indexed_map_getitem_is_flagged(self):
+        # The table walk of TracedLutCipher.load_addresses_by_round.
+        findings = analyze_module_source(fixtures.LEAKY_MAP_GETITEM)
+        assert kinds(findings) == [SinkKind.TABLE_LOOKUP]
+        assert findings[0].expression.startswith("map(getitem, (SBOX, SBOX)")
+        assert findings[0].function == "sub_bytes"
+
+    def test_map_getitem_at_public_indices_is_clean(self):
+        assert analyze_module_source(
+            fixtures.SAFE_MAP_GETITEM_PUBLIC_INDICES) == []
+
     def test_secret_attributes_class_decorator(self):
         findings = analyze_module_source(fixtures.SECRET_ATTRIBUTE_CLASS)
         lookups = [f for f in findings if f.kind is SinkKind.TABLE_LOOKUP]

@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
+import functools
 import json
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.core import AttackConfig
 
 
 @pytest.fixture(autouse=True)
@@ -35,6 +38,17 @@ class TestAttackCommand:
     def test_rejects_bad_width(self):
         with pytest.raises(SystemExit):
             main(["attack", "--width", "96"])
+
+    def test_typed_failure_exits_one_with_its_outcome(self, capsys,
+                                                      monkeypatch):
+        # A per-segment budget of 3 runs out in the first segment; the
+        # command reports the outcome instead of a traceback.
+        monkeypatch.setattr(cli, "AttackConfig", functools.partial(
+            AttackConfig, max_encryptions_per_segment=3))
+        assert main(["attack", "--seed", "5"]) == 1
+        out = capsys.readouterr().out
+        assert "attack failed (budget_exceeded) after 3 encryptions" in out
+        assert "MATCH" not in out
 
 
 class TestExperimentCommands:
