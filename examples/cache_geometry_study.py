@@ -16,14 +16,16 @@ Run:  python examples/cache_geometry_study.py          (quick)
 
 import os
 
-from repro.analysis import (
+from repro.analysis.theory import (
     absence_probability,
+    class_count,
     expected_first_round_effort,
-    monitored_lines,
     practical_probing_round_limit,
     visible_noise_accesses,
 )
+from repro.cache.geometry import CacheGeometry
 from repro.engine import render_record, run_experiment
+from repro.targets import get_target
 
 
 def main() -> None:
@@ -40,11 +42,13 @@ def main() -> None:
 
     print("Mechanism, per the analytic model")
     print("---------------------------------")
+    gift64 = get_target("gift64")
     for line_words in (1, 2, 4, 8):
-        lines = monitored_lines(line_words)
-        p = absence_probability(lines, visible_noise_accesses(1))
-        effort = expected_first_round_effort(line_words, 1)
-        limit = practical_probing_round_limit(line_words)
+        geometry = CacheGeometry(line_words=line_words)
+        lines = class_count(gift64, geometry)
+        p = absence_probability(lines, visible_noise_accesses(gift64, 1))
+        effort = expected_first_round_effort(gift64, geometry, 1)
+        limit = practical_probing_round_limit(gift64, geometry)
         print(f"{line_words} word(s)/line: {lines:>2} monitored lines, "
               f"P(line absent per window) = {p:.2e}, "
               f"round-1 effort ~ {effort:,.0f}, "

@@ -14,8 +14,10 @@ speed up a cold run:  python examples/figure3.py  (REPRO_WORKERS=4 ...)
 
 import os
 
-from repro.analysis import flush_advantage, growth_factor_per_round
+from repro.analysis.theory import flush_advantage, growth_factor_per_round
+from repro.cache.geometry import CacheGeometry
 from repro.engine import render_record, run_experiment, simulated_effort_budget
+from repro.targets import get_target
 
 
 def main() -> None:
@@ -32,6 +34,7 @@ def main() -> None:
           f"{telemetry['wall_time_s']:.2f} s at {workers} worker(s), "
           f"cache {telemetry['cache']}]")
 
+    gift64, geometry = get_target("gift64"), CacheGeometry()
     print("\nShape checks against the paper")
     print("------------------------------")
     round1 = next(c for c in record["cells"]
@@ -41,9 +44,9 @@ def main() -> None:
           f"{round1['encryptions']:,.0f} encryptions "
           f"(paper: ~100 for the 32-bit first round)")
     print(f"effort growth per probing round: "
-          f"x{growth_factor_per_round(1):.2f} "
+          f"x{growth_factor_per_round(gift64, geometry):.2f} "
           f"(the exponential slope of the log-scale bars)")
-    print(f"no-flush penalty: x{flush_advantage(2):.2f} "
+    print(f"no-flush penalty: x{flush_advantage(gift64, geometry, 2):.2f} "
           f"(the paper's 'dirty first-round accesses')")
     print("practical limit: with flush the attack stays under 1M")
     print("encryptions through probing round ~8; the paper calls it")

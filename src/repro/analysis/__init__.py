@@ -20,17 +20,6 @@ from .statistics import (
     median,
     sample_stdev,
 )
-from .theory import (
-    absence_probability,
-    expected_encryptions_per_segment,
-    expected_first_round_effort,
-    expected_max_geometric,
-    flush_advantage,
-    growth_factor_per_round,
-    monitored_lines,
-    practical_probing_round_limit,
-    visible_noise_accesses,
-)
 
 __all__ = [
     "figure3_series",
@@ -48,13 +37,4 @@ __all__ = [
     "mean_confidence_interval",
     "median",
     "sample_stdev",
-    "absence_probability",
-    "expected_encryptions_per_segment",
-    "expected_first_round_effort",
-    "expected_max_geometric",
-    "flush_advantage",
-    "growth_factor_per_round",
-    "monitored_lines",
-    "practical_probing_round_limit",
-    "visible_noise_accesses",
 ]

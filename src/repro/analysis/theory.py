@@ -12,42 +12,43 @@ benchmark E7) and explain the paper's two headline trends:
   probability decays geometrically with the number of visible accesses;
 * Table I's explosion with the cache line size — fewer, busier lines
   make absences rare.
+
+The model is driven by the attacked target and a cache geometry: the
+monitored lines are the observation classes of the target's declared
+S-box layout, each round makes one S-box access per segment, and a full
+key costs ``full_key_rounds`` attacked rounds.
 """
 
 from __future__ import annotations
 
-from math import comb, expm1, log, log1p
+from math import comb, expm1, inf, log, log1p
 from typing import Optional
 
-#: GIFT-64 S-box accesses per round.
-ACCESSES_PER_ROUND: int = 16
-
-#: Segments attacked per round (= 16 for GIFT-64).
-SEGMENTS_PER_ROUND: int = 16
+from ..cache.geometry import CacheGeometry
+from ..targets.protocol import CipherTarget
 
 
-def monitored_lines(line_words: int, sbox_entries: int = 16,
-                    entry_words: int = 1) -> int:
-    """Number of cache lines the S-box table spans."""
-    if line_words < 1 or sbox_entries < 1 or entry_words < 1:
-        raise ValueError("table/line parameters must be positive")
-    table_words = sbox_entries * entry_words
-    return max(1, -(-table_words // line_words))
+def class_count(target: CipherTarget, geometry: CacheGeometry) -> int:
+    """Distinguishable observations of one S-box access: the cache lines
+    the target's declared S-box layout spans under ``geometry``."""
+    return target.sbox_layout().partition(geometry).class_count
 
 
-def visible_noise_accesses(probing_round: int, attacked_round: int = 1,
+def visible_noise_accesses(target: CipherTarget, probing_round: int,
+                           attacked_round: int = 1,
                            use_flush: bool = True) -> int:
     """Non-target S-box accesses in the attacker's visible window.
 
     With the mid-run flush the window spans rounds
     ``attacked_round + 1 .. attacked_round + probing_round``; without
-    it, rounds ``1 ..`` the same end.  One access is the pinned target.
+    it, rounds ``1 ..`` the same end.  Each round makes one access per
+    segment, and one access is the pinned target.
     """
     if probing_round < 1 or attacked_round < 1:
         raise ValueError("rounds are 1-based")
     visible_rounds = (probing_round if use_flush
                       else attacked_round + probing_round)
-    return ACCESSES_PER_ROUND * visible_rounds - 1
+    return target.segments * visible_rounds - 1
 
 
 def absence_probability(lines: int, noise_accesses: int) -> float:
@@ -84,56 +85,71 @@ def expected_max_geometric(count: int, p: float) -> float:
     )
 
 
-def expected_encryptions_per_segment(line_words: int, probing_round: int,
-                                     use_flush: bool = True,
-                                     attacked_round: int = 1) -> float:
-    """Expected encryptions to converge one segment's elimination."""
-    lines = monitored_lines(line_words)
-    p = absence_probability(
-        lines, visible_noise_accesses(probing_round, attacked_round, use_flush)
+def segment_effort(classes: int, noise_accesses: int) -> float:
+    """Expected encryptions until each non-target class has been absent
+    from a window at least once; ``inf`` for a one-class channel, which
+    never eliminates a candidate."""
+    if classes == 1:
+        return inf
+    return expected_max_geometric(
+        classes - 1, absence_probability(classes, noise_accesses)
     )
-    return expected_max_geometric(lines - 1, p)
 
 
-def expected_first_round_effort(line_words: int, probing_round: int,
+def expected_first_round_effort(target: CipherTarget, geometry: CacheGeometry,
+                                probing_round: int,
                                 use_flush: bool = True) -> float:
-    """Expected encryptions to attack all 16 segments of round 1.
+    """Expected encryptions to attack every segment of round 1.
 
     This is the quantity reported per cell of Table I and per bar of
     Fig. 3.
     """
-    return SEGMENTS_PER_ROUND * expected_encryptions_per_segment(
-        line_words, probing_round, use_flush
+    return target.segments * segment_effort(
+        class_count(target, geometry),
+        visible_noise_accesses(target, probing_round, use_flush=use_flush),
     )
 
 
-def growth_factor_per_round(line_words: int) -> float:
+def expected_full_key_effort(target: CipherTarget, geometry: CacheGeometry,
+                             probing_round: int = 1) -> float:
+    """Expected encryptions to attack every round the master key needs,
+    each at the round-1 cost (with the flush)."""
+    return target.full_key_rounds * expected_first_round_effort(
+        target, geometry, probing_round
+    )
+
+
+def growth_factor_per_round(target: CipherTarget,
+                            geometry: CacheGeometry) -> float:
     """Multiplicative effort growth per extra probing round.
 
     ``effort(r + 1) / effort(r)`` tends to
-    ``(lines / (lines - 1)) ** 16`` — the exponential slope visible in
-    Fig. 3's log-scale bars.
+    ``(lines / (lines - 1)) ** segments`` — the exponential slope
+    visible in Fig. 3's log-scale bars.
     """
-    lines = monitored_lines(line_words)
+    lines = class_count(target, geometry)
     if lines == 1:
-        return float("inf")
-    return (lines / (lines - 1)) ** ACCESSES_PER_ROUND
+        return inf
+    return (lines / (lines - 1)) ** target.segments
 
 
-def practical_probing_round_limit(line_words: int, use_flush: bool = True,
+def practical_probing_round_limit(target: CipherTarget,
+                                  geometry: CacheGeometry,
+                                  use_flush: bool = True,
                                   budget: float = 1_000_000.0
                                   ) -> Optional[int]:
     """Last probing round whose expected effort stays within ``budget``.
 
     Mirrors the paper's ">1M encryptions" drop-out rule; returns ``None``
-    when even probing round 1 exceeds the budget.
+    when even probing round 1 exceeds the budget (always, for a
+    one-class channel).
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     last = None
     for probing_round in range(1, 64):
         effort = expected_first_round_effort(
-            line_words, probing_round, use_flush
+            target, geometry, probing_round, use_flush
         )
         if effort > budget:
             break
@@ -141,26 +157,25 @@ def practical_probing_round_limit(line_words: int, use_flush: bool = True,
     return last
 
 
-def flush_advantage(probing_round: int, line_words: int = 1) -> float:
+def flush_advantage(target: CipherTarget, geometry: CacheGeometry,
+                    probing_round: int) -> float:
     """Effort ratio of "without flush" to "with flush" at equal probing round.
 
-    The flush removes the first round's 16 "dirty" accesses, so the
-    ratio is about ``((lines-1)/lines) ** -16``.
+    The flush removes the first round's ``segments`` "dirty" accesses,
+    so the ratio is about ``((lines-1)/lines) ** -segments``.
     """
-    with_flush = expected_first_round_effort(line_words, probing_round, True)
-    without = expected_first_round_effort(line_words, probing_round, False)
-    if with_flush == 0:
-        return float("inf")
-    return without / with_flush
+    return (expected_first_round_effort(target, geometry, probing_round, False)
+            / expected_first_round_effort(target, geometry, probing_round))
 
 
-def log_effort_slope(line_words: int, use_flush: bool = True,
-                     first: int = 1, last: int = 8) -> float:
+def log_effort_slope(target: CipherTarget, geometry: CacheGeometry,
+                     use_flush: bool = True, first: int = 1,
+                     last: int = 8) -> float:
     """Average slope of ``ln(effort)`` per probing round over a range."""
     if last <= first:
         raise ValueError("need at least two probing rounds for a slope")
     efforts = [
-        expected_first_round_effort(line_words, r, use_flush)
+        expected_first_round_effort(target, geometry, r, use_flush)
         for r in (first, last)
     ]
     return (log(efforts[1]) - log(efforts[0])) / (last - first)

@@ -31,7 +31,7 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
-from .analysis import (
+from .analysis.theory import (
     expected_first_round_effort,
     flush_advantage,
     growth_factor_per_round,
@@ -50,7 +50,7 @@ from .engine import (
     run_experiment,
 )
 from .staticcheck import declassify
-from .targets.gift import TracedGift64, TracedGift128
+from .targets.gift import TracedGift64, TracedGift128, gift64
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -251,15 +251,16 @@ def _cmd_theory(args: argparse.Namespace) -> int:
     use_flush = not args.no_flush
     print(f"analytic model, {args.line_words}-word lines, "
           f"{'with' if use_flush else 'without'} flush")
+    geometry = CacheGeometry(line_words=args.line_words)
     for probing_round in range(1, 9):
         effort = expected_first_round_effort(
-            args.line_words, probing_round, use_flush
+            gift64, geometry, probing_round, use_flush
         )
         marker = "" if effort <= 1_000_000 else "   <- drop-out (>1M)"
         print(f"  probing round {probing_round}: {effort:>14,.0f}{marker}")
-    print(f"growth per round: x{growth_factor_per_round(args.line_words):.2f}")
-    print(f"no-flush penalty: x{flush_advantage(2, args.line_words):.2f}")
-    limit = practical_probing_round_limit(args.line_words, use_flush)
+    print(f"growth per round: x{growth_factor_per_round(gift64, geometry):.2f}")
+    print(f"no-flush penalty: x{flush_advantage(gift64, geometry, 2):.2f}")
+    limit = practical_probing_round_limit(gift64, geometry, use_flush)
     print(f"practical limit : probing round {limit if limit else 'none'}")
     return 0
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Dict, List, Mapping
 
+from ..analysis.theory import expected_first_round_effort
 from ..cache.geometry import CacheGeometry
 from ..core.attack import GrinchAttack
 from ..core.config import AttackConfig
 from ..core.outcome import FAILURE_OUTCOMES, run_attack
 from ..channel import NoiseModel, SingleLevelTransport
-from ..targets.gift import TracedGift64
+from ..targets.gift import TracedGift64, gift64
 from ..targets.registry import get_target
 from ..staticcheck import declassify
 from .artifact import key_recovery_finalize, outcome_tally, trial_summary
@@ -144,11 +145,10 @@ def _theory_trial(params: Mapping[str, Any], cell: Dict[str, Any],
 
 def _theory_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
                      trials: List[Any]) -> Dict[str, Any]:
-    from ..analysis.theory import expected_first_round_effort
-
     summary = outcome_tally(trials)["summary"]
     predicted = expected_first_round_effort(
-        cell["line_words"], cell["probing_round"], use_flush=True
+        gift64, CacheGeometry(line_words=cell["line_words"]),
+        cell["probing_round"],
     )
     measured = summary["mean"] if summary else None
     return {

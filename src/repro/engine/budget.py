@@ -16,6 +16,7 @@ rootdir happened to be ``benchmarks/``.
 from __future__ import annotations
 
 import os
+from math import inf
 from typing import Any, Mapping
 
 #: Per-cell Monte-Carlo budget in quick (default) mode.
@@ -41,16 +42,25 @@ def effort_budget(params: Mapping[str, Any]) -> int:
     Reads ``budget_factor`` and ``line_words`` from the experiment
     params, plus ``probing_round`` (default 1) and ``scope``
     (``"first_round"`` = one attacked round, default ``"full_key"`` =
-    every round the master key needs).
+    every round the master key needs).  A geometry the model predicts
+    no progress for raises :class:`ValueError`.
     """
-    from ..analysis.theory import expected_first_round_effort
+    from ..analysis.theory import (
+        expected_first_round_effort,
+        expected_full_key_effort,
+    )
+    from ..cache.geometry import CacheGeometry
     from ..targets.gift import gift64
 
-    per_round = expected_first_round_effort(
-        line_words=params["line_words"],
-        probing_round=params.get("probing_round", 1),
-        use_flush=True,
-    )
-    rounds = (1 if params.get("scope", "full_key") == "first_round"
-              else gift64.full_key_rounds)
-    return int(params["budget_factor"] * rounds * per_round)
+    geometry = CacheGeometry(line_words=params["line_words"])
+    probing_round = params.get("probing_round", 1)
+    if params.get("scope", "full_key") == "first_round":
+        effort = expected_first_round_effort(gift64, geometry, probing_round)
+    else:
+        effort = expected_full_key_effort(gift64, geometry, probing_round)
+    if effort == inf:
+        raise ValueError(
+            f"{geometry} leaves one observation class per S-box access: "
+            f"the attack makes no progress, so no budget bounds it"
+        )
+    return int(params["budget_factor"] * effort)

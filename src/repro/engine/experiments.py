@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional
 
+from ..analysis.theory import expected_first_round_effort
 from ..cache.geometry import CacheGeometry
 from ..channel import CacheTransport, ObservationChannel
 from ..core.attack import GrinchAttack
@@ -26,7 +27,7 @@ from ..countermeasures import (
     evaluate_hardened_schedule,
     evaluate_reshaped_sbox,
 )
-from ..targets.gift import TracedGift64
+from ..targets.gift import TracedGift64, gift64
 from ..targets.registry import get_target
 from ..soc.clock import PAPER_FREQUENCIES_HZ, ClockDomain
 from ..soc.platform import MPSoC, SingleCoreSoC
@@ -38,16 +39,6 @@ from ..seeding import derive_key
 
 #: Paper's drop-out threshold for Table I.
 DROPOUT_THRESHOLD: int = 1_000_000
-
-
-def _expected_effort(line_words: int, probing_round: int,
-                     use_flush: bool) -> float:
-    from ..analysis.theory import expected_first_round_effort
-
-    return expected_first_round_effort(
-        line_words=line_words, probing_round=probing_round,
-        use_flush=use_flush,
-    )
 
 
 def first_round_trial(seed: int, config: AttackConfig,
@@ -86,7 +77,8 @@ def _figure3_plan(params: Mapping[str, Any]) -> List[CellPlan]:
     plan = []
     for use_flush in (True, False):
         for probing_round in params["probing_rounds"]:
-            expected = _expected_effort(1, probing_round, use_flush)
+            expected = expected_first_round_effort(
+                gift64, CacheGeometry(), probing_round, use_flush)
             simulated = expected <= params["max_simulated_effort"]
             plan.append(CellPlan(
                 cell={"probing_round": probing_round,
@@ -109,8 +101,8 @@ def _figure3_trial(params: Mapping[str, Any], cell: Dict[str, Any],
 
 def _figure3_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
                       trials: List[Any]) -> Dict[str, Any]:
-    expected = _expected_effort(1, cell["probing_round"],
-                                cell["use_flush"])
+    expected = expected_first_round_effort(
+        gift64, CacheGeometry(), cell["probing_round"], cell["use_flush"])
     # A cell whose trials all failed falls back to the analytic model.
     summary = outcome_tally(trials)["summary"]
     return {
@@ -176,7 +168,8 @@ def _table1_plan(params: Mapping[str, Any]) -> List[CellPlan]:
     plan = []
     for line_words in params["line_sizes"]:
         for probing_round in params["probing_rounds"]:
-            expected = _expected_effort(line_words, probing_round, True)
+            expected = expected_first_round_effort(
+                gift64, CacheGeometry(line_words=line_words), probing_round)
             simulate = (expected <= params["dropout_threshold"]
                         and expected <= params["max_simulated_effort"])
             plan.append(CellPlan(
@@ -201,8 +194,9 @@ def _table1_trial(params: Mapping[str, Any], cell: Dict[str, Any],
 
 def _table1_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
                      trials: List[Any]) -> Dict[str, Any]:
-    expected = _expected_effort(cell["line_words"],
-                                cell["probing_round"], True)
+    expected = expected_first_round_effort(
+        gift64, CacheGeometry(line_words=cell["line_words"]),
+        cell["probing_round"])
     simulated = bool(trials)
     tally = outcome_tally(trials)
     if simulated:

@@ -33,10 +33,11 @@ stale (an improvement that must be re-recorded), so a countermeasure PR
 must demonstrably *move the computed bound*, not just edit the baseline.
 
 ``--validate`` cross-checks the static figures against *measured*
-recovery effort from the experiment registry: the analytic
-4-bits-per-segment bound, pushed through the coupon-collector effort
-model with the enumerated class count, must predict the pinned
-464-encryption seed-0 GIFT-64 full-key recovery within a pinned slack.
+recovery effort from the experiment registry: the effort model of
+:mod:`repro.analysis.theory`, driven by each target's enumerated class
+count, must predict GIFT-64's full-key recovery (E4, plus the pinned
+464-encryption seed-0 run) and every registered target's round-1
+attack (E17) within a pinned slack.
 
 Run it as ``python -m repro staticcheck leakage [paths] [options]``.
 """
@@ -567,8 +568,45 @@ PINNED_SEED0_ENCRYPTIONS = 464
 #: channel model pass.
 VALIDATION_SLACK = 1.25
 
-#: Master-key bits of the GIFT-64 victim the registry experiment attacks.
-_KEY_BITS = 128
+
+@dataclass(frozen=True)
+class ValidationRow:
+    """One measured recovery effort next to the model's prediction."""
+
+    target: str
+    scope: str  # "full_key" (E4) or "first_round" (E17)
+    class_count: int
+    key_bits: int  # key bits the measured effort recovers
+    predicted_encryptions: float
+    measured_encryptions: float
+
+    @property
+    def bits_bound_per_observation(self) -> float:
+        return math.log2(self.class_count)
+
+    @property
+    def measured_bits_per_encryption(self) -> float:
+        return self.key_bits / self.measured_encryptions
+
+    def failures(self) -> List[str]:
+        """The rate and effort checks of this row."""
+        label = f"{self.target} {self.scope.replace('_', ' ')}"
+        rate, bound = (self.measured_bits_per_encryption,
+                       self.bits_bound_per_observation)
+        ratio = self.measured_encryptions / self.predicted_encryptions
+        failures = []
+        if rate > bound + 1e-9:
+            failures.append(
+                f"{label}: measured {rate:.3f} bits/encryption exceeds the "
+                f"analytic {bound:g}-bit per-observation bound — the "
+                f"channel model is inconsistent")
+        if not 1.0 / VALIDATION_SLACK <= ratio <= VALIDATION_SLACK:
+            failures.append(
+                f"{label}: measured effort {self.measured_encryptions:.1f} "
+                f"is outside x{VALIDATION_SLACK:g} of the analytic "
+                f"prediction {self.predicted_encryptions:.1f} "
+                f"(ratio {ratio:.3f})")
+        return failures
 
 
 @dataclass(frozen=True)
@@ -576,11 +614,7 @@ class ValidationResult:
     """Outcome of one analytic-vs-measured cross-validation."""
 
     preset: Optional[str]
-    class_count: int
-    bits_bound_per_observation: float
-    predicted_encryptions: float
-    measured_mean_encryptions: float
-    measured_bits_per_encryption: float
+    rows: Tuple[ValidationRow, ...]
     pinned_encryptions: Optional[int]
     runs: int
     failures: Tuple[str, ...]
@@ -591,74 +625,57 @@ class ValidationResult:
 
     def render_text(self) -> str:
         lines = [
-            f"leakage cross-validation "
-            f"({self.preset or 'custom geometry'}, E4 x {self.runs} runs)",
-            f"  equivalence classes per S-box access : "
-            f"{self.class_count} -> bound "
-            f"{self.bits_bound_per_observation:g} bits/observation",
-            f"  analytic full-key effort             : "
-            f"{self.predicted_encryptions:.1f} encryptions",
-            f"  measured full-key effort (mean)      : "
-            f"{self.measured_mean_encryptions:.1f} encryptions",
-            f"  measured information rate            : "
-            f"{self.measured_bits_per_encryption:.3f} bits/encryption",
+            f"leakage cross-validation ({self.preset or 'custom geometry'}"
+            f", E4 + E17 x {self.runs} runs)",
+            "  target     scope       classes bound  predicted   measured"
+            " bits/enc",
         ]
+        lines.extend(
+            f"  {row.target:<10} {row.scope:<11} {row.class_count:>7} "
+            f"{row.bits_bound_per_observation:>5g} "
+            f"{row.predicted_encryptions:>10.1f} "
+            f"{row.measured_encryptions:>10.1f} "
+            f"{row.measured_bits_per_encryption:>8.3f}"
+            for row in self.rows
+        )
         if self.pinned_encryptions is not None:
-            lines.append(f"  pinned seed-0 recovery               : "
+            lines.append(f"  pinned seed-0 recovery: "
                          f"{self.pinned_encryptions} encryptions "
                          f"(expected {PINNED_SEED0_ENCRYPTIONS})")
-        for failure in self.failures:
-            lines.append(f"  FAIL: {failure}")
+        lines.extend(f"  FAIL: {failure}" for failure in self.failures)
         if not self.failures:
-            lines.append(f"  OK: measured rate <= analytic bound and "
-                         f"effort within x{VALIDATION_SLACK:g} of the "
-                         f"class-count prediction")
+            lines.append(f"  OK: every measured rate <= analytic bound and "
+                         f"every effort within x{VALIDATION_SLACK:g} of "
+                         f"the class-count prediction")
         return "\n".join(lines)
-
-
-def predicted_full_key_encryptions(class_count: int) -> float:
-    """Analytic full-key effort from the enumerated class count.
-
-    This re-derives the coupon-collector effort model of
-    :mod:`repro.analysis.theory` with the *computed* number of
-    distinguishable observations (equivalence classes) in place of the
-    byte-footprint heuristic: per segment, elimination ends when every
-    non-target class has been absent from an observation window at least
-    once.
-    """
-    from ..analysis.theory import (
-        absence_probability,
-        expected_max_geometric,
-        visible_noise_accesses,
-    )
-    from ..targets.gift import gift64
-
-    p_absent = absence_probability(
-        class_count, visible_noise_accesses(probing_round=1, use_flush=True)
-    )
-    per_segment = expected_max_geometric(class_count - 1, p_absent)
-    return gift64.full_key_rounds * gift64.segments * per_segment
 
 
 def validate_against_measured(geometry: Optional[CacheGeometry] = None,
                               runs: int = 2,
                               use_cache: bool = True) -> ValidationResult:
-    """Cross-validate the analytic bound against measured E4 effort.
+    """Cross-validate the analytic bound against measured effort.
 
-    Runs the registered ``full_key`` experiment (E4) for GIFT-64 under
-    ``geometry`` and checks three things:
+    Runs the registered ``full_key`` experiment (E4, GIFT-64) and the
+    ``target_matrix`` experiment (E17, round 1 of every registered
+    target) under ``geometry`` and checks:
 
     1. the pinned seed-0 recovery still costs exactly 464 encryptions
        (paper geometry only — the repo-wide RNG contract);
-    2. the measured information rate (key bits / encryptions) does not
-       exceed the analytic per-observation capacity bound — measurement
-       can never beat the channel;
-    3. measured effort agrees with the effort predicted from the
-       enumerated class count within :data:`VALIDATION_SLACK` — the
-       static model and the Monte-Carlo channel describe the same
-       attack.
+    2. each measured information rate (key bits / encryptions) does not
+       exceed the per-observation capacity bound;
+    3. each measured effort is within :data:`VALIDATION_SLACK` of the
+       effort model of :mod:`repro.analysis.theory`.
+
+    Wide lines leave round-1 key bits ambiguous, so an E17 row checks
+    effort, not full recovery.
     """
+    from ..analysis.theory import (
+        class_count,
+        expected_first_round_effort,
+        expected_full_key_effort,
+    )
     from ..engine import run_experiment
+    from ..targets.registry import get_target
 
     if geometry is None:
         geometry = geometry_preset("paper")
@@ -667,21 +684,35 @@ def validate_against_measured(geometry: Optional[CacheGeometry] = None,
             "validation requires a paper-family geometry (1-byte words, "
             f"1/2/4/8-word lines); got {geometry}"
         )
-    layout = _gift_sbox_layout()
-    partition = layout.partition(geometry)
-    bound = partition.min_entropy_bits
-    predicted = predicted_full_key_encryptions(partition.class_count)
-
-    record = run_experiment(
-        "full_key",
-        {"runs": runs, "seed": 0, "width": 64,
-         "line_words": geometry.line_words},
+    failures: List[str] = []
+    gift64 = get_target("gift64")
+    full_key = run_experiment(
+        "full_key", {"runs": runs, "seed": 0, "width": 64,
+                     "line_words": geometry.line_words},
+        use_cache=use_cache,
+    )["summary"]
+    if not full_key["all_recovered"]:
+        failures.append("E4 failed to recover every key")
+    rows = [ValidationRow(
+        gift64.name, "full_key", class_count(gift64, geometry),
+        gift64.key_bits, expected_full_key_effort(gift64, geometry),
+        float(full_key["mean_encryptions"]),
+    )]
+    matrix = run_experiment(
+        "target_matrix", {"runs": runs, "line_words": geometry.line_words},
         use_cache=use_cache,
     )
-    measured = float(record["summary"]["mean_encryptions"])
-    failures: List[str] = []
-    if not record["summary"]["all_recovered"]:
-        failures.append("E4 failed to recover every key")
+    for cell in matrix["cells"]:
+        target = get_target(cell["cell"]["target"])
+        if cell["summary"] is None:
+            failures.append(f"E17 recovered no {target.name} round 1")
+            continue
+        rows.append(ValidationRow(
+            target.name, "first_round", class_count(target, geometry),
+            target.bits_per_round,
+            expected_first_round_effort(target, geometry, 1),
+            float(cell["summary"]["mean"]),
+        ))
 
     pinned: Optional[int] = None
     if geometry.line_words == 1:
@@ -691,58 +722,15 @@ def validate_against_measured(geometry: Optional[CacheGeometry] = None,
                 f"pinned seed-0 recovery took {pinned} encryptions, "
                 f"expected {PINNED_SEED0_ENCRYPTIONS}"
             )
-
-    rate = _KEY_BITS / measured
-    if rate > bound + 1e-9:
-        failures.append(
-            f"measured {rate:.3f} bits/encryption exceeds the analytic "
-            f"{bound:g}-bit per-observation bound — the channel model is "
-            f"inconsistent"
-        )
-    ratio = measured / predicted
-    if not (1.0 / VALIDATION_SLACK <= ratio <= VALIDATION_SLACK):
-        failures.append(
-            f"measured effort {measured:.1f} is outside "
-            f"x{VALIDATION_SLACK:g} of the analytic prediction "
-            f"{predicted:.1f} (ratio {ratio:.3f})"
-        )
+    for row in rows:
+        failures.extend(row.failures())
     return ValidationResult(
         preset=preset_name_of(geometry),
-        class_count=partition.class_count,
-        bits_bound_per_observation=bound,
-        predicted_encryptions=predicted,
-        measured_mean_encryptions=measured,
-        measured_bits_per_encryption=rate,
+        rows=tuple(rows),
         pinned_encryptions=pinned,
         runs=runs,
         failures=tuple(failures),
     )
-
-
-def target_table_layout(target_name: str) -> TableAccessLayout:
-    """A registered target's S-box layout, via its runtime declaration.
-
-    The target declares its tables by qualified name
-    (:attr:`~repro.targets.CipherTarget.table_names`); importing the
-    owning module registers the layout, which this resolves.
-    """
-    import importlib
-
-    from ..targets.registry import get_target
-    from .equivalence import declared_layout
-
-    target = get_target(target_name)
-    qualified = target.table_names[0]
-    importlib.import_module(qualified.rsplit(".", 1)[0])
-    layout = declared_layout(qualified)
-    if layout is None:  # pragma: no cover - declaration removed
-        layout = TableAccessLayout(domain=16, entry_bytes=1)
-    return layout
-
-
-def _gift_sbox_layout() -> TableAccessLayout:
-    """The GIFT S-box layout (validation always runs against GIFT-64)."""
-    return target_table_layout("gift64")
 
 
 def _pinned_seed0_encryptions() -> int:
@@ -807,11 +795,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--validate", action="store_true",
         help="cross-validate the analytic bound against measured E4 "
-             "recovery effort",
+             "and E17 recovery effort",
     )
     parser.add_argument(
         "--runs", type=int, default=2,
-        help="E4 trials for --validate (default: 2)",
+        help="E4 and E17 trials for --validate (default: 2)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",

@@ -41,7 +41,9 @@ except ImportError:  # pragma: no cover - Python < 3.8
     Protocol = object  # type: ignore[assignment]
 
 from ..staticcheck.equivalence import (
+    TABLE_LAYOUTS,
     ObservationPartition,
+    TableAccessLayout,
     partition_by_observation,
     refine,
 )
@@ -273,6 +275,11 @@ class CipherTarget(abc.ABC):
     # ------------------------------------------------------------------
     # Leakage enumeration (joint per-round bound)
     # ------------------------------------------------------------------
+
+    def sbox_layout(self) -> TableAccessLayout:
+        """Declared layout of the monitored S-box table, the first of
+        :attr:`table_names` (its module is imported with the target)."""
+        return TABLE_LAYOUTS[self.table_names[0]]
 
     def observation_partitions(
             self, segment: int, geometry: Any,

@@ -90,3 +90,19 @@ class TestBudget:
         assert simulated_effort_budget() == FULL_EFFORT
         monkeypatch.setenv("REPRO_FULL", "0")
         assert simulated_effort_budget() == QUICK_EFFORT
+
+    def test_effort_budget_scales_the_model(self):
+        from repro.engine.budget import effort_budget
+
+        # The E14/E15/E20 defaults: factor x round-1 or full-key effort.
+        assert effort_budget({"budget_factor": 4.0, "line_words": 1}) == 1906
+        assert effort_budget({"budget_factor": 100.0, "line_words": 1,
+                              "scope": "first_round"}) == 11913
+        assert effort_budget({"budget_factor": 100.0,
+                              "line_words": 2}) == 117683
+
+    def test_one_class_geometry_has_no_budget(self):
+        from repro.engine.budget import effort_budget
+
+        with pytest.raises(ValueError, match="line_words=16"):
+            effort_budget({"budget_factor": 4.0, "line_words": 16})

@@ -19,7 +19,6 @@ from repro.staticcheck.leakage import (
     compute_budget,
     load_budget,
     main,
-    predicted_full_key_encryptions,
     write_budget,
 )
 from repro.targets import get_target
@@ -264,22 +263,61 @@ class TestCli:
 
 class TestCrossValidation:
     def test_class_count_prediction_matches_pinned_recovery(self):
-        predicted = predicted_full_key_encryptions(16)
+        from repro.analysis.theory import expected_full_key_effort
+
+        predicted = expected_full_key_effort(get_target("gift64"),
+                                             geometry_preset("paper"))
+        assert predicted == 476.52974980655614
         ratio = PINNED_SEED0_ENCRYPTIONS / predicted
         assert 1.0 / VALIDATION_SLACK <= ratio <= VALIDATION_SLACK
 
     def test_zero_class_channel_would_predict_unbounded_effort(self):
         # One equivalence class = nothing to eliminate: the model
-        # degenerates (no elimination events), guarding against reading
-        # a 0-bit channel as "cheap to attack".
-        assert predicted_full_key_encryptions(1) == 0.0
+        # predicts no progress at any cost, guarding against reading a
+        # 0-bit channel as "cheap to attack".
+        from repro.analysis.theory import segment_effort
 
-    def test_validate_against_measured_end_to_end(self):
+        assert segment_effort(1, 15) == float("inf")
+
+    def test_reshaped_sbox_predicts_no_progress(self):
+        from repro.analysis.theory import segment_effort
+        from repro.countermeasures.reshaped_sbox import RECOMMENDED_GEOMETRY
+        from repro.staticcheck.equivalence import declared_layout
+
+        layout = declared_layout(
+            "repro.countermeasures.reshaped_sbox.RESHAPED_SBOX_ROWS")
+        classes = layout.partition(RECOMMENDED_GEOMETRY).class_count
+        assert classes == 1
+        assert segment_effort(classes, 15) == float("inf")
+
+    def test_validate_against_measured_end_to_end(self, tmp_path,
+                                                  monkeypatch):
         from repro.staticcheck.leakage import validate_against_measured
 
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
         result = validate_against_measured(runs=2)
         assert result.failures == ()
         assert result.pinned_encryptions == PINNED_SEED0_ENCRYPTIONS
-        assert result.class_count == 16
-        assert result.measured_bits_per_encryption <= \
-            result.bits_bound_per_observation
+        assert [(row.target, row.scope) for row in result.rows] == [
+            ("gift64", "full_key"), ("gift128", "first_round"),
+            ("gift64", "first_round"), ("giftcofb", "first_round"),
+            ("present80", "first_round"),
+        ]
+        full_key = result.rows[0]
+        assert full_key.predicted_encryptions == 476.52974980655614
+        assert full_key.key_bits == 128
+        assert result.rows[-1].key_bits == 64
+        for row in result.rows:
+            assert row.class_count == 16
+            assert row.measured_bits_per_encryption <= \
+                row.bits_bound_per_observation
+
+    def test_validate_cli_reports_every_target(self, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        assert main(["--validate"]) == 0
+        out = capsys.readouterr().out
+        for name in ("gift64", "gift128", "present80", "giftcofb"):
+            assert name in out
+        assert "476.5" in out
+        assert "pinned seed-0 recovery: 464 encryptions" in out

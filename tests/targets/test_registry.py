@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.cache.geometry import CacheGeometry
-from repro.staticcheck.leakage import geometry_preset, target_table_layout
+from repro.cache.geometry import CacheGeometry, geometry_preset
 from repro.targets import (
     get_target,
     registered_targets,
@@ -58,19 +57,19 @@ class TestResolveTargetFor:
 
 
 class TestDeclaredLayouts:
-    """Each target's declared tables must resolve in staticcheck
-    leakage with nonzero observation classes (the registry/staticcheck
-    contract the ISSUE pins)."""
+    """Each target's declared S-box layout must resolve with nonzero
+    observation classes: the effort model and the leakage analyzer both
+    read it."""
 
     @pytest.mark.parametrize("name", BUILTINS)
     def test_layout_resolves_with_nonzero_classes(self, name):
-        layout = target_table_layout(name)
+        layout = get_target(name).sbox_layout()
         partition = layout.partition(geometry_preset("paper"))
         assert partition.class_count > 0
 
     @pytest.mark.parametrize("name", BUILTINS)
     def test_paper_geometry_separates_all_entries(self, name):
-        layout = target_table_layout(name)
+        layout = get_target(name).sbox_layout()
         assert layout.partition(geometry_preset("paper")).class_count == 16
 
     @pytest.mark.parametrize("name", BUILTINS)

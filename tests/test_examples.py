@@ -21,6 +21,8 @@ FAST_EXAMPLES = [
     "countermeasure_demo.py",
     "soc_timing_study.py",
     "gift128_attack.py",
+    "figure3.py",
+    "cache_geometry_study.py",
 ]
 
 
@@ -39,7 +41,9 @@ def _run_example(name: str) -> None:
 
 
 @pytest.mark.parametrize("name", FAST_EXAMPLES)
-def test_example_runs(name, capsys):
+def test_example_runs(name, capsys, tmp_path, monkeypatch):
+    # Keep the engine's result cache and artifacts out of the tree.
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
     _run_example(name)
     out = capsys.readouterr().out
     assert out.strip(), f"{name} produced no output"
