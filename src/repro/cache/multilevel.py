@@ -17,16 +17,19 @@ Flush+Reload:
   L1 (like GIFT's 16-byte S-box) may never appear in the shared level
   at all.
 
-Every level is a :class:`~repro.cache.setassoc.SetAssociativeCache`;
-the hierarchy keeps its own counters.
+Every level is a :class:`~repro.cache.setassoc.SetAssociativeCache`,
+and the hierarchy owns every change to their contents and every count
+of them: :class:`HierarchyStats` is the one counter set, and the
+arrays' own :class:`~repro.cache.setassoc.CacheStats` stay at zero.
 :meth:`TwoLevelHierarchy.replay` is the one loop over a run of loads,
 and so the one place the fill, back-invalidation and spill rules of
-both inclusion modes live.  An LRU fill is written inline there, as
-in the array's own loop; FIFO and random fills go through the array.
+both inclusion modes live; :meth:`~TwoLevelHierarchy.flush_lines` is
+the one loop over a run of ``clflush``es.  LRU fills and removals are
+written inline in both; FIFO and random ones go through the array's
+uncounted ``_insert`` and ``_release``.
 :meth:`~TwoLevelHierarchy.access` is a one-load run, and
 ``access_lines`` maps a run's levels to what the shared level held, as
-``flush_lines`` (a run of ``clflush``es, which goes to each array
-whole) does for flushes.
+``flush_lines`` does for flushes.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from operator import or_
 from typing import Iterable, List, Optional
 
 from .geometry import CacheGeometry
@@ -147,16 +149,16 @@ class TwoLevelHierarchy:
         l1_mask, l1_bits = l1._set_mask, l1._set_bits
         l2_mask, l2_bits = l2._set_mask, l2._set_bits
         l1_sets, l2_sets = l1._sets, l2._sets
-        # Every array shares one policy.  LRU misses are written inline
-        # (the victim is the set's first tag); FIFO and random ones go
-        # through the arrays' way maps.
+        # Every array shares one policy.  LRU misses and removals are
+        # written inline (the victim is the set's first tag, a removal
+        # is a dict pop); FIFO and random ones also update the arrays'
+        # way maps, uncounted.
         lru = l2._lru
         l1_assoc, l2_assoc = l1._ways, l2._ways
         l1_insert, l2_insert = l1._insert, l2._insert
-        l2_invalidate = l2._invalidate
+        l2_release = l2._release
         # Every L1 shares one geometry, so one split serves them all.
-        every_l1_sets = [other._sets for other in self.l1]
-        every_l1_invalidate = [other._invalidate for other in self.l1]
+        every_l1 = [(other._sets, other._release) for other in self.l1]
         l1_level, l2_level, memory = (MemoryLevel.L1, MemoryLevel.L2,
                                       MemoryLevel.MEMORY)
         l1_hits = l2_hits = fetches = evictions = back_invalidates = 0
@@ -206,7 +208,7 @@ class TwoLevelHierarchy:
                     # the clean victim; the sharer keeps serving it).
                     if not inclusive and not any(
                             evicted >> l1_bits in sets[evicted & l1_mask]
-                            for sets in every_l1_sets):
+                            for sets, _ in every_l1):
                         spill_set = evicted & l2_mask
                         spill_ways = l2_sets[spill_set]
                         if lru:
@@ -220,8 +222,11 @@ class TwoLevelHierarchy:
 
                 if way is not None:
                     if not inclusive:
-                        # The line moves up; exclusive L2 gives it away.
-                        l2_invalidate(l2_set, l2_tag)
+                        # The line moves up; exclusive L2 gives it away
+                        # (unless the spill above just evicted it).
+                        way = l2_ways.pop(l2_tag, None)
+                        if way is not None and not lru:
+                            l2_release(l2_set, way)
                     if levels is not None:
                         levels.append(l2_level)
                     continue
@@ -239,10 +244,14 @@ class TwoLevelHierarchy:
                     if evicted is not None:
                         # An L2 eviction back-invalidates every L1 copy.
                         evictions += 1
-                        for invalidate in every_l1_invalidate:
-                            if invalidate(evicted & l1_mask,
-                                          evicted >> l1_bits):
+                        evicted_set = evicted & l1_mask
+                        evicted_tag = evicted >> l1_bits
+                        for sets, release in every_l1:
+                            way = sets[evicted_set].pop(evicted_tag, None)
+                            if way is not None:
                                 back_invalidates += 1
+                                if not lru:
+                                    release(evicted_set, way)
                 if levels is not None:
                     levels.append(memory)
         finally:
@@ -279,47 +288,45 @@ class TwoLevelHierarchy:
         """clflush each address's line from every level and core, in
         order; return whether the L2 held each one.
 
-        One instruction flushes one line, so ``flushes`` advances by
-        one per address; whether any level actually held the line is
-        the same resident/absent split :class:`CacheStats` tracks (and
-        the timing signal Flush+Flush reads).  Flushes on different
-        arrays commute, so the L2 and then each L1 take the whole run:
-        every array's counters and contents end as a per-line loop
-        leaves them.  A run holding a negative address raises before
-        anything is flushed.
+        The hierarchy's one loop over flushes: each line leaves the L2
+        set and every L1 set in one pass.  One instruction flushes one
+        line, so ``flushes`` advances by one per address, and it is a
+        ``flush_hit`` when any level held the line (the timing signal
+        Flush+Flush reads) and a ``flush_miss`` otherwise.  A run
+        holding a negative address raises before anything is flushed.
         """
         addresses = tuple(addresses)
         if addresses and min(addresses) < 0:
             raise _negative(next(a for a in addresses if a < 0))
-        shared = self.l2.flush_lines(addresses)
-        present = shared
-        for l1 in self.l1:
-            present = list(map(or_, present, l1.flush_lines(addresses)))
-        resident = present.count(True)
+        l1, l2 = self.l1[0], self.l2
+        offset_bits = l2._offset_bits
+        l1_mask, l1_bits = l1._set_mask, l1._set_bits
+        l2_mask, l2_bits = l2._set_mask, l2._set_bits
+        l2_sets, l2_release = l2._sets, l2._release
+        every_l1 = [(other._sets, other._release) for other in self.l1]
+        lru = l2._lru
+        shared: List[bool] = []
+        append = shared.append
+        resident = 0
+        for address in addresses:
+            line = address >> offset_bits
+            set_index = line & l2_mask
+            way = l2_sets[set_index].pop(line >> l2_bits, None)
+            held = way is not None
+            append(held)
+            if held and not lru:
+                l2_release(set_index, way)
+            set_index = line & l1_mask
+            tag = line >> l1_bits
+            for sets, release in every_l1:
+                way = sets[set_index].pop(tag, None)
+                if way is not None:
+                    held = True
+                    if not lru:
+                        release(set_index, way)
+            resident += held
         stats = self.stats
         stats.flushes += len(addresses)
         stats.flush_hits += resident
         stats.flush_misses += len(addresses) - resident
         return shared
-
-    def is_resident_l2(self, address: int) -> bool:
-        """Shared-level residency (what a cross-core probe can sense)."""
-        return self.l2.is_resident(address)
-
-    def is_resident_l1(self, core: int, address: int) -> bool:
-        """Private-level residency of one core."""
-        self._check_core(core)
-        return self.l1[core].is_resident(address)
-
-    def inclusion_holds(self) -> bool:
-        """Check the inclusion invariant (for tests).
-
-        Inclusive: every L1-resident line is L2-resident.  Exclusive:
-        no line is resident in both an L1 and the L2.
-        """
-        inclusive = self.inclusion is InclusionPolicy.INCLUSIVE
-        for l1 in self.l1:
-            for line in l1.resident_lines():
-                if self.l2.is_resident(line * self.line_bytes) != inclusive:
-                    return False
-        return True

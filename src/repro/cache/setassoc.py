@@ -7,12 +7,16 @@ the paper uses for its "clean data" RTL experiments — timing is handled
 separately by :mod:`repro.soc`.
 
 It is the only cache array: the single-level cache and every level of
-:class:`~repro.cache.multilevel.TwoLevelHierarchy`, whose one loop over
-loads probes and fills the arrays' sets itself (LRU inline, FIFO and
-random through :meth:`~SetAssociativeCache._insert`).  Loads and
-flushes have run forms (:meth:`~SetAssociativeCache.replay`, the
-array's one loop over loads, and ``access_lines`` and ``flush_lines``)
-that take a whole sequence of addresses in one call.
+:class:`~repro.cache.multilevel.TwoLevelHierarchy`.  The hierarchy's
+loops over loads and flushes probe, fill and empty the arrays' sets
+themselves (LRU inline, FIFO and random through
+:meth:`~SetAssociativeCache._insert` and
+:meth:`~SetAssociativeCache._release`) and count only in the
+hierarchy's stats, so a hierarchy's arrays keep their
+:class:`CacheStats` at zero.  Loads and flushes have run forms
+(:meth:`~SetAssociativeCache.replay`, the array's one loop over loads,
+and ``access_lines`` and ``flush_lines``) that take a whole sequence of
+addresses in one call.
 """
 
 from __future__ import annotations
@@ -168,44 +172,31 @@ class SetAssociativeCache:
 
     def flush_line(self, address: int) -> bool:
         """Invalidate the line holding ``address``; return whether present."""
-        if address < 0:
-            raise _negative(address)
-        line = address >> self._offset_bits
-        return self._invalidate(line & self._set_mask, line >> self._set_bits)
+        return self.flush_lines((address,))[0]
 
-    def _invalidate(self, set_index: int, tag: int) -> bool:
-        """Counted flush of one line, already split; return whether it
-        was present (the per-line form of :meth:`flush_lines`)."""
-        stats = self.stats
-        stats.flushes += 1
-        way = self._sets[set_index].pop(tag, None)
-        if way is None:
-            stats.flush_misses += 1
-            return False
-        stats.flush_hits += 1
-        if not self._lru:
-            self._occupied[set_index][way] = False
-            self._policies[set_index].on_invalidate(way)
-        return True
+    def _release(self, set_index: int, way: int) -> None:
+        """Free ``way`` of a FIFO or random set whose tag was just
+        popped.  Counts nothing: the loops that remove lines keep their
+        own counters."""
+        self._occupied[set_index][way] = False
+        self._policies[set_index].on_invalidate(way)
 
     def flush_lines(self, addresses: Iterable[int]) -> List[bool]:
         """Invalidate each address's line in turn; return whether each
         was present.
 
-        The run form of :meth:`flush_line`, in one loop: the counters
-        are written back even when an address raises.  The loop inlines
-        :meth:`_invalidate` because attackers flush a run per window
-        phase: a call per line made a full-path attack 2.6% and a
-        cross-core one 4.7% slower on a 2-vCPU x86-64 container
-        (``docs/performance.md`` §15).
+        The array's one loop over flushes: the counters are written
+        back even when an address raises.  Attackers flush a run per
+        window phase, and a call per line made a full-path attack 2.6%
+        slower on a 2-vCPU x86-64 container (``docs/performance.md``
+        §15), so the LRU removal is a dict ``pop`` in the loop.
         """
         offset_bits = self._offset_bits
         set_mask = self._set_mask
         set_bits = self._set_bits
         sets = self._sets
         lru = self._lru
-        occupied = self._occupied
-        policies = self._policies
+        release = self._release
         results: List[bool] = []
         append = results.append
         try:
@@ -220,8 +211,7 @@ class SetAssociativeCache:
                     continue
                 append(True)
                 if not lru:
-                    occupied[set_index][way] = False
-                    policies[set_index].on_invalidate(way)
+                    release(set_index, way)
         finally:
             hits = results.count(True)
             stats = self.stats

@@ -30,7 +30,7 @@ Two execution paths produce the access-driven answer:
   mid-encryption flush, readout) is one transport call.  On the
   end-to-end benchmark a GIFT-64 first-round attack across cores
   through an inclusive two-level hierarchy (``crosscore_firstround``)
-  takes ~14 ms on a 2-vCPU x86-64 container;
+  takes ~12 ms on a 2-vCPU x86-64 container;
 * the **fast path** asks the victim for one 16-bit S-box index mask of
   the visible round window (``sbox_index_mask``) and turns it into
   lines with two table lookups on the monitor, which maps each index
@@ -201,7 +201,8 @@ class ObservationChannel:
                                 victim.rounds)
             if self._fast_path else None
         )
-        # A silent noise model draws nothing, so the fast paths skip it.
+        # A silent noise model draws nothing, so the fast paths and the
+        # cross-core victim's noise run skip it.
         self._noise_silent: bool = config.noise.is_silent
         # Scope-derived so the noise stream is independent of the
         # attacker's crafting stream, and deterministic even when no
@@ -418,7 +419,7 @@ class ObservationChannel:
             self.primitive.mid_flush(transport)
             runs = runs[monitored_round - 1:]
         transport.victim_loads(chain.from_iterable(runs))
-        if transport.noise_via_victim:
+        if transport.noise_via_victim and not self._noise_silent:
             # Cross-core noise is other-tenant traffic on the victim's
             # side of the hierarchy: the probe then observes it
             # naturally instead of having it unioned in afterwards.

@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from typing import (
-    Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union,
+    Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union,
 )
 
 from ..seeding import derive_rng
@@ -54,6 +54,7 @@ from .errors import (
 from .recover import (
     KeyBitPair,
     expected_index,
+    indices_consistent_with_prediction,
     key_pairs_from_line,
 )
 from .results import (
@@ -299,6 +300,20 @@ class GrinchAttack:
         if len(hypotheses) > 1 and (policy is None
                                     or policy.strict_equivalent):
             confirmation = self._confirmation_margin(spec.round_index)
+        universe = self.monitor.universe
+        if policy is not None and expected_line is None:
+            # The predicted key-free index bits already rule out most
+            # lines (``_accept_lines`` applies the same filter post
+            # hoc); the voter applies it up front so impossible lines
+            # never compete for the lead — fewer competitors means
+            # fewer windows to separate and no false leaders.  The
+            # filter reads the segment alone, so every hypothesis
+            # shares it.
+            universe = frozenset(
+                line for line in universe
+                if indices_consistent_with_prediction(spec, self.monitor,
+                                                      line)
+            ) or universe
         start = self.total_encryptions
         survivors: List[Tuple[Dict[int, KeyBitPair], int,
                               Tuple[KeyBitPair, ...]]] = []
@@ -316,7 +331,7 @@ class GrinchAttack:
             )
             verdict = self._run_hypothesis(
                 spec, prior_keys, prior_estimate, hypothesis,
-                line_for_hypothesis, confirmation
+                line_for_hypothesis, confirmation, universe
             )
             observations += verdict.observations
             retries = max(retries, verdict.retries)
@@ -386,8 +401,10 @@ class GrinchAttack:
                         prior_estimate: Optional[RoundKeyEstimate],
                         hypothesis: Dict[int, KeyBitPair],
                         expected_line: Optional[int],
-                        confirmation: int) -> _Verdict:
-        """One recovery run (Steps 1-3) under one hypothesis.
+                        confirmation: int,
+                        universe: FrozenSet[int]) -> _Verdict:
+        """One recovery run (Steps 1-3) under one hypothesis, over the
+        candidate lines ``universe``.
 
         Craft, probe and update the decision core until it accepts a
         line, refutes the hypothesis (the wrong-hypothesis signal), or
@@ -406,22 +423,9 @@ class GrinchAttack:
         if prior_estimate is not None:
             full_prior.append(prior_estimate.guess_round_key(hypothesis))
         policy = self._policy
-        universe = self.monitor.universe
         if policy is None:
             core: Any = CandidateEliminator(universe)
         else:
-            # The predicted key-free index bits already rule out most
-            # lines (``_accept_lines`` applies the same filter post
-            # hoc); the voter applies it up front so impossible lines
-            # never compete for the lead — fewer competitors means
-            # fewer windows to separate and no false leaders.
-            if expected_line is None:
-                consistent = frozenset(
-                    line for line in universe
-                    if key_pairs_from_line(spec, self.monitor, line)
-                )
-                if consistent:
-                    universe = consistent
             core = VotingEliminator(universe, policy)
         crafter = PlaintextCrafter(spec, full_prior, self.rng)
         budget = self.config.max_encryptions_per_segment

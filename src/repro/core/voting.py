@@ -481,12 +481,15 @@ class VotingEliminator:
     @property
     def rejected(self) -> bool:
         """No line behaves like a constant target — the lossy analogue
-        of the strict intersection's contradiction."""
+        of the strict intersection's contradiction.
+
+        The lower tail is non-decreasing in the count, so no line is
+        viable exactly when the count leader is not."""
         if self.policy.strict_equivalent:
             return self.observations > 0 and not self.viable
         if self.observations < self.policy.rejection_observations:
             return False
-        return not self.viable
+        return not self.is_viable(self.leader)
 
     def rejects(self, expected_line: Optional[int]) -> bool:
         """Whether the hypothesis is refuted: :attr:`rejected`, or the

@@ -13,6 +13,8 @@ from repro.cache.multilevel import (
 )
 from repro.cache.policies import derive_set_rng
 
+from .invariants import inclusion_holds
+
 
 def _inclusive():
     return TwoLevelHierarchy(inclusion=InclusionPolicy.INCLUSIVE)
@@ -37,7 +39,7 @@ class TestBasicFlow:
     def test_exclusive_l2_does_not_hold_fresh_fills(self):
         hierarchy = _exclusive()
         hierarchy.access(0, 0x100)
-        assert not hierarchy.is_resident_l2(0x100)
+        assert not hierarchy.l2.is_resident(0x100)
         # The other core must go to memory.
         assert hierarchy.access(1, 0x100) is MemoryLevel.MEMORY
 
@@ -53,7 +55,7 @@ class TestBasicFlow:
         for tag in range(3):
             hierarchy.access(0, tag * sets * geometry.line_bytes)
         # Tag 0 was evicted from L1 and must now live in L2.
-        assert hierarchy.is_resident_l2(0)
+        assert hierarchy.l2.is_resident(0)
         assert hierarchy.access(0, 0) is MemoryLevel.L2
 
     def test_stats_accumulate(self):
@@ -72,9 +74,9 @@ class TestFlush:
         hierarchy.access(0, 0x40)
         hierarchy.access(1, 0x40)
         hierarchy.flush_line(0x40)
-        assert not hierarchy.is_resident_l2(0x40)
-        assert not hierarchy.is_resident_l1(0, 0x40)
-        assert not hierarchy.is_resident_l1(1, 0x40)
+        assert not hierarchy.l2.is_resident(0x40)
+        assert not hierarchy.l1[0].is_resident(0x40)
+        assert not hierarchy.l1[1].is_resident(0x40)
         assert hierarchy.access(0, 0x40) is MemoryLevel.MEMORY
 
 
@@ -187,7 +189,7 @@ class TestInclusionInvariants:
         hierarchy = _inclusive()
         for core, address in accesses:
             hierarchy.access(core, address)
-        assert hierarchy.inclusion_holds()
+        assert inclusion_holds(hierarchy)
 
     @settings(max_examples=20)
     @given(st.lists(
@@ -198,7 +200,7 @@ class TestInclusionInvariants:
         hierarchy = _exclusive()
         for core, address in accesses:
             hierarchy.access(core, address)
-        assert hierarchy.inclusion_holds()
+        assert inclusion_holds(hierarchy)
 
     @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
     @pytest.mark.parametrize("inclusion", list(InclusionPolicy))
@@ -229,7 +231,7 @@ class TestInclusionInvariants:
                 hierarchy.access(core, address)
             else:
                 hierarchy.flush_line(address)
-            assert hierarchy.inclusion_holds()
+            assert inclusion_holds(hierarchy)
         flush_events = sum(1 for kind, _, _ in ops if kind == "flush")
         assert hierarchy.stats.flushes == flush_events
         assert hierarchy.stats.flush_hits + \
@@ -245,8 +247,8 @@ class TestInclusionInvariants:
         hierarchy.access(0, 0)
         hierarchy.access(0, 2)
         hierarchy.access(0, 4)  # evicts line 0 from L2
-        assert not hierarchy.is_resident_l2(0)
-        assert not hierarchy.is_resident_l1(0, 0)  # back-invalidated
+        assert not hierarchy.l2.is_resident(0)
+        assert not hierarchy.l1[0].is_resident(0)  # back-invalidated
 
 
 class TestReplay:

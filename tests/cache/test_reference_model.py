@@ -31,6 +31,8 @@ from repro.cache.multilevel import (
 from repro.cache.policies import derive_set_rng
 from repro.cache.setassoc import CacheStats, SetAssociativeCache
 
+from .invariants import inclusion_holds
+
 POLICIES = ("lru", "fifo", "random")
 GEOMETRIES = ("paper", "paper-4word")
 
@@ -50,9 +52,6 @@ class ReferenceArray:
                  rng_scope) -> None:
         self.geometry = geometry
         self.policy = policy
-        #: Counted operations only: flushes here, loads in
-        #: :class:`ReferenceCache`.
-        self.stats = CacheStats()
         self.sets: List[Dict[int, int]] = [
             {} for _ in range(geometry.num_sets)
         ]
@@ -115,11 +114,8 @@ class ReferenceArray:
         set_index = self.geometry.set_of(address)
         tag = self.geometry.tag_of(address)
         ways = self.sets[set_index]
-        self.stats.flushes += 1
         if tag not in ways:
-            self.stats.flush_misses += 1
             return False
-        self.stats.flush_hits += 1
         way = ways.pop(tag)
         self.occupied[set_index][way] = False
         self.order[set_index].remove(way)
@@ -134,12 +130,14 @@ class ReferenceArray:
 
 
 class ReferenceCache:
-    """:class:`SetAssociativeCache` semantics over one reference array."""
+    """:class:`SetAssociativeCache` semantics over one reference array,
+    with the counters a single-level cache keeps (the arrays of a
+    hierarchy count nothing)."""
 
     def __init__(self, geometry: CacheGeometry, policy: str) -> None:
         # The single-level cache derives its per-set streams at scope 0.
         self.array = ReferenceArray(geometry, policy, rng_scope=0)
-        self.stats = self.array.stats
+        self.stats = CacheStats()
 
     def access(self, address: int) -> bool:
         self.stats.accesses += 1
@@ -152,7 +150,13 @@ class ReferenceCache:
         return False
 
     def flush_line(self, address: int) -> bool:
-        return self.array.flush_line(address)
+        present = self.array.flush_line(address)
+        self.stats.flushes += 1
+        if present:
+            self.stats.flush_hits += 1
+        else:
+            self.stats.flush_misses += 1
+        return present
 
     def flush_all(self) -> None:
         array = self.array
@@ -314,19 +318,21 @@ class TestAgainstReference:
             else:
                 hierarchy.flush_line(address)
                 reference.flush_line(address)
-            assert (hierarchy.is_resident_l2(address)
+            assert (hierarchy.l2.is_resident(address)
                     == reference.is_resident_l2(address))
         _assert_same_hierarchy(hierarchy, reference)
 
 
 def _assert_same_hierarchy(hierarchy: TwoLevelHierarchy,
                            reference: ReferenceHierarchy) -> None:
+    """Same counters and contents; the hierarchy's arrays count nothing
+    (:class:`HierarchyStats` is its one counter set)."""
     assert asdict(hierarchy.stats) == asdict(reference.stats)
     for real, model in zip(hierarchy.l1 + [hierarchy.l2],
                            reference.l1 + [reference.l2]):
         _assert_same_array(real, model)
-        assert asdict(real.stats) == asdict(model.stats)
-    assert hierarchy.inclusion_holds()
+        assert real.stats == CacheStats()
+    assert inclusion_holds(hierarchy)
 
 
 #: A hierarchy small enough that short runs overflow everything: L1s
@@ -418,7 +424,7 @@ class TestNegativeAddresses:
         with pytest.raises(ValueError, match="non-negative"):
             hierarchy.flush_line(-1)
         with pytest.raises(ValueError, match="non-negative"):
-            hierarchy.is_resident_l2(-1)
+            hierarchy.l2.is_resident(-1)
         # Rejected before any counter moves, at every level.
         assert asdict(hierarchy.stats) == asdict(HierarchyStats())
         for array in hierarchy.l1 + [hierarchy.l2]:

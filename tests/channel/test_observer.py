@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.multilevel import InclusionPolicy
-from repro.cache.setassoc import SetAssociativeCache
+from repro.cache.setassoc import CacheStats, SetAssociativeCache
 from repro.channel import (
     CacheTransport,
     EvictionModel,
@@ -580,6 +580,12 @@ class TestEffortInvariant:
         assert result.total_encryptions == 464
 
 
+def _assert_arrays_count_nothing(hierarchy):
+    """``HierarchyStats`` is the only counter set a hierarchy writes."""
+    for array in hierarchy.l1 + [hierarchy.l2]:
+        assert array.stats == CacheStats()
+
+
 class TestSimulatorCounters:
     """End-to-end pins on the cache simulator's counters: the seed-0
     GIFT-64 full-path first-round attack (116 encryptions) drives every
@@ -611,6 +617,7 @@ class TestSimulatorCounters:
             "flushes": 3712, "flush_hits": 3034, "flush_misses": 678,
             "evictions": 5714, "back_invalidates": 0,
         }
+        _assert_arrays_count_nothing(transport.hierarchy)
 
     def test_cross_core_random_replacement_hierarchy_stats(self):
         # The E20 mobile-SoC substrate: every array draws its victims
@@ -622,6 +629,7 @@ class TestSimulatorCounters:
             "flushes": 3712, "flush_hits": 3026, "flush_misses": 686,
             "evictions": 5638, "back_invalidates": 83,
         }
+        _assert_arrays_count_nothing(transport.hierarchy)
 
     @pytest.mark.parametrize("policy, expected", [
         ("lru", {"l1_hits": 446, "l2_hits": 633, "memory_fetches": 2121,
@@ -630,6 +638,9 @@ class TestSimulatorCounters:
         ("random", {"l1_hits": 454, "l2_hits": 643, "memory_fetches": 2103,
                     "flush_hits": 1042, "flush_misses": 238,
                     "evictions": 1909}),
+        ("fifo", {"l1_hits": 446, "l2_hits": 633, "memory_fetches": 2121,
+                  "flush_hits": 1044, "flush_misses": 236,
+                  "evictions": 1946}),
     ])
     def test_exclusive_hierarchy_stats(self, policy, expected):
         # The exclusive attack fails by design, so a fixed run of
@@ -641,9 +652,11 @@ class TestSimulatorCounters:
         rng = random.Random(3)
         for _ in range(40):
             runner.observe(rng.getrandbits(64), 1)
-        assert asdict(runner.transport.hierarchy.stats) == {
+        hierarchy = runner.transport.hierarchy
+        assert asdict(hierarchy.stats) == {
             **expected, "flushes": 1280, "back_invalidates": 0,
         }
+        _assert_arrays_count_nothing(hierarchy)
 
 
 class TestMemoryLatencies:

@@ -164,7 +164,7 @@ def _substrate_probe(transport, kind, address):
                      else transport.cache.flush_line)
         return operation(address)
     hierarchy = transport.hierarchy
-    resident = hierarchy.is_resident_l2(address)
+    resident = hierarchy.l2.is_resident(address)
     if kind == "access":
         hierarchy.access(transport.attacker_core, address)
     else:

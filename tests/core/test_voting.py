@@ -190,6 +190,23 @@ class TestLossyViability:
         voter.update({0, 5, 9})
         assert voter.counts == {0: 1, 1: 0}
 
+    @given(counts=st.lists(st.integers(0, 60), min_size=1, max_size=16),
+           extra=st.integers(0, 20),
+           presence=st.floats(0.01, 0.99))
+    @settings(max_examples=100, deadline=None)
+    def test_rejected_iff_no_line_is_viable(self, counts, extra,
+                                            presence):
+        # Line i is seen in the first counts[i] of n windows.
+        n = max(max(counts), 1) + extra
+        voter = VotingEliminator(
+            frozenset(range(len(counts))),
+            VotingPolicy(expected_presence=presence,
+                         rejection_observations=1))
+        for window in range(n):
+            voter.update({line for line, count in enumerate(counts)
+                          if window < count})
+        assert voter.rejected == (not voter.viable)
+
 
 class TestBlockingGuard:
     """``blocking_guard`` names the first acceptance guard that fails."""
